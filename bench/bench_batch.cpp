@@ -5,7 +5,8 @@
 // monotonically with k until compute dominates; resident matrices only
 // amortize their one-time programming. Emits the EXPERIMENTS.md
 // "reprogram amortization vs batch size" table, plus (a) a measured k-RHS
-// sweep-throughput table through the three unified execution backends and
+// sweep-throughput table through the three unified execution backends
+// (bit-true both ideal and noisy with stuck-at faults) and
 // (b) the modeled bit-true write-verify amortization table.
 #include <cstdio>
 #include <memory>
@@ -49,6 +50,15 @@ void measured_backend_sweeps() {
   entries.push_back({"noisy", core::make_noisy_backend(rf, 1e-3, 42)});
   entries.push_back(
       {"bittrue", hw::make_bit_true_backend(rf, hw::ClusterConfig{})});
+  // Stuck-at-1 cells occupy otherwise empty (plane, row) slices and every
+  // nonzero sample draws noise, so this row bounds what the occupancy skip
+  // saves on a degraded array.
+  hw::ClusterConfig degraded;
+  degraded.noise.sigma = 0.02;
+  degraded.faults.stuck_at_zero_rate = 1e-2;
+  degraded.faults.stuck_at_one_rate = 1e-2;
+  entries.push_back(
+      {"bittrue+noise+faults", hw::make_bit_true_backend(rf, degraded)});
 
   std::vector<double> x(kWide * n);
   util::Rng rng(11);

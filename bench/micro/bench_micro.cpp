@@ -17,11 +17,13 @@
 //   spmv_threads/T        spmv_e2e on the active ISA at T = 1/2/4/8 pool
 //                         threads
 //   backend_sweep/<kind>  the unified core::SweepBackend sweep entry
-//                         (value / noisy / value_checked) at k = 1 and
-//                         k = 8 — gates the backend dispatch overhead, the
-//                         batched noisy kernel's per-RHS cost, and the ABFT
-//                         checked-mode epilogue (value_checked vs value is
-//                         the checksum verification overhead)
+//                         (value / noisy / value_checked / bittrue) at
+//                         k = 1 and k = 8 — gates the backend dispatch
+//                         overhead, the batched noisy kernel's per-RHS cost,
+//                         the ABFT checked-mode epilogue (value_checked vs
+//                         value is the checksum verification overhead), and
+//                         the bit-true crossbar datapath (hw::BitTrueBackend,
+//                         ideal cluster config) at grid 32
 //   calibration           fixed serial FP dependency chain; pure host-speed
 //                         probe used by bench_compare.py --normalize to
 //                         factor machine speed out of cross-host baselines
@@ -42,6 +44,7 @@
 #include "src/core/simd.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
@@ -216,10 +219,18 @@ void backend_sweep(benchmark::State& state, core::BackendKind kind,
   const Workload& w = workload(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const std::size_t n = static_cast<std::size_t>(w.a.rows());
-  std::unique_ptr<core::SweepBackend> backend =
-      kind == core::BackendKind::kNoisy
-          ? core::make_noisy_backend(w.rf, 1e-3, 42)
-          : core::make_value_backend(w.rf);
+  std::unique_ptr<core::SweepBackend> backend;
+  switch (kind) {
+    case core::BackendKind::kNoisy:
+      backend = core::make_noisy_backend(w.rf, 1e-3, 42);
+      break;
+    case core::BackendKind::kBitTrue:
+      backend = hw::make_bit_true_backend(w.rf, hw::ClusterConfig{});
+      break;
+    case core::BackendKind::kValue:
+      backend = core::make_value_backend(w.rf);
+      break;
+  }
   // Checked mode: the ABFT epilogue verifies sum(Y_j) against the checksum
   // row per column — the overhead the serving daemon pays on every sweep.
   const core::AbftChecksum abft = core::make_abft_checksum(w.rf);
@@ -307,6 +318,12 @@ void register_all() {
         backend_sweep(s, core::BackendKind::kValue, /*checked=*/true);
       })
       ->Args({64, 1})->Args({64, 8});
+  benchmark::RegisterBenchmark(
+      "backend_sweep/bittrue",
+      [](benchmark::State& s) {
+        backend_sweep(s, core::BackendKind::kBitTrue);
+      })
+      ->Args({32, 1})->Args({32, 8});
   benchmark::RegisterBenchmark("calibration", calibration);
 }
 

@@ -49,6 +49,10 @@ CrossbarCluster::CrossbarCluster(
       planes_(planes),
       words_((cols_ + 63) / 64),
       config_(config) {
+  if (rows_ > 0xffff) {
+    throw std::invalid_argument(
+        "CrossbarCluster: too many rows for the 16-bit occupancy index");
+  }
   plane_bits_.assign(
       static_cast<std::size_t>(planes_),
       std::vector<std::uint64_t>(
@@ -99,55 +103,103 @@ CrossbarCluster::CrossbarCluster(
       }
     }
   }
+
+  // Index the rows each plane actually holds, now that faults and ECC have
+  // settled every bit. Sized exactly so memory_bytes() is the heap held.
+  const auto occupied = [&](int p, int r) {
+    const std::span<const std::uint64_t> row = plane_row(p, r);
+    return std::any_of(row.begin(), row.end(),
+                       [](std::uint64_t w) { return w != 0; });
+  };
+  std::size_t entries = static_cast<std::size_t>(planes_);
+  for (int p = 0; p < planes_; ++p) {
+    for (int r = 0; r < rows_; ++r) entries += occupied(p, r) ? 1 : 0;
+  }
+  occupancy_.reserve(entries);
+  for (int p = 0; p < planes_; ++p) {
+    const std::size_t count_at = occupancy_.size();
+    occupancy_.push_back(0);
+    for (int r = 0; r < rows_; ++r) {
+      if (occupied(p, r)) occupancy_.push_back(static_cast<std::uint16_t>(r));
+    }
+    occupancy_[count_at] =
+        static_cast<std::uint16_t>(occupancy_.size() - count_at - 1);
+  }
 }
 
 void CrossbarCluster::mvm(const std::vector<std::uint64_t>& x, int x_bits,
                           std::vector<std::int64_t>& y, EngineStats* stats,
                           util::Rng& rng) const {
-  std::vector<std::uint64_t> x_mask;
-  mvm(x, x_bits, y, stats, rng, x_mask);
+  std::vector<std::uint64_t> masks;
+  input_masks(x, x_bits, masks);
+  mvm_masks(masks, y, stats, rng);
 }
 
-void CrossbarCluster::mvm(const std::vector<std::uint64_t>& x, int x_bits,
-                          std::vector<std::int64_t>& y, EngineStats* stats,
-                          util::Rng& rng,
-                          std::vector<std::uint64_t>& x_mask) const {
+void CrossbarCluster::input_masks(const std::vector<std::uint64_t>& x,
+                                  int x_bits,
+                                  std::vector<std::uint64_t>& masks) const {
+  masks.assign(static_cast<std::size_t>(x_bits) * words_, 0);
+  const std::uint64_t keep =
+      x_bits >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << x_bits) - 1;
+  const int n = std::min(cols_, static_cast<int>(x.size()));
+  for (int c = 0; c < n; ++c) {
+    for (std::uint64_t v = x[static_cast<std::size_t>(c)] & keep; v != 0;
+         v &= v - 1) {
+      masks[static_cast<std::size_t>(std::countr_zero(v)) * words_ + c / 64] |=
+          1ull << (c % 64);
+    }
+  }
+}
+
+void CrossbarCluster::mvm_masks(std::span<const std::uint64_t> masks,
+                                std::vector<std::int64_t>& y,
+                                EngineStats* stats, util::Rng& rng) const {
   std::fill(y.begin(), y.end(), 0);
   const std::int64_t full_scale = (std::int64_t{1} << config_.adc.bits) - 1;
-  x_mask.resize(static_cast<std::size_t>(words_));
+  const double sigma = config_.noise.sigma;
+  const auto words = static_cast<std::size_t>(words_);
+  const int x_bits = words == 0 ? 0 : static_cast<int>(masks.size() / words);
+  // Tallied locally: a per-sample increment through `stats` is a serial
+  // memory dependency on the hot loop.
+  long long active_bits = 0;
+  long long clips = 0;
   for (int q = 0; q < x_bits; ++q) {
-    std::fill(x_mask.begin(), x_mask.end(), 0);
-    bool any = false;
-    for (int c = 0; c < cols_ && c < static_cast<int>(x.size()); ++c) {
-      if ((x[static_cast<std::size_t>(c)] >> q) & 1ull) {
-        x_mask[static_cast<std::size_t>(c / 64)] |= 1ull << (c % 64);
-        any = true;
-      }
+    const std::uint64_t* mask =
+        masks.data() + static_cast<std::size_t>(q) * words;
+    if (std::all_of(mask, mask + words,
+                    [](std::uint64_t w) { return w == 0; })) {
+      continue;
     }
-    if (!any) continue;
+    ++active_bits;
+    const std::uint16_t* run = occupancy_.data();
     for (int p = 0; p < planes_; ++p) {
-      const auto& bits = plane_bits_[static_cast<std::size_t>(p)];
-      for (int r = 0; r < rows_; ++r) {
+      const std::uint64_t* bits =
+          plane_bits_[static_cast<std::size_t>(p)].data();
+      const std::uint16_t* const rows_end = run + 1 + *run;
+      for (const std::uint16_t* it = run + 1; it != rows_end; ++it) {
+        const std::uint64_t* row = bits + std::size_t{*it} * words;
         std::int64_t sample = 0;
-        const std::size_t base = static_cast<std::size_t>(r) * words_;
-        for (int w = 0; w < words_; ++w) {
-          sample += std::popcount(bits[base + w] &
-                                  x_mask[static_cast<std::size_t>(w)]);
+        for (std::size_t w = 0; w < words; ++w) {
+          sample += std::popcount(row[w] & mask[w]);
         }
-        if (stats != nullptr) ++stats->crossbar_ops;
-        if (sample == 0) continue;
-        if (config_.noise.sigma > 0.0) {
+        if (sigma > 0.0) {
+          if (sample == 0) continue;  // a zero sample draws no noise
           sample = std::llround(static_cast<double>(sample) *
-                                (1.0 + config_.noise.sigma * rng.gaussian()));
+                                (1.0 + sigma * rng.gaussian()));
           if (sample < 0) sample = 0;
         }
-        if (sample > full_scale) {
-          sample = full_scale;
-          if (stats != nullptr) ++stats->adc_clips;
-        }
-        y[static_cast<std::size_t>(r)] += sample << (p + q);
+        // Branch-free clip: half the samples are 0 and would mispredict a
+        // skip; a zero sample adds nothing and never clips.
+        const bool clipped = sample > full_scale;
+        clips += clipped ? 1 : 0;
+        y[*it] += (clipped ? full_scale : sample) << (p + q);
       }
+      run = rows_end;
     }
+  }
+  if (stats != nullptr) {
+    stats->crossbar_ops += active_bits * planes_ * rows_;
+    stats->adc_clips += clips;
   }
 }
 
@@ -228,14 +280,14 @@ void ProcessingEngine::apply(std::span<const double> x, std::span<double> y,
   scratch.pn.resize(static_cast<std::size_t>(side_));
   scratch.np.resize(static_cast<std::size_t>(side_));
   scratch.nn.resize(static_cast<std::size_t>(side_));
-  positive_.mvm(scratch.x_pos, x_bits, scratch.pp, stats, rng,
-                scratch.x_mask);
-  positive_.mvm(scratch.x_neg, x_bits, scratch.pn, stats, rng,
-                scratch.x_mask);
-  negative_.mvm(scratch.x_pos, x_bits, scratch.np, stats, rng,
-                scratch.x_mask);
-  negative_.mvm(scratch.x_neg, x_bits, scratch.nn, stats, rng,
-                scratch.x_mask);
+  // Both clusters share the block's width, so one mask set per input
+  // polarity serves all four quadrant passes.
+  positive_.input_masks(scratch.x_pos, x_bits, scratch.pos_masks);
+  positive_.input_masks(scratch.x_neg, x_bits, scratch.neg_masks);
+  positive_.mvm_masks(scratch.pos_masks, scratch.pp, stats, rng);
+  positive_.mvm_masks(scratch.neg_masks, scratch.pn, stats, rng);
+  negative_.mvm_masks(scratch.pos_masks, scratch.np, stats, rng);
+  negative_.mvm_masks(scratch.neg_masks, scratch.nn, stats, rng);
 
   const double scale = cell_step_ * step_x;
   for (std::size_t i = 0; i < y.size(); ++i) {

@@ -69,9 +69,9 @@ struct EngineStats {
 // difference between this and a fresh set of vectors per block dominates
 // the per-iteration cost of the solver-driven ablations.
 struct EngineScratch {
-  std::vector<std::uint64_t> x_mask;          // one input-bit column mask
-  std::vector<std::uint64_t> x_pos, x_neg;    // bit-serial input phases
-  std::vector<std::int64_t> pp, pn, np, nn;   // quadrant accumulators
+  std::vector<std::uint64_t> x_pos, x_neg;          // bit-serial input phases
+  std::vector<std::uint64_t> pos_masks, neg_masks;  // their input-bit masks
+  std::vector<std::int64_t> pp, pn, np, nn;         // quadrant accumulators
 };
 
 // One signed-magnitude polarity of a block: integer cell codes bit-sliced
@@ -91,27 +91,47 @@ struct EccScoreboard {
 class CrossbarCluster {
  public:
   // `ecc`, when non-null, enables programming-time fault repair against the
-  // scoreboard's budget (see EccConfig).
+  // scoreboard's budget (see EccConfig). Throws std::invalid_argument for
+  // more rows than the 16-bit occupancy index can name.
   CrossbarCluster(const std::vector<std::vector<std::uint64_t>>& m,
                   int planes, ClusterConfig config = {},
                   EccScoreboard* ecc = nullptr);
 
   // y[i] = sum_j m[i][j] * x[j], computed plane-by-plane and input-bit by
-  // input-bit through the ADC. x entries must fit in x_bits. `x_mask` is
-  // per-call scratch (resized as needed); the overload without it allocates.
-  void mvm(const std::vector<std::uint64_t>& x, int x_bits,
-           std::vector<std::int64_t>& y, EngineStats* stats, util::Rng& rng,
-           std::vector<std::uint64_t>& x_mask) const;
+  // input-bit through the ADC. Bits of x at or above x_bits are ignored.
+  // Allocates its masks; ProcessingEngine uses input_masks + mvm_masks.
   void mvm(const std::vector<std::uint64_t>& x, int x_bits,
            std::vector<std::int64_t>& y, EngineStats* stats,
            util::Rng& rng) const;
 
+  // The bit-serial input phases of x: mask q (words at q * words_) has bit
+  // c set when bit q of x[c] is set. One set serves every cluster of the
+  // same width, so an engine builds it once per input polarity.
+  void input_masks(const std::vector<std::uint64_t>& x, int x_bits,
+                   std::vector<std::uint64_t>& masks) const;
+  // mvm on prebuilt input_masks. Visits only the (plane, row) bit-slices
+  // the occupancy index lists: an empty slice's sample is provably 0, and a
+  // zero sample draws no noise, never clips and adds nothing, so y, the Rng
+  // sequence and adc_clips match the dense loop exactly. crossbar_ops still
+  // counts every modeled sample: planes x rows per active input bit.
+  void mvm_masks(std::span<const std::uint64_t> masks,
+                 std::vector<std::int64_t>& y, EngineStats* stats,
+                 util::Rng& rng) const;
+
+  // Programmed bit-slice of `row` on `plane`, after faults and ECC repair.
+  [[nodiscard]] std::span<const std::uint64_t> plane_row(int plane,
+                                                         int row) const {
+    return {plane_bits_[static_cast<std::size_t>(plane)].data() +
+                static_cast<std::size_t>(row) * words_,
+            static_cast<std::size_t>(words_)};
+  }
   [[nodiscard]] int planes() const { return planes_; }
   [[nodiscard]] long long faulty_cells() const { return faulty_cells_; }
   [[nodiscard]] long long ecc_corrected() const { return ecc_corrected_; }
-  // Heap bytes held by the programmed plane bit-slices.
+  // Heap bytes held by the programmed plane bit-slices and the occupancy
+  // index.
   [[nodiscard]] std::size_t memory_bytes() const {
-    std::size_t bytes = 0;
+    std::size_t bytes = occupancy_.size() * sizeof(std::uint16_t);
     for (const auto& plane : plane_bits_) {
       bytes += plane.size() * sizeof(std::uint64_t);
     }
@@ -128,6 +148,10 @@ class CrossbarCluster {
   long long ecc_corrected_ = 0;
   // plane_bits_[p][row * words_ + w]: bit j of cell (row, j) on plane p.
   std::vector<std::vector<std::uint64_t>> plane_bits_;
+  // Occupancy index, one run per plane in plane order: the count n of rows
+  // with any set bit on that plane, then those n rows ascending. Built
+  // after faults and ECC have settled plane_bits_, never changed after.
+  std::vector<std::uint16_t> occupancy_;
 };
 
 // A full signed block: positive/negative cell quadrants x positive/negative
