@@ -6,9 +6,11 @@
 // core::simd_set_isa, so one JSON run carries the scalar-vs-vector ratio
 // directly. Suites:
 //
-//   sweep_spmv/<isa>      kernel-only single-RHS plan sweep (no quantize,
-//                         no thread pool) — the AVX2 gather+multiply path
-//   sweep_spmm/<isa>/K    kernel-only K-RHS interleaved sweep, K 2/4/8/16
+//   sweep_spmv/<isa>      kernel-only single-RHS row sweep over the
+//                         dequantized CSR (no quantize, no thread pool;
+//                         the AVX2 table runs the scalar row loop)
+//   sweep_spmm/<isa>/K    kernel-only K-RHS interleaved row sweep, K
+//                         2/4/8/16
 //   quantize_span/<isa>   the exponent-field fast path over dense spans
 //   plan_build            RefloatMatrix conversion (quantize + arena)
 //   spmv_e2e/<isa>        full spmv_refloat (quantize_vector + sweep) at
@@ -24,6 +26,11 @@
 //                         value is the checksum verification overhead), and
 //                         the bit-true crossbar datapath (hw::BitTrueBackend,
 //                         ideal cluster config) at grid 32
+//   backend_sweep/value_scattered/k
+//                         the value backend at k = 1 and 8 on a scattered
+//                         matrix whose nonzero 128x128 blocks hold ~2
+//                         entries — the thermomech regime, where a blocked
+//                         walk pays its per-block cost on every 2 entries
 //   calibration           fixed serial FP dependency chain; pure host-speed
 //                         probe used by bench_compare.py --normalize to
 //                         factor machine speed out of cross-host baselines
@@ -38,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
@@ -52,17 +60,17 @@ namespace {
 
 using namespace refloat;
 
-// One cached workload per grid side: the stencil matrix, its ReFloat
-// conversion, and pre-generated operands. Built on first use and reused by
-// every registration so the suite pays conversion once, not per benchmark.
+// A cached workload: the matrix, its ReFloat conversion, and pre-generated
+// operands. Built on first use and reused by every registration so the
+// suite pays conversion once, not per benchmark.
 struct Workload {
   sparse::Csr a;
   core::RefloatMatrix rf;
   std::vector<double> x;   // dense gaussian operand
   std::vector<double> xq;  // pre-quantized operand (kernel-only sweeps)
 
-  explicit Workload(long side)
-      : a(gen::build_stencil(gen::laplace2d_5pt(side, side)).shifted(0.05)),
+  explicit Workload(sparse::Csr matrix)
+      : a(std::move(matrix)),
         rf(a, core::default_format()),
         x(static_cast<std::size_t>(a.rows())),
         xq(static_cast<std::size_t>(a.rows())) {
@@ -72,11 +80,38 @@ struct Workload {
   }
 };
 
+// One stencil workload per grid side.
 const Workload& workload(long side) {
   static std::map<long, std::unique_ptr<Workload>> cache;
   auto& slot = cache[side];
-  if (!slot) slot = std::make_unique<Workload>(side);
+  if (!slot) {
+    slot = std::make_unique<Workload>(
+        gen::build_stencil(gen::laplace2d_5pt(side, side)).shifted(0.05));
+  }
   return *slot;
+}
+
+// A diagonal plus six uniformly scattered entries per row at n = 2^16: a
+// block-row's 128 rows spread ~900 entries over 512 block-columns, so a
+// nonzero 128x128 block holds ~2 entries, as in the thermomech stand-ins.
+// (At n = 2^14 the 128 block-columns would force >= 7 entries per block.)
+const Workload& scattered_workload() {
+  static const Workload w([] {
+    constexpr sparse::Index n = sparse::Index{1} << 16;
+    util::Rng rng(31);
+    std::vector<sparse::Triplet> triplets;
+    triplets.reserve(static_cast<std::size_t>(n) * 7);
+    for (sparse::Index r = 0; r < n; ++r) {
+      triplets.push_back({r, r, 8.0});
+      for (int i = 0; i < 6; ++i) {
+        const auto c = static_cast<sparse::Index>(
+            rng.next() % static_cast<std::uint64_t>(n));
+        triplets.push_back({r, c, rng.gaussian()});
+      }
+    }
+    return sparse::Csr::from_triplets(n, n, std::move(triplets));
+  }());
+  return w;
 }
 
 std::vector<core::SimdIsa> runnable_isas() {
@@ -88,29 +123,27 @@ std::vector<core::SimdIsa> runnable_isas() {
   return isas;
 }
 
-// --- sweep_spmv: kernel-only single-RHS plan sweep -------------------------
+// --- sweep_spmv: kernel-only single-RHS row sweep --------------------------
 
 void sweep_spmv(benchmark::State& state, core::SimdIsa isa, bool rates) {
   core::simd_set_isa(isa);
   const Workload& w = workload(state.range(0));
-  const core::SpmvPlan& plan = w.rf.plan();
+  const sparse::Csr& q = w.rf.quantized();
+  const auto rows = static_cast<std::size_t>(q.rows());
   const core::SweepKernels& kernels = core::sweep_kernels();
-  std::vector<double> y(static_cast<std::size_t>(w.a.rows()));
+  std::vector<double> y(rows);
   for (auto _ : state) {
-    std::fill(y.begin(), y.end(), 0.0);
-    for (std::size_t br = 0; br < plan.block_rows(); ++br) {
-      kernels.spmv_block_row(plan, br, w.xq.data(), y.data());
-    }
+    kernels.spmv_rows(q, 0, rows, w.xq.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
-  const auto nnz = static_cast<double>(plan.num_entries());
+  const auto nnz = static_cast<double>(q.nnz());
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(plan.num_entries()));
+                          static_cast<long>(q.nnz()));
   if (rates) {
-    // Model traffic per nonzero: the arena payload plus one 8-byte x gather
-    // and a 16-byte y read+write (upper bound: no cache reuse credited).
-    const double bytes =
-        static_cast<double>(plan.payload_bytes()) + 24.0 * nnz;
+    // Model traffic: the CSR arrays plus one 8-byte x gather per nonzero
+    // and one 8-byte y write per row (upper bound: no cache reuse credited).
+    const double bytes = static_cast<double>(q.memory_bytes()) + 8.0 * nnz +
+                         8.0 * static_cast<double>(rows);
     state.counters["GFLOP/s"] = benchmark::Counter(
         2.0 * nnz, benchmark::Counter::kIsIterationInvariantRate,
         benchmark::Counter::OneK::kIs1000);
@@ -120,13 +153,13 @@ void sweep_spmv(benchmark::State& state, core::SimdIsa isa, bool rates) {
   }
 }
 
-// --- sweep_spmm: kernel-only K-RHS interleaved sweep -----------------------
+// --- sweep_spmm: kernel-only K-RHS interleaved row sweep -------------------
 
 void sweep_spmm(benchmark::State& state, core::SimdIsa isa, bool rates) {
   core::simd_set_isa(isa);
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const Workload& w = workload(state.range(0));
-  const core::SpmvPlan& plan = w.rf.plan();
+  const sparse::Csr& q = w.rf.quantized();
   const core::SweepKernels& kernels = core::sweep_kernels();
   const std::size_t n = static_cast<std::size_t>(w.a.rows());
   util::Rng rng(17);
@@ -134,20 +167,16 @@ void sweep_spmm(benchmark::State& state, core::SimdIsa isa, bool rates) {
   for (double& v : x) v = rng.gaussian();
   std::vector<double> y(n * k);
   for (auto _ : state) {
-    std::fill(y.begin(), y.end(), 0.0);
-    for (std::size_t br = 0; br < plan.block_rows(); ++br) {
-      kernels.spmm_block_row(plan, br, k, x.data(), y.data());
-    }
+    kernels.spmm_rows(q, 0, n, k, x.data(), y.data());
     benchmark::DoNotOptimize(y.data());
   }
-  const auto nnz = static_cast<double>(plan.num_entries());
+  const auto nnz = static_cast<double>(q.nnz());
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(plan.num_entries()) *
-                          static_cast<long>(k));
+                          static_cast<long>(q.nnz()) * static_cast<long>(k));
   if (rates) {
     const double kd = static_cast<double>(k);
-    const double bytes =
-        static_cast<double>(plan.payload_bytes()) + 24.0 * nnz * kd;
+    const double bytes = static_cast<double>(q.memory_bytes()) +
+                         8.0 * (nnz + static_cast<double>(n)) * kd;
     state.counters["GFLOP/s"] = benchmark::Counter(
         2.0 * nnz * kd, benchmark::Counter::kIsIterationInvariantRate,
         benchmark::Counter::OneK::kIs1000);
@@ -212,12 +241,11 @@ void spmv_e2e(benchmark::State& state, core::SimdIsa isa, int threads) {
 
 // --- backend_sweep: the unified SweepBackend entry point -------------------
 
-void backend_sweep(benchmark::State& state, core::BackendKind kind,
+void backend_sweep(benchmark::State& state, const Workload& w,
+                   std::size_t k, core::BackendKind kind,
                    bool checked = false) {
   core::simd_set_isa(core::simd_best_supported());
   util::ThreadPool::set_global_threads(1);
-  const Workload& w = workload(state.range(0));
-  const std::size_t k = static_cast<std::size_t>(state.range(1));
   const std::size_t n = static_cast<std::size_t>(w.a.rows());
   std::unique_ptr<core::SweepBackend> backend;
   switch (kind) {
@@ -304,26 +332,33 @@ void register_all() {
         [best, threads](benchmark::State& s) { spmv_e2e(s, best, threads); })
         ->Arg(128);
   }
-  benchmark::RegisterBenchmark(
-      "backend_sweep/value",
-      [](benchmark::State& s) { backend_sweep(s, core::BackendKind::kValue); })
+  // Grid-workload rows take Args({side, k}).
+  const auto grid_sweep = [](core::BackendKind kind, bool checked) {
+    return [kind, checked](benchmark::State& s) {
+      backend_sweep(s, workload(s.range(0)),
+                    static_cast<std::size_t>(s.range(1)), kind, checked);
+    };
+  };
+  benchmark::RegisterBenchmark("backend_sweep/value",
+                               grid_sweep(core::BackendKind::kValue, false))
       ->Args({64, 1})->Args({64, 8});
-  benchmark::RegisterBenchmark(
-      "backend_sweep/noisy",
-      [](benchmark::State& s) { backend_sweep(s, core::BackendKind::kNoisy); })
+  benchmark::RegisterBenchmark("backend_sweep/noisy",
+                               grid_sweep(core::BackendKind::kNoisy, false))
       ->Args({64, 1})->Args({64, 8});
-  benchmark::RegisterBenchmark(
-      "backend_sweep/value_checked",
-      [](benchmark::State& s) {
-        backend_sweep(s, core::BackendKind::kValue, /*checked=*/true);
-      })
+  benchmark::RegisterBenchmark("backend_sweep/value_checked",
+                               grid_sweep(core::BackendKind::kValue, true))
       ->Args({64, 1})->Args({64, 8});
-  benchmark::RegisterBenchmark(
-      "backend_sweep/bittrue",
-      [](benchmark::State& s) {
-        backend_sweep(s, core::BackendKind::kBitTrue);
-      })
+  benchmark::RegisterBenchmark("backend_sweep/bittrue",
+                               grid_sweep(core::BackendKind::kBitTrue, false))
       ->Args({32, 1})->Args({32, 8});
+  benchmark::RegisterBenchmark(
+      "backend_sweep/value_scattered",
+      [](benchmark::State& s) {
+        backend_sweep(s, scattered_workload(),
+                      static_cast<std::size_t>(s.range(0)),
+                      core::BackendKind::kValue);
+      })
+      ->Arg(1)->Arg(8);
   benchmark::RegisterBenchmark("calibration", calibration);
 }
 

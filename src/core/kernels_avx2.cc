@@ -7,9 +7,8 @@
 //   * multiplies use _mm256_mul_pd and adds _mm256_add_pd, never an FMA —
 //     fusing would skip the intermediate rounding the scalar path performs;
 //   * per output slot, operations land in the same order the scalar loop
-//     issues them (the single-RHS sweep vectorizes only the gather/multiply
-//     and keeps the y accumulation serial in entry order, because two
-//     entries of one vector may hit the same output row);
+//     issues them (the k-RHS sweep holds one running sum per column in a
+//     vector lane; the single-RHS sweep is the scalar loop itself);
 //   * remainder tails run the scalar reference loops from
 //     kernels_scalar.cc (same -ffp-contract=off TU discipline).
 #include "src/core/simd.h"
@@ -18,163 +17,79 @@
 
 #include <immintrin.h>
 
-#include <climits>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
-#include "src/core/spmv_plan.h"
+#include "src/sparse/csr.h"
 
 namespace refloat::core {
 
 namespace {
 
-// The int32 gather index build assumes global columns fit in int32; every
-// plan the generators or a MatrixMarket load can produce does (the int16
-// in-block coordinates already cap b, and a > 2^31-column matrix would
-// not fit one host arena). Checked per block-row, falling back to scalar.
-bool fits_int32(const SpmvPlan& plan) {
-  return plan.cols <= INT_MAX && plan.rows <= INT_MAX;
-}
-
-void spmv_block_row_avx2(const SpmvPlan& plan, std::size_t br,
-                         const double* __restrict__ x,
-                         double* __restrict__ y) {
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  if (!fits_int32(plan)) {
-    scalar_sweep_kernels()->spmv_block_row(plan, br, x, y);
-    return;
-  }
-  alignas(32) double prod[8];
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    std::size_t e = plan.entry_ptr[j];
-    const __m128i vc0 = _mm_set1_epi32(static_cast<int>(c0));
-    // Masked gather with an explicit zero source: same instruction count,
-    // and it sidesteps GCC 12's -Wmaybe-uninitialized false positive on
-    // the plain gather's undefined pass-through operand.
-    const __m256d gather_all =
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    // Vectorize the gather + multiply; the products are bit-equal to the
-    // scalar ones (independent IEEE multiplies), then accumulate into y
-    // serially in entry order — entries within a vector may share a row.
-    // Two independent gather chains per iteration so the second gather's
-    // latency overlaps the first chain's serial adds.
-    for (; e + 8 <= end; e += 8) {
-      const __m128i c16a = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(ecol + e));
-      const __m128i c16b = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(ecol + e + 4));
-      const __m128i c32a = _mm_add_epi32(_mm_cvtepi16_epi32(c16a), vc0);
-      const __m128i c32b = _mm_add_epi32(_mm_cvtepi16_epi32(c16b), vc0);
-      const __m256d xva = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x,
-                                                   c32a, gather_all, 8);
-      const __m256d xvb = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x,
-                                                   c32b, gather_all, 8);
-      _mm256_store_pd(prod, _mm256_mul_pd(_mm256_loadu_pd(eval + e), xva));
-      _mm256_store_pd(prod + 4,
-                      _mm256_mul_pd(_mm256_loadu_pd(eval + e + 4), xvb));
-      y[r0 + static_cast<std::size_t>(erow[e + 0])] += prod[0];
-      y[r0 + static_cast<std::size_t>(erow[e + 1])] += prod[1];
-      y[r0 + static_cast<std::size_t>(erow[e + 2])] += prod[2];
-      y[r0 + static_cast<std::size_t>(erow[e + 3])] += prod[3];
-      y[r0 + static_cast<std::size_t>(erow[e + 4])] += prod[4];
-      y[r0 + static_cast<std::size_t>(erow[e + 5])] += prod[5];
-      y[r0 + static_cast<std::size_t>(erow[e + 6])] += prod[6];
-      y[r0 + static_cast<std::size_t>(erow[e + 7])] += prod[7];
-    }
-    for (; e + 4 <= end; e += 4) {
-      const __m128i c16 = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(ecol + e));
-      const __m128i c32 = _mm_add_epi32(_mm_cvtepi16_epi32(c16), vc0);
-      const __m256d xv = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), x,
-                                                  c32, gather_all, 8);
-      const __m256d vv = _mm256_loadu_pd(eval + e);
-      _mm256_store_pd(prod, _mm256_mul_pd(vv, xv));
-      y[r0 + static_cast<std::size_t>(erow[e + 0])] += prod[0];
-      y[r0 + static_cast<std::size_t>(erow[e + 1])] += prod[1];
-      y[r0 + static_cast<std::size_t>(erow[e + 2])] += prod[2];
-      y[r0 + static_cast<std::size_t>(erow[e + 3])] += prod[3];
-    }
-    for (; e < end; ++e) {
-      y[r0 + static_cast<std::size_t>(erow[e])] +=
-          eval[e] * x[c0 + static_cast<std::size_t>(ecol[e])];
-    }
-  }
-}
-
-// K-wide interleaved batch sweep: ys[0..K) += v * xs[0..K) maps K directly
-// onto 256-bit lanes (K/4 vectors per entry). Each output slot sees one
-// mul and one add per entry in entry order — the scalar order exactly.
+// K-wide interleaved row sweep: one __m256d running sum per four columns,
+// ys[0..K) = sum_e v_e * xs_e[0..K) with one mul and one add per column
+// per entry in entry order — the scalar order exactly.
 template <std::size_t K>
-void spmm_block_row_avx2_fixed(const SpmvPlan& plan, std::size_t br,
-                               const double* __restrict__ x,
-                               double* __restrict__ y) {
+void spmm_rows_avx2_fixed(const sparse::Csr& a, std::size_t r_begin,
+                          std::size_t r_end, const double* __restrict__ x,
+                          double* __restrict__ y) {
   static_assert(K % 4 == 0);
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x, K);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    for (std::size_t e = plan.entry_ptr[j]; e < end; ++e) {
-      const __m256d v = _mm256_broadcast_sd(eval + e);
-      const double* __restrict__ xs =
-          x + (c0 + static_cast<std::size_t>(ecol[e])) * K;
-      double* __restrict__ ys =
-          y + (r0 + static_cast<std::size_t>(erow[e])) * K;
-      for (std::size_t col = 0; col < K; col += 4) {
-        const __m256d prod = _mm256_mul_pd(v, _mm256_loadu_pd(xs + col));
-        _mm256_storeu_pd(ys + col,
-                         _mm256_add_pd(_mm256_loadu_pd(ys + col), prod));
+  constexpr std::size_t kVecs = K / 4;
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
+  const sparse::Index* __restrict__ col = a.col_idx().data();
+  const double* __restrict__ val = a.values().data();
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    __m256d acc[kVecs];
+    for (std::size_t i = 0; i < kVecs; ++i) acc[i] = _mm256_setzero_pd();
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
+      const __m256d v = _mm256_broadcast_sd(val + e);
+      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * K;
+      for (std::size_t i = 0; i < kVecs; ++i) {
+        acc[i] = _mm256_add_pd(acc[i],
+                               _mm256_mul_pd(v, _mm256_loadu_pd(xs + 4 * i)));
       }
     }
-  }
-}
-
-// K=2 uses one SSE2 128-bit lane (AVX2 implies SSE2).
-void spmm_block_row_avx2_k2(const SpmvPlan& plan, std::size_t br,
-                            const double* __restrict__ x,
-                            double* __restrict__ y) {
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x, 2);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    for (std::size_t e = plan.entry_ptr[j]; e < end; ++e) {
-      const __m128d v = _mm_set1_pd(eval[e]);
-      const double* xs = x + (c0 + static_cast<std::size_t>(ecol[e])) * 2;
-      double* ys = y + (r0 + static_cast<std::size_t>(erow[e])) * 2;
-      const __m128d prod = _mm_mul_pd(v, _mm_loadu_pd(xs));
-      _mm_storeu_pd(ys, _mm_add_pd(_mm_loadu_pd(ys), prod));
+    for (std::size_t i = 0; i < kVecs; ++i) {
+      _mm256_storeu_pd(y + r * K + 4 * i, acc[i]);
     }
   }
 }
 
-void spmm_block_row_avx2(const SpmvPlan& plan, std::size_t br, std::size_t k,
-                         const double* __restrict__ x,
-                         double* __restrict__ y) {
+// K=2 uses one SSE2 128-bit running sum (AVX2 implies SSE2).
+void spmm_rows_avx2_k2(const sparse::Csr& a, std::size_t r_begin,
+                       std::size_t r_end, const double* __restrict__ x,
+                       double* __restrict__ y) {
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
+  const sparse::Index* __restrict__ col = a.col_idx().data();
+  const double* __restrict__ val = a.values().data();
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    __m128d acc = _mm_setzero_pd();
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
+      const __m128d prod = _mm_mul_pd(
+          _mm_set1_pd(val[e]),
+          _mm_loadu_pd(x + static_cast<std::size_t>(col[e]) * 2));
+      acc = _mm_add_pd(acc, prod);
+    }
+    _mm_storeu_pd(y + r * 2, acc);
+  }
+}
+
+void spmm_rows_avx2(const sparse::Csr& a, std::size_t r_begin,
+                    std::size_t r_end, std::size_t k,
+                    const double* __restrict__ x, double* __restrict__ y) {
   switch (k) {
-    case 2: return spmm_block_row_avx2_k2(plan, br, x, y);
-    case 4: return spmm_block_row_avx2_fixed<4>(plan, br, x, y);
-    case 8: return spmm_block_row_avx2_fixed<8>(plan, br, x, y);
-    case 16: return spmm_block_row_avx2_fixed<16>(plan, br, x, y);
+    case 2: return spmm_rows_avx2_k2(a, r_begin, r_end, x, y);
+    case 4: return spmm_rows_avx2_fixed<4>(a, r_begin, r_end, x, y);
+    case 8: return spmm_rows_avx2_fixed<8>(a, r_begin, r_end, x, y);
+    case 16: return spmm_rows_avx2_fixed<16>(a, r_begin, r_end, x, y);
     default:
       // Generic widths take the scalar loop (they are off every paper
       // path; the fixed-K dispatch is the contract the tests pin).
-      return scalar_sweep_kernels()->spmm_block_row(plan, br, k, x, y);
+      return scalar_sweep_kernels()->spmm_rows(a, r_begin, r_end, k, x, y);
   }
 }
 
@@ -316,8 +231,12 @@ void abft_reduce_avx2(const double* w, const double* x, std::size_t nx,
 
 const SweepKernels* avx2_sweep_kernels() {
   static const SweepKernels kTable = {
-      &spmv_block_row_avx2,
-      &spmm_block_row_avx2,
+      // The single-RHS row sweep stays scalar: each row's running sum is a
+      // serial dependency the bit-identity contract imposes, and a
+      // vectorized gather + multiply measured no consistent gain over the
+      // scalar loop on the suite stand-ins (4-7 entries per row).
+      &spmv_rows_scalar,
+      &spmm_rows_avx2,
       &quantize_span_fast_avx2,
       &abft_reduce_avx2,
   };

@@ -1,13 +1,15 @@
 // Shared internals of the SIMD kernel TUs (kernels_scalar.cc,
 // kernels_avx2.cc, kernels_neon.cc) and format.cc: IEEE bit-pattern
-// helpers and the prefetch policy. Not part of the public core/ API.
+// helpers. Not part of the public core/ API.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 
-#include "src/core/spmv_plan.h"
+namespace refloat::sparse {
+class Csr;
+}  // namespace refloat::sparse
 
 namespace refloat::core {
 
@@ -21,10 +23,13 @@ const SweepKernels* scalar_sweep_kernels();
 const SweepKernels* avx2_sweep_kernels();
 const SweepKernels* neon_sweep_kernels();
 
-// Scalar reference loops reused by the vector TUs for remainder tails
-// (same TU-level -ffp-contract=off semantics, so tails stay bit-identical).
+// Scalar reference loops reused by the vector TUs for remainder tails and
+// as their single-RHS row sweep (same TU-level -ffp-contract=off
+// semantics, so they stay bit-identical).
 void quantize_span_fast_scalar(const double* x, std::size_t n,
                                const QuantSpanArgs& args, double* out);
+void spmv_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
+                      std::size_t r_end, const double* x, double* y);
 
 }  // namespace refloat::core
 
@@ -61,23 +66,6 @@ inline double pow2(int n) {
 inline double round_even_small(double x) {
   constexpr double kMagic = 0x1.0p52;
   return x >= 0.0 ? (x + kMagic) - kMagic : (x - kMagic) + kMagic;
-}
-
-// Prefetch the head of block j_next's arena span and operand segment, one
-// block ahead of the sweep. A 128x128 suite block averages a few hundred
-// entries (~1-3 us of mul/add work), comfortably above the ~100 ns DRAM
-// fetch this hides; smaller blocks still win because the arena spans are
-// contiguous and the touched lines are consumed either way. Read-only
-// (rw=0) with moderate temporal locality.
-inline void prefetch_next_block(const SpmvPlan& plan, std::size_t j_next,
-                                const double* x, std::size_t k = 1) {
-  if (j_next >= plan.num_blocks()) return;
-  const std::size_t e0 = plan.entry_ptr[j_next];
-  __builtin_prefetch(plan.entry_value.data() + e0, 0, 2);
-  __builtin_prefetch(plan.entry_row.data() + e0, 0, 2);
-  __builtin_prefetch(plan.entry_col.data() + e0, 0, 2);
-  __builtin_prefetch(x + static_cast<std::size_t>(plan.col0[j_next]) * k, 0,
-                     2);
 }
 
 }  // namespace refloat::core::detail

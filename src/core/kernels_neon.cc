@@ -4,69 +4,63 @@
 // Same bit-identity discipline as kernels_avx2.cc: vmulq_f64/vaddq_f64
 // pairs, never vfmaq_f64, per-output-slot operation order identical to the
 // scalar reference, tails via the scalar loops. The single-RHS sweep stays
-// scalar: NEON has no gather, and the in-block accumulate is bound by the
-// serial y-dependency the bit-identity contract imposes — the wins here
-// are the K-wide interleaved batch sweep (K doubles map onto K/2 128-bit
-// lanes) and the quantize fast path.
+// scalar: NEON has no gather, and each row's running sum is a serial
+// dependency the bit-identity contract imposes — the wins here are the
+// K-wide interleaved batch sweep (K running sums in K/2 128-bit lanes) and
+// the quantize fast path.
 #include "src/core/simd.h"
 
 #if defined(__aarch64__)
 
 #include <arm_neon.h>
 
+#include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
-#include "src/core/spmv_plan.h"
+#include "src/sparse/csr.h"
 
 namespace refloat::core {
 
 namespace {
 
-void spmv_block_row_neon(const SpmvPlan& plan, std::size_t br,
-                         const double* x, double* y) {
-  scalar_sweep_kernels()->spmv_block_row(plan, br, x, y);
-}
-
 template <std::size_t K>
-void spmm_block_row_neon_fixed(const SpmvPlan& plan, std::size_t br,
-                               const double* __restrict__ x,
-                               double* __restrict__ y) {
+void spmm_rows_neon_fixed(const sparse::Csr& a, std::size_t r_begin,
+                          std::size_t r_end, const double* __restrict__ x,
+                          double* __restrict__ y) {
   static_assert(K % 2 == 0);
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x, K);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    for (std::size_t e = plan.entry_ptr[j]; e < end; ++e) {
-      const float64x2_t v = vdupq_n_f64(eval[e]);
-      const double* __restrict__ xs =
-          x + (c0 + static_cast<std::size_t>(ecol[e])) * K;
-      double* __restrict__ ys =
-          y + (r0 + static_cast<std::size_t>(erow[e])) * K;
-      for (std::size_t col = 0; col < K; col += 2) {
-        const float64x2_t prod = vmulq_f64(v, vld1q_f64(xs + col));
-        vst1q_f64(ys + col, vaddq_f64(vld1q_f64(ys + col), prod));
+  constexpr std::size_t kVecs = K / 2;
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
+  const sparse::Index* __restrict__ col = a.col_idx().data();
+  const double* __restrict__ val = a.values().data();
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    float64x2_t acc[kVecs];
+    for (std::size_t i = 0; i < kVecs; ++i) acc[i] = vdupq_n_f64(0.0);
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
+      const float64x2_t v = vdupq_n_f64(val[e]);
+      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * K;
+      for (std::size_t i = 0; i < kVecs; ++i) {
+        acc[i] = vaddq_f64(acc[i], vmulq_f64(v, vld1q_f64(xs + 2 * i)));
       }
+    }
+    for (std::size_t i = 0; i < kVecs; ++i) {
+      vst1q_f64(y + r * K + 2 * i, acc[i]);
     }
   }
 }
 
-void spmm_block_row_neon(const SpmvPlan& plan, std::size_t br, std::size_t k,
-                         const double* __restrict__ x,
-                         double* __restrict__ y) {
+void spmm_rows_neon(const sparse::Csr& a, std::size_t r_begin,
+                    std::size_t r_end, std::size_t k,
+                    const double* __restrict__ x, double* __restrict__ y) {
   switch (k) {
-    case 2: return spmm_block_row_neon_fixed<2>(plan, br, x, y);
-    case 4: return spmm_block_row_neon_fixed<4>(plan, br, x, y);
-    case 8: return spmm_block_row_neon_fixed<8>(plan, br, x, y);
-    case 16: return spmm_block_row_neon_fixed<16>(plan, br, x, y);
+    case 2: return spmm_rows_neon_fixed<2>(a, r_begin, r_end, x, y);
+    case 4: return spmm_rows_neon_fixed<4>(a, r_begin, r_end, x, y);
+    case 8: return spmm_rows_neon_fixed<8>(a, r_begin, r_end, x, y);
+    case 16: return spmm_rows_neon_fixed<16>(a, r_begin, r_end, x, y);
     default:
-      return scalar_sweep_kernels()->spmm_block_row(plan, br, k, x, y);
+      return scalar_sweep_kernels()->spmm_rows(a, r_begin, r_end, k, x, y);
   }
 }
 
@@ -189,8 +183,8 @@ void abft_reduce_neon(const double* w, const double* x, std::size_t nx,
 
 const SweepKernels* neon_sweep_kernels() {
   static const SweepKernels kTable = {
-      &spmv_block_row_neon,
-      &spmm_block_row_neon,
+      &spmv_rows_scalar,
+      &spmm_rows_neon,
       &quantize_span_fast_neon,
       &abft_reduce_neon,
   };

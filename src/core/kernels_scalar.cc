@@ -3,91 +3,85 @@
 // rounding IS the pinned semantics every vector ISA must reproduce
 // bit-for-bit, so the compiler may never contract a*b+c into an FMA here —
 // not even under -march=native Release builds.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
 #include "src/core/simd.h"
-#include "src/core/spmv_plan.h"
+#include "src/sparse/csr.h"
 
 namespace refloat::core {
 
+// Row-range value sweep over the dequantized CSR. Each row's running sum
+// lives in a register, starts at +0.0 and takes its addends in CSR order
+// (ascending column), one multiply then one add each. Raw __restrict__
+// pointers encode the caller contract the spans cannot: the output never
+// aliases the matrix or the quantized input. Non-static: the vector TUs
+// use it as their single-RHS sweep.
+void spmv_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
+                      std::size_t r_end, const double* __restrict__ x,
+                      double* __restrict__ y) {
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
+  const sparse::Index* __restrict__ col = a.col_idx().data();
+  const double* __restrict__ val = a.values().data();
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    double sum = 0.0;
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
+      sum += val[e] * x[static_cast<std::size_t>(col[e])];
+    }
+    y[r] = sum;
+  }
+}
+
 namespace {
 
-// One block-row's worth of plan-SpMV. Raw __restrict__ pointers encode the
-// caller contract the spans cannot: the output never aliases the arena or
-// the quantized input, so the compiler may keep arena reads in registers
-// across y writes instead of reloading them every iteration.
-void spmv_block_row_scalar(const SpmvPlan& plan, std::size_t br,
-                           const double* __restrict__ x,
-                           double* __restrict__ y) {
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    for (std::size_t e = plan.entry_ptr[j]; e < end; ++e) {
-      y[r0 + static_cast<std::size_t>(erow[e])] +=
-          eval[e] * x[c0 + static_cast<std::size_t>(ecol[e])];
-    }
-  }
-}
-
-// Batched block-row sweep with a compile-time batch width: the fixed K lets
-// the compiler fully unroll the per-entry column loop, which is where the
-// SpMM throughput win over K sequential SpMVs comes from. Operands are
-// row-major interleaved (slot i*K + column).
+// Batched row sweep with a compile-time batch width: the fixed K lets the
+// compiler keep the K running sums in registers and fully unroll the
+// per-entry column loop. Operands are row-major interleaved (slot
+// i*K + column).
 template <std::size_t K>
-void spmm_block_row_fixed(const SpmvPlan& plan, std::size_t br,
-                          const double* __restrict__ x,
-                          double* __restrict__ y) {
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x, K);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    for (std::size_t e = plan.entry_ptr[j]; e < end; ++e) {
-      const double v = eval[e];
-      const double* __restrict__ xs =
-          x + (c0 + static_cast<std::size_t>(ecol[e])) * K;
-      double* __restrict__ ys =
-          y + (r0 + static_cast<std::size_t>(erow[e])) * K;
-      for (std::size_t col = 0; col < K; ++col) ys[col] += v * xs[col];
+void spmm_rows_fixed(const sparse::Csr& a, std::size_t r_begin,
+                     std::size_t r_end, const double* __restrict__ x,
+                     double* __restrict__ y) {
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
+  const sparse::Index* __restrict__ col = a.col_idx().data();
+  const double* __restrict__ val = a.values().data();
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    double acc[K] = {};
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
+      const double v = val[e];
+      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * K;
+      for (std::size_t c = 0; c < K; ++c) acc[c] += v * xs[c];
     }
+    for (std::size_t c = 0; c < K; ++c) y[r * K + c] = acc[c];
   }
 }
 
-void spmm_block_row_scalar(const SpmvPlan& plan, std::size_t br,
-                           std::size_t k, const double* __restrict__ x,
-                           double* __restrict__ y) {
+void spmm_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
+                      std::size_t r_end, std::size_t k,
+                      const double* __restrict__ x, double* __restrict__ y) {
   switch (k) {
-    case 2: return spmm_block_row_fixed<2>(plan, br, x, y);
-    case 4: return spmm_block_row_fixed<4>(plan, br, x, y);
-    case 8: return spmm_block_row_fixed<8>(plan, br, x, y);
-    case 16: return spmm_block_row_fixed<16>(plan, br, x, y);
+    case 2: return spmm_rows_fixed<2>(a, r_begin, r_end, x, y);
+    case 4: return spmm_rows_fixed<4>(a, r_begin, r_end, x, y);
+    case 8: return spmm_rows_fixed<8>(a, r_begin, r_end, x, y);
+    case 16: return spmm_rows_fixed<16>(a, r_begin, r_end, x, y);
     default: break;
   }
-  const std::int16_t* __restrict__ erow = plan.entry_row.data();
-  const std::int16_t* __restrict__ ecol = plan.entry_col.data();
-  const double* __restrict__ eval = plan.entry_value.data();
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    detail::prefetch_next_block(plan, j + 1, x, k);
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    const std::size_t end = plan.entry_ptr[j + 1];
-    for (std::size_t e = plan.entry_ptr[j]; e < end; ++e) {
-      const double v = eval[e];
-      const double* xs = x + (c0 + static_cast<std::size_t>(ecol[e])) * k;
-      double* ys = y + (r0 + static_cast<std::size_t>(erow[e])) * k;
-      for (std::size_t col = 0; col < k; ++col) ys[col] += v * xs[col];
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
+  const sparse::Index* __restrict__ col = a.col_idx().data();
+  const double* __restrict__ val = a.values().data();
+  for (std::size_t r = r_begin; r < r_end; ++r) {
+    double* __restrict__ ys = y + r * k;
+    std::fill(ys, ys + k, 0.0);
+    const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
+      const double v = val[e];
+      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * k;
+      for (std::size_t c = 0; c < k; ++c) ys[c] += v * xs[c];
     }
   }
 }
@@ -182,8 +176,8 @@ void abft_reduce_scalar(const double* __restrict__ w,
 
 const SweepKernels* scalar_sweep_kernels() {
   static const SweepKernels kTable = {
-      &spmv_block_row_scalar,
-      &spmm_block_row_scalar,
+      &spmv_rows_scalar,
+      &spmm_rows_scalar,
       &quantize_span_fast_scalar,
       &abft_reduce_scalar,
   };

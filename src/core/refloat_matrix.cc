@@ -99,6 +99,15 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
             stats_.locality_bits, bits_for_spread(max_e - min_e + 1));
       }
 
+      // Row-major, ascending columns within a row: the plan order whose
+      // per-row addend sequence the value sweeps reproduce from the sorted
+      // quantized CSR (SpmvPlan::valid). Sorted CSR input already has it.
+      const auto row_major = [](const Raw& p, const Raw& q) {
+        return p.r != q.r ? p.r < q.r : p.c < q.c;
+      };
+      if (!std::is_sorted(raws.begin(), raws.end(), row_major)) {
+        std::sort(raws.begin(), raws.end(), row_major);
+      }
       const sparse::Index row0 = key.first << b;
       const sparse::Index col0 = key.second << b;
       const int base = select_block_base(block_values, format_.e, policy_);

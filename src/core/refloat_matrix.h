@@ -1,14 +1,16 @@
 // RefloatMatrix: a CSR matrix converted to the ReFloat block format —
 // per-block shared base exponent, e-bit per-value exponent offsets, f-bit
 // fractions (paper §IV). The conversion keeps both views:
-//   * the dequantized CSR (`quantized()`), for fast value-faithful SpMV, and
+//   * the dequantized CSR (`quantized()`), the operand of the value-faithful
+//     sweeps, the ABFT checksum and the definiteness probe, and
 //   * the contiguous SpmvPlan (`plan()`), the SoA block payload consumed by
-//     every blocked SpMV path and by the bit-true hw/ datapath.
+//     the noisy sweeps (whose per-block partials are part of the model), the
+//     bit-true hw/ datapath, tiling and the storage model.
 //
 // The SpMV paths shard by block-row over util::ThreadPool::global()
-// ($REFLOAT_THREADS). Block-rows own disjoint output rows and each
-// block-row's blocks accumulate in the serial (brow, bcol) order, so the
-// result is bit-identical at any thread count.
+// ($REFLOAT_THREADS). Block-rows own disjoint output rows and every output
+// row accumulates in ascending column order, so the result is bit-identical
+// at any thread count.
 //
 // Every spmv_* method below is a thin wrapper over the shared sweep layer
 // in src/core/sweep_backend.{h,cc} (core::detail::sweep_*), which owns the
@@ -68,22 +70,27 @@ class RefloatMatrix {
   [[nodiscard]] const Format& format() const { return format_; }
   [[nodiscard]] const QuantPolicy& policy() const { return policy_; }
   [[nodiscard]] const ConversionStats& stats() const { return stats_; }
-  // Dequantized matrix (exact-value view of the quantized operator).
+  // Dequantized matrix (exact-value view of the quantized operator): the
+  // operand the value sweeps read row by row.
   [[nodiscard]] const sparse::Csr& quantized() const { return quantized_; }
   [[nodiscard]] std::size_t nonzero_blocks() const {
     return plan_.num_blocks();
   }
   // The contiguous block payload: block-row CSR index + SoA entry arena,
-  // built once here and shared by every blocked consumer (the spmv paths
-  // below, hw::HwSpmv programming, the storage model). Empty when
-  // format().b == 0 (scalar formats have no blocks).
+  // built once here and shared by every blocked consumer (the noisy spmv
+  // paths below, hw::HwSpmv programming, tiling, the storage model). Empty
+  // when format().b == 0 (scalar formats have no blocks).
   [[nodiscard]] const SpmvPlan& plan() const { return plan_; }
-  // Mutable access to the plan arena, for the fault-injection layer only:
-  // the kPlanBuild site corrupts a freshly built plan in place so ABFT
-  // checksum verification (computed from quantized(), not the plan) can
-  // prove it detects silent plan corruption. Production code never calls
-  // this.
+  // Mutable access to the swept operands, for the fault-injection layer
+  // only: the kPlanBuild site corrupts a freshly built resident in place —
+  // the plan arena under noisy and bit-true backends, the dequantized CSR
+  // values under value backends — after its ABFT checksum was taken, so
+  // checked sweeps can prove they detect silent corruption of what they
+  // actually read. Production code never calls these.
   [[nodiscard]] SpmvPlan& mutable_plan() { return plan_; }
+  [[nodiscard]] std::span<double> mutable_quantized_values() {
+    return quantized_.mutable_values();
+  }
 
   // Runs `steps` Lanczos iterations on quantized() (square matrices only)
   // and caches the extreme Ritz values into stats() — a cheap definiteness
@@ -121,15 +128,15 @@ class RefloatMatrix {
 
   // y = quantize(A) * quantize(x). Accumulation is exact (the accelerator
   // accumulates digitally after the ADC). `scratch` holds the quantized
-  // input between calls to avoid reallocation. Runs block-rows on the
+  // input between calls to avoid reallocation. Runs row ranges on the
   // global thread pool; bit-identical at any thread count.
   void spmv_refloat(std::span<const double> x, std::span<double> y,
                     std::vector<double>& scratch) const;
 
   // Batched SpMM: Y = quantize(A) * quantize(X) for k right-hand sides.
   // x is k column-major vectors of cols() entries each (x.size() == k *
-  // cols()), y likewise k vectors of rows() entries. Visits every block of
-  // the plan ONCE per batch — the software mirror of streaming k vectors
+  // cols()), y likewise k vectors of rows() entries. Reads every matrix
+  // entry ONCE per batch — the software mirror of streaming k vectors
   // through one programmed crossbar image — and each column's result is
   // bit-identical to a spmv_refloat call on that column alone, at any
   // thread count.
@@ -138,8 +145,8 @@ class RefloatMatrix {
                           MultiSpmvScratch& scratch) const;
 
   // Tiled y = quantize(A) * quantize(x): one thread-pool shard per tile
-  // shard, each walking its contiguous block-row range of the shared plan
-  // arena with the same per-block-row sweep kernels as spmv_refloat.
+  // shard, each sweeping the rows of its contiguous block-row range with
+  // the same row kernels as spmv_refloat.
   // Tiling is a pure scheduling change: bit-identical to spmv_refloat for
   // any partition of this matrix's plan, at any thread count. `tiled` must
   // have been partitioned from this matrix's plan().

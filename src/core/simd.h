@@ -1,10 +1,15 @@
-// Runtime-dispatched SIMD kernels for the SpmvPlan sweeps and the vector
-// quantization fast path.
+// Runtime-dispatched SIMD kernels for the value-faithful sweeps, the vector
+// quantization fast path and the ABFT epilogue reduction.
 //
-// The SoA arena (int16 in-block coordinates + contiguous dequantized
-// values) was laid out so the in-block accumulate could be vectorized;
-// this header is where that happens. Three implementations of the same
-// kernel table exist side by side:
+// The value sweeps walk the dequantized CSR (RefloatMatrix::quantized())
+// row by row: the value-faithful result depends only on the dequantized
+// block values and the digital accumulation after the ADC, and the 128x128
+// block grid is how the hardware maps the matrix, not part of that
+// arithmetic. The plan stores each block row-major and each block-row's
+// blocks in ascending column order, so every output row of the blocked
+// sweep received its addends in ascending column order — CSR order — and
+// a row kernel with the running sum in a register reproduces it bit for
+// bit. Three implementations of the same kernel table exist side by side:
 //
 //   scalar   portable reference, compiled with -ffp-contract=off so its
 //            mul-then-add order is the pinned semantics everywhere
@@ -17,16 +22,21 @@
 // Every implementation is BIT-IDENTICAL to the scalar reference: vector
 // lanes perform the same IEEE multiply and add per element in the same
 // per-output order, no FMA contraction anywhere (tests/test_simd.cc pins
-// this at 1/2/8 threads). Dispatch is by cpuid at first use, overridable
-// with REFLOAT_SIMD=avx2|neon|scalar (an unsupported request logs a
-// warning and clamps to the best supported ISA).
+// this at 1/2/8 threads; tests/test_spmv_plan.cc pins the row sweeps
+// against the blocked plan loop they replaced). Dispatch is by cpuid at
+// first use, overridable with REFLOAT_SIMD=avx2|neon|scalar (an
+// unsupported request logs a warning and clamps to the best supported
+// ISA).
 #pragma once
 
 #include <cstddef>
 
+namespace refloat::sparse {
+class Csr;
+}  // namespace refloat::sparse
+
 namespace refloat::core {
 
-struct SpmvPlan;
 struct QuantPolicy;
 
 enum class SimdIsa {
@@ -71,17 +81,22 @@ struct QuantSpanArgs {
   const QuantPolicy* policy = nullptr;
 };
 
-// One ISA's kernel set. All three sweeps follow the plan's ordering
-// contract (serial (brow, bcol) block order, entry order within a block)
-// so threading and vectorization stay pure scheduling changes.
+// One ISA's kernel set. Rows own their outputs, so any split of the row
+// range across threads or tiles is a pure scheduling change.
 struct SweepKernels {
-  // y += A_br x over block-row br (single right-hand side).
-  void (*spmv_block_row)(const SpmvPlan& plan, std::size_t br,
-                         const double* x, double* y);
-  // Row-major interleaved k-RHS sweep (slot i*k + column); k in {2,4,8,16}
-  // runs a fixed-width unrolled kernel, anything else the generic loop.
-  void (*spmm_block_row)(const SpmvPlan& plan, std::size_t br, std::size_t k,
-                         const double* x, double* y);
+  // y[r] = sum_e a[r, col(e)] * x[col(e)] for every row r in
+  // [r_begin, r_end): the running sum starts at +0.0 and takes one multiply
+  // then one add per entry in CSR (ascending column) order. Every row of
+  // the range is written; an empty row reads +0.0.
+  void (*spmv_rows)(const sparse::Csr& a, std::size_t r_begin,
+                    std::size_t r_end, const double* x, double* y);
+  // The k-RHS counterpart over row-major interleaved operands (slot
+  // i*k + column): column j of y is exactly spmv_rows on column j of x.
+  // k in {2,4,8,16} runs a fixed-width kernel holding the k running sums in
+  // registers, anything else the generic loop.
+  void (*spmm_rows)(const sparse::Csr& a, std::size_t r_begin,
+                    std::size_t r_end, std::size_t k, const double* x,
+                    double* y);
   // The in-window fast path of core::quantize_span (exponent-field grids +
   // 2^52 magic rounding); out-of-path lanes fall back to quantize_value.
   void (*quantize_span_fast)(const double* x, std::size_t n,

@@ -62,6 +62,21 @@ bool SpmvPlan::valid() const {
       if (entry_col[e] < 0 || entry_col[e] >= block_side) return false;
     }
   }
+  // Within a block-row every row's entries ascend in global column: the
+  // blocked sweep's per-row addend order is CSR order, which is what lets
+  // the value sweeps walk the dequantized CSR instead of the plan.
+  std::vector<sparse::Index> last_col;  // per in-block row
+  for (std::size_t br = 0; br < n_brows; ++br) {
+    last_col.assign(side(), -1);
+    for (std::size_t j = block_ptr[br]; j < block_ptr[br + 1]; ++j) {
+      for (std::size_t e = entry_ptr[j]; e < entry_ptr[j + 1]; ++e) {
+        const auto row = static_cast<std::size_t>(entry_row[e]);
+        const sparse::Index col = col0[j] + entry_col[e];
+        if (col <= last_col[row]) return false;
+        last_col[row] = col;
+      }
+    }
+  }
   return true;
 }
 

@@ -11,10 +11,12 @@
 // array, ~12 payload bytes per nonzero instead of 16-plus-heap-headers).
 //
 // Ordering contract: blocks are stored in ascending (block-row, block-col)
-// order and a block's entries in the order the conversion visited them
-// (CSR row-major within the block). Every consumer walks the arena in this
-// serial order inside its block-row shard, which is what keeps the threaded
-// paths bit-identical to the serial ones at any thread count.
+// order and a block's entries row-major with ascending columns, so within a
+// block-row every row's entries ascend in global column — CSR order. Every
+// consumer walks the arena in this serial order inside its block-row shard,
+// which is what keeps the threaded paths bit-identical to the serial ones
+// at any thread count, and what lets the value sweeps read the dequantized
+// CSR instead of the arena with the same per-row addend order.
 #pragma once
 
 #include <cstddef>
@@ -61,10 +63,11 @@ struct SpmvPlan {
   [[nodiscard]] std::size_t payload_bytes() const;
 
   // Internal-consistency check: monotone offsets, in-range aligned block
-  // origins, in-range coordinates, blocks inside their block-row, and
+  // origins, in-range coordinates, blocks inside their block-row,
   // entry_ptr/block_ptr cross-consistency (every block-row's entry span is
-  // addressable through its block span). Cheap; debug-asserted at the end
-  // of SpmvPlanBuilder::finish and exercised directly by tests.
+  // addressable through its block span), and ascending global columns per
+  // row within each block-row. Cheap; debug-asserted at the end of
+  // SpmvPlanBuilder::finish and exercised directly by tests.
   [[nodiscard]] bool valid() const;
 };
 

@@ -72,6 +72,51 @@ void parallel_block_rows(const SpmvPlan& plan, const TiledPlan* tiled,
   });
 }
 
+// Rows per shard of the value sweeps on scalar formats (b = 0), which have
+// no block grid to shard by; one 128-row block-row's worth.
+constexpr std::size_t kScalarFormatRowGrain = 128;
+
+// Runs fn(r_begin, r_end) over every row of rf: one pool shard per grid
+// block-row's rows (untiled) or per tile shard's contiguous block-row range
+// (tiled) — the shards the plan sweeps use. Every row owns its output, so
+// any shard schedule is bit-identical.
+template <typename Fn>
+void parallel_row_ranges(const RefloatMatrix& rf, const TiledPlan* tiled,
+                         Fn&& fn) {
+  const auto rows = static_cast<std::size_t>(rf.quantized().rows());
+  const std::size_t side =
+      rf.format().b > 0 ? rf.plan().side() : kScalarFormatRowGrain;
+  const auto run = [&](std::size_t br_begin, std::size_t br_end) {
+    fn(std::min(br_begin * side, rows), std::min(br_end * side, rows));
+  };
+  if (tiled == nullptr || tiled->empty()) {
+    util::ThreadPool::global().parallel_for(
+        (rows + side - 1) / side, [&](std::size_t s) { run(s, s + 1); });
+    return;
+  }
+  const std::span<const TileShard> shards = tiled->shards();
+  util::ThreadPool::global().parallel_for(shards.size(), [&](std::size_t t) {
+    run(shards[t].brow_begin, shards[t].brow_end);
+  });
+}
+
+// Quantizes the k column-major operand vectors per column (identical to the
+// single-RHS path) into scratch.columns, which the ABFT epilogue contracts
+// against, then transposes them into the row-major n x k interleaved image
+// so one matrix entry touches k adjacent operand slots.
+void quantize_interleaved(const RefloatMatrix& rf, std::span<const double> x,
+                          std::size_t k, MultiSpmvScratch& scratch) {
+  const auto n_cols = static_cast<std::size_t>(rf.quantized().cols());
+  scratch.columns.resize(n_cols * k);
+  scratch.x_interleaved.resize(n_cols * k);
+  for (std::size_t j = 0; j < k; ++j) {
+    rf.quantize_vector(
+        x.subspan(j * n_cols, n_cols),
+        std::span<double>(scratch.columns).subspan(j * n_cols, n_cols));
+  }
+  sparse::interleave(scratch.columns, n_cols, k, scratch.x_interleaved);
+}
+
 // One block-row of the noisy sweep: serial (brow, bcol) block order, one
 // Gaussian draw per nonzero per-block row partial, in row order. Shared by
 // the untiled and tiled noisy paths so they are the same instruction
@@ -141,17 +186,13 @@ void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
                         std::vector<double>& xq) {
   xq.resize(x.size());
   rf.quantize_vector(x, xq);
-  sparse::fill(y, 0.0);
-  if (rf.format().b == 0) {
-    rf.quantized().spmv(xq, y);
-    return;
-  }
-  // Block-rows write disjoint y ranges and keep the serial (brow, bcol)
-  // accumulation order within each range — bit-identical at any thread
-  // count, on every SIMD path, and for every tile partition.
+  // Row by row over the resident dequantized CSR: each row takes its
+  // addends in ascending column order, exactly as the blocked walk of the
+  // plan delivered them — bit-identical at any thread count, on every SIMD
+  // path, for every tile partition, and for scalar (b = 0) formats alike.
   const SweepKernels& kernels = sweep_kernels();
-  parallel_block_rows(rf.plan(), tiled, [&](std::size_t br) {
-    kernels.spmv_block_row(rf.plan(), br, xq.data(), y.data());
+  parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
+    kernels.spmv_rows(rf.quantized(), r0, r1, xq.data(), y.data());
   });
 }
 
@@ -159,40 +200,16 @@ void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
                        std::span<const double> x, std::size_t k,
                        std::span<double> y, MultiSpmvScratch& scratch) {
   if (k == 0) return;
-  const std::size_t n_cols = static_cast<std::size_t>(rf.quantized().cols());
-  const std::size_t n_rows = static_cast<std::size_t>(rf.quantized().rows());
-  if (rf.format().b == 0) {
-    // Scalar formats have no block image to amortize: apply per column.
-    // Each column's quantized operand is kept (not overwritten) so the
-    // ABFT epilogue can contract the checksum against it.
-    scratch.columns.resize(n_cols * k);
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::span<double> xqj =
-          std::span<double>(scratch.columns).subspan(j * n_cols, n_cols);
-      rf.quantize_vector(x.subspan(j * n_cols, n_cols), xqj);
-      rf.quantized().spmv(xqj, y.subspan(j * n_rows, n_rows));
-    }
-    return;
-  }
-  // Quantize per column (identical to the single-RHS path), then transpose
-  // the batch to a row-major n x k image so one block entry touches k
-  // adjacent operand/result slots.
-  scratch.columns.resize(n_cols * k);
-  scratch.x_interleaved.resize(n_cols * k);
-  for (std::size_t j = 0; j < k; ++j) {
-    rf.quantize_vector(
-        x.subspan(j * n_cols, n_cols),
-        std::span<double>(scratch.columns).subspan(j * n_cols, n_cols));
-  }
-  sparse::interleave(scratch.columns, n_cols, k, scratch.x_interleaved);
-  scratch.y_interleaved.assign(n_rows * k, 0.0);
-  // Each block is visited once and applied to all k columns; per column the
-  // accumulation order is exactly the single-RHS serial order, so every
-  // column is bit-identical to a solo sweep of that column alone.
+  const auto n_rows = static_cast<std::size_t>(rf.quantized().rows());
+  quantize_interleaved(rf, x, k, scratch);
+  scratch.y_interleaved.resize(n_rows * k);
+  // Each matrix entry is read once and applied to all k columns; per column
+  // the accumulation order is exactly the single-RHS order, so every column
+  // is bit-identical to a solo sweep of that column alone.
   const SweepKernels& kernels = sweep_kernels();
-  parallel_block_rows(rf.plan(), tiled, [&](std::size_t br) {
-    kernels.spmm_block_row(rf.plan(), br, k, scratch.x_interleaved.data(),
-                           scratch.y_interleaved.data());
+  parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
+    kernels.spmm_rows(rf.quantized(), r0, r1, k, scratch.x_interleaved.data(),
+                      scratch.y_interleaved.data());
   });
   sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
@@ -244,14 +261,7 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
     }
     return;
   }
-  scratch.columns.resize(n_cols * k);
-  scratch.x_interleaved.resize(n_cols * k);
-  for (std::size_t j = 0; j < k; ++j) {
-    rf.quantize_vector(
-        x.subspan(j * n_cols, n_cols),
-        std::span<double>(scratch.columns).subspan(j * n_cols, n_cols));
-  }
-  sparse::interleave(scratch.columns, n_cols, k, scratch.x_interleaved);
+  quantize_interleaved(rf, x, k, scratch);
   scratch.y_interleaved.assign(n_rows * k, 0.0);
   parallel_block_rows(rf.plan(), tiled, [&](std::size_t br) {
     // k per-column streams per block-row, each keyed exactly as the solo

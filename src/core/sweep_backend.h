@@ -12,9 +12,9 @@
 //     (spmv_refloat / spmv_refloat_noisy / HwSpmv::apply) — the batched
 //     scaffolding is skipped entirely, not merely equivalent.
 //   * Column j of a k-RHS sweep is bit-identical to a solo sweep of that
-//     column: blocks are visited once per batch and applied to all k
-//     columns, but per column the accumulation order is exactly the serial
-//     single-RHS order.
+//     column: matrix entries (value) or blocks (noisy, bit-true) are
+//     visited once per batch and applied to all k columns, but per column
+//     the accumulation order is exactly the serial single-RHS order.
 //   * Stochastic backends key their counter-based streams per
 //     (seed, sequence, grid block-row, column) through SweepContext, so
 //     every column reproduces its solo-solve trajectory at any thread
@@ -22,7 +22,7 @@
 //
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
-// quantize -> interleave -> sharded block-row sweep -> deinterleave
+// quantize -> interleave -> sharded row/block-row sweep -> deinterleave
 // scaffolding that used to be triplicated across the RefloatMatrix methods
 // lives once in sweep_backend.cc (detail::*), with sparse::interleave /
 // sparse::deinterleave as the single layout-transpose definition.
@@ -85,8 +85,11 @@ struct SweepVerdict {
 };
 
 // The precomputed ABFT checksum row: column sums of the dequantized
-// operator (one CSR pass, independent of the SpmvPlan arena — so silent
-// plan corruption is visible against it). The classic trick is appending
+// operator (one CSR pass). It is a snapshot: computed when a matrix becomes
+// resident, it keeps describing the clean operand, so later silent damage
+// to whatever a backend sweeps — the dequantized CSR values for value
+// sweeps, the SpmvPlan arena for noisy and bit-true — is visible against
+// it. The classic trick is appending
 // this row to A so the sweep emits its own check value; here the backends
 // contract it against the quantized operand directly — the same O(n·k)
 // work without disturbing the block image.
@@ -158,8 +161,9 @@ class SweepBackend {
   const AbftChecksum* abft_ = nullptr;
 };
 
-// Value-faithful backend over rf's SpmvPlan. `tiles` > 1 partitions the
-// plan and runs the tile-sharded sweep (bit-identical to untiled). The
+// Value-faithful backend: sweeps rf's dequantized CSR row by row (the
+// plan's blocked accumulation order, bit for bit). `tiles` > 1 partitions
+// the plan and shards the rows by tile (bit-identical to untiled). The
 // overloads taking a TiledPlan* borrow an existing partition (nullptr =
 // untiled); the caller keeps it alive.
 std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
@@ -186,7 +190,7 @@ std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
 
 namespace detail {
 
-// The shared sweep scaffolding (quantize -> zero -> sharded block-row sweep,
+// The shared sweep scaffolding (quantize -> sharded row or block-row sweep,
 // plus interleave/deinterleave for k > 1), parameterized by an optional
 // borrowed TiledPlan (nullptr or empty = untiled). These are what both the
 // backends above and the legacy RefloatMatrix::spmv_* entry points call —

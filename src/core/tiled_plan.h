@@ -5,8 +5,9 @@
 // execution bit-identical to the untiled plan). Because the plan stores
 // blocks in (block-row, block-col) order, a contiguous block-row range is
 // also a contiguous range of plan blocks and of arena entries: every shard
-// is a zero-copy *view* into the shared SpmvPlan arena, and the SIMD sweep
-// kernels (src/core/simd.h) run unchanged per shard.
+// is a zero-copy *view* into the shared SpmvPlan arena: the noisy and
+// bit-true sweeps run unchanged per shard, and the value sweeps run the
+// rows of the shard's block-row range.
 //
 // Partitioning is capacity-aware greedy (pack block-rows up to the smaller
 // of the per-tile crossbar budget and the balanced target, leaving one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -301,12 +302,27 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
     sparse::Csr a = reg.build();
     auto built =
         std::make_shared<ResidentEntry>(core::RefloatMatrix(a, reg.format));
-    // Injected plan corruption: silently damages the freshly built SpmvPlan
-    // arena. The ABFT checksum is computed from quantized() below, so
-    // checked sweeps flag this on the first apply.
+    // The ABFT checksum and the definiteness probe read the clean
+    // quantized operand, before any injected corruption below.
+    if (abft_on) {
+      built->abft =
+          core::make_abft_checksum(built->rf, abft_tolerance(kind, sigma));
+    }
+    if (built->rf.quantized().rows() == built->rf.quantized().cols()) {
+      built->indefinite =
+          built->rf.probe_definiteness().likely_indefinite();
+    }
+    // Injected plan corruption: silently damages the operand this
+    // resident's backend sweeps — the dequantized CSR values for value
+    // sweeps, the SpmvPlan arena for noisy and bit-true (which programs its
+    // crossbars from it below). Checked sweeps flag it on the first apply
+    // against the checksum taken above.
     if (inj.armed(util::FaultSite::kPlanBuild)) {
       inj.maybe_corrupt(util::FaultSite::kPlanBuild,
-                        built->rf.mutable_plan().entry_value);
+                        kind == core::BackendKind::kValue
+                            ? built->rf.mutable_quantized_values()
+                            : std::span<double>(
+                                  built->rf.mutable_plan().entry_value));
     }
     // Partition strictly after the RefloatMatrix reached its final
     // address — TiledPlan borrows a pointer into rf.plan(); the
@@ -344,15 +360,7 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
         break;
       }
     }
-    if (abft_on) {
-      built->abft =
-          core::make_abft_checksum(built->rf, abft_tolerance(kind, sigma));
-      built->backend->set_abft(&built->abft);
-    }
-    if (built->rf.quantized().rows() == built->rf.quantized().cols()) {
-      built->indefinite =
-          built->rf.probe_definiteness().likely_indefinite();
-    }
+    if (abft_on) built->backend->set_abft(&built->abft);
     built->bytes = built->rf.resident_bytes() +
                    built->tiled.index_bytes() + backend_bytes;
     built->build_seconds = timer.seconds();

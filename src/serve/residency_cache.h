@@ -50,9 +50,10 @@ struct ResidentEntry {
   core::TiledPlan tiled;
   std::unique_ptr<core::SweepBackend> backend;
   // ABFT checksum row over the dequantized operator (empty colsum when
-  // checked sweeps are off). Computed from quantized(), NOT the plan, so a
-  // silently corrupted plan arena fails verification. The backend holds a
-  // pointer to this member — the entry's address is pinned by shared_ptr.
+  // checked sweeps are off). Taken while the operand is still clean, before
+  // the fault injector's `plan` site can damage what the backend sweeps, so
+  // silent corruption of that operand fails verification. The backend holds
+  // a pointer to this member — the entry's address is pinned by shared_ptr.
   core::AbftChecksum abft;
   std::size_t bytes = 0;       // what the cache budgets for this entry
   bool indefinite = false;     // probe_definiteness routing verdict

@@ -68,6 +68,14 @@ std::string shed_reason(ResponseStatus status) {
   }
 }
 
+// Any loopback client could otherwise arm the process-wide fault injector
+// of a production daemon: arming over the wire is opt-in, enabled only by
+// REFLOAT_FAULTS_ALLOW=1 (tests and fault drills set it).
+bool fault_arming_allowed() {
+  const char* allow = std::getenv("REFLOAT_FAULTS_ALLOW");
+  return allow != nullptr && std::strcmp(allow, "1") == 0;
+}
+
 }  // namespace
 
 TcpServer::TcpServer(SolverDaemon& daemon, std::uint16_t port,
@@ -193,7 +201,8 @@ std::string TcpServer::handle_line(SolverDaemon& daemon,
   if (verb == "FAULT") {
     // FAULT                -> report injector state
     // FAULT off            -> disarm every site
-    // FAULT <spec>[,<spec>] -> arm sites (REFLOAT_FAULTS grammar)
+    // FAULT <spec>[,<spec>] -> arm sites (REFLOAT_FAULTS grammar), only
+    //                          when REFLOAT_FAULTS_ALLOW=1
     util::FaultInjector& inj = util::FaultInjector::global();
     std::string text;
     in >> text;
@@ -202,6 +211,7 @@ std::string TcpServer::handle_line(SolverDaemon& daemon,
       inj.disable_all();
       return "FAULT " + inj.describe();
     }
+    if (!fault_arming_allowed()) return "ERR fault injection disabled";
     if (!inj.configure_from_text(text)) {
       return "ERR bad fault spec \"" + text +
              "\" (want <site>:<rate>[:<seed>[:<budget>]], site in "

@@ -11,7 +11,9 @@
 //   STATS  -> one line of counters
 //   FAULT <site>:<rate>[:<seed>[:<budget>]] | FAULT off | FAULT
 //          -> arm / disarm / report the process-wide fault injector
-//             (same grammar as REFLOAT_FAULTS; util/fault_injector.h)
+//             (same grammar as REFLOAT_FAULTS; util/fault_injector.h).
+//             Arming needs REFLOAT_FAULTS_ALLOW=1 in the server's
+//             environment; otherwise it answers ERR fault injection disabled
 //   PING   -> PONG
 //   QUIT   -> BYE (closes the connection)
 //

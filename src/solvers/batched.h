@@ -76,8 +76,8 @@ class SequentialMultiOperator final : public MultiOperator {
   LinearOperator& op_;
 };
 
-// Batched ReFloat SpMM over the SpmvPlan arena: every block visited once
-// per batch (RefloatMatrix::spmv_refloat_multi).
+// Batched ReFloat SpMM: every matrix entry read once per batch
+// (RefloatMatrix::spmv_refloat_multi).
 class RefloatMultiOperator final : public MultiOperator {
  public:
   explicit RefloatMultiOperator(const core::RefloatMatrix& rf) : rf_(rf) {}

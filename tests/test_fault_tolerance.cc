@@ -269,15 +269,16 @@ TEST(Abft, InjectedSweepCorruptionIsFlaggedPerColumn) {
   EXPECT_TRUE(verdict.ok);
 }
 
+// The checksum is a snapshot of the clean operand taken when the matrix
+// becomes resident: damaging what a backend actually sweeps after it was
+// taken must be visible. Value sweeps read the dequantized CSR values.
 TEST(Abft, SilentPlanCorruptionIsCaught) {
   GlobalInjectorGuard guard;
   const sparse::Csr a = test_csr();
   core::RefloatMatrix rf(a, test_format());
-  ASSERT_GT(rf.plan().entry_value.size(), 0u);
-  // The checksum comes from quantized(), not the plan — so damaging the
-  // plan arena after the checksum is computed must be visible.
+  ASSERT_GT(rf.mutable_quantized_values().size(), 0u);
   const core::AbftChecksum abft = core::make_abft_checksum(rf);
-  rf.mutable_plan().entry_value[0] += 1e3;
+  rf.mutable_quantized_values()[0] += 1e3;
 
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::vector<double> x(n, 1.0);
@@ -285,6 +286,33 @@ TEST(Abft, SilentPlanCorruptionIsCaught) {
   core::SweepVerdict verdict;
   auto backend = core::make_value_backend(rf);
   backend->set_abft(&abft);
+  backend->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
+  EXPECT_TRUE(verdict.checked);
+  EXPECT_FALSE(verdict.ok);
+}
+
+// The noisy twin: noisy sweeps read the SpmvPlan arena (their per-block
+// partials are part of the noise model), so that is where the damage goes.
+TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
+  GlobalInjectorGuard guard;
+  const sparse::Csr a = test_csr();
+  core::RefloatMatrix rf(a, test_format());
+  ASSERT_GT(rf.plan().entry_value.size(), 0u);
+  const double sigma = 1e-3;
+  const core::AbftChecksum abft =
+      core::make_abft_checksum(rf, /*rel_tolerance=*/32.0 * sigma);
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  const std::vector<double> x(n, 1.0);
+  std::vector<double> y(n, 0.0);
+  core::SweepVerdict verdict;
+  auto backend = core::make_noisy_backend(rf, sigma, /*seed=*/5);
+  backend->set_abft(&abft);
+  // Clean first: the noise alone stays inside the sigma-scaled tolerance.
+  backend->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
+  EXPECT_TRUE(verdict.checked);
+  EXPECT_TRUE(verdict.ok);
+
+  rf.mutable_plan().entry_value[0] += 1e3;
   backend->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
   EXPECT_TRUE(verdict.checked);
   EXPECT_FALSE(verdict.ok);

@@ -11,7 +11,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <future>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -661,8 +664,36 @@ TEST(ServeFaults, BuildFaultFailsBatchLoudly) {
   EXPECT_EQ(retried.get().status, ResponseStatus::kOk);
 }
 
+// Sets (value) or unsets (nullptr) one environment variable for a scope and
+// restores its previous state on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
 TEST(ServeFaults, FaultVerbRoundTrips) {
   GlobalInjectorGuard guard;
+  const ScopedEnv allow("REFLOAT_FAULTS_ALLOW", "1");
   SolverDaemon daemon(manual_config());
   bool quit = false;
 
@@ -683,6 +714,66 @@ TEST(ServeFaults, FaultVerbRoundTrips) {
   EXPECT_NE(reply.find("abft_failures="), std::string::npos) << reply;
   EXPECT_NE(reply.find("retries="), std::string::npos);
   EXPECT_FALSE(quit);
+}
+
+TEST(ServeFaults, FaultVerbCannotArmWithoutOptIn) {
+  GlobalInjectorGuard guard;
+  SolverDaemon daemon(manual_config());
+  bool quit = false;
+  for (const char* setting : {static_cast<const char*>(nullptr), "0", "yes"}) {
+    const ScopedEnv allow("REFLOAT_FAULTS_ALLOW", setting);
+    const std::string reply =
+        TcpServer::handle_line(daemon, "FAULT sweep:0.5:9:10", &quit);
+    EXPECT_EQ(reply, "ERR fault injection disabled")
+        << "REFLOAT_FAULTS_ALLOW=" << (setting ? setting : "(unset)");
+    EXPECT_FALSE(util::FaultInjector::global().any_armed());
+  }
+  // Reporting and disarming stay available: neither can inject a fault.
+  const ScopedEnv allow("REFLOAT_FAULTS_ALLOW", nullptr);
+  EXPECT_EQ(TcpServer::handle_line(daemon, "FAULT", &quit).rfind("FAULT", 0),
+            0u);
+  EXPECT_EQ(
+      TcpServer::handle_line(daemon, "FAULT off", &quit).rfind("FAULT", 0),
+      0u);
+  EXPECT_FALSE(quit);
+}
+
+TEST(ServeFaults, PlanCorruptionOnValueResidentIsCaughtAndRebuilt) {
+  // The plan site damages the operand a value resident sweeps (its
+  // dequantized CSR values) after the ABFT checksum was taken: the first
+  // apply is flagged, the clean re-solve hits the same persistent damage,
+  // and the rebuild rung (budget spent) answers bit-identically to a
+  // fault-free solve.
+  GlobalInjectorGuard guard;
+  SolverDaemon daemon(manual_config());
+  register_test_matrix(daemon);
+  const sparse::Csr a = test_csr();
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  const std::vector<double> b = solve::make_rhs_batch(a, 1);
+
+  ASSERT_TRUE(
+      util::FaultInjector::global().configure_from_text("plan:1:45:1"));
+  auto future = submit_rhs(daemon, batch_column(b, n, 0));
+  const TimePoint t0 = Clock::now();
+  daemon.pump(t0);
+  daemon.pump(t0 + milliseconds(3));
+
+  ASSERT_TRUE(ready(future));
+  const SolveResponse got = future.get();
+  const solve::SolveResult want = solo_cg(batch_column(b, n, 0), 1e-8);
+  EXPECT_EQ(got.status, ResponseStatus::kOk);
+  EXPECT_EQ(got.solve_status, solve::SolveStatus::kConverged);
+  EXPECT_GE(got.retries, 1);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_STREQ(got.backend, "value");
+  ASSERT_EQ(got.solution.size(), want.solution.size());
+  for (std::size_t i = 0; i < want.solution.size(); ++i) {
+    ASSERT_EQ(got.solution[i], want.solution[i]) << "row " << i;
+  }
+  const ServeStats stats = daemon.stats();
+  EXPECT_GE(stats.abft_failures, 1u);
+  EXPECT_EQ(stats.rebuilds, 1u);
+  EXPECT_EQ(stats.recovered, 1u);
 }
 
 // --- TCP hardening ---------------------------------------------------------

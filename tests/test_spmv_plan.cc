@@ -2,15 +2,23 @@
 // — plan-SpMV is bit-identical to the historical per-block-heap path, the
 // batched SpMM is column-wise bit-identical to sequential SpMVs, both at
 // every tested thread count (including odd shard counts), and an all-zero
-// band of rows appears as an empty block-row range, not a missing one.
+// band of rows appears as an empty block-row range, not a missing one. The
+// value sweeps, which read the dequantized CSR row by row, are pinned bit
+// for bit to the blocked plan loop they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/simd.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -160,6 +168,17 @@ TEST(SpmvPlan, ValidRejectsEachKindOfCorruption) {
     p.base.pop_back();
     EXPECT_FALSE(p.valid());
   }
+  {  // a row's entries out of ascending column order within its block-row
+    core::SpmvPlan p = good;
+    std::size_t e = 0;
+    while (e + 1 < p.num_entries() && p.entry_row[e] != p.entry_row[e + 1]) {
+      ++e;
+    }
+    ASSERT_LT(e + 1, p.num_entries());
+    std::swap(p.entry_col[e], p.entry_col[e + 1]);
+    std::swap(p.entry_value[e], p.entry_value[e + 1]);
+    EXPECT_FALSE(p.valid());
+  }
 }
 
 TEST(SpmvPlan, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
@@ -292,6 +311,168 @@ TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
       ASSERT_EQ(y[j * n + i], ycol[i]);
     }
   }
+}
+
+// --- The value sweep vs the blocked plan loop it replaced -----------------
+
+// The blocked value loop the row sweeps replaced, kept here as the
+// reference: zero y, visit the plan's blocks in (brow, bcol) order, and add
+// every entry's product into its output row. Scalar formats (b = 0) have
+// no plan; their value path was the CSR SpMV, a running sum per row. This
+// TU is compiled with -ffp-contract=off, like the kernels.
+std::vector<double> blocked_value_sweep(const core::RefloatMatrix& rf,
+                                        std::span<const double> xq) {
+  const sparse::Csr& q = rf.quantized();
+  const auto rows = static_cast<std::size_t>(q.rows());
+  std::vector<double> y(rows, 0.0);
+  if (rf.format().b == 0) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      double acc = 0.0;
+      for (auto e = static_cast<std::size_t>(q.row_ptr()[r]);
+           e < static_cast<std::size_t>(q.row_ptr()[r + 1]); ++e) {
+        acc += q.values()[e] * xq[static_cast<std::size_t>(q.col_idx()[e])];
+      }
+      y[r] = acc;
+    }
+    return y;
+  }
+  const core::SpmvPlan& plan = rf.plan();
+  for (std::size_t br = 0; br < plan.block_rows(); ++br) {
+    for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
+      const auto r0 = static_cast<std::size_t>(plan.row0[j]);
+      const auto c0 = static_cast<std::size_t>(plan.col0[j]);
+      for (std::size_t e = plan.entry_ptr[j]; e < plan.entry_ptr[j + 1]; ++e) {
+        const double v = plan.entry_value[e];
+        y[r0 + static_cast<std::size_t>(plan.entry_row[e])] +=
+            v * xq[c0 + static_cast<std::size_t>(plan.entry_col[e])];
+      }
+    }
+  }
+  return y;
+}
+
+// Operand values spanning 2^-40..2^40 in magnitude, both signs, with
+// signed zeros sprinkled in.
+std::vector<double> wide_operand(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) {
+      x[i] = 0.0;
+    } else if (i % 11 == 5) {
+      x[i] = -0.0;
+    } else {
+      const int exponent = static_cast<int>(rng.next() % 81) - 40;
+      x[i] = std::ldexp(rng.uniform(1.0, 2.0), exponent) *
+             (rng.next() % 2 == 0 ? 1.0 : -1.0);
+    }
+  }
+  return x;
+}
+
+// Every 16x16 block on a checkerboard of the 96x96 block grid is dense.
+sparse::Csr dense_block_matrix() {
+  util::Rng rng(71);
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index r = 0; r < 96; ++r) {
+    for (sparse::Index c = 0; c < 96; ++c) {
+      if (((r / 16) + (c / 16)) % 2 != 0) continue;
+      triplets.push_back({r, c, wide_operand(1, rng.next())[0] + 0.5});
+    }
+  }
+  return sparse::Csr::from_triplets(96, 96, triplets);
+}
+
+// A diagonal plus three scattered entries per row: at b = 4 a block-row's
+// ~64 entries spread over 40 block-columns, ~2 per nonzero block.
+sparse::Csr scattered_matrix() {
+  constexpr sparse::Index n = 640;
+  util::Rng rng(72);
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index r = 0; r < n; ++r) {
+    triplets.push_back({r, r, 4.0});
+    for (int i = 0; i < 3; ++i) {
+      const auto c = static_cast<sparse::Index>(rng.next() % n);
+      triplets.push_back({r, c, rng.gaussian() * std::ldexp(1.0, i * 9 - 9)});
+    }
+  }
+  return sparse::Csr::from_triplets(n, n, triplets);
+}
+
+// Rows 16..31 carry no entries: an empty block-row band at b = 4.
+sparse::Csr empty_band_matrix() {
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index i = 0; i < 64; ++i) {
+    if (i >= 16 && i < 32) continue;
+    triplets.push_back({i, i, 2.0 + 0.01 * static_cast<double>(i)});
+    if (i + 1 < 64) triplets.push_back({i, i + 1, -0.5});
+    if (i >= 40) triplets.push_back({i, i - 40, 1e-3});
+  }
+  return sparse::Csr::from_triplets(64, 64, triplets);
+}
+
+std::vector<core::SimdIsa> runnable_isas() {
+  std::vector<core::SimdIsa> isas = {core::SimdIsa::kScalar};
+  for (const core::SimdIsa isa : {core::SimdIsa::kAvx2, core::SimdIsa::kNeon}) {
+    if (core::simd_isa_supported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+TEST(SpmvPlan, ValueSweepBitIdenticalToBlockedPlanLoop) {
+  const core::Format narrow{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
+  const core::Format wide{.b = 4, .e = 7, .f = 30, .ev = 7, .fv = 30};
+  const struct Case {
+    const char* name;
+    sparse::Csr a;
+    core::Format format;
+  } cases[] = {
+      {"dense blocks", dense_block_matrix(), narrow},
+      {"dense blocks, wide", dense_block_matrix(), wide},
+      {"scattered", scattered_matrix(), narrow},
+      {"scattered, wide", scattered_matrix(), wide},
+      {"empty band", empty_band_matrix(), wide},
+      {"b = 0", scattered_matrix(), core::format_fp32()},
+  };
+  const std::size_t ks[] = {1, 2, 3, 4, 5, 8, 16};
+  for (const Case& c : cases) {
+    const core::RefloatMatrix rf(c.a, c.format);
+    if (c.format.b > 0) {
+      ASSERT_TRUE(rf.plan().valid()) << c.name;
+    }
+    const auto n = static_cast<std::size_t>(c.a.rows());
+    for (const std::size_t k : ks) {
+      const std::vector<double> x = wide_operand(n * k, 1000 + k);
+      // Reference: the blocked loop per column on the quantized operand.
+      std::vector<double> reference(n * k);
+      std::vector<double> xq(n);
+      for (std::size_t j = 0; j < k; ++j) {
+        rf.quantize_vector(std::span<const double>(x).subspan(j * n, n), xq);
+        const std::vector<double> col = blocked_value_sweep(rf, xq);
+        std::copy(col.begin(), col.end(), reference.begin() + j * n);
+      }
+      for (const core::SimdIsa isa : runnable_isas()) {
+        core::simd_set_isa(isa);
+        for (const int tiles : {1, 4}) {
+          auto backend = core::make_value_backend(rf, tiles);
+          for (const int threads : {1, 2, 8}) {
+            util::ThreadPool::set_global_threads(threads);
+            std::vector<double> y(n * k, 42.0);
+            backend->sweep(x, k, y, {});
+            for (std::size_t i = 0; i < y.size(); ++i) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
+                        std::bit_cast<std::uint64_t>(reference[i]))
+                  << c.name << ": " << core::simd_isa_name(isa) << " k=" << k
+                  << " tiles=" << tiles << " threads=" << threads << " slot "
+                  << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  core::simd_set_isa(core::simd_best_supported());
+  util::ThreadPool::set_global_threads(1);
 }
 
 }  // namespace
