@@ -12,7 +12,11 @@
 //   sweep_spmm/<isa>/K    kernel-only K-RHS interleaved row sweep, K
 //                         2/4/8/16
 //   quantize_span/<isa>   the exponent-field fast path over dense spans
-//   plan_build            RefloatMatrix conversion (quantize + arena)
+//   plan_build            RefloatMatrix conversion (quantize + arena) on
+//                         the grid-64/128 stencils, and plan_build/scattered
+//                         on the backend_sweep/value_scattered matrix (~2
+//                         entries per nonzero block: per-block cost
+//                         dominates, as in the thermomech stand-ins)
 //   spmv_e2e/<isa>        full spmv_refloat (quantize_vector + sweep) at
 //                         grid 128 — comparable to the historical 316 us
 //                         scalar number in EXPERIMENTS.md
@@ -211,8 +215,7 @@ void quantize_span(benchmark::State& state, core::SimdIsa isa) {
 
 // --- plan_build: conversion + arena construction ---------------------------
 
-void plan_build(benchmark::State& state) {
-  const Workload& w = workload(state.range(0));
+void plan_build(benchmark::State& state, const Workload& w) {
   const core::Format fmt = core::default_format();
   for (auto _ : state) {
     core::RefloatMatrix rf(w.a, fmt);
@@ -324,7 +327,14 @@ void register_all() {
         [isa](benchmark::State& s) { spmv_e2e(s, isa, 1); })
         ->Arg(128);
   }
-  benchmark::RegisterBenchmark("plan_build", plan_build)->Arg(64)->Arg(128);
+  benchmark::RegisterBenchmark("plan_build",
+                               [](benchmark::State& s) {
+                                 plan_build(s, workload(s.range(0)));
+                               })
+      ->Arg(64)->Arg(128);
+  benchmark::RegisterBenchmark("plan_build/scattered", [](benchmark::State& s) {
+    plan_build(s, scattered_workload());
+  });
   const core::SimdIsa best = core::simd_best_supported();
   for (const int threads : {1, 2, 4, 8}) {
     benchmark::RegisterBenchmark(

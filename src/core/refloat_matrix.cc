@@ -1,8 +1,9 @@
 #include "src/core/refloat_matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "src/core/sweep_backend.h"
@@ -27,100 +28,165 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
       original_nnz_(a.nnz()),
       rows_(a.rows()),
       cols_(a.cols()) {
+  if (!a.canonical()) {
+    throw std::invalid_argument(
+        "RefloatMatrix: input CSR is not canonical (row_ptr must run from 0 "
+        "to nnz without decreasing; columns must strictly ascend within "
+        "[0, cols) in every row)");
+  }
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.values();
+  const auto at = [](sparse::Index i) { return static_cast<std::size_t>(i); };
 
   double err_sq = 0.0;
   double ref_sq = 0.0;
   QuantTally tally;
-  std::vector<sparse::Triplet> quantized_triplets;
-  quantized_triplets.reserve(values.size());
+  // The dequantized CSR is emitted row by row, dropping entries that
+  // quantized to zero.
+  std::vector<sparse::Index> q_row_ptr(at(rows_) + 1, 0);
+  std::vector<sparse::Index> q_col_idx;
+  std::vector<double> q_values;
+  q_col_idx.reserve(values.size());
+  q_values.reserve(values.size());
+  const auto emit = [&](sparse::Index c, double q) {
+    if (q == 0.0) return;
+    q_col_idx.push_back(c);
+    q_values.push_back(q);
+  };
 
   if (format_.b == 0) {
     // Scalar format: each value quantizes independently (IEEE semantics with
     // e exponent / f fraction bits); there is no block structure.
     for (sparse::Index r = 0; r < rows_; ++r) {
-      for (sparse::Index k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const double v = values[static_cast<std::size_t>(k)];
+      for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
+        const double v = values[at(k)];
         const double q = quantize_scalar(v, format_.e, format_.f, &tally);
         err_sq += (v - q) * (v - q);
         ref_sq += v * v;
-        if (q != 0.0) {
-          quantized_triplets.push_back(
-              {r, col_idx[static_cast<std::size_t>(k)], q});
-        }
+        emit(col_idx[at(k)], q);
       }
+      q_row_ptr[at(r) + 1] = static_cast<sparse::Index>(q_values.size());
     }
   } else {
-    // Bucket nonzeros into 2^b x 2^b blocks (ordered map keeps blocks in
-    // (brow, bcol) order, which the plan's ordering contract and the
-    // schedule sim rely on).
-    struct Raw {
-      std::int32_t r, c;
-      double v;
-    };
-    std::map<std::pair<sparse::Index, sparse::Index>, std::vector<Raw>>
-        buckets;
+    // Stream one band of 2^b rows (one grid block-row) at a time. The band's
+    // entries are scattered, stably, into per-block-column runs of one
+    // reused buffer; canonical input makes each run row-major with
+    // ascending columns, the plan's entry order. Blocks are visited in
+    // ascending block column, so blocks, err_sq and ref_sq all follow
+    // (block-row, block-column, entry) order. Quantized values go back to
+    // their input slot, and the band is then appended to the dequantized
+    // CSR in row order.
     const int b = format_.b;
-    for (sparse::Index r = 0; r < rows_; ++r) {
-      for (sparse::Index k = row_ptr[static_cast<std::size_t>(r)];
-           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const sparse::Index c = col_idx[static_cast<std::size_t>(k)];
-        buckets[{r >> b, c >> b}].push_back(
-            {static_cast<std::int32_t>(r & ((sparse::Index{1} << b) - 1)),
-             static_cast<std::int32_t>(c & ((sparse::Index{1} << b) - 1)),
-             values[static_cast<std::size_t>(k)]});
-      }
-    }
+    const sparse::Index side = sparse::Index{1} << b;
+    const sparse::Index mask = side - 1;
+    struct Slot {
+      std::size_t offset;  // position in the band's input range
+      std::int32_t r, c;   // within-block coordinates
+    };
+    // Per block column: the band's entry count, then its run's scatter
+    // cursor, and a touched bit. Only touched columns are ever nonzero, and
+    // they are reset before the next band.
+    const std::size_t block_cols = at((cols_ + mask) >> b);
+    std::vector<std::size_t> cursor(block_cols, 0);
+    std::vector<std::uint64_t> touched_bits((block_cols + 63) / 64, 0);
+    std::vector<sparse::Index> touched;
+    std::vector<double> run_values;
+    std::vector<Slot> run_slots;
+    std::vector<double> band_q;
 
     SpmvPlanBuilder builder;
-    std::vector<double> block_values;
-    for (auto& [key, raws] : buckets) {
-      block_values.clear();
-      int min_e = 0;
-      int max_e = 0;
-      bool any = false;
-      for (const Raw& raw : raws) {
-        block_values.push_back(raw.v);
-        if (raw.v == 0.0 || !std::isfinite(raw.v)) continue;
-        const int e = std::ilogb(raw.v);
-        if (!any) {
-          min_e = max_e = e;
-          any = true;
-        } else {
-          min_e = std::min(min_e, e);
-          max_e = std::max(max_e, e);
+    builder.reserve_entries(values.size());
+    for (sparse::Index r0 = 0; r0 < rows_; r0 += side) {
+      const sparse::Index r1 = std::min(r0 + side, rows_);
+      const sparse::Index k0 = row_ptr[at(r0)];
+      const std::size_t band_nnz = at(row_ptr[at(r1)] - k0);
+
+      // Count, then list the touched block columns in ascending order by
+      // scanning the touched bits between the band's extreme columns.
+      std::size_t lo_word = touched_bits.size();
+      std::size_t hi_word = 0;
+      for (std::size_t i = 0; i < band_nnz; ++i) {
+        const std::size_t bc = at(col_idx[at(k0) + i] >> b);
+        if (cursor[bc]++ == 0) {
+          touched_bits[bc / 64] |= std::uint64_t{1} << (bc % 64);
+          lo_word = std::min(lo_word, bc / 64);
+          hi_word = std::max(hi_word, bc / 64);
         }
       }
-      if (any) {
-        stats_.locality_bits = std::max(
-            stats_.locality_bits, bits_for_spread(max_e - min_e + 1));
+      touched.clear();
+      std::size_t run_begin = 0;
+      for (std::size_t w = lo_word; w <= hi_word && w < touched_bits.size();
+           ++w) {
+        for (std::uint64_t bits = touched_bits[w]; bits != 0;
+             bits &= bits - 1) {
+          const std::size_t bc = w * 64 + std::countr_zero(bits);
+          touched.push_back(static_cast<sparse::Index>(bc));
+          const std::size_t n = cursor[bc];
+          cursor[bc] = run_begin;
+          run_begin += n;
+        }
+        touched_bits[w] = 0;
+      }
+      run_values.resize(band_nnz);
+      run_slots.resize(band_nnz);
+      band_q.resize(band_nnz);
+      for (sparse::Index r = r0; r < r1; ++r) {
+        for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
+          const sparse::Index c = col_idx[at(k)];
+          const std::size_t pos = cursor[at(c >> b)]++;
+          run_values[pos] = values[at(k)];
+          run_slots[pos] = {at(k - k0), static_cast<std::int32_t>(r & mask),
+                            static_cast<std::int32_t>(c & mask)};
+        }
       }
 
-      // Row-major, ascending columns within a row: the plan order whose
-      // per-row addend sequence the value sweeps reproduce from the sorted
-      // quantized CSR (SpmvPlan::valid). Sorted CSR input already has it.
-      const auto row_major = [](const Raw& p, const Raw& q) {
-        return p.r != q.r ? p.r < q.r : p.c < q.c;
-      };
-      if (!std::is_sorted(raws.begin(), raws.end(), row_major)) {
-        std::sort(raws.begin(), raws.end(), row_major);
-      }
-      const sparse::Index row0 = key.first << b;
-      const sparse::Index col0 = key.second << b;
-      const int base = select_block_base(block_values, format_.e, policy_);
-      builder.begin_block(row0, col0, base);
-      for (const Raw& raw : raws) {
-        const double q = quantize_value(raw.v, base, format_.e, format_.f,
-                                        policy_, &tally);
-        err_sq += (raw.v - q) * (raw.v - q);
-        ref_sq += raw.v * raw.v;
-        if (q != 0.0) {
-          builder.push_entry(raw.r, raw.c, q);
-          quantized_triplets.push_back({row0 + raw.r, col0 + raw.c, q});
+      // Each cursor now sits at its run's end.
+      run_begin = 0;
+      for (const sparse::Index bc : touched) {
+        const std::size_t run_end = cursor[at(bc)];
+        cursor[at(bc)] = 0;
+        const std::span<const double> block(run_values.data() + run_begin,
+                                            run_end - run_begin);
+        int min_e = 0;
+        int max_e = 0;
+        bool any = false;
+        for (const double v : block) {
+          if (v == 0.0 || !std::isfinite(v)) continue;
+          const int e = std::ilogb(v);
+          if (!any) {
+            min_e = max_e = e;
+            any = true;
+          } else {
+            min_e = std::min(min_e, e);
+            max_e = std::max(max_e, e);
+          }
         }
+        if (any) {
+          stats_.locality_bits = std::max(stats_.locality_bits,
+                                          bits_for_spread(max_e - min_e + 1));
+        }
+
+        const int base = select_block_base(block, format_.e, policy_);
+        builder.begin_block(r0, bc << b, base);
+        for (std::size_t p = run_begin; p < run_end; ++p) {
+          const double v = run_values[p];
+          const Slot& slot = run_slots[p];
+          const double q = quantize_value(v, base, format_.e, format_.f,
+                                          policy_, &tally);
+          err_sq += (v - q) * (v - q);
+          ref_sq += v * v;
+          if (q != 0.0) builder.push_entry(slot.r, slot.c, q);
+          band_q[slot.offset] = q;
+        }
+        run_begin = run_end;
+      }
+
+      for (sparse::Index r = r0; r < r1; ++r) {
+        for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
+          emit(col_idx[at(k)], band_q[at(k - k0)]);
+        }
+        q_row_ptr[at(r) + 1] = static_cast<sparse::Index>(q_values.size());
       }
     }
     plan_ = builder.finish(rows_, cols_, b);
@@ -131,8 +197,8 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
   stats_.underflowed = tally.underflowed;
   stats_.flushed_to_zero = tally.flushed_to_zero;
   stats_.rel_error_fro = ref_sq > 0.0 ? std::sqrt(err_sq / ref_sq) : 0.0;
-  quantized_ =
-      sparse::Csr::from_triplets(rows_, cols_, std::move(quantized_triplets));
+  quantized_ = sparse::Csr(rows_, cols_, std::move(q_row_ptr),
+                           std::move(q_col_idx), std::move(q_values));
 }
 
 long long RefloatMatrix::storage_bits() const {

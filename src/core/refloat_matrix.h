@@ -64,6 +64,15 @@ struct MultiSpmvScratch {
 
 class RefloatMatrix {
  public:
+  // Converts `a`, which must be canonical (sparse::Csr::canonical(): row_ptr
+  // from 0 to nnz, never decreasing; columns strictly ascending within
+  // [0, cols) per row) — std::invalid_argument otherwise. The conversion
+  // streams one 2^b-row band (grid block-row) at a time: it groups the
+  // band's entries by block column, visits the touched block columns in
+  // ascending order (base selection, quantization, plan append), then
+  // appends the band's nonzero quantized entries to quantized() in row
+  // order. Blocks, plan entries and the error sums in stats() therefore
+  // follow (block-row, block-column, row-major entry) order.
   RefloatMatrix(const sparse::Csr& a, const Format& format,
                 const QuantPolicy& policy = {});
 

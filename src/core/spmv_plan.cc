@@ -80,6 +80,12 @@ bool SpmvPlan::valid() const {
   return true;
 }
 
+void SpmvPlanBuilder::reserve_entries(std::size_t entries) {
+  plan_.entry_row.reserve(entries);
+  plan_.entry_col.reserve(entries);
+  plan_.entry_value.reserve(entries);
+}
+
 void SpmvPlanBuilder::begin_block(sparse::Index row0, sparse::Index col0,
                                   int base) {
   plan_.entry_ptr.push_back(plan_.entry_value.size());

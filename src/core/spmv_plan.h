@@ -76,6 +76,9 @@ struct SpmvPlan {
 // push_entry for each surviving quantized entry, then finish(rows, cols, b).
 class SpmvPlanBuilder {
  public:
+  // Reserves the entry arena for up to `entries` pushes (the conversion
+  // passes the input's nnz, an upper bound on the surviving entries).
+  void reserve_entries(std::size_t entries);
   void begin_block(sparse::Index row0, sparse::Index col0, int base);
   void push_entry(std::int32_t r, std::int32_t c, double value);
   // Seals entry/block offsets and derives the full-grid block_ptr index.

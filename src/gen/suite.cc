@@ -215,6 +215,15 @@ bool load_csr(const std::string& path, sparse::Csr* out) {
   in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
   in.read(reinterpret_cast<char*>(&nnz), sizeof(nnz));
   if (!in || rows < 0 || cols < 0 || nnz < 0) return false;
+  // Bound the header by the file size before allocating from it: a damaged
+  // count must read as a truncated file, not as a huge allocation.
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  if (ec || static_cast<std::uintmax_t>(rows) >= bytes / sizeof(Index) ||
+      static_cast<std::uintmax_t>(nnz) >
+          bytes / (sizeof(Index) + sizeof(double))) {
+    return false;
+  }
   std::vector<Index> row_ptr(static_cast<std::size_t>(rows) + 1);
   std::vector<Index> col_idx(static_cast<std::size_t>(nnz));
   std::vector<double> values(static_cast<std::size_t>(nnz));
@@ -225,8 +234,11 @@ bool load_csr(const std::string& path, sparse::Csr* out) {
   in.read(reinterpret_cast<char*>(values.data()),
           static_cast<std::streamsize>(values.size() * sizeof(double)));
   if (!in) return false;
-  *out = sparse::Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
+  sparse::Csr loaded(rows, cols, std::move(row_ptr), std::move(col_idx),
                      std::move(values));
+  // A damaged index would hand every consumer out-of-bounds offsets.
+  if (!loaded.canonical()) return false;
+  *out = std::move(loaded);
   return true;
 }
 

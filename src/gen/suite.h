@@ -71,10 +71,12 @@ sparse::Csr build(const SuiteSpec& spec);
 // Same, before the spec's value_scale is applied (unit-scale entries).
 sparse::Csr build_unscaled(const SuiteSpec& spec);
 
-// Loads `dir/<name>.csr` if present, else builds and caches it there.
+// Loads `dir/<name>.csr` if present and valid, else builds and caches it
+// there.
 sparse::Csr load_or_build(const SuiteSpec& spec, const std::string& dir);
 
-// Binary CSR cache format (see docs/DATA_FORMATS.md).
+// Binary CSR cache format (see docs/DATA_FORMATS.md). load_csr returns
+// false (a cache miss) for a missing, truncated or non-canonical file.
 bool load_csr(const std::string& path, sparse::Csr* out);
 void save_csr(const std::string& path, const sparse::Csr& a);
 

@@ -53,6 +53,25 @@ Csr Csr::from_triplets(Index rows, Index cols,
              std::move(values));
 }
 
+bool Csr::canonical() const {
+  if (row_ptr_.empty()) return rows_ == 0 && values_.empty();
+  const Index nnz_end = nnz();
+  if (row_ptr_.front() != 0 || row_ptr_.back() != nnz_end) return false;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows_); ++r) {
+    const Index begin = row_ptr_[r];
+    const Index end = row_ptr_[r + 1];
+    // Bound every row before indexing col_idx_: a later row may decrease.
+    if (end < begin || end > nnz_end) return false;
+    Index prev = -1;
+    for (Index k = begin; k < end; ++k) {
+      const Index c = col_idx_[static_cast<std::size_t>(k)];
+      if (c <= prev || c >= cols_) return false;
+      prev = c;
+    }
+  }
+  return true;
+}
+
 void Csr::spmv(std::span<const double> x, std::span<double> y) const {
   for (Index r = 0; r < rows_; ++r) {
     const Index begin = row_ptr_[static_cast<std::size_t>(r)];

@@ -42,6 +42,13 @@ class Csr {
   [[nodiscard]] std::span<const double> values() const { return values_; }
   [[nodiscard]] std::span<double> mutable_values() { return values_; }
 
+  // True when the arrays form a canonical CSR: row_ptr starts at 0, never
+  // decreases and ends at nnz(), and within every row the columns lie in
+  // [0, cols()) and strictly ascend (so no coordinate repeats). Explicit
+  // zeros are allowed. from_triplets always produces canonical output; the
+  // ReFloat conversion requires it and the binary cache loader checks it.
+  [[nodiscard]] bool canonical() const;
+
   // Heap bytes the three CSR arrays pin — the host-memory side of the
   // serving layer's residency accounting (core::RefloatMatrix::
   // resident_bytes sums this with the plan payload).

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/gen/grid.h"
 #include "src/gen/matrix_market.h"
@@ -136,6 +140,66 @@ TEST(Suite, CsrCacheRoundTrips) {
     EXPECT_EQ(loaded.values()[i], a.values()[i]);
   }
   EXPECT_FALSE(load_csr(dir + "/missing.csr", &loaded));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Suite, CsrCacheRejectsNonCanonicalFiles) {
+  // A damaged cache file with valid sizes must read as a cache miss, not
+  // hand out-of-bounds indices to the conversion and the sweeps; then
+  // load_or_build regenerates the matrix.
+  SuiteSpec spec;
+  spec.name = "tiny_damaged";
+  spec.kind = MatrixKind::kLaplace2d5;
+  spec.nx = 4;
+  spec.ny = 4;
+  spec.paper_kappa = 10.0;
+  const sparse::Csr generated = build(spec);
+  ASSERT_TRUE(generated.canonical());
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "refloat_test_damaged")
+          .string();
+  const std::string path = dir + "/tiny_damaged.csr";
+  std::filesystem::remove_all(dir);
+  // 2x3, rows {0, 2} and {1}: each variant breaks one canonical rule.
+  const auto damaged = [](std::vector<sparse::Index> row_ptr,
+                          std::vector<sparse::Index> cols) {
+    return sparse::Csr(2, 3, std::move(row_ptr), std::move(cols),
+                       {1.0, 2.0, 3.0});
+  };
+  const std::vector<std::pair<std::string, sparse::Csr>> cases = {
+      {"out-of-range column", damaged({0, 2, 3}, {0, 3, 1})},
+      {"descending columns", damaged({0, 2, 3}, {2, 0, 1})},
+      {"decreasing row_ptr", damaged({0, 3, 2}, {0, 2, 1})},
+      {"row_ptr not from 0", damaged({1, 2, 3}, {0, 2, 1})},
+  };
+  for (const auto& [what, bad] : cases) {
+    SCOPED_TRACE(what);
+    save_csr(path, bad);
+    sparse::Csr loaded;
+    EXPECT_FALSE(load_csr(path, &loaded));
+    const sparse::Csr served = load_or_build(spec, dir);
+    ASSERT_EQ(served.rows(), generated.rows());
+    EXPECT_TRUE(served.canonical());
+    EXPECT_EQ(std::vector<double>(served.values().begin(),
+                                  served.values().end()),
+              std::vector<double>(generated.values().begin(),
+                                  generated.values().end()));
+    // The regenerated file replaced the damaged one.
+    EXPECT_TRUE(load_csr(path, &loaded));
+  }
+  sparse::Csr unused;
+  save_csr(path, damaged({0, 2, 3}, {0, 2, 1}));
+  EXPECT_TRUE(load_csr(path, &unused));  // the undamaged control
+  {
+    // A damaged nnz header reads as a truncated file, not as a huge
+    // allocation.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::int64_t huge = std::int64_t{1} << 60;
+    f.seekp(24);
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_FALSE(load_csr(path, &unused));
   std::filesystem::remove_all(dir);
 }
 

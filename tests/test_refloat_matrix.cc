@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "src/gen/grid.h"
+#include "src/gen/suite.h"
 #include "src/util/random.h"
 
 namespace refloat::core {
@@ -138,6 +146,291 @@ TEST(RefloatMatrix, ScalarFormatFp64RoundTripsExactly) {
   const RefloatMatrix rf(a, format_fp64());
   EXPECT_EQ(rf.stats().rel_error_fro, 0.0);
   EXPECT_EQ(rf.nonzero_blocks(), 0u);
+}
+
+TEST(RefloatMatrix, RejectsNonCanonicalInput) {
+  // 2x4, row 0 = {0, 2}, row 1 = {1, 3} is canonical; each variant breaks
+  // one rule. Converted anyway, a repeated coordinate would give a plan
+  // that SpmvPlan::valid() rejects (the plan keeps both entries, the CSR
+  // sums them), and an out-of-range column a block origin outside the
+  // matrix.
+  const auto csr = [](std::vector<sparse::Index> cols) {
+    return sparse::Csr(2, 4, {0, 2, 4}, std::move(cols),
+                       {1.0, 2.0, 3.0, 4.0});
+  };
+  Format fmt = default_format();
+  fmt.b = 1;
+  EXPECT_NO_THROW(RefloatMatrix(csr({0, 2, 1, 3}), fmt));
+  for (const Format& f : {fmt, format_fp64()}) {
+    EXPECT_THROW(RefloatMatrix(csr({0, 2, 1, 1}), f), std::invalid_argument)
+        << "duplicate column, b=" << f.b;
+    EXPECT_THROW(RefloatMatrix(csr({2, 0, 1, 3}), f), std::invalid_argument)
+        << "descending columns, b=" << f.b;
+    EXPECT_THROW(RefloatMatrix(csr({0, 2, 1, 4}), f), std::invalid_argument)
+        << "column == cols, b=" << f.b;
+    EXPECT_THROW(RefloatMatrix(csr({0, 2, -1, 3}), f), std::invalid_argument)
+        << "negative column, b=" << f.b;
+  }
+  EXPECT_THROW(RefloatMatrix(sparse::Csr(2, 4, {0, 3, 2}, {0, 1}, {1.0, 2.0}),
+                             fmt),
+               std::invalid_argument)
+      << "decreasing row_ptr";
+}
+
+// --- Reference conversion ---------------------------------------------------
+// The block-map + triplet conversion the streamed one replaced (minus its
+// unsorted-block fallback: inputs are canonical), kept as the reference the
+// streamed conversion must match bit for bit.
+
+struct Converted {
+  SpmvPlan plan;
+  sparse::Csr quantized;
+  ConversionStats stats;
+};
+
+int reference_bits_for_spread(int spread) {
+  int bits = 0;
+  while ((1 << bits) < spread) ++bits;
+  return bits;
+}
+
+Converted reference_convert(const sparse::Csr& a, const Format& format,
+                            const QuantPolicy& policy) {
+  Converted out;
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto values = a.values();
+  const sparse::Index rows = a.rows();
+  double err_sq = 0.0;
+  double ref_sq = 0.0;
+  QuantTally tally;
+  std::vector<sparse::Triplet> quantized_triplets;
+  if (format.b == 0) {
+    for (sparse::Index r = 0; r < rows; ++r) {
+      for (sparse::Index k = row_ptr[static_cast<std::size_t>(r)];
+           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+        const double v = values[static_cast<std::size_t>(k)];
+        const double q = quantize_scalar(v, format.e, format.f, &tally);
+        err_sq += (v - q) * (v - q);
+        ref_sq += v * v;
+        if (q != 0.0) {
+          quantized_triplets.push_back(
+              {r, col_idx[static_cast<std::size_t>(k)], q});
+        }
+      }
+    }
+  } else {
+    struct Raw {
+      std::int32_t r, c;
+      double v;
+    };
+    std::map<std::pair<sparse::Index, sparse::Index>, std::vector<Raw>>
+        buckets;
+    const int b = format.b;
+    for (sparse::Index r = 0; r < rows; ++r) {
+      for (sparse::Index k = row_ptr[static_cast<std::size_t>(r)];
+           k < row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+        const sparse::Index c = col_idx[static_cast<std::size_t>(k)];
+        buckets[{r >> b, c >> b}].push_back(
+            {static_cast<std::int32_t>(r & ((sparse::Index{1} << b) - 1)),
+             static_cast<std::int32_t>(c & ((sparse::Index{1} << b) - 1)),
+             values[static_cast<std::size_t>(k)]});
+      }
+    }
+    SpmvPlanBuilder builder;
+    std::vector<double> block_values;
+    for (auto& [key, raws] : buckets) {
+      block_values.clear();
+      int min_e = 0;
+      int max_e = 0;
+      bool any = false;
+      for (const Raw& raw : raws) {
+        block_values.push_back(raw.v);
+        if (raw.v == 0.0 || !std::isfinite(raw.v)) continue;
+        const int e = std::ilogb(raw.v);
+        if (!any) {
+          min_e = max_e = e;
+          any = true;
+        } else {
+          min_e = std::min(min_e, e);
+          max_e = std::max(max_e, e);
+        }
+      }
+      if (any) {
+        out.stats.locality_bits =
+            std::max(out.stats.locality_bits,
+                     reference_bits_for_spread(max_e - min_e + 1));
+      }
+      const sparse::Index row0 = key.first << b;
+      const sparse::Index col0 = key.second << b;
+      const int base = select_block_base(block_values, format.e, policy);
+      builder.begin_block(row0, col0, base);
+      for (const Raw& raw : raws) {
+        const double q =
+            quantize_value(raw.v, base, format.e, format.f, policy, &tally);
+        err_sq += (raw.v - q) * (raw.v - q);
+        ref_sq += raw.v * raw.v;
+        if (q != 0.0) {
+          builder.push_entry(raw.r, raw.c, q);
+          quantized_triplets.push_back({row0 + raw.r, col0 + raw.c, q});
+        }
+      }
+    }
+    out.plan = builder.finish(rows, a.cols(), b);
+  }
+  out.stats.values = tally.values;
+  out.stats.overflowed = tally.overflowed;
+  out.stats.underflowed = tally.underflowed;
+  out.stats.flushed_to_zero = tally.flushed_to_zero;
+  out.stats.rel_error_fro = ref_sq > 0.0 ? std::sqrt(err_sq / ref_sq) : 0.0;
+  out.quantized = sparse::Csr::from_triplets(rows, a.cols(),
+                                             std::move(quantized_triplets));
+  return out;
+}
+
+// Bitwise equality, so NaN payloads and signed zeros count.
+template <typename T>
+bool same_bits(std::span<const T> x, std::span<const T> y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if constexpr (std::is_same_v<T, double>) {
+      if (std::bit_cast<std::uint64_t>(x[i]) !=
+          std::bit_cast<std::uint64_t>(y[i])) {
+        return false;
+      }
+    } else if (x[i] != y[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
+  return same_bits(std::span<const T>(x), std::span<const T>(y));
+}
+
+void expect_matches_reference(const sparse::Csr& a, const Format& fmt,
+                              const QuantPolicy& policy,
+                              const std::string& what) {
+  SCOPED_TRACE(what + " b=" + std::to_string(fmt.b) +
+               " fv=" + std::to_string(fmt.fv));
+  ASSERT_TRUE(a.canonical());
+  const RefloatMatrix rf(a, fmt, policy);
+  const Converted ref = reference_convert(a, fmt, policy);
+  const SpmvPlan& p = rf.plan();
+  EXPECT_EQ(p.b, ref.plan.b);
+  EXPECT_EQ(p.rows, ref.plan.rows);
+  EXPECT_EQ(p.cols, ref.plan.cols);
+  EXPECT_TRUE(same_bits(p.block_ptr, ref.plan.block_ptr));
+  EXPECT_TRUE(same_bits(p.row0, ref.plan.row0));
+  EXPECT_TRUE(same_bits(p.col0, ref.plan.col0));
+  EXPECT_TRUE(same_bits(p.base, ref.plan.base));
+  EXPECT_TRUE(same_bits(p.entry_ptr, ref.plan.entry_ptr));
+  EXPECT_TRUE(same_bits(p.entry_row, ref.plan.entry_row));
+  EXPECT_TRUE(same_bits(p.entry_col, ref.plan.entry_col));
+  EXPECT_TRUE(same_bits(p.entry_value, ref.plan.entry_value));
+  if (fmt.b > 0) {
+    EXPECT_TRUE(p.valid());
+  }
+
+  const sparse::Csr& q = rf.quantized();
+  EXPECT_EQ(q.rows(), ref.quantized.rows());
+  EXPECT_EQ(q.cols(), ref.quantized.cols());
+  EXPECT_TRUE(same_bits(q.row_ptr(), ref.quantized.row_ptr()));
+  EXPECT_TRUE(same_bits(q.col_idx(), ref.quantized.col_idx()));
+  EXPECT_TRUE(same_bits(q.values(), ref.quantized.values()));
+
+  const ConversionStats& s = rf.stats();
+  EXPECT_EQ(s.values, ref.stats.values);
+  EXPECT_EQ(s.overflowed, ref.stats.overflowed);
+  EXPECT_EQ(s.underflowed, ref.stats.underflowed);
+  EXPECT_EQ(s.flushed_to_zero, ref.stats.flushed_to_zero);
+  EXPECT_EQ(s.locality_bits, ref.stats.locality_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.rel_error_fro),
+            std::bit_cast<std::uint64_t>(ref.stats.rel_error_fro))
+      << s.rel_error_fro << " vs " << ref.stats.rel_error_fro;
+  EXPECT_EQ(s.probe_steps, 0);
+}
+
+// A rows x cols matrix with `per_row` random columns per row, rows listed in
+// `empty_rows` left empty, and values drawn as gaussian * 2^[-40, 40], with a
+// sprinkling of exact zeros, denormals, infinities and NaNs when `specials`.
+sparse::Csr random_matrix(sparse::Index rows, sparse::Index cols, int per_row,
+                          std::uint64_t seed, bool specials,
+                          const std::vector<std::pair<sparse::Index,
+                                                      sparse::Index>>&
+                              empty_rows) {
+  util::Rng rng(seed);
+  std::vector<sparse::Index> row_ptr{0};
+  std::vector<sparse::Index> col_idx;
+  std::vector<double> values;
+  std::vector<bool> used(static_cast<std::size_t>(cols));
+  for (sparse::Index r = 0; r < rows; ++r) {
+    bool skip = false;
+    for (const auto& [lo, hi] : empty_rows) skip = skip || (r >= lo && r < hi);
+    if (!skip) {
+      std::fill(used.begin(), used.end(), false);
+      for (int i = 0; i < per_row; ++i) {
+        used[rng.below(static_cast<std::uint64_t>(cols))] = true;
+      }
+      for (sparse::Index c = 0; c < cols; ++c) {
+        if (!used[static_cast<std::size_t>(c)]) continue;
+        double v = std::ldexp(rng.gaussian(),
+                              static_cast<int>(rng.below(81)) - 40);
+        if (specials) {
+          switch (rng.below(40)) {
+            case 0: v = 0.0; break;
+            case 1: v = std::numeric_limits<double>::denorm_min() * 3.0; break;
+            case 2: v = -std::numeric_limits<double>::infinity(); break;
+            case 3: v = std::numeric_limits<double>::quiet_NaN(); break;
+            case 4: v = 1e-310; break;
+            default: break;
+          }
+        }
+        col_idx.push_back(c);
+        values.push_back(v);
+      }
+    }
+    row_ptr.push_back(static_cast<sparse::Index>(values.size()));
+  }
+  return sparse::Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
+                     std::move(values));
+}
+
+TEST(RefloatMatrix, StreamedConversionMatchesReference) {
+  QuantPolicy flush;
+  flush.underflow = UnderflowMode::kFlushToZero;
+  flush.overflow = OverflowMode::kClampOffsetKeepFraction;
+  const std::vector<std::pair<std::string, QuantPolicy>> policies = {
+      {"default", QuantPolicy{}},
+      {"paper_literal", paper_literal_policy()},
+      {"flush", flush}};
+  std::vector<Format> formats;
+  for (const int b : {3, 4, 7}) {
+    Format f = default_format();
+    f.b = b;
+    formats.push_back(f);
+  }
+  formats.push_back(default_format_fv16());
+  formats.push_back(format_bfloat16());  // b = 0: the scalar path
+
+  // Rectangular, edges not a multiple of any block side; rows 40..47 and a
+  // whole 128-row band (130..290) empty, plus 2^+-40 spread and specials.
+  const std::vector<std::pair<std::string, sparse::Csr>> inputs = {
+      {"wide", random_matrix(301, 517, 9, 1, true, {{40, 48}, {130, 290}})},
+      {"tall", random_matrix(523, 77, 5, 2, true, {{0, 3}, {500, 523}})},
+      {"finite", random_matrix(260, 260, 30, 3, false, {})},
+      {"empty", sparse::Csr(5, 9, std::vector<sparse::Index>(6, 0), {}, {})},
+      {"crystm01", gen::build(*gen::find_spec(353))},
+  };
+  for (const auto& [name, a] : inputs) {
+    for (const Format& fmt : formats) {
+      for (const auto& [policy_name, policy] : policies) {
+        expect_matches_reference(a, fmt, policy, name + "/" + policy_name);
+      }
+    }
+  }
 }
 
 }  // namespace
