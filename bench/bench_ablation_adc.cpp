@@ -11,33 +11,11 @@
 
 #include "bench/harness.h"
 #include "src/gen/grid.h"
-#include "src/hw/hw_spmv.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/solvers/cg.h"
+#include "src/solvers/operator.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
-
-namespace refloat::bench {
-namespace {
-
-// LinearOperator backed by the bit-true crossbar datapath.
-class HwOperator final : public solve::LinearOperator {
- public:
-  HwOperator(const core::RefloatMatrix& rf, hw::ClusterConfig config)
-      : spmv_(rf, config), rng_(1234), rows_(rf.quantized().rows()) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    spmv_.apply(x, y, rng_);
-  }
-  [[nodiscard]] sparse::Index dim() const override { return rows_; }
-  [[nodiscard]] std::string label() const override { return "hw"; }
-
- private:
-  hw::HwSpmv spmv_;
-  util::Rng rng_;
-  sparse::Index rows_;
-};
-
-}  // namespace
-}  // namespace refloat::bench
 
 int main() {
   using namespace refloat::bench;
@@ -62,7 +40,8 @@ int main() {
   for (int bits : {1, 2, 3, 4, 5, 7, 10}) {
     hw::ClusterConfig config;
     config.adc.bits = bits;
-    HwOperator op(rf, config);
+    hw::BitTrueBackend backend(rf, config, /*seed=*/1234);
+    solve::BackendOperator op(backend);
     const solve::SolveResult res = solve::cg(op, b, opts);
     table.add_row({std::to_string(bits), solve::status_name(res.status),
                    std::to_string(res.iterations),

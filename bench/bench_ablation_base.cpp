@@ -52,7 +52,8 @@ void run_matrix(const char* name, const sparse::Csr& a, int fv,
   fmt.fv = fv;
   for (const Variant& v : variants) {
     const core::RefloatMatrix rf(a, fmt, v.policy);
-    solve::RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    solve::BackendOperator op(*backend);
     const solve::SolveResult res = solve::cg(op, b, opts);
     table.add_row({v.name, util::fmt_g(rf.stats().rel_error_fro, 3),
                    std::to_string(rf.stats().overflowed),

@@ -35,7 +35,8 @@ int main() {
     core::Format fmt = core::default_format();
     fmt.b = b;
     const core::RefloatMatrix rf(a, fmt);
-    solve::RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    solve::BackendOperator op(*backend);
     const solve::SolveResult res = solve::cg(op, b_vec, opts);
     table.add_row({std::to_string(b), std::to_string(1 << b),
                    util::fmt_i(static_cast<long long>(rf.nonzero_blocks())),

@@ -10,34 +10,13 @@
 
 #include "bench/harness.h"
 #include "src/gen/grid.h"
-#include "src/hw/hw_spmv.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/solvers/cg.h"
+#include "src/solvers/operator.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
-
-namespace refloat::bench {
-namespace {
-
-class FaultyHwOperator final : public solve::LinearOperator {
- public:
-  FaultyHwOperator(const core::RefloatMatrix& rf, hw::ClusterConfig config)
-      : spmv_(rf, config), rng_(4321), rows_(rf.quantized().rows()) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    spmv_.apply(x, y, rng_);
-  }
-  [[nodiscard]] sparse::Index dim() const override { return rows_; }
-  [[nodiscard]] std::string label() const override { return "hw+faults"; }
-
- private:
-  hw::HwSpmv spmv_;
-  util::Rng rng_;
-  sparse::Index rows_;
-};
-
-}  // namespace
-}  // namespace refloat::bench
 
 int main() {
   using namespace refloat::bench;
@@ -80,7 +59,8 @@ int main() {
     config.faults.stuck_at_zero_rate = c.sa0;
     config.faults.stuck_at_one_rate = c.sa1;
     const double shown = c.sa0 + c.sa1;
-    FaultyHwOperator op(rf, config);
+    hw::BitTrueBackend backend(rf, config, /*seed=*/4321);
+    solve::BackendOperator op(backend);
     const solve::SolveResult res = solve::cg(op, b, opts);
     table.add_row({c.kind, util::fmt_g(shown, 2),
                    solve::status_name(res.status),

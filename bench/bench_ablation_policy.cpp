@@ -53,7 +53,8 @@ int main() {
       {"policy", "conv err", "flushed", "status", "iterations"});
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(a, core::default_format(), c.policy);
-    solve::RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    solve::BackendOperator op(*backend);
     const solve::SolveResult res = solve::cg(op, b, opts);
     table.add_row({c.name, util::fmt_g(rf.stats().rel_error_fro, 3),
                    std::to_string(rf.stats().flushed_to_zero),

@@ -39,7 +39,8 @@ int main() {
   for (int ev = 2; ev <= 6; ++ev) {
     const core::Format fmt{.b = 7, .e = 3, .f = 8, .ev = ev, .fv = 12};
     const core::RefloatMatrix rf(a, fmt);
-    solve::RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    solve::BackendOperator op(*backend);
     solve::SolveOptions opts;
     opts.tolerance = 1e-4;
     opts.max_iterations = 3000;

@@ -39,7 +39,8 @@ int main() {
   const double sigmas[] = {0.001, 0.005, 0.01, 0.02, 0.05,
                            0.10,  0.15,  0.20, 0.25};
   for (double sigma : sigmas) {
-    solve::NoisyRefloatOperator op(rf, sigma, /*seed=*/355 + 7);
+    const auto backend = core::make_noisy_backend(rf, sigma, /*seed=*/355 + 7);
+    solve::BackendOperator op(*backend);
     solve::SolveOptions opts = evaluation_options();
     // Noise-free convergence takes ~125 iterations; 8000 is decisively NC
     // (the noisy residual can creep forever without converging).

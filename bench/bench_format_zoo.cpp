@@ -52,7 +52,8 @@ int main() {
                      "xbars/cluster (Eq.2)", "cycles (Eq.3)"});
   for (const Entry& entry : entries) {
     const core::RefloatMatrix rf(a, entry.fmt);
-    solve::RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    solve::BackendOperator op(*backend);
     const solve::SolveResult res = solve::cg(op, b, opts);
     const long xbars = 4L * core::model_bits(entry.fmt.e, entry.fmt.f);
     const long cycles = core::model_bits(entry.fmt.ev, entry.fmt.fv) +

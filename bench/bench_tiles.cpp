@@ -23,8 +23,9 @@
 #include "src/arch/timing.h"
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
-#include "src/hw/hw_spmv.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/solvers/cg.h"
+#include "src/solvers/operator.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
@@ -32,25 +33,6 @@
 
 namespace refloat::bench {
 namespace {
-
-// CG operator over the tiled bit-true datapath with per-tile faults + ECC.
-class TiledHwOperator final : public solve::LinearOperator {
- public:
-  TiledHwOperator(const core::RefloatMatrix& rf, hw::ClusterConfig config,
-                  const core::TiledPlan& tiled)
-      : spmv_(rf, config, tiled), rng_(4321), rows_(rf.quantized().rows()) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    spmv_.apply(x, y, rng_);
-  }
-  [[nodiscard]] sparse::Index dim() const override { return rows_; }
-  [[nodiscard]] std::string label() const override { return "hw+tiles"; }
-  [[nodiscard]] const hw::HwSpmv& spmv() const { return spmv_; }
-
- private:
-  hw::HwSpmv spmv_;
-  util::Rng rng_;
-  sparse::Index rows_;
-};
 
 double min_tile_utilization(const arch::ScheduleStats& stats) {
   double lo = 1.0;
@@ -164,9 +146,11 @@ int main() {
       cluster.ecc.correct_cells = ecc_budget;
       const core::TiledPlan tiled =
           core::TiledPlan::partition(rf_hw.plan(), {.tiles = tiles});
-      TiledHwOperator op(rf_hw, cluster, tiled);
+      // CG over the tiled bit-true datapath, per-tile faults + ECC.
+      hw::BitTrueBackend backend(rf_hw, cluster, tiled, /*seed=*/4321);
+      solve::BackendOperator op(backend);
       const solve::SolveResult res = solve::cg(op, b, opts);
-      const hw::EngineStats& es = op.spmv().stats();
+      const hw::EngineStats& es = backend.hw().stats();
       ftable.add_row({util::fmt_g(rate, 2), std::to_string(tiles),
                       std::to_string(es.faulty_cells),
                       std::to_string(es.ecc_corrected),

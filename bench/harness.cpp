@@ -253,6 +253,7 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
   // Platform operator. The RefloatMatrix conversion is rebuilt per call;
   // it is cheap next to the solve itself.
   std::unique_ptr<core::RefloatMatrix> rf;
+  std::unique_ptr<core::SweepBackend> backend;
   std::unique_ptr<solve::LinearOperator> op;
   switch (platform) {
     case Platform::kDouble:
@@ -272,7 +273,8 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
             "terminates in a handful of iterations",
             m.c_str(), cs.probe_lambda_min, cs.probe_steps);
       }
-      op = std::make_unique<solve::RefloatOperator>(*rf);
+      backend = core::make_value_backend(*rf);
+      op = std::make_unique<solve::BackendOperator>(*backend);
       break;
     }
     case Platform::kFeinberg:

@@ -1,8 +1,7 @@
 // bench_micro: the SIMD-dispatch microbenchmark harness behind the
 // perf-smoke CI gate (scripts/bench_compare.py vs bench/micro/baseline.json).
 //
-// Unlike bench/bench_kernels.cpp (which measures whatever ISA dispatch
-// picks), every sweep suite here is registered once PER RUNNABLE ISA via
+// Every sweep suite is registered once PER RUNNABLE ISA via
 // core::simd_set_isa, so one JSON run carries the scalar-vs-vector ratio
 // directly. Suites:
 //
@@ -17,9 +16,10 @@
 //                         on the backend_sweep/value_scattered matrix (~2
 //                         entries per nonzero block: per-block cost
 //                         dominates, as in the thermomech stand-ins)
-//   spmv_e2e/<isa>        full spmv_refloat (quantize_vector + sweep) at
-//                         grid 128 — comparable to the historical 316 us
-//                         scalar number in EXPERIMENTS.md
+//   spmv_e2e/<isa>        a full k = 1 value-backend sweep (quantize_vector
+//                         + row sweep + epilogue) at grid 128 — comparable
+//                         to the historical 316 us scalar number in
+//                         EXPERIMENTS.md
 //   spmv_threads/T        spmv_e2e on the active ISA at T = 1/2/4/8 pool
 //                         threads
 //   backend_sweep/<kind>  the unified core::SweepBackend sweep entry
@@ -35,6 +35,12 @@
 //                         matrix whose nonzero 128x128 blocks hold ~2
 //                         entries — the thermomech regime, where a blocked
 //                         walk pays its per-block cost on every 2 entries
+//   csr_spmv              sparse::Csr::spmv, the exact FP64 baseline, at
+//                         grid 64/128/256 (ISA-independent)
+//   hw/cluster_mvm        one bit-sliced 128x128 crossbar-cluster MVM
+//                         (11 matrix planes, 16-bit operand, 10% density)
+//   hw/engine_apply       one processing-engine pass over a 10%-dense
+//                         128x128 block (quantize, four-quadrant MVM, ADC)
 //   calibration           fixed serial FP dependency chain; pure host-speed
 //                         probe used by bench_compare.py --normalize to
 //                         factor machine speed out of cross-host baselines
@@ -46,6 +52,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,6 +64,7 @@
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
+#include "src/hw/engine.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
@@ -225,16 +233,18 @@ void plan_build(benchmark::State& state, const Workload& w) {
                           static_cast<long>(w.a.nnz()));
 }
 
-// --- spmv_e2e / spmv_threads: the full spmv_refloat path -------------------
+// --- spmv_e2e / spmv_threads: a full k = 1 value-backend sweep -----------
 
 void spmv_e2e(benchmark::State& state, core::SimdIsa isa, int threads) {
   core::simd_set_isa(isa);
   util::ThreadPool::set_global_threads(threads);
   const Workload& w = workload(state.range(0));
+  // One tile, as these rows always measured: the gated timing must not
+  // follow $REFLOAT_TILES.
+  const auto backend = core::make_value_backend(w.rf, /*tiles=*/1);
   std::vector<double> y(static_cast<std::size_t>(w.a.rows()));
-  std::vector<double> scratch;
   for (auto _ : state) {
-    w.rf.spmv_refloat(w.x, y, scratch);
+    backend->sweep(w.x, 1, y, {});
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
@@ -253,13 +263,13 @@ void backend_sweep(benchmark::State& state, const Workload& w,
   std::unique_ptr<core::SweepBackend> backend;
   switch (kind) {
     case core::BackendKind::kNoisy:
-      backend = core::make_noisy_backend(w.rf, 1e-3, 42);
+      backend = core::make_noisy_backend(w.rf, 1e-3, 42, /*tiles=*/1);
       break;
     case core::BackendKind::kBitTrue:
       backend = hw::make_bit_true_backend(w.rf, hw::ClusterConfig{});
       break;
     case core::BackendKind::kValue:
-      backend = core::make_value_backend(w.rf);
+      backend = core::make_value_backend(w.rf, /*tiles=*/1);
       break;
   }
   // Checked mode: the ABFT epilogue verifies sum(Y_j) against the checksum
@@ -282,6 +292,69 @@ void backend_sweep(benchmark::State& state, const Workload& w,
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
                           static_cast<long>(w.a.nnz()) *
                           static_cast<long>(k));
+}
+
+// --- csr_spmv: the exact FP64 baseline ------------------------------------
+
+void csr_spmv(benchmark::State& state) {
+  const Workload& w = workload(state.range(0));
+  std::vector<double> y(static_cast<std::size_t>(w.a.rows()));
+  for (auto _ : state) {
+    w.a.spmv(w.x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(w.a.nnz()));
+}
+
+// --- hw: the bit-true primitives under hw::HwSpmv --------------------------
+
+void cluster_mvm(benchmark::State& state) {
+  util::Rng rng(11);
+  const int side = 128;
+  std::vector<std::vector<std::uint64_t>> m(
+      side, std::vector<std::uint64_t>(side, 0));
+  for (auto& row : m) {
+    for (auto& v : row) {
+      if (rng.uniform() < 0.1) v = rng.below(1 << 11);
+    }
+  }
+  hw::CrossbarCluster cluster(m, 11);
+  std::vector<std::uint64_t> x(side);
+  for (auto& v : x) v = rng.below(1 << 16);
+  std::vector<std::int64_t> y(side);
+  for (auto _ : state) {
+    cluster.mvm(x, 16, y, nullptr, rng);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void engine_apply(benchmark::State& state) {
+  util::Rng rng(13);
+  const int side = 128;
+  std::vector<std::vector<double>> block(side, std::vector<double>(side, 0.0));
+  std::vector<double> flat;
+  for (auto& row : block) {
+    for (auto& v : row) {
+      if (rng.uniform() < 0.1) {
+        v = rng.gaussian();
+        flat.push_back(v);
+      }
+    }
+  }
+  const core::Format fmt = core::default_format();
+  const int eb = core::select_block_base(flat, fmt.e, {});
+  hw::ProcessingEngine engine(block, eb, fmt);
+  std::vector<double> x(side);
+  for (double& v : x) v = rng.gaussian();
+  std::vector<double> y(side, 0.0);
+  for (auto _ : state) {
+    engine.apply(x, y, nullptr, rng);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
 }
 
 // --- calibration: fixed host-speed probe -----------------------------------
@@ -369,6 +442,10 @@ void register_all() {
                       core::BackendKind::kValue);
       })
       ->Arg(1)->Arg(8);
+  benchmark::RegisterBenchmark("csr_spmv", csr_spmv)
+      ->Arg(64)->Arg(128)->Arg(256);
+  benchmark::RegisterBenchmark("hw/cluster_mvm", cluster_mvm);
+  benchmark::RegisterBenchmark("hw/engine_apply", engine_apply);
   benchmark::RegisterBenchmark("calibration", calibration);
 }
 

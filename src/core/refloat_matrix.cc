@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/sweep_backend.h"
 #include "src/sparse/lanczos.h"
 
 namespace refloat::core {
@@ -246,51 +245,6 @@ void RefloatMatrix::quantize_vector(std::span<const double> x,
     quantize_span(segment, base, format_.ev, format_.fv, policy_,
                   out.subspan(begin, end - begin));
   }
-}
-
-void RefloatMatrix::spmv_refloat(std::span<const double> x,
-                                 std::span<double> y,
-                                 std::vector<double>& scratch) const {
-  detail::sweep_value_single(*this, nullptr, x, y, scratch);
-}
-
-void RefloatMatrix::spmv_refloat_multi(std::span<const double> x,
-                                       std::size_t k, std::span<double> y,
-                                       MultiSpmvScratch& scratch) const {
-  detail::sweep_value_multi(*this, nullptr, x, k, y, scratch);
-}
-
-void RefloatMatrix::spmv_refloat_noisy(std::span<const double> x,
-                                       std::span<double> y,
-                                       std::vector<double>& scratch,
-                                       double sigma, std::uint64_t seed,
-                                       std::uint64_t sequence) const {
-  detail::sweep_noisy_single(*this, nullptr, x, y, scratch, sigma, seed,
-                             sequence);
-}
-
-void RefloatMatrix::spmv_refloat_noisy_multi(
-    std::span<const double> x, std::size_t k, std::span<double> y,
-    MultiSpmvScratch& scratch, double sigma,
-    std::span<const std::uint64_t> seeds,
-    std::span<const std::uint64_t> sequences) const {
-  detail::sweep_noisy_multi(*this, nullptr, x, k, y, scratch, sigma, seeds,
-                            sequences);
-}
-
-void RefloatMatrix::spmv_refloat_tiled(const TiledPlan& tiled,
-                                       std::span<const double> x,
-                                       std::span<double> y,
-                                       std::vector<double>& scratch) const {
-  detail::sweep_value_single(*this, &tiled, x, y, scratch);
-}
-
-void RefloatMatrix::spmv_refloat_noisy_tiled(
-    const TiledPlan& tiled, std::span<const double> x, std::span<double> y,
-    std::vector<double>& scratch, double sigma, std::uint64_t seed,
-    std::uint64_t sequence) const {
-  detail::sweep_noisy_single(*this, &tiled, x, y, scratch, sigma, seed,
-                             sequence);
 }
 
 const ConversionStats& RefloatMatrix::probe_definiteness(int steps) const {

@@ -7,15 +7,10 @@
 //     the noisy sweeps (whose per-block partials are part of the model), the
 //     bit-true hw/ datapath, tiling and the storage model.
 //
-// The SpMV paths shard by block-row over util::ThreadPool::global()
-// ($REFLOAT_THREADS). Block-rows own disjoint output rows and every output
-// row accumulates in ascending column order, so the result is bit-identical
-// at any thread count.
-//
-// Every spmv_* method below is a thin wrapper over the shared sweep layer
-// in src/core/sweep_backend.{h,cc} (core::detail::sweep_*), which owns the
-// quantize -> interleave -> sharded block-row sweep scaffolding once for
-// the value-faithful and noisy paths, tiled and untiled, k=1 and k-RHS.
+// A RefloatMatrix holds the operand; it does not sweep itself. Every sweep
+// of it — value-faithful, noisy (Fig. 10) or bit-true — goes through
+// core::SweepBackend (src/core/sweep_backend.h, and hw::BitTrueBackend),
+// which owns the quantize -> sharded sweep -> ABFT epilogue once.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +19,7 @@
 
 #include "src/core/format.h"
 #include "src/core/spmv_plan.h"
-#include "src/core/tiled_plan.h"
 #include "src/sparse/csr.h"
-#include "src/util/random.h"
 
 namespace refloat::core {
 
@@ -53,15 +46,6 @@ struct ConversionStats {
   }
 };
 
-// Reusable buffers for spmv_refloat_multi: the quantized column-major
-// batch and the row-major interleaved (n x k) operand/result images. One
-// instance per caller thread, like the single-RHS scratch.
-struct MultiSpmvScratch {
-  std::vector<double> columns;
-  std::vector<double> x_interleaved;
-  std::vector<double> y_interleaved;
-};
-
 class RefloatMatrix {
  public:
   // Converts `a`, which must be canonical (sparse::Csr::canonical(): row_ptr
@@ -86,8 +70,8 @@ class RefloatMatrix {
     return plan_.num_blocks();
   }
   // The contiguous block payload: block-row CSR index + SoA entry arena,
-  // built once here and shared by every blocked consumer (the noisy spmv
-  // paths below, hw::HwSpmv programming, tiling, the storage model). Empty
+  // built once here and shared by every blocked consumer (the noisy
+  // sweeps, hw::HwSpmv programming, tiling, the storage model). Empty
   // when format().b == 0 (scalar formats have no blocks).
   [[nodiscard]] const SpmvPlan& plan() const { return plan_; }
   // Mutable access to the swept operands, for the fault-injection layer
@@ -134,68 +118,6 @@ class RefloatMatrix {
   // shared base (ev-bit window) and fv-bit fractions.
   void quantize_vector(std::span<const double> x,
                        std::span<double> out) const;
-
-  // y = quantize(A) * quantize(x). Accumulation is exact (the accelerator
-  // accumulates digitally after the ADC). `scratch` holds the quantized
-  // input between calls to avoid reallocation. Runs row ranges on the
-  // global thread pool; bit-identical at any thread count.
-  void spmv_refloat(std::span<const double> x, std::span<double> y,
-                    std::vector<double>& scratch) const;
-
-  // Batched SpMM: Y = quantize(A) * quantize(X) for k right-hand sides.
-  // x is k column-major vectors of cols() entries each (x.size() == k *
-  // cols()), y likewise k vectors of rows() entries. Reads every matrix
-  // entry ONCE per batch — the software mirror of streaming k vectors
-  // through one programmed crossbar image — and each column's result is
-  // bit-identical to a spmv_refloat call on that column alone, at any
-  // thread count.
-  void spmv_refloat_multi(std::span<const double> x, std::size_t k,
-                          std::span<double> y,
-                          MultiSpmvScratch& scratch) const;
-
-  // Tiled y = quantize(A) * quantize(x): one thread-pool shard per tile
-  // shard, each sweeping the rows of its contiguous block-row range with
-  // the same row kernels as spmv_refloat.
-  // Tiling is a pure scheduling change: bit-identical to spmv_refloat for
-  // any partition of this matrix's plan, at any thread count. `tiled` must
-  // have been partitioned from this matrix's plan().
-  void spmv_refloat_tiled(const TiledPlan& tiled, std::span<const double> x,
-                          std::span<double> y,
-                          std::vector<double>& scratch) const;
-
-  // Tiled counterpart of spmv_refloat_noisy. Noise streams stay keyed per
-  // (seed, sequence, grid block-row) — not per tile — so the result is
-  // bit-identical to the untiled noisy path for any partition and any
-  // thread count.
-  void spmv_refloat_noisy_tiled(const TiledPlan& tiled,
-                                std::span<const double> x,
-                                std::span<double> y,
-                                std::vector<double>& scratch, double sigma,
-                                std::uint64_t seed,
-                                std::uint64_t sequence) const;
-
-  // Same as spmv_refloat, with multiplicative Gaussian noise of deviation
-  // `sigma` applied to every per-block row partial — the RTN
-  // conductance-noise model of Fig. 10. Noise comes from counter-based
-  // streams seeded per (seed, sequence, block-row), so the result is
-  // reproducible at any thread count; pass a distinct `sequence` per
-  // application (e.g. the solver iteration) to get fresh noise each call.
-  void spmv_refloat_noisy(std::span<const double> x, std::span<double> y,
-                          std::vector<double>& scratch, double sigma,
-                          std::uint64_t seed, std::uint64_t sequence) const;
-
-  // Batched noisy SpMM: the k-RHS counterpart of spmv_refloat_noisy.
-  // Column j draws from streams keyed per (seeds[j], sequences[j], grid
-  // block-row), so it is bit-identical to spmv_refloat_noisy on that column
-  // alone with (seeds[j], sequences[j]) — at any thread count. Both spans
-  // need >= k entries. (Tiled variants of the batched sweeps live behind
-  // core::SweepBackend; this is the untiled entry point.)
-  void spmv_refloat_noisy_multi(std::span<const double> x, std::size_t k,
-                                std::span<double> y,
-                                MultiSpmvScratch& scratch, double sigma,
-                                std::span<const std::uint64_t> seeds,
-                                std::span<const std::uint64_t> sequences)
-      const;
 
  private:
   Format format_;

@@ -4,9 +4,9 @@
 // one structure-of-arrays arena: packed int16 within-block coordinates,
 // dequantized values, and per-block origins / base exponents / entry
 // offsets. It is built once per (matrix, policy) by the RefloatMatrix
-// conversion and then shared read-only by `spmv_refloat`,
-// `spmv_refloat_noisy`, the batched `spmv_refloat_multi`, and the bit-true
-// `hw::HwSpmv` programming pass — one flat image instead of a
+// conversion and then shared read-only by the noisy SweepBackend (k = 1
+// and batched), tiling, and the bit-true `hw::HwSpmv` programming pass —
+// one flat image instead of a
 // vector-of-vectors heap per block (no pointer chasing, one allocation per
 // array, ~12 payload bytes per nonzero instead of 16-plus-heap-headers).
 //

@@ -52,6 +52,56 @@ bool parse_backend_kind(std::string_view name, BackendKind* out) {
   return true;
 }
 
+void SweepBackend::finish_sweep(std::span<const double> x_check,
+                                std::span<double> y, std::size_t k,
+                                SweepVerdict* verdict) const {
+  const std::size_t n_cols = cols();
+  const std::size_t n_rows = rows();
+  // Injection first, verification second: the checked mode must see (and
+  // catch) what the injector broke. Column-granular corruption on this
+  // serial path keeps the fault trace independent of thread/tile count.
+  util::FaultInjector& injector = util::FaultInjector::global();
+  if (injector.armed(util::FaultSite::kSweep)) {
+    for (std::size_t j = 0; j < k; ++j) {
+      injector.maybe_corrupt(util::FaultSite::kSweep,
+                             y.subspan(j * n_rows, n_rows));
+    }
+  }
+  if (verdict == nullptr) return;
+  verdict->reset();
+  if (abft_ == nullptr) return;
+  verdict->checked = true;
+  verdict->tolerance = abft_->rel_tolerance;
+  assert(abft_->colsum.size() == n_cols && x_check.size() >= n_cols * k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const double* xj = x_check.data() + j * n_cols;
+    const double* yj = y.data() + j * n_rows;
+    // Contract the checksum row against the operand and sum the output;
+    // `scale` tracks the magnitude actually summed so the tolerance bounds
+    // a relative discrepancy (cancellation does not false-positive). The
+    // reduction runs through the dispatched SIMD kernel table; its pinned
+    // eight-lane semantics (see simd.h) keeps the sums bit-identical
+    // across ISAs and thread/tile counts.
+    double sums[4];
+    sweep_kernels().abft_reduce(abft_->colsum.data(), xj, n_cols, yj, n_rows,
+                                sums);
+    const double chk = sums[0];
+    const double chk_scale = sums[1];
+    const double sum_y = sums[2];
+    const double y_scale = sums[3];
+    const double scale = std::max(chk_scale, y_scale);
+    const double err = std::abs(sum_y - chk);
+    const double rel =
+        std::isfinite(err) ? err / std::max(scale, 1e-300)
+                           : std::numeric_limits<double>::infinity();
+    if (rel > verdict->worst_error) verdict->worst_error = rel;
+    if (!(rel <= abft_->rel_tolerance)) {
+      verdict->ok = false;
+      verdict->bad_columns.push_back(j);
+    }
+  }
+}
+
 namespace {
 
 // Runs fn(br) for every block-row, one pool shard per block-row (untiled)
@@ -100,12 +150,21 @@ void parallel_row_ranges(const RefloatMatrix& rf, const TiledPlan* tiled,
   });
 }
 
+// Reusable buffers of the k-RHS sweeps: the quantized column-major batch
+// (the ABFT epilogue's operand) and the row-major interleaved (n x k)
+// operand/result images. One instance per backend.
+struct BatchScratch {
+  std::vector<double> columns;
+  std::vector<double> x_interleaved;
+  std::vector<double> y_interleaved;
+};
+
 // Quantizes the k column-major operand vectors per column (identical to the
 // single-RHS path) into scratch.columns, which the ABFT epilogue contracts
 // against, then transposes them into the row-major n x k interleaved image
 // so one matrix entry touches k adjacent operand slots.
 void quantize_interleaved(const RefloatMatrix& rf, std::span<const double> x,
-                          std::size_t k, MultiSpmvScratch& scratch) {
+                          std::size_t k, BatchScratch& scratch) {
   const auto n_cols = static_cast<std::size_t>(rf.quantized().cols());
   scratch.columns.resize(n_cols * k);
   scratch.x_interleaved.resize(n_cols * k);
@@ -177,10 +236,6 @@ void noisy_block_row_multi(const SpmvPlan& plan, std::size_t br,
   }
 }
 
-}  // namespace
-
-namespace detail {
-
 void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
                         std::span<const double> x, std::span<double> y,
                         std::vector<double>& xq) {
@@ -198,7 +253,7 @@ void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
 
 void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
                        std::span<const double> x, std::size_t k,
-                       std::span<double> y, MultiSpmvScratch& scratch) {
+                       std::span<double> y, BatchScratch& scratch) {
   if (k == 0) return;
   const auto n_rows = static_cast<std::size_t>(rf.quantized().rows());
   quantize_interleaved(rf, x, k, scratch);
@@ -239,9 +294,14 @@ void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
   });
 }
 
+// Batched noisy sweep: column j's noise comes from one stream per
+// (seeds[j], sequences[j], grid block-row), drawn in the serial block order
+// with the same nonzero-partial skip as the single-RHS loop — column j is
+// bit-identical to sweep_noisy_single(x_j, seeds[j], sequences[j]) at any
+// thread count and tile split. Both spans need >= k entries.
 void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
                        std::span<const double> x, std::size_t k,
-                       std::span<double> y, MultiSpmvScratch& scratch,
+                       std::span<double> y, BatchScratch& scratch,
                        double sigma, std::span<const std::uint64_t> seeds,
                        std::span<const std::uint64_t> sequences) {
   if (k == 0) return;
@@ -279,58 +339,6 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
   });
   sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
-
-void finish_sweep(const AbftChecksum* abft, std::span<const double> x_check,
-                  std::size_t n_cols, std::span<double> y, std::size_t n_rows,
-                  std::size_t k, SweepVerdict* verdict) {
-  // Injection first, verification second: the checked mode must see (and
-  // catch) what the injector broke. Column-granular corruption on this
-  // serial path keeps the fault trace independent of thread/tile count.
-  util::FaultInjector& injector = util::FaultInjector::global();
-  if (injector.armed(util::FaultSite::kSweep)) {
-    for (std::size_t j = 0; j < k; ++j) {
-      injector.maybe_corrupt(util::FaultSite::kSweep,
-                             y.subspan(j * n_rows, n_rows));
-    }
-  }
-  if (verdict == nullptr) return;
-  verdict->reset();
-  if (abft == nullptr) return;
-  verdict->checked = true;
-  verdict->tolerance = abft->rel_tolerance;
-  assert(abft->colsum.size() == n_cols && x_check.size() >= n_cols * k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const double* xj = x_check.data() + j * n_cols;
-    const double* yj = y.data() + j * n_rows;
-    // Contract the checksum row against the operand and sum the output;
-    // `scale` tracks the magnitude actually summed so the tolerance bounds
-    // a relative discrepancy (cancellation does not false-positive). The
-    // reduction runs through the dispatched SIMD kernel table; its pinned
-    // eight-lane semantics (see simd.h) keeps the sums bit-identical
-    // across ISAs and thread/tile counts.
-    double sums[4];
-    sweep_kernels().abft_reduce(abft->colsum.data(), xj, n_cols, yj, n_rows,
-                                sums);
-    const double chk = sums[0];
-    const double chk_scale = sums[1];
-    const double sum_y = sums[2];
-    const double y_scale = sums[3];
-    const double scale = std::max(chk_scale, y_scale);
-    const double err = std::abs(sum_y - chk);
-    const double rel =
-        std::isfinite(err) ? err / std::max(scale, 1e-300)
-                           : std::numeric_limits<double>::infinity();
-    if (rel > verdict->worst_error) verdict->worst_error = rel;
-    if (!(rel <= abft->rel_tolerance)) {
-      verdict->ok = false;
-      verdict->bad_columns.push_back(j);
-    }
-  }
-}
-
-}  // namespace detail
-
-namespace {
 
 // Owns-or-borrows the tile partition: every backend supports both the
 // "partition for me" (tiles count) and "share the resident partition"
@@ -374,20 +382,20 @@ class ValueBackend final : public SweepBackend {
   void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
              const SweepContext& ctx) override {
     if (k == 1) {
-      detail::sweep_value_single(rf_, tiles_.get(), x, y, xq_);
+      sweep_value_single(rf_, tiles_.get(), x, y, xq_);
     } else {
-      detail::sweep_value_multi(rf_, tiles_.get(), x, k, y, scratch_);
+      sweep_value_multi(rf_, tiles_.get(), x, k, y, scratch_);
     }
-    detail::finish_sweep(abft(), k == 1 ? std::span<const double>(xq_)
-                                        : std::span<const double>(scratch_.columns),
-                         cols(), y, rows(), k, ctx.verdict);
+    finish_sweep(k == 1 ? std::span<const double>(xq_)
+                        : std::span<const double>(scratch_.columns),
+                 y, k, ctx.verdict);
   }
 
  private:
   const RefloatMatrix& rf_;
   TileRouting tiles_;
   std::vector<double> xq_;
-  MultiSpmvScratch scratch_;
+  BatchScratch scratch_;
 };
 
 class NoisyBackend final : public SweepBackend {
@@ -414,8 +422,8 @@ class NoisyBackend final : public SweepBackend {
     std::span<const std::uint64_t> sequences = ctx.sequences;
     if (seeds.empty()) {
       // Default identity: the backend's seed (forked per column past 0) and
-      // one shared application counter per sweep call — k=1 is exactly the
-      // pre-backend NoisyRefloatOperator stream (seed, sequence++).
+      // one shared application counter per sweep call — a k=1 operator
+      // draws (seed, sequence++), one fresh noise stream per apply.
       default_seeds_.resize(k);
       default_sequences_.assign(k, sequence_);
       for (std::size_t j = 0; j < k; ++j) {
@@ -427,15 +435,15 @@ class NoisyBackend final : public SweepBackend {
       sequences = default_sequences_;
     }
     if (k == 1) {
-      detail::sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_,
+      sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_,
                                  seeds[0], sequences[0]);
     } else {
-      detail::sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_,
+      sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_,
                                 seeds, sequences);
     }
-    detail::finish_sweep(abft(), k == 1 ? std::span<const double>(xq_)
-                                        : std::span<const double>(scratch_.columns),
-                         cols(), y, rows(), k, ctx.verdict);
+    finish_sweep(k == 1 ? std::span<const double>(xq_)
+                        : std::span<const double>(scratch_.columns),
+                 y, k, ctx.verdict);
   }
 
  private:
@@ -447,7 +455,7 @@ class NoisyBackend final : public SweepBackend {
   std::vector<std::uint64_t> default_seeds_;
   std::vector<std::uint64_t> default_sequences_;
   std::vector<double> xq_;
-  MultiSpmvScratch scratch_;
+  BatchScratch scratch_;
 };
 
 }  // namespace

@@ -1,15 +1,15 @@
 // SweepBackend: the one execution interface behind the paper's three views
 // of the same crossbar sweep — value-faithful (exact quantized values),
 // noisy (Fig. 10 multiplicative RTN on every per-block row partial), and
-// bit-true (the hw/ crossbar datapath with faults + ECC). Every view
-// exposes the same k-RHS entry point
+// bit-true (the hw/ crossbar datapath with faults + ECC). It is the only
+// way to sweep a RefloatMatrix. Every view exposes the same k-RHS entry
+// point
 //
 //     sweep(X, k, Y, ctx)   // X: k column-major vectors, Y likewise
 //
 // with the shared guarantees the solvers and the serving layer build on:
 //
-//   * k = 1 is bit-identical to the pre-backend single-RHS kernels
-//     (spmv_refloat / spmv_refloat_noisy / HwSpmv::apply) — the batched
+//   * k = 1 runs the single-RHS loops (value, noisy) — the batched
 //     scaffolding is skipped entirely, not merely equivalent.
 //   * Column j of a k-RHS sweep is bit-identical to a solo sweep of that
 //     column: matrix entries (value) or blocks (noisy, bit-true) are
@@ -23,8 +23,7 @@
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
 // quantize -> interleave -> sharded row/block-row sweep -> deinterleave
-// scaffolding that used to be triplicated across the RefloatMatrix methods
-// lives once in sweep_backend.cc (detail::*), with sparse::interleave /
+// scaffolding lives once in sweep_backend.cc, with sparse::interleave /
 // sparse::deinterleave as the single layout-transpose definition.
 //
 // This TU is compiled with -ffp-contract=off like the kernel TUs: the noisy
@@ -157,79 +156,49 @@ class SweepBackend {
     return false;
   }
 
+ protected:
+  // The shared sweep epilogue every view ends its sweep() with: the
+  // util::FaultInjector's `sweep` site (per-column corruption of Y —
+  // applied serially after the parallel sweep, so a fault trace is
+  // identical at any thread/tile count) followed by the ABFT verification
+  // when a checksum is attached. `x_check` holds the k column-major operand
+  // vectors the checksum contracts against — the quantized columns for the
+  // exact views, the raw operand for bit-true (whose engines quantize
+  // internally; the checksum tolerance absorbs that). Runs checked or not,
+  // so injection reaches unchecked backends too.
+  void finish_sweep(std::span<const double> x_check, std::span<double> y,
+                    std::size_t k, SweepVerdict* verdict) const;
+
  private:
   const AbftChecksum* abft_ = nullptr;
 };
 
 // Value-faithful backend: sweeps rf's dequantized CSR row by row (the
 // plan's blocked accumulation order, bit for bit). `tiles` > 1 partitions
-// the plan and shards the rows by tile (bit-identical to untiled). The
-// overloads taking a TiledPlan* borrow an existing partition (nullptr =
-// untiled); the caller keeps it alive.
-std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
-                                                 int tiles = 1);
+// the plan and shards the rows by tile (bit-identical to untiled); the
+// default follows $REFLOAT_TILES. The overloads taking a TiledPlan* borrow
+// an existing partition (nullptr = untiled); the caller keeps it alive.
+std::unique_ptr<SweepBackend> make_value_backend(
+    const RefloatMatrix& rf, int tiles = default_tile_count());
 std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
                                                  const TiledPlan* tiled);
 
 // Noisy backend (Fig. 10 RTN model): multiplicative Gaussian noise of
-// deviation `sigma` on every nonzero per-block row partial. With an empty
-// SweepContext, column 0 of sweep number s draws the streams of
-// spmv_refloat_noisy(seed, sequence = s) — the pre-backend
-// NoisyRefloatOperator semantics — and later columns fork the seed per
-// column.
-std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
-                                                 double sigma,
-                                                 std::uint64_t seed,
-                                                 int tiles = 1);
+// deviation `sigma` on every nonzero per-block row partial, drawn from one
+// counter-based stream per (seed, sequence, grid block-row) in serial
+// (block, row) order with zero partials skipped — so the result does not
+// depend on threads or tiles. With an empty SweepContext, column 0 of sweep
+// number s draws the streams of (seed, sequence = s), and column j > 0
+// forks the seed by kColumnForkSalt. `tiles` defaults as for the value
+// backend.
+std::unique_ptr<SweepBackend> make_noisy_backend(
+    const RefloatMatrix& rf, double sigma, std::uint64_t seed,
+    int tiles = default_tile_count());
 std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
                                                  double sigma,
                                                  std::uint64_t seed,
                                                  const TiledPlan* tiled);
 // (The bit-true factory lives in src/hw/bit_true_backend.h — core/ stays
 // below hw/ in the layer diagram.)
-
-namespace detail {
-
-// The shared sweep scaffolding (quantize -> sharded row or block-row sweep,
-// plus interleave/deinterleave for k > 1), parameterized by an optional
-// borrowed TiledPlan (nullptr or empty = untiled). These are what both the
-// backends above and the legacy RefloatMatrix::spmv_* entry points call —
-// one definition per path, so "k=1 through the backend" and "the legacy
-// method" are the same instructions by construction.
-void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
-                        std::span<const double> x, std::span<double> y,
-                        std::vector<double>& xq);
-void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
-                       std::span<const double> x, std::size_t k,
-                       std::span<double> y, MultiSpmvScratch& scratch);
-void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
-                        std::span<const double> x, std::span<double> y,
-                        std::vector<double>& xq, double sigma,
-                        std::uint64_t seed, std::uint64_t sequence);
-// Batched noisy sweep: column j's noise comes from one stream per
-// (seeds[j], sequences[j], grid block-row), drawn in the serial block order
-// with the same nonzero-partial skip as the single-RHS kernel — column j is
-// bit-identical to sweep_noisy_single(x_j, seeds[j], sequences[j]) at any
-// thread count and tile split. Both spans need >= k entries.
-void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
-                       std::span<const double> x, std::size_t k,
-                       std::span<double> y, MultiSpmvScratch& scratch,
-                       double sigma, std::span<const std::uint64_t> seeds,
-                       std::span<const std::uint64_t> sequences);
-
-// Shared sweep epilogue: the util::FaultInjector's `sweep` site (per-column
-// corruption of Y — applied serially after the parallel block-row sweep, so
-// a fault trace is identical at any thread/tile count) followed by the ABFT
-// verification when `abft` is attached. `x_check` holds the k column-major
-// operand vectors the checksum contracts against — the quantized columns
-// for the exact backends, the raw operand for bit-true (whose engines
-// quantize internally; the checksum tolerance absorbs that). Runs after
-// every backend sweep, checked or not, so injection reaches unchecked
-// backends too.
-void finish_sweep(const AbftChecksum* abft, std::span<const double> x_check,
-                  std::size_t n_cols, std::span<double> y, std::size_t n_rows,
-                  std::size_t k, SweepVerdict* verdict);
-
-}  // namespace detail
 
 }  // namespace refloat::core

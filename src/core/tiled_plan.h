@@ -62,7 +62,7 @@ struct TilePartitionStats {
   double mean_blocks = 0.0;
   double mean_entries = 0.0;
   // max_entries / mean_entries over all shards (1.0 for an empty plan) —
-  // the load-balance figure bench_kernels and bench_tiles report.
+  // the load-balance figure bench_tiles reports.
   double balance = 1.0;
 };
 

@@ -55,9 +55,8 @@ void BitTrueBackend::sweep(std::span<const double> x, std::size_t k,
   if (!hw_.noisy()) {
     std::fill(bases_.begin(), bases_.end(), 0);
   } else if (ctx.seeds.empty()) {
-    // Legacy caller pattern: one internal rng, one draw per column per
-    // sweep — a k=1 sweep sequence is bit-identical to
-    // `util::Rng rng(seed); hw.apply(x, y, rng)` per call.
+    // Default stream: one internal Rng(seed), one draw per column per
+    // sweep, in sweep order.
     for (std::size_t j = 0; j < k; ++j) bases_[j] = default_rng_.next();
   } else {
     // Counter-based: column j's base depends only on its own identity, so
@@ -71,7 +70,7 @@ void BitTrueBackend::sweep(std::span<const double> x, std::size_t k,
   // Checked against the RAW operand: the engines quantize x internally, so
   // the checksum tolerance for this view absorbs vector-format truncation
   // (make_abft_checksum callers pass a looser rel_tolerance for bit-true).
-  core::detail::finish_sweep(abft(), x, cols_, y, rows_, k, ctx.verdict);
+  finish_sweep(x, y, k, ctx.verdict);
 }
 
 std::unique_ptr<core::SweepBackend> make_bit_true_backend(

@@ -7,11 +7,11 @@
 // amortization the arch layer prices with bit_true_spmm_time.
 //
 // Stream semantics: with an empty SweepContext, sweep number s draws its
-// per-column noise bases from one internal Rng(seed) — k=1 is exactly the
-// legacy caller pattern `util::Rng rng(seed); hw.apply(x, y, rng)` per
-// call. With explicit per-column (seeds[j], sequences[j]), column j's base
-// is a pure counter-based function of its identity, so a batched solve
-// reproduces each column's solo trajectory bit-for-bit.
+// per-column noise bases from one internal Rng(seed), one next() per
+// column per sweep in sweep order. With explicit per-column
+// (seeds[j], sequences[j]), column j's base is a pure counter-based
+// function of its identity, so a batched solve reproduces each column's
+// solo trajectory bit-for-bit.
 #pragma once
 
 #include <memory>

@@ -80,24 +80,10 @@ HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
   row_begin_ = plan.block_ptr;
 }
 
-void HwSpmv::apply(std::span<const double> x, std::span<double> y,
-                   util::Rng& rng) {
-  // One caller draw seeds all per-block-row noise streams; the engines only
-  // consume randomness when noise is configured.
-  const std::uint64_t noise_base = noisy_ ? rng.next() : 0;
-  apply_columns(x, 1, y, {&noise_base, 1});
-}
-
 void HwSpmv::apply_multi(std::span<const double> x, std::size_t k,
                          std::span<double> y,
                          std::span<const std::uint64_t> noise_bases) {
   if (k == 0) return;
-  apply_columns(x, k, y, noise_bases);
-}
-
-void HwSpmv::apply_columns(std::span<const double> x, std::size_t k,
-                           std::span<double> y,
-                           std::span<const std::uint64_t> noise_bases) {
   std::fill(y.begin(), y.end(), 0.0);
   const std::size_t n_block_rows =
       row_begin_.empty() ? 0 : row_begin_.size() - 1;
@@ -116,7 +102,7 @@ void HwSpmv::apply_columns(std::span<const double> x, std::size_t k,
     y_seg.resize(static_cast<std::size_t>(side_));
     // Column j's per-block-row stream is keyed off its own noise base —
     // independent streams, so interleaving columns under one engine visit
-    // leaves each column's draw sequence exactly as its solo apply.
+    // leaves each column's draw sequence exactly as its k = 1 sweep.
     rngs.clear();
     rngs.reserve(k);
     for (std::size_t j = 0; j < k; ++j) {

@@ -1,9 +1,9 @@
 // Whole-matrix SpMV over the bit-true datapath: one ProcessingEngine per
 // nonzero ReFloat block (programmed straight from the SpmvPlan arena),
 // partial outputs accumulated digitally — the hardware-exact counterpart of
-// RefloatMatrix::spmv_refloat.
+// the value backend's sweep. Callers reach it through hw::BitTrueBackend.
 //
-// apply() shards by block-row over util::ThreadPool::global()
+// apply_multi() shards by block-row over util::ThreadPool::global()
 // ($REFLOAT_THREADS): block-rows own disjoint output rows, every shard
 // carries its own EngineScratch and EngineStats (summed in block-row order
 // afterwards), and noise draws come from one counter-based stream per
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/tiled_plan.h"
 #include "src/hw/engine.h"
 
 namespace refloat::hw {
@@ -32,31 +33,25 @@ class HwSpmv {
   // and its own ECC budget of config.ecc.correct_cells (total correction
   // capacity scales with tile count; the reliability lever
   // bench_tiles ablates). The compute path is unchanged: engines stay in
-  // plan-block order and apply() shards by block-row.
+  // plan-block order and apply_multi() shards by block-row.
   HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
          const core::TiledPlan& tiled);
 
-  // y = A x through the crossbar engines. `rng` advances exactly once per
-  // call when conductance noise is configured (it seeds the per-block-row
-  // noise streams) and not at all otherwise.
-  void apply(std::span<const double> x, std::span<double> y,
-             util::Rng& rng);
-
-  // Batched Y = A X for k column-major vectors (x.size() == k * cols) over
-  // the SAME programmed engines: the programming pass — fault populations,
-  // ECC scoreboards, plane bit-slicing — happened once at construction and
-  // is shared by every column, and each engine is visited once per batch
-  // and applied to all k columns (its plane bits stay hot). Column j draws
-  // its per-block-row noise streams from noise_bases[j], so it is
-  // bit-identical to a solo apply() whose rng.next() returned
-  // noise_bases[j]; when no noise is configured the span may be empty.
+  // Y = A X for k column-major vectors (x.size() == k * cols) through the
+  // crossbar engines. The programming pass — fault populations, ECC
+  // scoreboards, plane bit-slicing — happened once at construction and is
+  // shared by every column, and each engine is visited once per batch and
+  // applied to all k columns (its plane bits stay hot). Column j draws its
+  // per-block-row noise streams from noise_bases[j] alone, so it is
+  // bit-identical to the same column swept with k = 1; when no noise is
+  // configured the span may be empty.
   void apply_multi(std::span<const double> x, std::size_t k,
                    std::span<double> y,
                    std::span<const std::uint64_t> noise_bases);
 
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t engines() const { return engines_.size(); }
-  // True when config.noise.sigma > 0 (apply consumes its rng argument).
+  // True when config.noise.sigma > 0 (apply_multi reads noise_bases).
   [[nodiscard]] bool noisy() const { return noisy_; }
   // Heap bytes the programmed engines pin (plane bit-slices of both
   // polarity clusters) — what a residency cache should budget for a
@@ -80,11 +75,6 @@ class HwSpmv {
   // its fault/correction counts.
   void program_tile(const core::RefloatMatrix& rf, ClusterConfig config,
                     std::size_t block_begin, std::size_t block_end);
-  // Shared sweep body behind apply()/apply_multi(): k column-major vectors,
-  // one noise base per column.
-  void apply_columns(std::span<const double> x, std::size_t k,
-                     std::span<double> y,
-                     std::span<const std::uint64_t> noise_bases);
   struct BlockEngine {
     sparse::Index row0 = 0;
     sparse::Index col0 = 0;

@@ -239,12 +239,22 @@ std::string TcpServer::handle_line(SolverDaemon& daemon,
       }
     } else if (key == "deadline_ms") {
       const double dms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || !(dms >= 0)) {
+      // now() + dms must still be a TimePoint: Clock counts int64
+      // nanoseconds, so the bound is ~9.2e12 ms less the clock's current
+      // reading (one second of slack absorbs the double rounding). Larger
+      // or infinite values would overflow the cast below.
+      const TimePoint now = Clock::now();
+      const Duration headroom =
+          TimePoint::max() - now - std::chrono::seconds(1);
+      const double max_ms =
+          std::chrono::duration<double, std::milli>(headroom).count();
+      if (end == value.c_str() || *end != '\0' || !(dms >= 0) ||
+          !(dms <= max_ms)) {
         return "ERR bad deadline_ms \"" + value + "\"";
       }
       request.deadline =
-          Clock::now() + std::chrono::duration_cast<Duration>(
-                             std::chrono::duration<double, std::milli>(dms));
+          now + std::chrono::duration_cast<Duration>(
+                    std::chrono::duration<double, std::milli>(dms));
     } else if (key == "rhs") {
       if (value.rfind("seed:", 0) != 0) {
         return "ERR rhs must be seed:<u64>";

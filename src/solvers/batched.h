@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/refloat_matrix.h"
 #include "src/core/sweep_backend.h"
 #include "src/solvers/solver.h"
 
@@ -74,27 +73,6 @@ class SequentialMultiOperator final : public MultiOperator {
 
  private:
   LinearOperator& op_;
-};
-
-// Batched ReFloat SpMM: every matrix entry read once per batch
-// (RefloatMatrix::spmv_refloat_multi).
-class RefloatMultiOperator final : public MultiOperator {
- public:
-  explicit RefloatMultiOperator(const core::RefloatMatrix& rf) : rf_(rf) {}
-  void apply_multi(std::span<const double> x, std::size_t k,
-                   std::span<double> y) override {
-    rf_.spmv_refloat_multi(x, k, y, scratch_);
-  }
-  [[nodiscard]] sparse::Index dim() const override {
-    return rf_.quantized().rows();
-  }
-  [[nodiscard]] std::string label() const override {
-    return "refloat+batched";
-  }
-
- private:
-  const core::RefloatMatrix& rf_;
-  core::MultiSpmvScratch scratch_;
 };
 
 // Routes the lockstep drivers through any core::SweepBackend — the one

@@ -1,6 +1,6 @@
-// The platform operators of the evaluation: exact double, ReFloat, the
-// Feinberg [32] fixed-point baseline, global FP truncation (Table I), and
-// the RTN-noise ReFloat variant (Fig. 10).
+// The platform operators of the evaluation: exact double, ReFloat (any
+// core::SweepBackend view, including Fig. 10's RTN noise), the Feinberg
+// [32] fixed-point baseline, and global FP truncation (Table I).
 //
 // Threading contract: parallelism lives *inside* the SpMV (block-row shards
 // on util::ThreadPool::global()), so apply() is called from one solver
@@ -9,15 +9,12 @@
 // distinct instances (one per solve) can run side by side.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/core/refloat_matrix.h"
 #include "src/core/sweep_backend.h"
 #include "src/solvers/solver.h"
 #include "src/sparse/csr.h"
-#include "src/util/random.h"
 
 namespace refloat::solve {
 
@@ -35,28 +32,27 @@ class CsrOperator final : public LinearOperator {
   const sparse::Csr& a_;
 };
 
-// ReFloat-quantized SpMV (matrix and vector both quantized per block).
-// `tiles` > 1 routes every apply through the tile-sharded path (a pure
-// scheduling change — bit-identical to the untiled sweep); the default
-// follows $REFLOAT_TILES. The label stays "refloat" because tiling cannot
-// change any cached result. A thin k=1 adapter over the value-faithful
-// core::SweepBackend.
-class RefloatOperator final : public LinearOperator {
+// k=1 adapter over any core::SweepBackend — the ReFloat platform operator
+// in all three execution views (value "refloat", noisy "refloat+rtn",
+// bit-true "hw+bittrue"). The backend is borrowed and outlives the
+// operator; apply() is one default-context sweep, so a stochastic backend
+// draws a fresh (seed, sequence++) stream per application and a solve is
+// reproducible at any REFLOAT_THREADS / REFLOAT_TILES setting.
+class BackendOperator final : public LinearOperator {
  public:
-  explicit RefloatOperator(const core::RefloatMatrix& rf,
-                           int tiles = core::default_tile_count())
-      : rf_(rf), backend_(core::make_value_backend(rf, tiles)) {}
+  explicit BackendOperator(core::SweepBackend& backend) : backend_(backend) {}
   void apply(std::span<const double> x, std::span<double> y) override {
-    backend_->sweep(x, 1, y, {});
+    backend_.sweep(x, 1, y, {});
   }
   [[nodiscard]] sparse::Index dim() const override {
-    return rf_.quantized().rows();
+    return static_cast<sparse::Index>(backend_.rows());
   }
-  [[nodiscard]] std::string label() const override { return "refloat"; }
+  [[nodiscard]] std::string label() const override {
+    return backend_.label();
+  }
 
  private:
-  const core::RefloatMatrix& rf_;
-  std::unique_ptr<core::SweepBackend> backend_;
+  core::SweepBackend& backend_;
 };
 
 // Feinberg et al. [32]: matrix-global shared exponent, 52-bit fixed-point
@@ -105,35 +101,6 @@ class TruncatedOperator final : public LinearOperator {
   TruncateSpec spec_;
   sparse::Csr quantized_;
   std::vector<double> scratch_;
-};
-
-// ReFloat SpMV with multiplicative Gaussian RTN noise of deviation sigma on
-// every per-block row partial (Fig. 10's conductance-noise model). Noise
-// streams are counter-based per (seed, application, block-row) — not one
-// shared Rng advanced in iteration order — so a solve is reproducible at
-// any REFLOAT_THREADS setting.
-class NoisyRefloatOperator final : public LinearOperator {
- public:
-  // As with RefloatOperator, `tiles` > 1 is a pure scheduling change: the
-  // noise streams stay keyed per (seed, application, block-row), so the
-  // tiled solve is bit-identical to the untiled one. A k=1 adapter over
-  // the noisy core::SweepBackend, whose default context IS the
-  // (seed, application-counter) stream this operator always used.
-  NoisyRefloatOperator(const core::RefloatMatrix& rf, double sigma,
-                       std::uint64_t seed,
-                       int tiles = core::default_tile_count())
-      : rf_(rf), backend_(core::make_noisy_backend(rf, sigma, seed, tiles)) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    backend_->sweep(x, 1, y, {});
-  }
-  [[nodiscard]] sparse::Index dim() const override {
-    return rf_.quantized().rows();
-  }
-  [[nodiscard]] std::string label() const override { return "refloat+rtn"; }
-
- private:
-  const core::RefloatMatrix& rf_;
-  std::unique_ptr<core::SweepBackend> backend_;
 };
 
 }  // namespace refloat::solve

@@ -1,12 +1,17 @@
 // The SweepBackend contract (docs/ARCHITECTURE.md "Execution backends"):
-// k = 1 through any backend is bit-identical to the pre-backend single-RHS
-// entry points, and column j of a k-RHS sweep or solve is bit-identical to
-// a solo run of that column — at any thread count, any tile split, and
+// every view reproduces an independent serial reference (a test-local row
+// loop for value, a test-local RTN draw loop for noisy; bit-true's default
+// noise-base stream is pinned on a bare HwSpmv image, and its datapath to
+// the value backend in test_hw), and column j of a k-RHS sweep or solve is bit-identical to a
+// solo run of that column — at any thread count, any tile split, and
 // through converged-column dropout. These are the pins that let the
 // solvers and the serving layer treat value / noisy / bit-true as one
-// interface.
+// interface. This TU is compiled with -ffp-contract=off like the kernels,
+// so the reference loops round mul-then-add exactly as they do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
@@ -41,6 +46,100 @@ std::vector<double> test_vector(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
+// The noisy references' matrix: a 13-wide grid, so at b = 4 the rows of a
+// block-row reach their off-diagonal neighbours in different blocks and
+// many per-block row partials are zero; 195 rows leave a ragged last band.
+sparse::Csr noisy_test_matrix() {
+  return gen::build_stencil(gen::laplace2d_5pt(13, 15)).shifted(0.15);
+}
+
+// noisy_test_matrix() with grid block-row 2 (rows 32..47 at b = 4) emptied.
+sparse::Csr matrix_with_empty_band() {
+  const sparse::Csr a = noisy_test_matrix();
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index r = 0; r < a.rows(); ++r) {
+    if (r >= 32 && r < 48) continue;
+    const auto ru = static_cast<std::size_t>(r);
+    for (auto e = a.row_ptr()[ru]; e < a.row_ptr()[ru + 1]; ++e) {
+      const auto eu = static_cast<std::size_t>(e);
+      triplets.push_back({r, a.col_idx()[eu], a.values()[eu]});
+    }
+  }
+  return sparse::Csr::from_triplets(a.rows(), a.cols(), std::move(triplets));
+}
+
+// Value-view reference: quantize x, then one ascending-column sum per row
+// of the dequantized CSR.
+std::vector<double> reference_value(const core::RefloatMatrix& rf,
+                                    std::span<const double> x) {
+  const sparse::Csr& q = rf.quantized();
+  std::vector<double> xq(x.size());
+  rf.quantize_vector(x, xq);
+  std::vector<double> y(static_cast<std::size_t>(q.rows()));
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    double sum = 0.0;
+    for (auto e = q.row_ptr()[r]; e < q.row_ptr()[r + 1]; ++e) {
+      const auto eu = static_cast<std::size_t>(e);
+      sum += q.values()[eu] * xq[static_cast<std::size_t>(q.col_idx()[eu])];
+    }
+    y[r] = sum;
+  }
+  return y;
+}
+
+// Noisy-view reference (Fig. 10 RTN), written from the model rather than
+// from the kernel: per grid block-row br one Rng(stream_seed(seed,
+// sequence, br)); blocks visited in (block-row, block-column) order and
+// rows within a block in order; a row's per-block partial sums its entries
+// in that block in ascending column order; a zero partial draws nothing;
+// y += partial * (1 + sigma * gaussian()). Scalar formats (b = 0) have no
+// block grid: the exact product, then one stream per sweep scaling every
+// row.
+std::vector<double> reference_noisy(const core::RefloatMatrix& rf,
+                                    std::span<const double> x, double sigma,
+                                    std::uint64_t seed,
+                                    std::uint64_t sequence) {
+  const sparse::Csr& q = rf.quantized();
+  const auto rows = static_cast<std::size_t>(q.rows());
+  const auto cols = static_cast<std::size_t>(q.cols());
+  std::vector<double> xq(x.size());
+  rf.quantize_vector(x, xq);
+  std::vector<double> y(rows, 0.0);
+  if (rf.format().b == 0) {
+    q.spmv(xq, y);
+    util::Rng rng(util::stream_seed(seed, sequence, 0));
+    for (double& v : y) v *= 1.0 + sigma * rng.gaussian();
+    return y;
+  }
+  const std::size_t side = std::size_t{1} << rf.format().b;
+  const std::span<const sparse::Index> row_ptr = q.row_ptr();
+  const std::span<const sparse::Index> col_idx = q.col_idx();
+  const std::span<const double> values = q.values();
+  for (std::size_t br = 0; br * side < rows; ++br) {
+    util::Rng rng(util::stream_seed(seed, sequence, br));
+    const std::size_t r_end = std::min(rows, (br + 1) * side);
+    // Per row, the first entry not yet consumed by an earlier block.
+    std::vector<std::size_t> next(r_end - br * side);
+    for (std::size_t r = br * side; r < r_end; ++r) {
+      next[r - br * side] = static_cast<std::size_t>(row_ptr[r]);
+    }
+    for (std::size_t c_end = side; c_end - side < cols; c_end += side) {
+      for (std::size_t r = br * side; r < r_end; ++r) {
+        std::size_t& e = next[r - br * side];
+        double partial = 0.0;
+        for (; e < static_cast<std::size_t>(row_ptr[r + 1]) &&
+               static_cast<std::size_t>(col_idx[e]) < c_end;
+             ++e) {
+          partial += values[e] * xq[static_cast<std::size_t>(col_idx[e])];
+        }
+        if (partial == 0.0) continue;
+        y[r] += partial * (1.0 + sigma * rng.gaussian());
+      }
+    }
+  }
+  return y;
+}
+
 TEST(SweepBackend, KindNamesRoundTrip) {
   using core::BackendKind;
   for (BackendKind kind : {BackendKind::kValue, BackendKind::kNoisy,
@@ -55,15 +154,14 @@ TEST(SweepBackend, KindNamesRoundTrip) {
   EXPECT_EQ(unchanged, core::BackendKind::kNoisy);
 }
 
-TEST(SweepBackend, ValueK1BitIdenticalToSpmvRefloat) {
+TEST(SweepBackend, ValueK1BitIdenticalToRowReference) {
   util::ThreadPool::set_global_threads(2);
   const sparse::Csr a = test_matrix();
   const core::RefloatMatrix rf(a, test_format());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::vector<double> x = test_vector(n, 7);
 
-  std::vector<double> want(n), scratch;
-  rf.spmv_refloat(x, want, scratch);
+  const std::vector<double> want = reference_value(rf, x);
 
   for (int tiles : {1, 4}) {
     auto backend = core::make_value_backend(rf, tiles);
@@ -76,30 +174,92 @@ TEST(SweepBackend, ValueK1BitIdenticalToSpmvRefloat) {
   }
 }
 
-TEST(SweepBackend, NoisyK1ReproducesLegacyNoisyStream) {
-  // With an empty context, sweep number s must draw exactly the streams of
-  // spmv_refloat_noisy(seed, sequence = s) — the NoisyRefloatOperator
-  // semantics every Fig. 10 run was recorded under.
+TEST(SweepBackend, NoisyMatchesSerialReference) {
+  // Every column of every noisy sweep reproduces reference_noisy under its
+  // explicit (seed, sequence) identity, bit for bit: k = 1 / 3 / 8, untiled
+  // and 4 tiles, 1 / 2 / 8 threads, a blocked and a scalar format, and a
+  // matrix whose block-row band 2 is empty.
+  const double sigma = 5e-2;
+  const sparse::Csr stencil = noisy_test_matrix();
+  const sparse::Csr banded = matrix_with_empty_band();
+  struct Case {
+    const char* name;
+    const sparse::Csr* a;
+    core::Format fmt;
+  };
+  const Case cases[] = {{"b=4", &stencil, test_format()},
+                        {"fp32", &stencil, core::format_fp32()},
+                        {"empty band", &banded, test_format()}};
+  for (const Case& c : cases) {
+    const core::RefloatMatrix rf(*c.a, c.fmt);
+    const std::size_t n = static_cast<std::size_t>(c.a->rows());
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      const std::vector<double> x = test_vector(n * k, 60 + k);
+      std::vector<std::uint64_t> seeds(k), sequences(k);
+      std::vector<double> want(n * k);
+      for (std::size_t j = 0; j < k; ++j) {
+        seeds[j] = 1000 + 7 * j;
+        sequences[j] = 3 + j;
+        const std::vector<double> col = reference_noisy(
+            rf, std::span<const double>(x).subspan(j * n, n), sigma,
+            seeds[j], sequences[j]);
+        std::copy(col.begin(), col.end(), want.begin() + j * n);
+      }
+      const core::SweepContext ctx{.seeds = seeds, .sequences = sequences};
+      for (const int threads : {1, 2, 8}) {
+        for (const int tiles : {1, 4}) {
+          util::ThreadPool::set_global_threads(threads);
+          auto backend = core::make_noisy_backend(rf, sigma, 5, tiles);
+          std::vector<double> got(n * k);
+          backend->sweep(x, k, got, ctx);
+          for (std::size_t i = 0; i < n * k; ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << c.name << ", k " << k << ", " << threads << " threads, "
+                << tiles << " tiles, slot " << i;
+          }
+        }
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+}
+
+TEST(SweepBackend, NoisyDefaultContextStreams) {
+  // With an empty context, sweep number s draws (seed, sequence = s) for
+  // column 0 — whatever k the earlier sweeps had — and column j > 0 forks
+  // the seed by kColumnForkSalt.
   util::ThreadPool::set_global_threads(2);
-  const sparse::Csr a = test_matrix();
+  const sparse::Csr a = noisy_test_matrix();
   const core::RefloatMatrix rf(a, test_format());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const double sigma = 1e-2;
   const std::uint64_t seed = 99;
-  const std::vector<double> x = test_vector(n, 8);
 
   auto backend = core::make_noisy_backend(rf, sigma, seed);
-  std::vector<double> got(n), want(n), scratch;
-  for (std::uint64_t sequence = 0; sequence < 3; ++sequence) {
-    backend->sweep(x, 1, got, {});
-    rf.spmv_refloat_noisy(x, want, scratch, sigma, seed, sequence);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(got[i], want[i]) << "sequence " << sequence << " row " << i;
+  std::uint64_t sequence = 0;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                              std::size_t{1}, std::size_t{2}}) {
+    const std::vector<double> x = test_vector(n * k, 8 + sequence);
+    std::vector<double> got(n * k);
+    backend->sweep(x, k, got, {});
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint64_t seed_j =
+          j == 0 ? seed : util::stream_seed(seed, j, core::kColumnForkSalt);
+      const std::vector<double> want = reference_noisy(
+          rf, std::span<const double>(x).subspan(j * n, n), sigma, seed_j,
+          sequence);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[j * n + i], want[i])
+            << "sweep " << sequence << ", column " << j << ", row " << i;
+      }
     }
+    ++sequence;
   }
+  util::ThreadPool::set_global_threads(1);
 }
 
-TEST(SweepBackend, BitTrueK1BitIdenticalToHwApply) {
+TEST(SweepBackend, BitTrueDefaultContextDrawsOneBasePerSweep) {
   util::ThreadPool::set_global_threads(2);
   const sparse::Csr a = test_matrix();
   const core::RefloatMatrix rf(a, test_format());
@@ -111,16 +271,17 @@ TEST(SweepBackend, BitTrueK1BitIdenticalToHwApply) {
   config.noise.sigma = 1e-2;
   const std::uint64_t seed = 0x515;
 
-  // The legacy caller pattern: one Rng owned by the caller, advanced once
-  // per apply.
-  hw::HwSpmv legacy(rf, config);
-  util::Rng legacy_rng(seed);
+  // The empty-context stream the bit-true benches rely on: sweep s takes
+  // the s-th next() of one Rng(seed) as its noise base.
+  hw::HwSpmv image(rf, config);  // same fault seed -> same population
+  util::Rng base_rng(seed);
   std::vector<double> want(n);
 
   auto backend = hw::make_bit_true_backend(rf, config, seed);
   std::vector<double> got(n);
   for (int sweep = 0; sweep < 3; ++sweep) {
-    legacy.apply(x, want, legacy_rng);
+    const std::uint64_t base = base_rng.next();
+    image.apply_multi(x, 1, want, {&base, 1});
     backend->sweep(x, 1, got, {});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "sweep " << sweep << " row " << i;
@@ -153,7 +314,8 @@ TEST(SweepBackend, BatchedNoisySolveMatchesSoloAtAnyThreadsAndTiles) {
   for (std::size_t j = 0; j < k; ++j) {
     const std::uint64_t seed_j =
         j == 0 ? seed : util::stream_seed(seed, j, core::kColumnForkSalt);
-    solve::NoisyRefloatOperator op(rf, sigma, seed_j, /*tiles=*/1);
+    auto solo_backend = core::make_noisy_backend(rf, sigma, seed_j, 1);
+    solve::BackendOperator op(*solo_backend);
     solo.push_back(
         solve::cg(op, std::span<const double>(b).subspan(j * n, n), opts));
   }
@@ -213,9 +375,8 @@ TEST(HwSpmvBatched, ApplyMultiBitIdenticalToSequentialSameFaultSeed) {
     std::copy(xj.begin(), xj.end(), x.begin() + static_cast<long>(j * n));
     util::Rng rng(1000 + j);
     bases[j] = rng.next();
-    util::Rng solo_rng(1000 + j);
     std::vector<double> yj(n);
-    sequential.apply(xj, yj, solo_rng);
+    sequential.apply_multi(xj, 1, yj, {&bases[j], 1});
     std::copy(yj.begin(), yj.end(), want.begin() + static_cast<long>(j * n));
   }
 

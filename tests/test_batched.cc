@@ -67,14 +67,16 @@ TEST(BatchedSolve, CgMultiBitIdenticalToSequentialCg) {
 
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
-    RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    BackendOperator op(*backend);
     serial.push_back(
         cg(op, std::span<const double>(b).subspan(c * n, n), opts));
   }
   // Columns must genuinely differ, or the lockstep dropout path is untested.
   EXPECT_NE(serial[0].iterations, serial[2].iterations);
 
-  RefloatMultiOperator multi(rf);
+  const auto backend = core::make_value_backend(rf);
+  BackendMultiOperator multi(*backend, k);
   const BatchedSolveResult batch = cg_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
 
@@ -101,12 +103,14 @@ TEST(BatchedSolve, BicgstabMultiBitIdenticalToSequentialBicgstab) {
 
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
-    RefloatOperator op(rf);
+    const auto backend = core::make_value_backend(rf);
+    BackendOperator op(*backend);
     serial.push_back(
         bicgstab(op, std::span<const double>(b).subspan(c * n, n), opts));
   }
 
-  RefloatMultiOperator multi(rf);
+  const auto backend = core::make_value_backend(rf);
+  BackendMultiOperator multi(*backend, k);
   const BatchedSolveResult batch = bicgstab_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
   EXPECT_LT(batch.batched_applies, batch.column_applies);

@@ -42,12 +42,13 @@ TEST(Bicgstab, FewerIterationsThanCgPerIterationCount) {
   EXPECT_LT(r_bi.iterations, r_cg.iterations);
 }
 
-TEST(Bicgstab, RefloatOperatorConverges) {
+TEST(Bicgstab, ValueBackendOperatorConverges) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(24, 24)).shifted(0.05);
   const std::vector<double> b = make_rhs(a);
   const core::RefloatMatrix rf(a, core::default_format());
-  RefloatOperator op(rf);
+  const auto backend = core::make_value_backend(rf);
+  BackendOperator op(*backend);
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 5000;

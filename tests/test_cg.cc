@@ -54,7 +54,7 @@ TEST(Cg, TinyRhsConvergesAtFirstResidualCheck) {
   EXPECT_EQ(result.iterations, 1);
 }
 
-TEST(Cg, RefloatOperatorConvergesWithExtraIterations) {
+TEST(Cg, ValueBackendOperatorConvergesWithExtraIterations) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(24, 24)).shifted(0.05);
   const std::vector<double> b = make_rhs(a);
@@ -68,7 +68,8 @@ TEST(Cg, RefloatOperatorConvergesWithExtraIterations) {
   ASSERT_EQ(exact_result.status, SolveStatus::kConverged);
 
   const core::RefloatMatrix rf(a, core::default_format());
-  RefloatOperator quantized(rf);
+  const auto backend = core::make_value_backend(rf);
+  BackendOperator quantized(*backend);
   const SolveResult rf_result = cg(quantized, b, opts);
   EXPECT_EQ(rf_result.status, SolveStatus::kConverged);
   // Table VI shape: refloat converges, usually paying some extra iterations.

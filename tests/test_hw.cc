@@ -6,9 +6,10 @@
 #include <stdexcept>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/hw/engine.h"
-#include "src/hw/hw_spmv.h"
 #include "src/util/random.h"
 
 namespace refloat::hw {
@@ -282,8 +283,7 @@ TEST(ProcessingEngine, MatchesRefloatQuantizedProduct) {
   engine.apply(x, y_hw, nullptr, rng);
 
   std::vector<double> y_ref(16, 0.0);
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, y_ref, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, y_ref, {});
   for (int i = 0; i < 16; ++i) {
     EXPECT_NEAR(y_hw[static_cast<std::size_t>(i)],
                 y_ref[static_cast<std::size_t>(i)], 1e-12)
@@ -291,21 +291,20 @@ TEST(ProcessingEngine, MatchesRefloatQuantizedProduct) {
   }
 }
 
-TEST(HwSpmv, MatchesRefloatSpmvAcrossBlocks) {
+TEST(HwSpmv, MatchesValueBackendAcrossBlocks) {
   const core::Format fmt{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(12, 12)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
   ASSERT_GT(rf.nonzero_blocks(), 1u);
-  HwSpmv spmv(rf, ClusterConfig{});
+  BitTrueBackend hw_backend(rf, ClusterConfig{});
   util::Rng rng(44);
   std::vector<double> x(static_cast<std::size_t>(a.rows()));
   for (double& v : x) v = rng.gaussian();
   std::vector<double> y_hw(x.size());
-  spmv.apply(x, y_hw, rng);
+  hw_backend.sweep(x, 1, y_hw, {});
   std::vector<double> y_ref(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, y_ref, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, y_ref, {});
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(y_hw[i], y_ref[i], 1e-12);
   }
@@ -325,22 +324,19 @@ TEST(Faults, StuckAt0And1AreEquivalentInTheSignedEngine) {
   ClusterConfig sa1;
   sa1.faults.stuck_at_one_rate = 5e-2;
 
-  HwSpmv spmv0(rf, sa0);
-  HwSpmv spmv1(rf, sa1);
-  util::Rng rng0(55);
-  util::Rng rng1(55);
+  BitTrueBackend hw0(rf, sa0);
+  BitTrueBackend hw1(rf, sa1);
   std::vector<double> x(static_cast<std::size_t>(a.rows()));
   util::Rng xr(66);
   for (double& v : x) v = xr.gaussian();
   std::vector<double> y0(x.size());
   std::vector<double> y1(x.size());
-  spmv0.apply(x, y0, rng0);
-  spmv1.apply(x, y1, rng1);
+  hw0.sweep(x, 1, y0, {});
+  hw1.sweep(x, 1, y1, {});
   bool any_fault_effect = false;
   std::vector<double> y_clean(x.size());
-  util::Rng rngc(55);
-  HwSpmv clean(rf, ClusterConfig{});
-  clean.apply(x, y_clean, rngc);
+  BitTrueBackend clean(rf, ClusterConfig{});
+  clean.sweep(x, 1, y_clean, {});
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(y0[i], y1[i], 1e-12);
     if (std::abs(y0[i] - y_clean[i]) > 1e-12) any_fault_effect = true;

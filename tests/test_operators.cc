@@ -63,7 +63,7 @@ TEST(FeinbergOperator, FlushesOutOfWindowEntries) {
   }
 }
 
-TEST(NoisyRefloatOperator, DeterministicPerSeedAndNoisy) {
+TEST(BackendOperator, NoisyDeterministicPerSeedAndNoisy) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(12, 12)).shifted(0.1);
   const core::RefloatMatrix rf(a, core::default_format());
@@ -72,15 +72,18 @@ TEST(NoisyRefloatOperator, DeterministicPerSeedAndNoisy) {
   std::vector<double> y2(x.size());
   std::vector<double> y_clean(x.size());
 
-  NoisyRefloatOperator op1(rf, 0.05, 99);
-  NoisyRefloatOperator op2(rf, 0.05, 99);
+  const auto noisy1 = core::make_noisy_backend(rf, 0.05, 99);
+  const auto noisy2 = core::make_noisy_backend(rf, 0.05, 99);
+  BackendOperator op1(*noisy1);
+  BackendOperator op2(*noisy2);
   op1.apply(x, y1);
   op2.apply(x, y2);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(y1[i], y2[i]);  // same seed, same draw sequence
   }
 
-  RefloatOperator clean(rf);
+  const auto value = core::make_value_backend(rf);
+  BackendOperator clean(*value);
   clean.apply(x, y_clean);
   double diff = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -93,13 +96,18 @@ TEST(Operators, LabelsAndDims) {
   const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(6, 6));
   const core::RefloatMatrix rf(a, core::default_format());
   CsrOperator d(a);
-  RefloatOperator r(rf);
+  const auto value = core::make_value_backend(rf);
+  const auto noisy = core::make_noisy_backend(rf, 0.05, 99);
+  BackendOperator r(*value);
+  BackendOperator rn(*noisy);
   FeinbergOperator f(a);
   EXPECT_EQ(d.label(), "double");
   EXPECT_EQ(r.label(), "refloat");
+  EXPECT_EQ(rn.label(), "refloat+rtn");
   EXPECT_EQ(f.label(), "feinberg");
   EXPECT_EQ(d.dim(), 36);
   EXPECT_EQ(r.dim(), 36);
+  EXPECT_EQ(rn.dim(), 36);
   EXPECT_EQ(f.dim(), 36);
 }
 

@@ -11,6 +11,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/gen/suite.h"
 #include "src/util/random.h"
@@ -87,7 +88,7 @@ TEST(RefloatMatrix, VectorQuantizationBoundedByFvBits) {
   EXPECT_GT(static_cast<double>(in_window), 0.9 * static_cast<double>(x.size()));
 }
 
-TEST(RefloatMatrix, SpmvRefloatMatchesQuantizedCsr) {
+TEST(RefloatMatrix, ValueSweepMatchesQuantizedCsr) {
   const sparse::Csr a = test_matrix();
   const RefloatMatrix rf(a, default_format());
   util::Rng rng(11);
@@ -98,8 +99,7 @@ TEST(RefloatMatrix, SpmvRefloatMatchesQuantizedCsr) {
   std::vector<double> reference(x.size());
   rf.quantized().spmv(xq, reference);
   std::vector<double> y(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, y, scratch);
+  make_value_backend(rf)->sweep(x, 1, y, {});
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_NEAR(y[i], reference[i], 1e-12);
   }

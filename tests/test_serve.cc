@@ -87,7 +87,8 @@ std::vector<double> batch_column(const std::vector<double>& b, std::size_t n,
 solve::SolveResult solo_cg(std::span<const double> b, double tolerance) {
   const sparse::Csr a = test_csr();
   const core::RefloatMatrix rf(a, test_format());
-  solve::RefloatOperator op(rf);
+  const auto backend = core::make_value_backend(rf);
+  solve::BackendOperator op(*backend);
   solve::SolveOptions options;
   options.tolerance = tolerance;
   options.record_trace = false;
@@ -368,7 +369,8 @@ TEST(Serve, BackendsBatchSeparatelyAndNoisyMatchesSolo) {
   EXPECT_EQ(stats.cache.resident_count, 2u);  // one entry per backend key
 
   const core::RefloatMatrix rf(a, test_format());
-  solve::NoisyRefloatOperator op(rf, sigma, noise_seed);
+  const auto backend = core::make_noisy_backend(rf, sigma, noise_seed);
+  solve::BackendOperator op(*backend);
   solve::SolveOptions options;
   options.tolerance = 1e-8;
   options.record_trace = false;
@@ -735,6 +737,27 @@ TEST(ServeFaults, FaultVerbCannotArmWithoutOptIn) {
   EXPECT_EQ(
       TcpServer::handle_line(daemon, "FAULT off", &quit).rfind("FAULT", 0),
       0u);
+  EXPECT_FALSE(quit);
+}
+
+TEST(ServeProtocol, DeadlineMsPastTheClockRangeIsRejected) {
+  // now() + deadline_ms must fit the steady clock's int64 nanoseconds
+  // (~9.2e12 ms): larger, infinite, negative or NaN deadlines are a parse
+  // error, not a request shed against a wrapped-around deadline.
+  ServeConfig config;
+  config.max_batch = 1;
+  SolverDaemon daemon(config);
+  register_test_matrix(daemon);
+  bool quit = false;
+  const std::string solve = std::string("SOLVE ") + kName + " rhs=seed:1 ";
+  for (const std::string dms : {"1e13", "1e30", "inf", "-1", "nan"}) {
+    EXPECT_EQ(TcpServer::handle_line(daemon, solve + "deadline_ms=" + dms,
+                                     &quit),
+              "ERR bad deadline_ms \"" + dms + "\"");
+  }
+  const std::string reply =
+      TcpServer::handle_line(daemon, solve + "deadline_ms=60000", &quit);
+  EXPECT_EQ(reply.rfind("OK status=converged", 0), 0u) << reply;
   EXPECT_FALSE(quit);
 }
 

@@ -14,6 +14,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/core/simd.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -174,15 +175,14 @@ TEST_F(SimdSweep, SpmvBitIdenticalAcrossIsasAndThreadCounts) {
   core::simd_set_isa(SimdIsa::kScalar);
   util::ThreadPool::set_global_threads(1);
   std::vector<double> reference(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, reference, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, reference, {});
 
   for (const SimdIsa isa : runnable_isas()) {
     core::simd_set_isa(isa);
     for (const int threads : {1, 2, 8}) {
       util::ThreadPool::set_global_threads(threads);
       std::vector<double> y(x.size());
-      rf.spmv_refloat(x, y, scratch);
+      core::make_value_backend(rf)->sweep(x, 1, y, {});
       for (std::size_t i = 0; i < y.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
                   std::bit_cast<std::uint64_t>(reference[i]))
@@ -207,15 +207,13 @@ TEST_F(SimdSweep, SpmmBitIdenticalForFixedAndGenericK) {
     core::simd_set_isa(SimdIsa::kScalar);
     util::ThreadPool::set_global_threads(1);
     std::vector<double> reference(n * k);
-    core::MultiSpmvScratch ref_scratch;
-    rf.spmv_refloat_multi(x, k, reference, ref_scratch);
+    core::make_value_backend(rf)->sweep(x, k, reference, {});
     for (const SimdIsa isa : runnable_isas()) {
       core::simd_set_isa(isa);
       for (const int threads : {1, 2, 8}) {
         util::ThreadPool::set_global_threads(threads);
         std::vector<double> y(n * k);
-        core::MultiSpmvScratch scratch;
-        rf.spmv_refloat_multi(x, k, y, scratch);
+        core::make_value_backend(rf)->sweep(x, k, y, {});
         for (std::size_t i = 0; i < y.size(); ++i) {
           ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
                     std::bit_cast<std::uint64_t>(reference[i]))
@@ -245,15 +243,14 @@ TEST_F(SimdSweep, EmptyBlockRowsAreNoOpsOnEveryIsa) {
   core::simd_set_isa(SimdIsa::kScalar);
   util::ThreadPool::set_global_threads(1);
   std::vector<double> reference(64);
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, reference, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, reference, {});
 
   for (const SimdIsa isa : runnable_isas()) {
     core::simd_set_isa(isa);
     for (const int threads : {1, 2, 8}) {
       util::ThreadPool::set_global_threads(threads);
       std::vector<double> y(64);
-      rf.spmv_refloat(x, y, scratch);
+      core::make_value_backend(rf)->sweep(x, 1, y, {});
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
                   std::bit_cast<std::uint64_t>(reference[i]))

@@ -192,11 +192,11 @@ TEST(SpmvPlan, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
       random_vector(static_cast<std::size_t>(a.rows()), 301);
   const std::vector<double> reference =
       legacy_spmv(rf, legacy_blocks(rf), x);
+  const auto backend = core::make_value_backend(rf);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool::set_global_threads(threads);
     std::vector<double> y(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, y, scratch);
+    backend->sweep(x, 1, y, {});
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], reference[i])
           << "row " << i << " at " << threads << " threads";
@@ -211,23 +211,21 @@ TEST(SpmvPlan, SpmmBitIdenticalToSequentialSpmvsAcrossThreadCounts) {
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
   const std::size_t n = static_cast<std::size_t>(a.rows());
+  const auto backend = core::make_value_backend(rf);
   for (const std::size_t k : {std::size_t{3}, std::size_t{8}}) {
     const std::vector<double> x = random_vector(n * k, 400 + k);
     // Reference: k sequential single-RHS SpMVs, serial.
     util::ThreadPool::set_global_threads(1);
     std::vector<double> reference(n * k);
-    std::vector<double> scratch;
     for (std::size_t j = 0; j < k; ++j) {
       std::vector<double> y(n);
-      rf.spmv_refloat(std::span<const double>(x).subspan(j * n, n), y,
-                      scratch);
+      backend->sweep(std::span<const double>(x).subspan(j * n, n), 1, y, {});
       std::copy(y.begin(), y.end(), reference.begin() + j * n);
     }
     for (const int threads : {1, 2, 8}) {
       util::ThreadPool::set_global_threads(threads);
       std::vector<double> y(n * k);
-      core::MultiSpmvScratch multi_scratch;
-      rf.spmv_refloat_multi(x, k, y, multi_scratch);
+      backend->sweep(x, k, y, {});
       for (std::size_t i = 0; i < y.size(); ++i) {
         ASSERT_EQ(y[i], reference[i]) << "slot " << i << " at " << threads
                                       << " threads, k=" << k;
@@ -264,11 +262,11 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   rf.quantize_vector(x, xq);
   std::vector<double> reference(64, 0.0);
   rf.quantized().spmv(xq, reference);
+  const auto backend = core::make_value_backend(rf);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool::set_global_threads(threads);
     std::vector<double> y(64);
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, y, scratch);
+    backend->sweep(x, 1, y, {});
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], reference[i]) << "row " << i;
     }
@@ -277,12 +275,11 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
     const std::size_t k = 3;
     const std::vector<double> xs = random_vector(64 * k, 501);
     std::vector<double> ys(64 * k);
-    core::MultiSpmvScratch multi_scratch;
-    rf.spmv_refloat_multi(xs, k, ys, multi_scratch);
+    backend->sweep(xs, k, ys, {});
     std::vector<double> ycol(64);
     for (std::size_t j = 0; j < k; ++j) {
-      rf.spmv_refloat(std::span<const double>(xs).subspan(j * 64, 64), ycol,
-                      scratch);
+      backend->sweep(std::span<const double>(xs).subspan(j * 64, 64), 1, ycol,
+                     {});
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(ys[j * 64 + i], ycol[i]) << "col " << j << " row " << i;
       }
@@ -300,13 +297,11 @@ TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
   const std::size_t k = 2;
   const std::vector<double> x = random_vector(n * k, 600);
   std::vector<double> y(n * k);
-  core::MultiSpmvScratch multi_scratch;
-  rf.spmv_refloat_multi(x, k, y, multi_scratch);
-  std::vector<double> scratch;
+  const auto backend = core::make_value_backend(rf);
+  backend->sweep(x, k, y, {});
   std::vector<double> ycol(n);
   for (std::size_t j = 0; j < k; ++j) {
-    rf.spmv_refloat(std::span<const double>(x).subspan(j * n, n), ycol,
-                    scratch);
+    backend->sweep(std::span<const double>(x).subspan(j * n, n), 1, ycol, {});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(y[j * n + i], ycol[i]);
     }

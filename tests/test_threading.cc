@@ -10,8 +10,9 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
-#include "src/hw/hw_spmv.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
@@ -94,10 +95,10 @@ TEST(ThreadedSpmv, RefloatBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(rf.plan().block_rows(), 13u);
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 101);
+  const auto backend = core::make_value_backend(rf);
   expect_bit_identical_across_threads([&] {
     std::vector<double> y(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, y, scratch);
+    backend->sweep(x, 1, y, {});
     return y;
   });
 }
@@ -109,20 +110,21 @@ TEST(ThreadedSpmv, NoisyRefloatBitIdenticalAcrossThreadCounts) {
   const core::RefloatMatrix rf(a, fmt);
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 102);
-  expect_bit_identical_across_threads([&] {
+  const auto backend = core::make_noisy_backend(rf, /*sigma=*/0.05,
+                                                /*seed=*/77);
+  // One sweep of x under the explicit stream identity (77, sequence).
+  const auto sweep = [&](std::uint64_t sequence) {
+    const std::uint64_t seed = 77;
     std::vector<double> y(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat_noisy(x, y, scratch, /*sigma=*/0.05, /*seed=*/77,
-                          /*sequence=*/3);
+    backend->sweep(x, 1, y,
+                   {.seeds = {&seed, 1}, .sequences = {&sequence, 1}});
     return y;
-  });
+  };
+  expect_bit_identical_across_threads([&] { return sweep(3); });
   // And the noise stream is genuinely counter-based: a different sequence
   // gives a different vector.
-  std::vector<double> y3(x.size());
-  std::vector<double> y4(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat_noisy(x, y3, scratch, 0.05, 77, 3);
-  rf.spmv_refloat_noisy(x, y4, scratch, 0.05, 77, 4);
+  const std::vector<double> y3 = sweep(3);
+  const std::vector<double> y4 = sweep(4);
   bool any_diff = false;
   for (std::size_t i = 0; i < y3.size(); ++i) {
     if (y3[i] != y4[i]) any_diff = true;
@@ -139,15 +141,14 @@ TEST(ThreadedSpmv, HwSpmvBitIdenticalAcrossThreadCounts) {
       random_vector(static_cast<std::size_t>(a.rows()), 103);
   long long serial_ops = -1;
   expect_bit_identical_across_threads([&] {
-    hw::HwSpmv spmv(rf, hw::ClusterConfig{});
-    util::Rng rng(55);
+    hw::BitTrueBackend backend(rf, hw::ClusterConfig{}, /*seed=*/55);
     std::vector<double> y(x.size());
-    spmv.apply(x, y, rng);
+    backend.sweep(x, 1, y, {});
     if (serial_ops < 0) {
-      serial_ops = spmv.stats().crossbar_ops;
+      serial_ops = backend.hw().stats().crossbar_ops;
     } else {
       // The deterministic per-block-row stats reduction must match too.
-      EXPECT_EQ(spmv.stats().crossbar_ops, serial_ops);
+      EXPECT_EQ(backend.hw().stats().crossbar_ops, serial_ops);
     }
     return y;
   });
@@ -163,10 +164,9 @@ TEST(ThreadedSpmv, NoisyHwSpmvBitIdenticalAcrossThreadCounts) {
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 104);
   expect_bit_identical_across_threads([&] {
-    hw::HwSpmv spmv(rf, config);
-    util::Rng rng(56);
+    hw::BitTrueBackend backend(rf, config, /*seed=*/56);
     std::vector<double> y(x.size());
-    spmv.apply(x, y, rng);
+    backend.sweep(x, 1, y, {});
     return y;
   });
 }

@@ -14,8 +14,10 @@
 #include "src/arch/schedule.h"
 #include "src/arch/timing.h"
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
+#include "src/hw/bit_true_backend.h"
 #include "src/hw/hw_spmv.h"
 #include "src/sparse/blocked.h"
 #include "src/util/random.h"
@@ -143,16 +145,15 @@ TEST(TiledSpmv, BitIdenticalToUntiledForEveryPartitionAndThreadCount) {
         random_vector(static_cast<std::size_t>(a.rows()), 201);
     util::ThreadPool::set_global_threads(1);
     std::vector<double> want(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, want, scratch);
+    core::make_value_backend(rf, nullptr)->sweep(x, 1, want, {});
     for (const int tiles : {1, 2, 3, 7}) {
       const core::TiledPlan tiled =
           core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
+      const auto backend = core::make_value_backend(rf, &tiled);
       expect_bit_identical_across_threads(
           [&] {
             std::vector<double> y(x.size());
-            std::vector<double> s;
-            rf.spmv_refloat_tiled(tiled, x, y, s);
+            backend->sweep(x, 1, y, {});
             return y;
           },
           want, "value path");
@@ -167,16 +168,15 @@ TEST(TiledSpmv, CapacityForcedUnevenSplitStaysBitIdentical) {
       random_vector(static_cast<std::size_t>(a.rows()), 202);
   util::ThreadPool::set_global_threads(1);
   std::vector<double> want(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, want, scratch);
+  core::make_value_backend(rf, nullptr)->sweep(x, 1, want, {});
   const core::TiledPlan tiled = core::TiledPlan::partition(
       rf.plan(), {.tiles = 2, .capacity_blocks = 3});
   ASSERT_GT(tiled.tile_count(), 2);
+  const auto backend = core::make_value_backend(rf, &tiled);
   expect_bit_identical_across_threads(
       [&] {
         std::vector<double> y(x.size());
-        std::vector<double> s;
-        rf.spmv_refloat_tiled(tiled, x, y, s);
+        backend->sweep(x, 1, y, {});
         return y;
       },
       want, "capacity-forced split");
@@ -190,17 +190,21 @@ TEST(TiledSpmv, NoisyPathBitIdenticalToUntiled) {
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 203);
   util::ThreadPool::set_global_threads(1);
+  // Every sweep draws the explicit stream identity (seed 77, sequence 3).
+  const std::uint64_t seed = 77;
+  const std::uint64_t sequence = 3;
+  const core::SweepContext ctx{.seeds = {&seed, 1},
+                               .sequences = {&sequence, 1}};
   std::vector<double> want(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat_noisy(x, want, scratch, 0.05, 77, 3);
+  core::make_noisy_backend(rf, 0.05, seed, nullptr)->sweep(x, 1, want, ctx);
   for (const int tiles : {1, 2, 3, 7}) {
     const core::TiledPlan tiled =
         core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
+    const auto backend = core::make_noisy_backend(rf, 0.05, seed, &tiled);
     expect_bit_identical_across_threads(
         [&] {
           std::vector<double> y(x.size());
-          std::vector<double> s;
-          rf.spmv_refloat_noisy_tiled(tiled, x, y, s, 0.05, 77, 3);
+          backend->sweep(x, 1, y, ctx);
           return y;
         },
         want, "noisy path");
@@ -218,19 +222,17 @@ TEST(TiledHwSpmv, FaultFreeBuildMatchesMonolithicBitForBit) {
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 204);
   util::ThreadPool::set_global_threads(1);
-  hw::HwSpmv mono(rf, config);
-  util::Rng rng_mono(55);
+  hw::BitTrueBackend mono(rf, config, /*seed=*/55);
   std::vector<double> want(x.size());
-  mono.apply(x, want, rng_mono);
+  mono.sweep(x, 1, want, {});
   for (const int tiles : {1, 2, 3, 7}) {
     const core::TiledPlan tiled =
         core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
     expect_bit_identical_across_threads(
         [&] {
-          hw::HwSpmv spmv(rf, config, tiled);
-          util::Rng rng(55);
+          hw::BitTrueBackend backend(rf, config, tiled, /*seed=*/55);
           std::vector<double> y(x.size());
-          spmv.apply(x, y, rng);
+          backend.sweep(x, 1, y, {});
           return y;
         },
         want, "hw path");
@@ -245,21 +247,19 @@ TEST(TiledHwSpmv, OneTileReproducesTheMonolithicFaultPopulation) {
   hw::ClusterConfig config;
   config.faults.stuck_at_one_rate = 1e-2;
   util::ThreadPool::set_global_threads(1);
-  hw::HwSpmv mono(rf, config);
+  hw::BitTrueBackend mono(rf, config);
   const core::TiledPlan one =
       core::TiledPlan::partition(rf.plan(), {.tiles = 1});
-  hw::HwSpmv tiled(rf, config, one);
-  EXPECT_EQ(tiled.tile_count(), 1);
-  EXPECT_EQ(tiled.stats().faulty_cells, mono.stats().faulty_cells);
-  EXPECT_GT(mono.stats().faulty_cells, 0);
+  hw::BitTrueBackend tiled(rf, config, one);
+  EXPECT_EQ(tiled.hw().tile_count(), 1);
+  EXPECT_EQ(tiled.hw().stats().faulty_cells, mono.hw().stats().faulty_cells);
+  EXPECT_GT(mono.hw().stats().faulty_cells, 0);
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 205);
-  util::Rng r1(66);
-  util::Rng r2(66);
   std::vector<double> y1(x.size());
   std::vector<double> y2(x.size());
-  mono.apply(x, y1, r1);
-  tiled.apply(x, y2, r2);
+  mono.sweep(x, 1, y1, {});
+  tiled.sweep(x, 1, y2, {});
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y1[i], y2[i]);
 }
 
