@@ -21,6 +21,7 @@
 #include "src/arch/cost.h"
 #include "src/arch/schedule.h"
 #include "src/arch/timing.h"
+#include "src/core/spmv_plan.h"
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -57,6 +58,7 @@ int main() {
   const sparse::Csr a_model =
       gen::build_stencil(gen::laplace2d_5pt(64, 64)).shifted(0.2);
   const core::RefloatMatrix rf_model(a_model, fmt);
+  const core::SpmvPlan plan_model = core::SpmvPlan::build(rf_model);
   arch::AcceleratorConfig config = arch::refloat_config(fmt);
   const long long capacity = 96;
   config.total_crossbars =
@@ -66,7 +68,7 @@ int main() {
   std::printf("Matrix: 64x64 Poisson grid (%lld rows, %zu blocks, %zu nnz); "
               "per-tile capacity %lld clusters; ECC check %.0f ns/round.\n\n",
               static_cast<long long>(a_model.rows()),
-              rf_model.plan().num_blocks(), rf_model.plan().num_entries(),
+              plan_model.num_blocks(), plan_model.num_entries(),
               capacity, config.ecc_round_ns);
 
   util::CsvWriter csv(results_dir() + "/tiles.csv");
@@ -80,9 +82,9 @@ int main() {
     // runs as multiple reprogram rounds (priced by the timing model), which
     // is exactly what the sweep is trading against interconnect time.
     const core::TiledPlan tiled =
-        core::TiledPlan::partition(rf_model.plan(), {.tiles = tiles});
+        core::TiledPlan::partition(rf_model, {.tiles = tiles});
     const arch::ScheduleStats stats =
-        arch::simulate_spmv_tiled(config, tiled);
+        arch::simulate_spmv_tiled(config, plan_model, tiled);
     if (tiles == 1) base_seconds = stats.seconds;
     const double util_min = min_tile_utilization(stats);
     double util_max = 0.0;
@@ -145,7 +147,7 @@ int main() {
       cluster.faults.stuck_at_one_rate = rate;
       cluster.ecc.correct_cells = ecc_budget;
       const core::TiledPlan tiled =
-          core::TiledPlan::partition(rf_hw.plan(), {.tiles = tiles});
+          core::TiledPlan::partition(rf_hw, {.tiles = tiles});
       // CG over the tiled bit-true datapath, per-tile faults + ECC.
       hw::BitTrueBackend backend(rf_hw, cluster, tiled, /*seed=*/4321);
       solve::BackendOperator op(backend);

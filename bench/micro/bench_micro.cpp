@@ -11,11 +11,16 @@
 //   sweep_spmm/<isa>/K    kernel-only K-RHS interleaved row sweep, K
 //                         2/4/8/16
 //   quantize_span/<isa>   the exponent-field fast path over dense spans
-//   plan_build            RefloatMatrix conversion (quantize + arena) on
-//                         the grid-64/128 stencils, and plan_build/scattered
+//   plan_build            RefloatMatrix conversion (quantize + dequantized
+//                         CSR + block index; no SpmvPlan) on the
+//                         grid-64/128 stencils, and plan_build/scattered
 //                         on the backend_sweep/value_scattered matrix (~2
 //                         entries per nonzero block: per-block cost
 //                         dominates, as in the thermomech stand-ins)
+//   plan_make             SpmvPlan::build from a converted matrix (the
+//                         cost a noisy or bit-true backend pays at
+//                         construction) on the grid-64 stencil and the
+//                         scattered matrix
 //   spmv_e2e/<isa>        a full k = 1 value-backend sweep (quantize_vector
 //                         + row sweep + epilogue) at grid 128 — comparable
 //                         to the historical 316 us scalar number in
@@ -61,6 +66,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/core/simd.h"
+#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -221,13 +227,24 @@ void quantize_span(benchmark::State& state, core::SimdIsa isa) {
       benchmark::Counter::OneK::kIs1000);
 }
 
-// --- plan_build: conversion + arena construction ---------------------------
+// --- plan_build: conversion (CSR + block index) ---------------------------
 
 void plan_build(benchmark::State& state, const Workload& w) {
   const core::Format fmt = core::default_format();
   for (auto _ : state) {
     core::RefloatMatrix rf(w.a, fmt);
     benchmark::DoNotOptimize(rf.nonzero_blocks());
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(w.a.nnz()));
+}
+
+// --- plan_make: SpmvPlan::build from a converted matrix -------------------
+
+void plan_make(benchmark::State& state, const Workload& w) {
+  for (auto _ : state) {
+    const core::SpmvPlan plan = core::SpmvPlan::build(w.rf);
+    benchmark::DoNotOptimize(plan.entry_value.data());
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
                           static_cast<long>(w.a.nnz()));
@@ -407,6 +424,14 @@ void register_all() {
       ->Arg(64)->Arg(128);
   benchmark::RegisterBenchmark("plan_build/scattered", [](benchmark::State& s) {
     plan_build(s, scattered_workload());
+  });
+  benchmark::RegisterBenchmark("plan_make",
+                               [](benchmark::State& s) {
+                                 plan_make(s, workload(s.range(0)));
+                               })
+      ->Arg(64);
+  benchmark::RegisterBenchmark("plan_make/scattered", [](benchmark::State& s) {
+    plan_make(s, scattered_workload());
   });
   const core::SimdIsa best = core::simd_best_supported();
   for (const int threads : {1, 2, 4, 8}) {

@@ -86,13 +86,14 @@ ScheduleStats simulate_spmv(const AcceleratorConfig& config,
 }
 
 ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
+                                  const core::SpmvPlan& plan,
                                   const core::TiledPlan& tiled) {
   ScheduleStats stats;
   const core::Format& fmt = config.format;
   const long long capacity = clusters(config);
 
   if (tiled.empty()) {
-    // No plan behind the shard index: one idle tile, zero traffic.
+    // No partition: one idle tile, zero traffic.
     stats.seconds = static_cast<double>(cycles_per_block_mvm(fmt)) *
                     config.op_latency_ns * 1e-9;
     stats.compute_busy_seconds = stats.seconds;
@@ -101,7 +102,6 @@ ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
     return stats;
   }
 
-  const core::SpmvPlan& plan = tiled.plan();
   const std::vector<std::size_t> blocks_per_tile = tiled.blocks_per_tile();
   const TiledSpmvTiming timing =
       tiled_spmm_time(config, blocks_per_tile, plan.rows, 1);

@@ -1,11 +1,11 @@
 #include "src/core/refloat_matrix.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/spmv_plan.h"
 #include "src/sparse/lanczos.h"
 
 namespace refloat::core {
@@ -69,84 +69,24 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
     }
   } else {
     // Stream one band of 2^b rows (one grid block-row) at a time. The band's
-    // entries are scattered, stably, into per-block-column runs of one
-    // reused buffer; canonical input makes each run row-major with
-    // ascending columns, the plan's entry order. Blocks are visited in
-    // ascending block column, so blocks, err_sq and ref_sq all follow
-    // (block-row, block-column, entry) order. Quantized values go back to
-    // their input slot, and the band is then appended to the dequantized
-    // CSR in row order.
+    // entries are grouped by block column; blocks are visited in ascending
+    // block column, so blocks, err_sq and ref_sq all follow (block-row,
+    // block-column, entry) order. Quantized values go back to their input
+    // slot, and the band is then appended to the dequantized CSR in row
+    // order.
     const int b = format_.b;
     const sparse::Index side = sparse::Index{1} << b;
-    const sparse::Index mask = side - 1;
-    struct Slot {
-      std::size_t offset;  // position in the band's input range
-      std::int32_t r, c;   // within-block coordinates
-    };
-    // Per block column: the band's entry count, then its run's scatter
-    // cursor, and a touched bit. Only touched columns are ever nonzero, and
-    // they are reset before the next band.
-    const std::size_t block_cols = at((cols_ + mask) >> b);
-    std::vector<std::size_t> cursor(block_cols, 0);
-    std::vector<std::uint64_t> touched_bits((block_cols + 63) / 64, 0);
-    std::vector<sparse::Index> touched;
-    std::vector<double> run_values;
-    std::vector<Slot> run_slots;
+    BandScatter band(b, cols_);
     std::vector<double> band_q;
-
-    SpmvPlanBuilder builder;
-    builder.reserve_entries(values.size());
+    index_.block_ptr.push_back(0);
     for (sparse::Index r0 = 0; r0 < rows_; r0 += side) {
       const sparse::Index r1 = std::min(r0 + side, rows_);
-      const sparse::Index k0 = row_ptr[at(r0)];
-      const std::size_t band_nnz = at(row_ptr[at(r1)] - k0);
-
-      // Count, then list the touched block columns in ascending order by
-      // scanning the touched bits between the band's extreme columns.
-      std::size_t lo_word = touched_bits.size();
-      std::size_t hi_word = 0;
-      for (std::size_t i = 0; i < band_nnz; ++i) {
-        const std::size_t bc = at(col_idx[at(k0) + i] >> b);
-        if (cursor[bc]++ == 0) {
-          touched_bits[bc / 64] |= std::uint64_t{1} << (bc % 64);
-          lo_word = std::min(lo_word, bc / 64);
-          hi_word = std::max(hi_word, bc / 64);
-        }
-      }
-      touched.clear();
-      std::size_t run_begin = 0;
-      for (std::size_t w = lo_word; w <= hi_word && w < touched_bits.size();
-           ++w) {
-        for (std::uint64_t bits = touched_bits[w]; bits != 0;
-             bits &= bits - 1) {
-          const std::size_t bc = w * 64 + std::countr_zero(bits);
-          touched.push_back(static_cast<sparse::Index>(bc));
-          const std::size_t n = cursor[bc];
-          cursor[bc] = run_begin;
-          run_begin += n;
-        }
-        touched_bits[w] = 0;
-      }
-      run_values.resize(band_nnz);
-      run_slots.resize(band_nnz);
-      band_q.resize(band_nnz);
-      for (sparse::Index r = r0; r < r1; ++r) {
-        for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
-          const sparse::Index c = col_idx[at(k)];
-          const std::size_t pos = cursor[at(c >> b)]++;
-          run_values[pos] = values[at(k)];
-          run_slots[pos] = {at(k - k0), static_cast<std::int32_t>(r & mask),
-                            static_cast<std::int32_t>(c & mask)};
-        }
-      }
-
-      // Each cursor now sits at its run's end.
-      run_begin = 0;
-      for (const sparse::Index bc : touched) {
-        const std::size_t run_end = cursor[at(bc)];
-        cursor[at(bc)] = 0;
-        const std::span<const double> block(run_values.data() + run_begin,
-                                            run_end - run_begin);
+      band.scatter(a, r0, r1);
+      band_q.resize(at(row_ptr[at(r1)] - row_ptr[at(r0)]));
+      const std::span<const sparse::Index> touched = band.block_cols();
+      for (std::size_t i = 0; i < touched.size(); ++i) {
+        const std::span<const double> block = band.run_values(i);
+        const std::span<const BandScatter::Slot> slots = band.run_slots(i);
         int min_e = 0;
         int max_e = 0;
         bool any = false;
@@ -167,20 +107,20 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
         }
 
         const int base = select_block_base(block, format_.e, policy_);
-        builder.begin_block(r0, bc << b, base);
-        for (std::size_t p = run_begin; p < run_end; ++p) {
-          const double v = run_values[p];
-          const Slot& slot = run_slots[p];
+        index_.block_col.push_back(static_cast<std::int32_t>(touched[i]));
+        index_.base.push_back(static_cast<std::int16_t>(base));
+        for (std::size_t p = 0; p < block.size(); ++p) {
+          const double v = block[p];
           const double q = quantize_value(v, base, format_.e, format_.f,
                                           policy_, &tally);
           err_sq += (v - q) * (v - q);
           ref_sq += v * v;
-          if (q != 0.0) builder.push_entry(slot.r, slot.c, q);
-          band_q[slot.offset] = q;
+          band_q[slots[p].offset] = q;
         }
-        run_begin = run_end;
       }
+      index_.block_ptr.push_back(index_.block_col.size());
 
+      const sparse::Index k0 = row_ptr[at(r0)];
       for (sparse::Index r = r0; r < r1; ++r) {
         for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
           emit(col_idx[at(k)], band_q[at(k - k0)]);
@@ -188,7 +128,6 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
         q_row_ptr[at(r) + 1] = static_cast<sparse::Index>(q_values.size());
       }
     }
-    plan_ = builder.finish(rows_, cols_, b);
   }
 
   stats_.values = tally.values;
@@ -210,7 +149,7 @@ long long RefloatMatrix::storage_bits() const {
   const sparse::Index grid = std::max<sparse::Index>(
       (rows_ + side - 1) / side, (cols_ + side - 1) / side);
   return nnz * storage_bits_per_value(format_) +
-         static_cast<long long>(plan_.num_blocks()) *
+         static_cast<long long>(nonzero_blocks()) *
              storage_bits_per_block(format_, grid);
 }
 

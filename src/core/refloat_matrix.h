@@ -1,11 +1,15 @@
 // RefloatMatrix: a CSR matrix converted to the ReFloat block format —
 // per-block shared base exponent, e-bit per-value exponent offsets, f-bit
-// fractions (paper §IV). The conversion keeps both views:
+// fractions (paper §IV). The conversion keeps two things:
 //   * the dequantized CSR (`quantized()`), the operand of the value-faithful
 //     sweeps, the ABFT checksum and the definiteness probe, and
-//   * the contiguous SpmvPlan (`plan()`), the SoA block payload consumed by
-//     the noisy sweeps (whose per-block partials are part of the model), the
-//     bit-true hw/ datapath, tiling and the storage model.
+//   * a compact block index (`block_index()`): per grid block-row its range
+//     of nonzero blocks, and per block its block column and shared base
+//     exponent — what tiling, the storage model and the block walkers need
+//     beyond the CSR.
+// It keeps no SpmvPlan: the views that walk blocks (noisy sweeps, bit-true
+// programming, the schedule model) build one with SpmvPlan::build(rf), so a
+// value resident pins the CSR and the index alone.
 //
 // A RefloatMatrix holds the operand; it does not sweep itself. Every sweep
 // of it — value-faithful, noisy (Fig. 10) or bit-true — goes through
@@ -18,7 +22,6 @@
 #include <vector>
 
 #include "src/core/format.h"
-#include "src/core/spmv_plan.h"
 #include "src/sparse/csr.h"
 
 namespace refloat::core {
@@ -48,15 +51,37 @@ struct ConversionStats {
 
 class RefloatMatrix {
  public:
+  // Grid block-row br owns blocks [block_ptr[br], block_ptr[br + 1]); block
+  // j sits at block column block_col[j] with base exponent base[j]. Blocks
+  // are in ascending (block-row, block-column) order and include blocks
+  // whose entries all quantized to zero. block_ptr covers every grid
+  // block-row (an all-zero band is an empty range); all three are empty
+  // when format().b == 0.
+  struct BlockIndex {
+    std::vector<std::size_t> block_ptr;
+    std::vector<std::int32_t> block_col;
+    std::vector<std::int16_t> base;
+
+    [[nodiscard]] std::size_t size() const { return block_col.size(); }
+    [[nodiscard]] std::size_t block_rows() const {
+      return block_ptr.empty() ? 0 : block_ptr.size() - 1;
+    }
+    [[nodiscard]] std::size_t bytes() const {
+      return block_ptr.size() * sizeof(std::size_t) +
+             block_col.size() * sizeof(std::int32_t) +
+             base.size() * sizeof(std::int16_t);
+    }
+  };
+
   // Converts `a`, which must be canonical (sparse::Csr::canonical(): row_ptr
   // from 0 to nnz, never decreasing; columns strictly ascending within
   // [0, cols) per row) — std::invalid_argument otherwise. The conversion
   // streams one 2^b-row band (grid block-row) at a time: it groups the
-  // band's entries by block column, visits the touched block columns in
-  // ascending order (base selection, quantization, plan append), then
-  // appends the band's nonzero quantized entries to quantized() in row
-  // order. Blocks, plan entries and the error sums in stats() therefore
-  // follow (block-row, block-column, row-major entry) order.
+  // band's entries by block column (BandScatter), visits the touched block
+  // columns in ascending order (base selection, quantization, index
+  // append), then appends the band's nonzero quantized entries to
+  // quantized() in row order. Blocks and the error sums in stats()
+  // therefore follow (block-row, block-column, row-major entry) order.
   RefloatMatrix(const sparse::Csr& a, const Format& format,
                 const QuantPolicy& policy = {});
 
@@ -66,21 +91,14 @@ class RefloatMatrix {
   // Dequantized matrix (exact-value view of the quantized operator): the
   // operand the value sweeps read row by row.
   [[nodiscard]] const sparse::Csr& quantized() const { return quantized_; }
-  [[nodiscard]] std::size_t nonzero_blocks() const {
-    return plan_.num_blocks();
-  }
-  // The contiguous block payload: block-row CSR index + SoA entry arena,
-  // built once here and shared by every blocked consumer (the noisy
-  // sweeps, hw::HwSpmv programming, tiling, the storage model). Empty
-  // when format().b == 0 (scalar formats have no blocks).
-  [[nodiscard]] const SpmvPlan& plan() const { return plan_; }
-  // Mutable access to the swept operands, for the fault-injection layer
-  // only: the kPlanBuild site corrupts a freshly built resident in place —
-  // the plan arena under noisy and bit-true backends, the dequantized CSR
-  // values under value backends — after its ABFT checksum was taken, so
-  // checked sweeps can prove they detect silent corruption of what they
-  // actually read. Production code never calls these.
-  [[nodiscard]] SpmvPlan& mutable_plan() { return plan_; }
+  [[nodiscard]] const BlockIndex& block_index() const { return index_; }
+  [[nodiscard]] std::size_t nonzero_blocks() const { return index_.size(); }
+  // Mutable access to the dequantized CSR values, for the fault-injection
+  // layer only: the kPlanBuild site corrupts a freshly built resident in
+  // place after its ABFT checksum was taken and before its backend is built
+  // — value backends sweep these values, noisy and bit-true backends build
+  // their SpmvPlan from them — so checked sweeps can prove they detect
+  // silent corruption of the operand. Production code never calls this.
   [[nodiscard]] std::span<double> mutable_quantized_values() {
     return quantized_.mutable_values();
   }
@@ -98,12 +116,13 @@ class RefloatMatrix {
   const ConversionStats& probe_definiteness(int steps = 96) const;
 
   // Host heap bytes a resident (built) matrix pins: the dequantized CSR
-  // view plus the SpmvPlan arena. This is what the serving layer's
-  // residency cache budgets against — the software mirror of "programmed
-  // crossbar capacity is the scarce resource" (the cache evicts by these
-  // bytes so programming cost is paid once per resident matrix).
+  // plus the block index. The serving layer's residency cache budgets this
+  // plus whatever the entry's backend adds (SweepBackend::resident_bytes) —
+  // the software mirror of "programmed crossbar capacity is the scarce
+  // resource" (the cache evicts by these bytes so programming cost is paid
+  // once per resident matrix).
   [[nodiscard]] std::size_t resident_bytes() const {
-    return quantized_.memory_bytes() + plan_.payload_bytes();
+    return quantized_.memory_bytes() + index_.bytes();
   }
 
   // --- Fig. 4 storage model ----------------------------------------------
@@ -124,7 +143,7 @@ class RefloatMatrix {
   QuantPolicy policy_;
   mutable ConversionStats stats_;  // probe fields filled lazily
   sparse::Csr quantized_;
-  SpmvPlan plan_;  // empty (no blocks) when format_.b == 0
+  BlockIndex index_;  // empty when format_.b == 0
   sparse::Index original_nnz_ = 0;
   sparse::Index rows_ = 0;
   sparse::Index cols_ = 0;

@@ -1,7 +1,11 @@
 #include "src/core/spmv_plan.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
+
+#include "src/core/refloat_matrix.h"
 
 namespace refloat::core {
 
@@ -80,6 +84,40 @@ bool SpmvPlan::valid() const {
   return true;
 }
 
+SpmvPlan SpmvPlan::build(const RefloatMatrix& rf) {
+  const int b = rf.format().b;
+  if (b == 0) return {};
+  const sparse::Csr& q = rf.quantized();
+  const RefloatMatrix::BlockIndex& index = rf.block_index();
+  const sparse::Index side = sparse::Index{1} << b;
+  SpmvPlanBuilder builder;
+  builder.reserve_entries(static_cast<std::size_t>(q.nnz()));
+  BandScatter band(b, q.cols());
+  for (std::size_t br = 0; br < index.block_rows(); ++br) {
+    const auto r0 = static_cast<sparse::Index>(br) << b;
+    band.scatter(q, r0, std::min(r0 + side, q.rows()));
+    // The band's touched block columns are a subset of the index's blocks
+    // for this block-row (both ascending): a block whose entries all
+    // flushed to zero has no CSR entries and stays an empty block.
+    const std::span<const sparse::Index> touched = band.block_cols();
+    std::size_t run = 0;
+    for (std::size_t j = index.block_ptr[br]; j < index.block_ptr[br + 1];
+         ++j) {
+      const sparse::Index bc = index.block_col[j];
+      builder.begin_block(r0, bc << b, index.base[j]);
+      if (run == touched.size() || touched[run] != bc) continue;
+      const std::span<const double> values = band.run_values(run);
+      const std::span<const BandScatter::Slot> slots = band.run_slots(run);
+      for (std::size_t p = 0; p < values.size(); ++p) {
+        builder.push_entry(slots[p].r, slots[p].c, values[p]);
+      }
+      ++run;
+    }
+    assert(run == touched.size());  // every entry lies in an indexed block
+  }
+  return builder.finish(q.rows(), q.cols(), b);
+}
+
 void SpmvPlanBuilder::reserve_entries(std::size_t entries) {
   plan_.entry_row.reserve(entries);
   plan_.entry_col.reserve(entries);
@@ -124,6 +162,65 @@ SpmvPlan SpmvPlanBuilder::finish(sparse::Index rows, sparse::Index cols,
   // must fail at build time, not as a silently wrong SpMV later.
   assert(plan_.valid());
   return std::move(plan_);
+}
+
+BandScatter::BandScatter(int b, sparse::Index cols)
+    : b_(b),
+      cursor_(static_cast<std::size_t>(
+                  (cols + (sparse::Index{1} << b) - 1) >> b),
+              0),
+      touched_bits_((cursor_.size() + 63) / 64, 0) {}
+
+void BandScatter::scatter(const sparse::Csr& a, sparse::Index r0,
+                          sparse::Index r1) {
+  const auto at = [](sparse::Index i) { return static_cast<std::size_t>(i); };
+  const std::span<const sparse::Index> row_ptr = a.row_ptr();
+  const std::span<const sparse::Index> col_idx = a.col_idx();
+  const std::span<const double> values = a.values();
+  const sparse::Index mask = (sparse::Index{1} << b_) - 1;
+  const sparse::Index k0 = row_ptr[at(r0)];
+  const std::size_t band_nnz = at(row_ptr[at(r1)] - k0);
+
+  // Count, then list the touched block columns in ascending order by
+  // scanning the touched bits between the band's extreme columns; each
+  // count becomes its run's start cursor.
+  std::size_t lo_word = touched_bits_.size();
+  std::size_t hi_word = 0;
+  for (std::size_t i = 0; i < band_nnz; ++i) {
+    const std::size_t bc = at(col_idx[at(k0) + i] >> b_);
+    if (cursor_[bc]++ == 0) {
+      touched_bits_[bc / 64] |= std::uint64_t{1} << (bc % 64);
+      lo_word = std::min(lo_word, bc / 64);
+      hi_word = std::max(hi_word, bc / 64);
+    }
+  }
+  touched_.clear();
+  run_end_.clear();
+  std::size_t run_begin = 0;
+  for (std::size_t w = lo_word; w <= hi_word && w < touched_bits_.size();
+       ++w) {
+    for (std::uint64_t bits = touched_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t bc = w * 64 + std::countr_zero(bits);
+      touched_.push_back(static_cast<sparse::Index>(bc));
+      const std::size_t n = cursor_[bc];
+      cursor_[bc] = run_begin;
+      run_begin += n;
+      run_end_.push_back(run_begin);
+    }
+    touched_bits_[w] = 0;
+  }
+  values_.resize(band_nnz);
+  slots_.resize(band_nnz);
+  for (sparse::Index r = r0; r < r1; ++r) {
+    for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
+      const sparse::Index c = col_idx[at(k)];
+      const std::size_t pos = cursor_[at(c >> b_)]++;
+      values_[pos] = values[at(k)];
+      slots_[pos] = {at(k - k0), static_cast<std::int32_t>(r & mask),
+                     static_cast<std::int32_t>(c & mask)};
+    }
+  }
+  for (const sparse::Index bc : touched_) cursor_[at(bc)] = 0;
 }
 
 }  // namespace refloat::core

@@ -128,14 +128,15 @@ constexpr std::size_t kScalarFormatRowGrain = 128;
 
 // Runs fn(r_begin, r_end) over every row of rf: one pool shard per grid
 // block-row's rows (untiled) or per tile shard's contiguous block-row range
-// (tiled) — the shards the plan sweeps use. Every row owns its output, so
+// (tiled) — the shards the block sweeps use. Every row owns its output, so
 // any shard schedule is bit-identical.
 template <typename Fn>
 void parallel_row_ranges(const RefloatMatrix& rf, const TiledPlan* tiled,
                          Fn&& fn) {
   const auto rows = static_cast<std::size_t>(rf.quantized().rows());
-  const std::size_t side =
-      rf.format().b > 0 ? rf.plan().side() : kScalarFormatRowGrain;
+  const std::size_t side = rf.format().b > 0
+                               ? std::size_t{1} << rf.format().b
+                               : kScalarFormatRowGrain;
   const auto run = [&](std::size_t br_begin, std::size_t br_end) {
     fn(std::min(br_begin * side, rows), std::min(br_end * side, rows));
   };
@@ -242,8 +243,8 @@ void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
   xq.resize(x.size());
   rf.quantize_vector(x, xq);
   // Row by row over the resident dequantized CSR: each row takes its
-  // addends in ascending column order, exactly as the blocked walk of the
-  // plan delivered them — bit-identical at any thread count, on every SIMD
+  // addends in ascending column order, exactly as a blocked walk of the
+  // plan delivers them — bit-identical at any thread count, on every SIMD
   // path, for every tile partition, and for scalar (b = 0) formats alike.
   const SweepKernels& kernels = sweep_kernels();
   parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
@@ -269,7 +270,8 @@ void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
   sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
 
-void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
+void sweep_noisy_single(const RefloatMatrix& rf, const SpmvPlan& plan,
+                        const TiledPlan* tiled,
                         std::span<const double> x, std::span<double> y,
                         std::vector<double>& xq, double sigma,
                         std::uint64_t seed, std::uint64_t sequence) {
@@ -282,7 +284,7 @@ void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
     for (auto& v : y) v *= 1.0 + sigma * rng.gaussian();
     return;
   }
-  parallel_block_rows(rf.plan(), tiled, [&](std::size_t br) {
+  parallel_block_rows(plan, tiled, [&](std::size_t br) {
     // One counter-based noise stream per (sequence, grid block-row): the
     // draw order within a block-row is the serial block order, so the
     // result does not depend on which thread runs the shard or which tile
@@ -290,7 +292,7 @@ void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
     // before each block), not per shard.
     util::Rng rng(util::stream_seed(seed, sequence, br));
     thread_local std::vector<double> partial;
-    noisy_block_row(rf.plan(), br, xq, y, sigma, rng, partial);
+    noisy_block_row(plan, br, xq, y, sigma, rng, partial);
   });
 }
 
@@ -299,7 +301,8 @@ void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
 // with the same nonzero-partial skip as the single-RHS loop — column j is
 // bit-identical to sweep_noisy_single(x_j, seeds[j], sequences[j]) at any
 // thread count and tile split. Both spans need >= k entries.
-void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
+void sweep_noisy_multi(const RefloatMatrix& rf, const SpmvPlan& plan,
+                       const TiledPlan* tiled,
                        std::span<const double> x, std::size_t k,
                        std::span<double> y, BatchScratch& scratch,
                        double sigma, std::span<const std::uint64_t> seeds,
@@ -323,7 +326,7 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
   }
   quantize_interleaved(rf, x, k, scratch);
   scratch.y_interleaved.assign(n_rows * k, 0.0);
-  parallel_block_rows(rf.plan(), tiled, [&](std::size_t br) {
+  parallel_block_rows(plan, tiled, [&](std::size_t br) {
     // k per-column streams per block-row, each keyed exactly as the solo
     // sweep of that column would key it.
     thread_local std::vector<util::Rng> rngs;
@@ -333,7 +336,7 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
       rngs.emplace_back(util::stream_seed(seeds[j], sequences[j], br));
     }
     thread_local std::vector<double> partial;
-    noisy_block_row_multi(rf.plan(), br, k, scratch.x_interleaved.data(),
+    noisy_block_row_multi(plan, br, k, scratch.x_interleaved.data(),
                           scratch.y_interleaved.data(), sigma, rngs.data(),
                           partial);
   });
@@ -348,8 +351,8 @@ struct TileRouting {
   const TiledPlan* borrowed = nullptr;
 
   TileRouting(const RefloatMatrix& rf, int tiles) {
-    if (tiles > 1 && rf.plan().num_blocks() > 0) {
-      owned = TiledPlan::partition(rf.plan(), {.tiles = tiles});
+    if (tiles > 1 && rf.nonzero_blocks() > 0) {
+      owned = TiledPlan::partition(rf, {.tiles = tiles});
     }
   }
   TileRouting(const RefloatMatrix& rf, const TiledPlan* tiled)
@@ -403,7 +406,11 @@ class NoisyBackend final : public SweepBackend {
   template <typename Tiling>
   NoisyBackend(const RefloatMatrix& rf, double sigma, std::uint64_t seed,
                Tiling tiling)
-      : rf_(rf), tiles_(rf, tiling), sigma_(sigma), seed_(seed) {}
+      : rf_(rf),
+        plan_(SpmvPlan::build(rf)),
+        tiles_(rf, tiling),
+        sigma_(sigma),
+        seed_(seed) {}
 
   [[nodiscard]] std::size_t rows() const override {
     return static_cast<std::size_t>(rf_.quantized().rows());
@@ -415,6 +422,9 @@ class NoisyBackend final : public SweepBackend {
     return BackendKind::kNoisy;
   }
   [[nodiscard]] const char* label() const override { return "refloat+rtn"; }
+  [[nodiscard]] std::size_t resident_bytes() const override {
+    return plan_.payload_bytes();
+  }
 
   void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
              const SweepContext& ctx) override {
@@ -435,11 +445,11 @@ class NoisyBackend final : public SweepBackend {
       sequences = default_sequences_;
     }
     if (k == 1) {
-      sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_,
-                                 seeds[0], sequences[0]);
+      sweep_noisy_single(rf_, plan_, tiles_.get(), x, y, xq_, sigma_,
+                         seeds[0], sequences[0]);
     } else {
-      sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_,
-                                seeds, sequences);
+      sweep_noisy_multi(rf_, plan_, tiles_.get(), x, k, y, scratch_, sigma_,
+                        seeds, sequences);
     }
     finish_sweep(k == 1 ? std::span<const double>(xq_)
                         : std::span<const double>(scratch_.columns),
@@ -448,6 +458,7 @@ class NoisyBackend final : public SweepBackend {
 
  private:
   const RefloatMatrix& rf_;
+  SpmvPlan plan_;  // built from rf_ at construction; empty when b == 0
   TileRouting tiles_;
   double sigma_;
   std::uint64_t seed_;

@@ -20,6 +20,12 @@
 //     every column reproduces its solo-solve trajectory at any thread
 //     count and any tile split.
 //
+// What each view keeps: the value backend sweeps rf.quantized() and holds
+// nothing beyond scratch; the noisy backend builds and owns the SpmvPlan
+// it walks (SpmvPlan::build at construction); the bit-true backend builds a
+// plan, programs its crossbar image from it and frees it. resident_bytes()
+// reports what a view pins on top of the RefloatMatrix it borrows.
+//
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
 // quantize -> interleave -> sharded row/block-row sweep -> deinterleave
@@ -86,10 +92,10 @@ struct SweepVerdict {
 // The precomputed ABFT checksum row: column sums of the dequantized
 // operator (one CSR pass). It is a snapshot: computed when a matrix becomes
 // resident, it keeps describing the clean operand, so later silent damage
-// to whatever a backend sweeps — the dequantized CSR values for value
-// sweeps, the SpmvPlan arena for noisy and bit-true — is visible against
-// it. The classic trick is appending
-// this row to A so the sweep emits its own check value; here the backends
+// to the dequantized CSR values — which value sweeps read and from which
+// noisy and bit-true backends build their SpmvPlan — is visible against
+// it. The classic trick is appending this row to A so the sweep emits its
+// own check value; here the backends
 // contract it against the quantized operand directly — the same O(n·k)
 // work without disturbing the block image.
 //
@@ -156,6 +162,12 @@ class SweepBackend {
     return false;
   }
 
+  // Host heap bytes the view pins beyond the RefloatMatrix it borrows (and
+  // beyond per-sweep scratch): 0 for value sweeps, the owned SpmvPlan for
+  // noisy sweeps, the programmed crossbar image for bit-true. The serving
+  // layer adds this to RefloatMatrix::resident_bytes for its cache budget.
+  [[nodiscard]] virtual std::size_t resident_bytes() const { return 0; }
+
  protected:
   // The shared sweep epilogue every view ends its sweep() with: the
   // util::FaultInjector's `sweep` site (per-column corruption of Y —
@@ -174,10 +186,11 @@ class SweepBackend {
 };
 
 // Value-faithful backend: sweeps rf's dequantized CSR row by row (the
-// plan's blocked accumulation order, bit for bit). `tiles` > 1 partitions
-// the plan and shards the rows by tile (bit-identical to untiled); the
+// blocked accumulation order, bit for bit); it builds no plan. `tiles` > 1
+// partitions rf and shards the rows by tile (bit-identical to untiled); the
 // default follows $REFLOAT_TILES. The overloads taking a TiledPlan* borrow
-// an existing partition (nullptr = untiled); the caller keeps it alive.
+// an existing partition of rf (nullptr = untiled); the caller keeps it
+// alive.
 std::unique_ptr<SweepBackend> make_value_backend(
     const RefloatMatrix& rf, int tiles = default_tile_count());
 std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
@@ -189,8 +202,9 @@ std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
 // (block, row) order with zero partials skipped — so the result does not
 // depend on threads or tiles. With an empty SweepContext, column 0 of sweep
 // number s draws the streams of (seed, sequence = s), and column j > 0
-// forks the seed by kColumnForkSalt. `tiles` defaults as for the value
-// backend.
+// forks the seed by kColumnForkSalt. The backend builds and owns the
+// SpmvPlan of rf at construction (resident_bytes()); `tiles` defaults as
+// for the value backend.
 std::unique_ptr<SweepBackend> make_noisy_backend(
     const RefloatMatrix& rf, double sigma, std::uint64_t seed,
     int tiles = default_tile_count());

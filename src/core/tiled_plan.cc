@@ -9,28 +9,44 @@ namespace refloat::core {
 
 namespace {
 
-// Blocks and entries in block-row range [a, b) — O(1) via the plan's own
-// CSR offsets (the reason shards can be pure views).
-std::size_t range_blocks(const SpmvPlan& plan, std::size_t a, std::size_t b) {
-  return plan.block_ptr[b] - plan.block_ptr[a];
-}
+// Block and entry offsets of grid block-row boundaries — O(1) via the
+// block index and the dequantized CSR's row_ptr (an entry range of plan
+// blocks is the same range of CSR entries: both hold the nonzero quantized
+// entries in block-row order).
+struct Offsets {
+  const std::vector<std::size_t>& block_ptr;
+  std::span<const sparse::Index> row_ptr;
+  int b;
 
-std::size_t range_entries(const SpmvPlan& plan, std::size_t a,
-                          std::size_t b) {
-  return plan.entry_ptr[plan.block_ptr[b]] - plan.entry_ptr[plan.block_ptr[a]];
-}
+  [[nodiscard]] std::size_t block(std::size_t br) const {
+    return block_ptr.empty() ? 0 : block_ptr[br];
+  }
+  [[nodiscard]] std::size_t entry(std::size_t br) const {
+    if (block_ptr.empty()) return 0;
+    const std::size_t row =
+        std::min(br << b, row_ptr.size() - 1);  // the last band may be short
+    return static_cast<std::size_t>(row_ptr[row]);
+  }
+  [[nodiscard]] std::size_t blocks(std::size_t a, std::size_t z) const {
+    return block(z) - block(a);
+  }
+  [[nodiscard]] std::size_t entries(std::size_t a, std::size_t z) const {
+    return entry(z) - entry(a);
+  }
+};
 
 }  // namespace
 
-TiledPlan TiledPlan::partition(const SpmvPlan& plan,
+TiledPlan TiledPlan::partition(const RefloatMatrix& rf,
                                const TilePartitionOptions& opts) {
   TiledPlan out;
-  out.plan_ = &plan;
-  const std::size_t n_brows = plan.block_rows();
+  const RefloatMatrix::BlockIndex& index = rf.block_index();
+  const Offsets at{index.block_ptr, rf.quantized().row_ptr(), rf.format().b};
+  const std::size_t n_brows = index.block_rows();
   const std::size_t requested =
       static_cast<std::size_t>(std::max(opts.tiles, 1));
   const std::size_t cap = opts.capacity_blocks;
-  const std::size_t total_blocks = plan.num_blocks();
+  const std::size_t total_blocks = index.size();
 
   // --- Greedy capacity-aware pass over block-row cut points. ---
   // Each shard packs block-rows up to min(balanced target over the tiles
@@ -51,7 +67,7 @@ TiledPlan TiledPlan::partition(const SpmvPlan& plan,
     std::size_t tile_blocks = 0;
     while (br < n_brows) {
       if (br > start && n_brows - br <= must_leave) break;
-      const std::size_t rb = range_blocks(plan, br, br + 1);
+      const std::size_t rb = at.blocks(br, br + 1);
       if (br > start && tile_blocks + rb > target) break;
       tile_blocks += rb;
       ++br;
@@ -74,11 +90,11 @@ TiledPlan TiledPlan::partition(const SpmvPlan& plan,
       for (std::size_t i = 1; i + 1 < cuts.size(); ++i) {
         const std::size_t lo = cuts[i - 1];
         const std::size_t hi = cuts[i + 1];
-        const auto load = [&](std::size_t a, std::size_t b) {
-          return range_entries(plan, a, b);
+        const auto load = [&](std::size_t a, std::size_t z) {
+          return at.entries(a, z);
         };
-        const auto fits = [&](std::size_t a, std::size_t b) {
-          return cap == 0 || range_blocks(plan, a, b) <= cap || b - a <= 1;
+        const auto fits = [&](std::size_t a, std::size_t z) {
+          return cap == 0 || at.blocks(a, z) <= cap || z - a <= 1;
         };
         const std::size_t cur =
             std::max(load(lo, cuts[i]), load(cuts[i], hi));
@@ -101,16 +117,16 @@ TiledPlan TiledPlan::partition(const SpmvPlan& plan,
     }
   }
 
-  // --- Materialize shard views and partition stats. ---
+  // --- Materialize shards and partition stats. ---
   out.shards_.reserve(cuts.size() - 1);
   for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
     TileShard s;
     s.brow_begin = cuts[i];
     s.brow_end = cuts[i + 1];
-    s.block_begin = plan.block_ptr.empty() ? 0 : plan.block_ptr[s.brow_begin];
-    s.block_end = plan.block_ptr.empty() ? 0 : plan.block_ptr[s.brow_end];
-    s.entry_begin = plan.entry_ptr.empty() ? 0 : plan.entry_ptr[s.block_begin];
-    s.entry_end = plan.entry_ptr.empty() ? 0 : plan.entry_ptr[s.block_end];
+    s.block_begin = at.block(s.brow_begin);
+    s.block_end = at.block(s.brow_end);
+    s.entry_begin = at.entry(s.brow_begin);
+    s.entry_end = at.entry(s.brow_end);
     out.shards_.push_back(s);
   }
 
@@ -156,10 +172,9 @@ std::vector<std::size_t> TiledPlan::blocks_per_tile() const {
   return counts;
 }
 
-bool TiledPlan::valid() const {
-  if (plan_ == nullptr) return false;
-  if (shards_.empty()) return plan_->block_rows() == 0;
-  if (plan_->block_ptr.empty()) {
+bool TiledPlan::valid(const SpmvPlan& plan) const {
+  if (shards_.empty()) return plan.block_rows() == 0;
+  if (plan.block_ptr.empty()) {
     // Block-less plan (b == 0): every shard must be an all-zero view.
     for (const TileShard& s : shards_) {
       if (s.brow_end != 0 || s.block_end != 0 || s.entry_end != 0) {
@@ -169,15 +184,15 @@ bool TiledPlan::valid() const {
     return true;
   }
   if (shards_.front().brow_begin != 0) return false;
-  if (shards_.back().brow_end != plan_->block_rows()) return false;
+  if (shards_.back().brow_end != plan.block_rows()) return false;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const TileShard& s = shards_[i];
     if (s.brow_begin > s.brow_end) return false;
     if (i > 0 && shards_[i - 1].brow_end != s.brow_begin) return false;
-    if (s.block_begin != plan_->block_ptr[s.brow_begin]) return false;
-    if (s.block_end != plan_->block_ptr[s.brow_end]) return false;
-    if (s.entry_begin != plan_->entry_ptr[s.block_begin]) return false;
-    if (s.entry_end != plan_->entry_ptr[s.block_end]) return false;
+    if (s.block_begin != plan.block_ptr[s.brow_begin]) return false;
+    if (s.block_end != plan.block_ptr[s.brow_end]) return false;
+    if (s.entry_begin != plan.entry_ptr[s.block_begin]) return false;
+    if (s.entry_end != plan.entry_ptr[s.block_end]) return false;
   }
   return true;
 }

@@ -1,13 +1,16 @@
-// TiledPlan: the SpmvPlan sharded across N modeled ReRAM tiles.
+// TiledPlan: a RefloatMatrix sharded across N modeled ReRAM tiles.
 //
 // A tile shard is a contiguous range of grid block-rows (the partitioning
 // atom — block-rows own disjoint output rows, which is what keeps tiled
-// execution bit-identical to the untiled plan). Because the plan stores
-// blocks in (block-row, block-col) order, a contiguous block-row range is
-// also a contiguous range of plan blocks and of arena entries: every shard
-// is a zero-copy *view* into the shared SpmvPlan arena: the noisy and
-// bit-true sweeps run unchanged per shard, and the value sweeps run the
-// rows of the shard's block-row range.
+// execution bit-identical to untiled). Blocks are ordered by (block-row,
+// block-col) in both the block index and any SpmvPlan built from it, so a
+// contiguous block-row range is also a contiguous range of blocks and of
+// entries. The partition reads only the matrix's block index and its CSR
+// row_ptr (the entries before block-row br are row_ptr[br << b]) and holds
+// no pointer into either: a shard is a set of offsets that addresses the
+// rows of rf.quantized() (value sweeps) and the blocks and entries of
+// SpmvPlan::build(rf) (noisy sweeps, bit-true programming, the schedule
+// model) alike.
 //
 // Partitioning is capacity-aware greedy (pack block-rows up to the smaller
 // of the per-tile crossbar budget and the balanced target, leaving one
@@ -24,12 +27,13 @@
 #include <span>
 #include <vector>
 
+#include "src/core/refloat_matrix.h"
 #include "src/core/spmv_plan.h"
 
 namespace refloat::core {
 
-// One tile's zero-copy view: [brow_begin, brow_end) grid block-rows, which
-// by the plan's ordering contract pin down the block and entry ranges too.
+// One tile's shard: [brow_begin, brow_end) grid block-rows, which by the
+// ordering contract pin down the block and entry ranges too.
 struct TileShard {
   std::size_t brow_begin = 0;
   std::size_t brow_end = 0;
@@ -66,18 +70,20 @@ struct TilePartitionStats {
   double balance = 1.0;
 };
 
-// The shard index over a borrowed SpmvPlan. The plan must outlive the
-// TiledPlan; shards never copy arena data.
+// The shard index of one matrix. It borrows nothing, so it may be built,
+// copied or moved independently of the matrix it partitions.
 class TiledPlan {
  public:
   TiledPlan() = default;
 
-  // Partitions `plan` into shards per `opts` (see file comment).
-  [[nodiscard]] static TiledPlan partition(const SpmvPlan& plan,
+  // Partitions rf's grid block-rows into shards per `opts` (see file
+  // comment). A scalar format (b == 0) has no block-rows: every shard is
+  // empty.
+  [[nodiscard]] static TiledPlan partition(const RefloatMatrix& rf,
                                            const TilePartitionOptions& opts);
 
-  [[nodiscard]] const SpmvPlan& plan() const { return *plan_; }
-  [[nodiscard]] bool empty() const { return plan_ == nullptr; }
+  // True for a default-constructed (unpartitioned) TiledPlan.
+  [[nodiscard]] bool empty() const { return shards_.empty(); }
   [[nodiscard]] int tile_count() const {
     return static_cast<int>(shards_.size());
   }
@@ -90,18 +96,18 @@ class TiledPlan {
   // Per-tile block counts, the arch/ timing model's input.
   [[nodiscard]] std::vector<std::size_t> blocks_per_tile() const;
 
-  // Bytes of the shard index itself (the views are zero-copy, so this is
-  // all a TiledPlan adds on top of its plan — serving-cache accounting).
+  // Bytes of the shard index itself (shards are offsets, so this is all a
+  // TiledPlan adds to a resident — serving-cache accounting).
   [[nodiscard]] std::size_t index_bytes() const {
     return shards_.size() * sizeof(TileShard);
   }
 
-  // Shards are contiguous, cover every grid block-row exactly once, and
-  // their block/entry ranges agree with the plan's block_ptr/entry_ptr.
-  [[nodiscard]] bool valid() const;
+  // Shards are contiguous, cover every grid block-row of `plan` exactly
+  // once, and their block/entry ranges agree with its block_ptr/entry_ptr —
+  // for SpmvPlan::build of the partitioned matrix.
+  [[nodiscard]] bool valid(const SpmvPlan& plan) const;
 
  private:
-  const SpmvPlan* plan_ = nullptr;
   std::vector<TileShard> shards_;
   TilePartitionStats stats_;
 };

@@ -34,15 +34,16 @@ BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
       tiled_(&tiled),
       rows_(static_cast<std::size_t>(rf.quantized().rows())),
       cols_(static_cast<std::size_t>(rf.quantized().cols())),
-      hw_(rf, config, tiled),
+      hw_(rf, core::SpmvPlan::build(rf), config, tiled),
       default_rng_(seed) {}
 
 bool BitTrueBackend::reprogram(std::uint64_t salt) {
   ClusterConfig fresh = config_;
   fresh.faults.seed = util::stream_seed(config_.faults.seed, salt,
                                         kReprogramSalt);
-  hw_ = tiled_ != nullptr ? HwSpmv(rf_, fresh, *tiled_)
-                          : HwSpmv(rf_, fresh);
+  hw_ = tiled_ != nullptr
+            ? HwSpmv(rf_, core::SpmvPlan::build(rf_), fresh, *tiled_)
+            : HwSpmv(rf_, fresh);
   ++reprograms_;
   return true;
 }

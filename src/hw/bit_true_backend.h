@@ -4,7 +4,9 @@
 // engines, drawing the per-tile fault populations, consuming the ECC
 // scoreboards — happens ONCE at construction and serves every subsequent
 // sweep and every column of a batch: the modeled-hardware-honest
-// amortization the arch layer prices with bit_true_spmm_time.
+// amortization the arch layer prices with bit_true_spmm_time. The SpmvPlan
+// the image is programmed from is built for that pass and freed after it;
+// the backend keeps only the programmed engines (resident_bytes()).
 //
 // Stream semantics: with an empty SweepContext, sweep number s draws its
 // per-column noise bases from one internal Rng(seed), one next() per
@@ -28,8 +30,9 @@ class BitTrueBackend final : public core::SweepBackend {
   BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
                  std::uint64_t seed = 0x817b17ULL);
   // Tiled programming: per-tile fault populations and ECC budgets, exactly
-  // the tiled HwSpmv constructor. `rf` and `tiled` are borrowed for the
-  // backend's lifetime (reprogram() rebuilds the image from them).
+  // the tiled HwSpmv constructor over SpmvPlan::build(rf). `rf` and `tiled`
+  // are borrowed for the backend's lifetime (reprogram() rebuilds the plan
+  // and the image from them).
   BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
                  const core::TiledPlan& tiled,
                  std::uint64_t seed = 0x817b17ULL);
@@ -46,13 +49,17 @@ class BitTrueBackend final : public core::SweepBackend {
 
   // Recovery-ladder hook: reprograms the crossbar from scratch with a
   // fresh fault population — config.faults.seed forked by `salt` — exactly
-  // as real hardware would re-image a tile whose cells drifted. The plan,
-  // format, and tile partition are unchanged; with zero configured fault
-  // rate the rebuilt image sweeps bit-identically to the original. The
-  // arch layer prices this as one full write-verify programming pass
-  // (arch::reprogram_seconds). Always returns true.
+  // as real hardware would re-image a tile whose cells drifted. The plan
+  // is rebuilt from rf (so damage to rf's dequantized CSR survives a
+  // reprogram); format and tile partition are unchanged; with zero
+  // configured fault rate the rebuilt image sweeps bit-identically to the
+  // original. The arch layer prices this as one full write-verify
+  // programming pass (arch::reprogram_seconds). Always returns true.
   bool reprogram(std::uint64_t salt) override;
   [[nodiscard]] long reprogram_count() const { return reprograms_; }
+  [[nodiscard]] std::size_t resident_bytes() const override {
+    return hw_.resident_bytes();
+  }
 
   // The programmed datapath (fault/ECC tallies, engine stats, resident
   // bytes) — benches and the serving layer read these.

@@ -6,12 +6,12 @@
 
 namespace refloat::hw {
 
-void HwSpmv::program_tile(const core::RefloatMatrix& rf, ClusterConfig config,
+void HwSpmv::program_tile(const core::RefloatMatrix& rf,
+                          const core::SpmvPlan& plan, ClusterConfig config,
                           std::size_t block_begin, std::size_t block_end) {
   // Program one engine per plan block, densifying straight from the SoA
-  // arena (the plan is the single source of block truth). The whole tile
-  // draws on one correction budget, consumed in programming order.
-  const core::SpmvPlan& plan = rf.plan();
+  // arena. The whole tile draws on one correction budget, consumed in
+  // programming order.
   long long budget = config.ecc.correct_cells;
   long long faulty = 0;
   long long corrected = 0;
@@ -39,44 +39,44 @@ void HwSpmv::program_tile(const core::RefloatMatrix& rf, ClusterConfig config,
 }
 
 HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config)
+    : HwSpmv(rf, core::SpmvPlan::build(rf), config, nullptr) {}
+
+HwSpmv::HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
+               ClusterConfig config, const core::TiledPlan& tiled)
+    : HwSpmv(rf, plan, config, &tiled) {}
+
+HwSpmv::HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
+               ClusterConfig config, const core::TiledPlan* tiled)
     : rows_(rf.quantized().rows()),
       cols_(rf.quantized().cols()),
       side_(1 << rf.format().b),
       noisy_(config.noise.sigma > 0.0) {
-  const core::SpmvPlan& plan = rf.plan();
   engines_.reserve(plan.num_blocks());
-  program_tile(rf, config, 0, plan.num_blocks());
+  if (tiled == nullptr) {
+    program_tile(rf, plan, config, 0, plan.num_blocks());
+  } else {
+    const std::uint64_t seed = config.faults.seed;
+    for (int t = 0; t < tiled->tile_count(); ++t) {
+      const core::TileShard& shard = tiled->shard(t);
+      ClusterConfig tile_config = config;
+      // Tile 0 keeps the caller's fault seed verbatim — one tile is the
+      // monolithic build, cell for cell. Later tiles are physically
+      // distinct arrays, so they carry independently derived defect
+      // populations.
+      if (t > 0) {
+        tile_config.faults.seed =
+            util::stream_seed(seed, static_cast<std::uint64_t>(t), 0x713e5ULL);
+      }
+      program_tile(rf, plan, tile_config, shard.block_begin, shard.block_end);
+    }
+    if (tiled->tile_count() == 0) {
+      tile_faulty_cells_.push_back(0);
+      tile_corrected_cells_.push_back(0);
+    }
+  }
   // The plan's full-grid block-row index is also the threading shard index:
   // engines are 1:1 with plan blocks, so the offsets carry over (empty
   // block-rows become no-op shards).
-  row_begin_ = plan.block_ptr;
-}
-
-HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
-               const core::TiledPlan& tiled)
-    : rows_(rf.quantized().rows()),
-      cols_(rf.quantized().cols()),
-      side_(1 << rf.format().b),
-      noisy_(config.noise.sigma > 0.0) {
-  const core::SpmvPlan& plan = rf.plan();
-  engines_.reserve(plan.num_blocks());
-  const std::uint64_t seed = config.faults.seed;
-  for (int t = 0; t < tiled.tile_count(); ++t) {
-    const core::TileShard& shard = tiled.shard(t);
-    ClusterConfig tile_config = config;
-    // Tile 0 keeps the caller's fault seed verbatim — one tile is the
-    // monolithic build, cell for cell. Later tiles are physically distinct
-    // arrays, so they carry independently derived defect populations.
-    if (t > 0) {
-      tile_config.faults.seed =
-          util::stream_seed(seed, static_cast<std::uint64_t>(t), 0x713e5ULL);
-    }
-    program_tile(rf, tile_config, shard.block_begin, shard.block_end);
-  }
-  if (tiled.tile_count() == 0) {
-    tile_faulty_cells_.push_back(0);
-    tile_corrected_cells_.push_back(0);
-  }
   row_begin_ = plan.block_ptr;
 }
 

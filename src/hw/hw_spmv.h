@@ -1,7 +1,8 @@
 // Whole-matrix SpMV over the bit-true datapath: one ProcessingEngine per
-// nonzero ReFloat block (programmed straight from the SpmvPlan arena),
-// partial outputs accumulated digitally — the hardware-exact counterpart of
-// the value backend's sweep. Callers reach it through hw::BitTrueBackend.
+// nonzero ReFloat block (programmed straight from an SpmvPlan arena, which
+// the image does not keep), partial outputs accumulated digitally — the
+// hardware-exact counterpart of the value backend's sweep. Callers reach it
+// through hw::BitTrueBackend.
 //
 // apply_multi() shards by block-row over util::ThreadPool::global()
 // ($REFLOAT_THREADS): block-rows own disjoint output rows, every shard
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/spmv_plan.h"
 #include "src/core/tiled_plan.h"
 #include "src/hw/engine.h"
 
@@ -22,11 +24,12 @@ namespace refloat::hw {
 
 class HwSpmv {
  public:
-  // Monolithic build: the whole plan programmed as one tile — one fault
-  // seed, one ECC budget (config.ecc.correct_cells).
+  // Monolithic build: builds rf's SpmvPlan, programs it as one tile — one
+  // fault seed, one ECC budget (config.ecc.correct_cells) — and frees it.
   HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config);
 
-  // Tiled build: each shard of `tiled` (a partition of rf.plan()) is
+  // Tiled build from `plan` (SpmvPlan::build(rf); borrowed for the
+  // constructor only): each shard of `tiled` (a partition of rf) is
   // programmed as its own tile with its own stuck-at fault population —
   // tile 0 keeps config.faults.seed verbatim (so one tile reproduces the
   // monolithic build bit-for-bit), tile t > 0 derives a per-tile seed —
@@ -34,8 +37,8 @@ class HwSpmv {
   // capacity scales with tile count; the reliability lever
   // bench_tiles ablates). The compute path is unchanged: engines stay in
   // plan-block order and apply_multi() shards by block-row.
-  HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
-         const core::TiledPlan& tiled);
+  HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
+         ClusterConfig config, const core::TiledPlan& tiled);
 
   // Y = A X for k column-major vectors (x.size() == k * cols) through the
   // crossbar engines. The programming pass — fault populations, ECC
@@ -55,7 +58,7 @@ class HwSpmv {
   [[nodiscard]] bool noisy() const { return noisy_; }
   // Heap bytes the programmed engines pin (plane bit-slices of both
   // polarity clusters) — what a residency cache should budget for a
-  // resident bit-true image on top of the plan/CSR bytes.
+  // resident bit-true image on top of RefloatMatrix::resident_bytes.
   [[nodiscard]] std::size_t resident_bytes() const;
 
   // Programming-time fault outcome per tile (one entry for the monolithic
@@ -71,10 +74,14 @@ class HwSpmv {
   }
 
  private:
+  // Shared by both builds: `tiled` == nullptr programs one tile.
+  HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
+         ClusterConfig config, const core::TiledPlan* tiled);
   // Programs plan blocks [block_begin, block_end) as one tile and records
   // its fault/correction counts.
-  void program_tile(const core::RefloatMatrix& rf, ClusterConfig config,
-                    std::size_t block_begin, std::size_t block_end);
+  void program_tile(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
+                    ClusterConfig config, std::size_t block_begin,
+                    std::size_t block_end);
   struct BlockEngine {
     sparse::Index row0 = 0;
     sparse::Index col0 = 0;

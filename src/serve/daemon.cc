@@ -1,6 +1,8 @@
 #include "src/serve/daemon.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <stdexcept>
@@ -23,13 +25,18 @@ namespace refloat::serve {
 
 namespace {
 
-// Positive-integer env override; invalid values warn and keep `fallback`.
-std::size_t env_size(const char* name, std::size_t fallback) {
+// Positive-integer env override of at most `max`; invalid values — including
+// ones strtoll clamps with ERANGE and ones above `max` — warn and keep
+// `fallback`.
+std::size_t env_size(const char* name, std::size_t fallback,
+                     std::size_t max = SIZE_MAX) {
   const char* text = std::getenv(name);
   if (text == nullptr || text[0] == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || parsed < 1) {
+  if (end == text || *end != '\0' || errno == ERANGE || parsed < 1 ||
+      static_cast<unsigned long long>(parsed) > max) {
     RF_LOG_WARN("%s=\"%s\" is not a positive integer; using %zu", name, text,
                 fallback);
     return fallback;
@@ -99,8 +106,10 @@ ServeConfig ServeConfig::from_env() {
   config.max_batch = env_size("REFLOAT_SERVE_BATCH", config.max_batch);
   config.batch_window_ms =
       env_double("REFLOAT_SERVE_WINDOW_MS", config.batch_window_ms);
-  config.cache_bytes =
-      env_size("REFLOAT_SERVE_CACHE_MB", config.cache_bytes >> 20) << 20;
+  // Bounded so the shift to bytes cannot wrap.
+  config.cache_bytes = env_size("REFLOAT_SERVE_CACHE_MB",
+                                config.cache_bytes >> 20, SIZE_MAX >> 20)
+                       << 20;
   if (const char* text = std::getenv("REFLOAT_SERVE_ABFT");
       text != nullptr && text[0] != '\0') {
     config.abft = !(text[0] == '0' && text[1] == '\0');
@@ -312,28 +321,21 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
       built->indefinite =
           built->rf.probe_definiteness().likely_indefinite();
     }
-    // Injected plan corruption: silently damages the operand this
-    // resident's backend sweeps — the dequantized CSR values for value
-    // sweeps, the SpmvPlan arena for noisy and bit-true (which programs its
-    // crossbars from it below). Checked sweeps flag it on the first apply
-    // against the checksum taken above.
+    // Injected plan corruption: silently damages the resident operand —
+    // the dequantized CSR values, which value backends sweep and from which
+    // noisy and bit-true backends build their SpmvPlan below. Checked
+    // sweeps flag it on the first apply against the checksum taken above.
     if (inj.armed(util::FaultSite::kPlanBuild)) {
       inj.maybe_corrupt(util::FaultSite::kPlanBuild,
-                        kind == core::BackendKind::kValue
-                            ? built->rf.mutable_quantized_values()
-                            : std::span<double>(
-                                  built->rf.mutable_plan().entry_value));
+                        built->rf.mutable_quantized_values());
     }
-    // Partition strictly after the RefloatMatrix reached its final
-    // address — TiledPlan borrows a pointer into rf.plan(); the
-    // backend below borrows both.
-    if (tiles > 1 && built->rf.plan().num_blocks() > 0) {
-      built->tiled = core::TiledPlan::partition(built->rf.plan(),
-                                                {.tiles = tiles});
+    if (tiles > 1 && built->rf.nonzero_blocks() > 0) {
+      built->tiled = core::TiledPlan::partition(built->rf, {.tiles = tiles});
     }
+    // The backend borrows built->rf and built->tiled, whose addresses the
+    // shared entry pins.
     const core::TiledPlan* tp =
         built->tiled.empty() ? nullptr : &built->tiled;
-    std::size_t backend_bytes = 0;
     switch (kind) {
       case core::BackendKind::kValue:
         built->backend = core::make_value_backend(built->rf, tp);
@@ -345,24 +347,23 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
         built->backend = core::make_noisy_backend(built->rf, sigma,
                                                   /*seed=*/0, tp);
         break;
-      case core::BackendKind::kBitTrue: {
+      case core::BackendKind::kBitTrue:
         // Default ClusterConfig = the ideal datapath (no faults, no
         // conductance noise): bit-true serving is deterministic and
         // the programmed image is built once per residency — the
         // expensive step this cache exists to amortize.
-        auto bt = tp != nullptr
-                      ? std::make_unique<hw::BitTrueBackend>(
-                            built->rf, hw::ClusterConfig{}, *tp)
-                      : std::make_unique<hw::BitTrueBackend>(
-                            built->rf, hw::ClusterConfig{});
-        backend_bytes = bt->hw().resident_bytes();
-        built->backend = std::move(bt);
+        built->backend =
+            tp != nullptr
+                ? std::make_unique<hw::BitTrueBackend>(
+                      built->rf, hw::ClusterConfig{}, *tp)
+                : std::make_unique<hw::BitTrueBackend>(
+                      built->rf, hw::ClusterConfig{});
         break;
-      }
     }
     if (abft_on) built->backend->set_abft(&built->abft);
     built->bytes = built->rf.resident_bytes() +
-                   built->tiled.index_bytes() + backend_bytes;
+                   built->tiled.index_bytes() +
+                   built->backend->resident_bytes();
     built->build_seconds = timer.seconds();
     return built;
   };
@@ -538,12 +539,16 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
 //      (transient faults). Diverged/stalled/breakdown trajectories instead
 //      warm-start from the last-good iterate.
 //   2. Bit-true: reprogram the crossbar image under a fresh fault seed,
-//      priced at a full write-verify programming pass. Other views whose
-//      corruption survived rung 1 (a damaged resident image, not a
-//      transient): evict the residency entry and rebuild it.
-//   3. Degrade one execution view per remaining attempt
+//      priced at a full write-verify programming pass.
+//   3. Corruption that survived the re-solve (and, for bit-true, the
+//      reprogram, which re-images from the same resident operand) means
+//      the resident itself is damaged: evict the residency entry and
+//      rebuild it.
+//   4. Degrade one execution view per remaining attempt
 //      (bittrue -> noisy -> value) and re-solve; the response carries
-//      degraded=true and the view that actually answered.
+//      degraded=true and the view that actually answered. A degraded view
+//      is checked against the resident's own checksum (the snapshot of the
+//      clean operand), not a fresh one over a possibly damaged operand.
 // Before every attempt the expected cost (the measured duration of the
 // previous attempt) is checked against the deadline; when another attempt
 // no longer fits, the request is shed instead of answered late.
@@ -589,11 +594,7 @@ SolverDaemon::Recovery SolverDaemon::recover_column(
           rec.reprogram_seconds += arch::reprogram_seconds(
               arch::AcceleratorConfig{}, entry->rf.nonzero_blocks());
         }
-      } else if (kind != core::BackendKind::kBitTrue && corrupted &&
-                 !rebuilt && !rec.degraded) {
-        // Bit-true already rebuilt its image on the reprogram rung; for the
-        // other views, corruption that survives a clean re-solve means the
-        // resident image itself is damaged.
+      } else if (corrupted && !rebuilt && !rec.degraded) {
         cache_.erase(key);
         try {
           ResidencyCache::EntryPtr fresh = cache_.get_or_build(key, rebuild);
@@ -623,8 +624,8 @@ SolverDaemon::Recovery SolverDaemon::recover_column(
                 ? core::make_noisy_backend(entry->rf, sigma, /*seed=*/0, tp)
                 : core::make_value_backend(entry->rf, tp);
         if (config_.abft) {
-          degraded_abft =
-              core::make_abft_checksum(entry->rf, abft_tolerance(next, sigma));
+          degraded_abft = entry->abft;
+          degraded_abft.rel_tolerance = abft_tolerance(next, sigma);
           degraded_backend->set_abft(&degraded_abft);
         }
         rec.final_kind = next;

@@ -1,13 +1,15 @@
 // LRU residency cache of built matrices — the serving-layer embodiment of
 // the paper's core economics: programming a matrix into ReRAM (here:
-// quantizing into a RefloatMatrix, building its SpmvPlan, partitioning the
-// TiledPlan, probing definiteness) is the expensive step, and it should be
-// paid once per resident matrix, then amortized across every solve that
-// hits it.
+// quantizing into a RefloatMatrix, partitioning the TiledPlan, probing
+// definiteness, building the backend — a noisy backend's SpmvPlan, a
+// bit-true crossbar image) is the expensive step, and it should be paid
+// once per resident matrix, then amortized across every solve that hits it.
 //
-// Capacity is byte-accounted (RefloatMatrix::resident_bytes + the tiled
-// shard index), not entry-counted, so one huge matrix and many small ones
-// budget against the same limit. Lookups are single-flight: when two
+// Capacity is byte-accounted (RefloatMatrix::resident_bytes — the
+// dequantized CSR plus its block index — + the tiled shard index + the
+// backend's SweepBackend::resident_bytes, which is 0 for value residents),
+// not entry-counted, so one huge matrix and many small ones budget against
+// the same limit. Lookups are single-flight: when two
 // threads request the same cold matrix, exactly one runs the builder while
 // the other waits on it — never two concurrent builds of the same key
 // (tests/test_lru_cache.cc pins this under TSan).
@@ -34,13 +36,13 @@
 
 namespace refloat::serve {
 
-// One resident matrix: the built RefloatMatrix, its tile partition (views
-// into rf.plan(); empty when running untiled), and the execution backend
-// the residency key names (value / noisy / bit-true — for bit-true the
-// entry owns the programmed crossbar image, which is exactly the cost the
-// residency amortizes). Construction order matters: `tiled` and `backend`
-// borrow pointers into `rf`, so both MUST be built only after `rf` reached
-// its final address. The backend's per-sweep scratch is per-instance, and
+// One resident matrix: the built RefloatMatrix, its tile partition (shard
+// offsets; empty when running untiled), and the execution backend the
+// residency key names (value / noisy / bit-true — the noisy backend owns
+// its SpmvPlan, the bit-true one its programmed crossbar image, which is
+// exactly the cost the residency amortizes). The backend borrows `rf` and
+// `tiled`, so it MUST be built only after the entry reached its final
+// address. The backend's per-sweep scratch is per-instance, and
 // batches dispatch serially on the daemon's one dispatcher (or pumping)
 // thread, so the shared-const entry handing out a mutable sweep is safe.
 struct ResidentEntry {
@@ -51,9 +53,10 @@ struct ResidentEntry {
   std::unique_ptr<core::SweepBackend> backend;
   // ABFT checksum row over the dequantized operator (empty colsum when
   // checked sweeps are off). Taken while the operand is still clean, before
-  // the fault injector's `plan` site can damage what the backend sweeps, so
-  // silent corruption of that operand fails verification. The backend holds
-  // a pointer to this member — the entry's address is pinned by shared_ptr.
+  // the fault injector's `plan` site can damage rf's dequantized CSR (and,
+  // through it, any plan the backend builds), so silent corruption of that
+  // operand fails verification. The backend holds a pointer to this member
+  // — the entry's address is pinned by shared_ptr.
   core::AbftChecksum abft;
   std::size_t bytes = 0;       // what the cache budgets for this entry
   bool indefinite = false;     // probe_definiteness routing verdict

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -292,12 +293,14 @@ TEST(Abft, SilentPlanCorruptionIsCaught) {
 }
 
 // The noisy twin: noisy sweeps read the SpmvPlan arena (their per-block
-// partials are part of the noise model), so that is where the damage goes.
+// partials are part of the noise model), which the backend builds from the
+// dequantized CSR — so damage to that operand reaches the arena of every
+// noisy backend built after it.
 TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
   GlobalInjectorGuard guard;
   const sparse::Csr a = test_csr();
   core::RefloatMatrix rf(a, test_format());
-  ASSERT_GT(rf.plan().entry_value.size(), 0u);
+  ASSERT_GT(core::SpmvPlan::build(rf).entry_value.size(), 0u);
   const double sigma = 1e-3;
   const core::AbftChecksum abft =
       core::make_abft_checksum(rf, /*rel_tolerance=*/32.0 * sigma);
@@ -312,9 +315,44 @@ TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
   EXPECT_TRUE(verdict.checked);
   EXPECT_TRUE(verdict.ok);
 
-  rf.mutable_plan().entry_value[0] += 1e3;
-  backend->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
+  rf.mutable_quantized_values()[0] += 1e3;
+  auto damaged = core::make_noisy_backend(rf, sigma, /*seed=*/5);
+  damaged->set_abft(&abft);
+  damaged->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
   EXPECT_TRUE(verdict.checked);
+  EXPECT_FALSE(verdict.ok);
+}
+
+// The bit-true twin: the backend programs its crossbars from a plan it
+// builds from the dequantized CSR and then frees, so damage to that operand
+// is in the image from the first sweep on — and survives a reprogram, which
+// rebuilds the plan from the same operand.
+TEST(Abft, SilentPlanCorruptionOnBitTrueImageSurvivesReprogram) {
+  GlobalInjectorGuard guard;
+  const sparse::Csr a = test_csr();
+  core::RefloatMatrix rf(a, test_format());
+  const core::AbftChecksum abft =
+      core::make_abft_checksum(rf, /*rel_tolerance=*/1e-3);
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  const std::vector<double> x(n, 1.0);
+  std::vector<double> y(n, 0.0);
+  core::SweepVerdict verdict;
+  {
+    hw::BitTrueBackend clean(rf, hw::ClusterConfig{});
+    clean.set_abft(&abft);
+    clean.sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
+    EXPECT_TRUE(verdict.checked);
+    EXPECT_TRUE(verdict.ok);
+  }
+
+  rf.mutable_quantized_values()[0] += 1e3;
+  hw::BitTrueBackend backend(rf, hw::ClusterConfig{});
+  backend.set_abft(&abft);
+  backend.sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
+  EXPECT_TRUE(verdict.checked);
+  EXPECT_FALSE(verdict.ok);
+  ASSERT_TRUE(backend.reprogram(/*salt=*/1));
+  backend.sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
   EXPECT_FALSE(verdict.ok);
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -258,7 +259,7 @@ TEST(ProcessingEngine, MatchesRefloatQuantizedProduct) {
       gen::build_stencil(gen::laplace2d_5pt(4, 4)).shifted(0.2);  // 16 = 2^b
   const core::RefloatMatrix rf(a, fmt);
   ASSERT_EQ(rf.nonzero_blocks(), 1u);
-  const int block_base = rf.plan().base[0];
+  const int block_base = core::SpmvPlan::build(rf).base[0];
 
   std::vector<std::vector<double>> dense(16, std::vector<double>(16, 0.0));
   // Rebuild the raw block from the original matrix.

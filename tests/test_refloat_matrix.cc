@@ -11,6 +11,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/gen/suite.h"
@@ -108,7 +109,7 @@ TEST(RefloatMatrix, ValueSweepMatchesQuantizedCsr) {
 TEST(RefloatMatrix, PlanCoversAllNonzeros) {
   const sparse::Csr a = test_matrix();
   const RefloatMatrix rf(a, default_format());
-  const SpmvPlan& plan = rf.plan();
+  const SpmvPlan plan = SpmvPlan::build(rf);
   EXPECT_TRUE(plan.valid());
   EXPECT_EQ(plan.num_entries(), static_cast<std::size_t>(rf.quantized().nnz()));
   EXPECT_EQ(plan.num_blocks(), rf.nonzero_blocks());
@@ -318,7 +319,10 @@ void expect_matches_reference(const sparse::Csr& a, const Format& fmt,
   ASSERT_TRUE(a.canonical());
   const RefloatMatrix rf(a, fmt, policy);
   const Converted ref = reference_convert(a, fmt, policy);
-  const SpmvPlan& p = rf.plan();
+  // The plan is no longer kept by the conversion: SpmvPlan::build(rf)
+  // rebuilds it from the dequantized CSR and the block index, and must
+  // equal the reference conversion's plan field for field.
+  const SpmvPlan p = SpmvPlan::build(rf);
   EXPECT_EQ(p.b, ref.plan.b);
   EXPECT_EQ(p.rows, ref.plan.rows);
   EXPECT_EQ(p.cols, ref.plan.cols);
@@ -332,6 +336,16 @@ void expect_matches_reference(const sparse::Csr& a, const Format& fmt,
   EXPECT_TRUE(same_bits(p.entry_value, ref.plan.entry_value));
   if (fmt.b > 0) {
     EXPECT_TRUE(p.valid());
+  }
+  // The resident block index is the plan's block structure, and the
+  // storage model and nonzero_blocks() read it.
+  const RefloatMatrix::BlockIndex& index = rf.block_index();
+  EXPECT_EQ(rf.nonzero_blocks(), ref.plan.num_blocks());
+  EXPECT_TRUE(same_bits(index.block_ptr, ref.plan.block_ptr));
+  ASSERT_EQ(index.size(), ref.plan.num_blocks());
+  for (std::size_t j = 0; j < index.size(); ++j) {
+    EXPECT_EQ(sparse::Index{index.block_col[j]} << fmt.b, ref.plan.col0[j]);
+    EXPECT_EQ(int{index.base[j]}, ref.plan.base[j]);
   }
 
   const sparse::Csr& q = rf.quantized();
@@ -398,6 +412,35 @@ sparse::Csr random_matrix(sparse::Index rows, sparse::Index cols, int per_row,
                      std::move(values));
 }
 
+// 24x24 whose only entries in block columns 1 (b = 3: columns 8..15) and
+// 2 (b = 3: 16..23; b = 4: 16..31) of the first band are exact zeros: those
+// blocks quantize to nothing, so they have no CSR entries, yet the
+// conversion must keep them as (empty) blocks.
+sparse::Csr zero_block_matrix() {
+  return sparse::Csr(24, 24, {0, 3, 5, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7,
+                              7, 8, 8, 8, 8, 8, 8, 8, 8},
+                     {0, 9, 10, 1, 12, 20, 9, 17},
+                     {1.0, 0.0, -0.0, 2.0, 0.0, 0.0, 3.0, 4.0});
+}
+
+TEST(RefloatMatrix, AllZeroBlockStaysInTheIndexAndThePlan) {
+  Format fmt = default_format();
+  fmt.b = 3;
+  const RefloatMatrix rf(zero_block_matrix(), fmt);
+  EXPECT_EQ(rf.quantized().nnz(), 4);
+  // Band 0 holds blocks at block columns 0, 1, 2; only column 0 survives
+  // quantization. Band 1 holds one block, band 2 one.
+  const RefloatMatrix::BlockIndex& index = rf.block_index();
+  ASSERT_EQ(index.block_ptr, (std::vector<std::size_t>{0, 3, 4, 5}));
+  EXPECT_EQ(index.block_col, (std::vector<std::int32_t>{0, 1, 2, 1, 2}));
+  EXPECT_EQ(rf.nonzero_blocks(), 5u);
+  const SpmvPlan plan = SpmvPlan::build(rf);
+  ASSERT_TRUE(plan.valid());
+  ASSERT_EQ(plan.num_blocks(), 5u);
+  EXPECT_EQ(plan.entry_ptr, (std::vector<std::size_t>{0, 2, 2, 2, 3, 4}));
+  EXPECT_EQ(plan.num_entries(), 4u);
+}
+
 TEST(RefloatMatrix, StreamedConversionMatchesReference) {
   QuantPolicy flush;
   flush.underflow = UnderflowMode::kFlushToZero;
@@ -422,6 +465,7 @@ TEST(RefloatMatrix, StreamedConversionMatchesReference) {
       {"tall", random_matrix(523, 77, 5, 2, true, {{0, 3}, {500, 523}})},
       {"finite", random_matrix(260, 260, 30, 3, false, {})},
       {"empty", sparse::Csr(5, 9, std::vector<sparse::Index>(6, 0), {}, {})},
+      {"zero_block", zero_block_matrix()},
       {"crystm01", gen::build(*gen::find_spec(353))},
   };
   for (const auto& [name, a] : inputs) {

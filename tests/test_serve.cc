@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/spmv_plan.h"
 #include "src/gen/grid.h"
 #include "src/serve/daemon.h"
 #include "src/serve/tcp_server.h"
@@ -552,16 +554,17 @@ TEST(ServeFaults, CorruptedSolveRecoversBitIdentically) {
 }
 
 TEST(ServeFaults, BitTrueLadderReprogramsThenDegrades) {
-  // Budget 3 walks a bit-true request down the whole ladder: the initial
+  // Budget 4 walks a bit-true request down the whole ladder: the initial
   // solve corrupts (1), the rung-1 re-solve corrupts (2), the rung-2
-  // reprogrammed image corrupts (3), and the rung-3 degraded noisy view
-  // finally answers clean. The response carries the view that answered.
+  // reprogrammed image corrupts (3), the rung-3 rebuilt resident corrupts
+  // (4), and the rung-4 degraded noisy view finally answers clean. The
+  // response carries the view that answered.
   GlobalInjectorGuard guard;
   SolverDaemon daemon(manual_config());
   register_test_matrix(daemon);
 
   ASSERT_TRUE(
-      util::FaultInjector::global().configure_from_text("sweep:1:41:3"));
+      util::FaultInjector::global().configure_from_text("sweep:1:41:4"));
   SolveRequest request;
   request.matrix = kName;
   request.rhs_seed = 5;
@@ -576,13 +579,14 @@ TEST(ServeFaults, BitTrueLadderReprogramsThenDegrades) {
   const SolveResponse got = future.get();
   EXPECT_EQ(got.status, ResponseStatus::kOk);
   EXPECT_EQ(got.solve_status, solve::SolveStatus::kConverged);
-  EXPECT_EQ(got.retries, 3);
+  EXPECT_EQ(got.retries, 4);
   EXPECT_TRUE(got.degraded);
   EXPECT_STREQ(got.backend, "noisy");
 
   const ServeStats stats = daemon.stats();
-  EXPECT_EQ(stats.abft_failures, 3u);
+  EXPECT_EQ(stats.abft_failures, 4u);
   EXPECT_EQ(stats.reprograms, 1u);
+  EXPECT_EQ(stats.rebuilds, 1u);
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_EQ(stats.recovered, 1u);
 }
@@ -797,6 +801,240 @@ TEST(ServeFaults, PlanCorruptionOnValueResidentIsCaughtAndRebuilt) {
   EXPECT_GE(stats.abft_failures, 1u);
   EXPECT_EQ(stats.rebuilds, 1u);
   EXPECT_EQ(stats.recovered, 1u);
+}
+
+// The plan site damages a resident's dequantized CSR, from which noisy and
+// bit-true backends build their SpmvPlan. Serves `request` once with the
+// plan-site `spec` armed and once on a fault-free daemon, and checks the
+// faulty answer recovered through a rebuild, bit-identical to the clean
+// one. Returns the faulty daemon's stats.
+ServeStats serve_through_plan_fault(const SolveRequest& request,
+                                    const char* spec, int expected_retries) {
+  GlobalInjectorGuard guard;
+  const auto serve_one = [&](SolverDaemon& daemon) {
+    auto future = daemon.submit(SolveRequest(request));
+    const TimePoint t0 = Clock::now();
+    daemon.pump(t0);
+    daemon.pump(t0 + milliseconds(3));
+    EXPECT_TRUE(ready(future));
+    return future.get();
+  };
+  SolverDaemon clean_daemon(manual_config());
+  register_test_matrix(clean_daemon);
+  const SolveResponse want = serve_one(clean_daemon);
+  EXPECT_EQ(want.retries, 0);
+
+  SolverDaemon daemon(manual_config());
+  register_test_matrix(daemon);
+  EXPECT_TRUE(util::FaultInjector::global().configure_from_text(spec));
+  const SolveResponse got = serve_one(daemon);
+  EXPECT_EQ(got.status, ResponseStatus::kOk);
+  EXPECT_EQ(got.solve_status, solve::SolveStatus::kConverged);
+  EXPECT_EQ(got.retries, expected_retries);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_STREQ(got.backend, core::backend_kind_name(request.backend));
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.final_residual, want.final_residual);
+  EXPECT_EQ(got.solution.size(), want.solution.size());
+  for (std::size_t i = 0;
+       i < std::min(got.solution.size(), want.solution.size()); ++i) {
+    EXPECT_EQ(got.solution[i], want.solution[i]) << "row " << i;
+  }
+  return daemon.stats();
+}
+
+TEST(ServeFaults, PlanCorruptionOnNoisyResidentIsCaughtAndRebuilt) {
+  // The noisy backend built its plan from the damaged CSR: the first solve
+  // is flagged, the rung-1 re-solve hits the same persistent damage, and
+  // the rung-2 rebuild (budget spent) answers bit-identically to a
+  // fault-free solve.
+  SolveRequest request;
+  request.matrix = kName;
+  request.rhs_seed = 3;
+  request.backend = core::BackendKind::kNoisy;
+  request.noise_sigma = 1e-3;
+  request.noise_seed = 77;
+  // The damage: one -1 entry becomes -inf.
+  const ServeStats stats = serve_through_plan_fault(request, "plan:1:45:1", 2);
+  EXPECT_EQ(stats.abft_failures, 2u);
+  EXPECT_EQ(stats.rebuilds, 1u);
+  EXPECT_EQ(stats.reprograms, 0u);
+  EXPECT_EQ(stats.recovered, 1u);
+}
+
+TEST(ServeFaults, PlanCorruptionOnBitTrueResidentSurvivesReprogram) {
+  // The bit-true image was programmed from a plan built from the damaged
+  // CSR: the first solve and the rung-1 re-solve are flagged, the rung-2
+  // reprogram rebuilds the plan from the same damaged operand and is
+  // flagged too, and the rung-3 rebuild answers bit-identically to a
+  // fault-free solve.
+  SolveRequest request;
+  request.matrix = kName;
+  request.rhs_seed = 5;
+  request.tolerance = 1e-6;
+  request.backend = core::BackendKind::kBitTrue;
+  // The damage: one 4 on the diagonal becomes 2^-1022.
+  const ServeStats stats = serve_through_plan_fault(request, "plan:1:44:1", 3);
+  EXPECT_EQ(stats.abft_failures, 3u);
+  EXPECT_EQ(stats.reprograms, 1u);
+  EXPECT_EQ(stats.rebuilds, 1u);
+  EXPECT_EQ(stats.recovered, 1u);
+}
+
+TEST(ServeFaults, DamageThatSurvivesTheRebuildIsNotAnsweredAsConverged) {
+  // Budget 2 damages the resident and its rebuild alike (seed 32: each
+  // time one diagonal 4 becomes 2^-1022, a finite value). Every view reads
+  // the damaged CSR, so the degraded value view must be checked against
+  // the resident's checksum snapshot of the clean operand and fail too — a
+  // checksum recomputed from the damaged operand would pass it. The ladder
+  // runs out of rungs and answers corrupted, never converged.
+  GlobalInjectorGuard guard;
+  SolverDaemon daemon(manual_config());
+  register_test_matrix(daemon);
+  ASSERT_TRUE(
+      util::FaultInjector::global().configure_from_text("plan:1:32:2"));
+  SolveRequest request;
+  request.matrix = kName;
+  request.rhs_seed = 3;
+  request.backend = core::BackendKind::kNoisy;
+  request.noise_sigma = 1e-3;
+  auto future = daemon.submit(std::move(request));
+  const TimePoint t0 = Clock::now();
+  daemon.pump(t0);
+  daemon.pump(t0 + milliseconds(3));
+
+  ASSERT_TRUE(ready(future));
+  const SolveResponse got = future.get();
+  EXPECT_EQ(got.status, ResponseStatus::kOk);
+  EXPECT_EQ(got.solve_status, solve::SolveStatus::kCorrupted);
+  EXPECT_TRUE(got.degraded);
+  EXPECT_STREQ(got.backend, "value");
+  const ServeStats stats = daemon.stats();
+  EXPECT_EQ(stats.rebuilds, 1u);
+  EXPECT_EQ(stats.abft_failures, 4u);  // first solve + three rungs
+  EXPECT_EQ(stats.recovered, 0u);
+}
+
+// --- Residency accounting --------------------------------------------------
+
+// Serves one request of `kind` on `name` and returns the cache's resident
+// bytes afterwards.
+std::size_t serve_and_measure(SolverDaemon& daemon, const char* name,
+                              core::BackendKind kind) {
+  SolveRequest request;
+  request.matrix = name;
+  request.rhs_seed = 1;
+  request.backend = kind;
+  request.noise_sigma = 1e-3;
+  auto future = daemon.submit(std::move(request));
+  const TimePoint t0 = Clock::now();
+  daemon.pump(t0);
+  daemon.pump(t0 + milliseconds(3));
+  EXPECT_TRUE(ready(future));
+  EXPECT_EQ(future.get().status, ResponseStatus::kOk);
+  return daemon.stats().cache.resident_bytes;
+}
+
+ServeConfig untiled_config() {
+  ServeConfig config = manual_config();
+  config.tiles = 1;  // no shard index, whatever $REFLOAT_TILES says
+  return config;
+}
+
+TEST(Residency, ValueResidentBudgetsCsrAndBlockIndexButNoPlan) {
+  const core::RefloatMatrix rf(test_csr(), test_format());
+  const std::size_t plan_bytes = core::SpmvPlan::build(rf).payload_bytes();
+  ASSERT_GT(plan_bytes, 0u);
+  ASSERT_GT(rf.block_index().bytes(), 0u);
+  EXPECT_EQ(rf.resident_bytes(),
+            rf.quantized().memory_bytes() + rf.block_index().bytes());
+
+  SolverDaemon daemon(untiled_config());
+  register_test_matrix(daemon);
+  EXPECT_EQ(serve_and_measure(daemon, kName, core::BackendKind::kValue),
+            rf.resident_bytes());
+}
+
+TEST(Residency, NoisyResidentCountsItsPlanOnce) {
+  const core::RefloatMatrix rf(test_csr(), test_format());
+  const std::size_t plan_bytes = core::SpmvPlan::build(rf).payload_bytes();
+  SolverDaemon daemon(untiled_config());
+  register_test_matrix(daemon);
+  EXPECT_EQ(serve_and_measure(daemon, kName, core::BackendKind::kNoisy),
+            rf.resident_bytes() + plan_bytes);
+}
+
+TEST(Residency, CacheHoldsTwoValueResidentsThatFitOnlyWithoutPlans) {
+  // Two matrices whose value residents fit the cache together under the
+  // CSR + block-index accounting, while one of them plus its plan arena
+  // (what a value resident used to pin) would already crowd out the other.
+  const sparse::Csr a1 = test_csr();
+  const sparse::Csr a2 = gen::build_stencil(gen::laplace2d_5pt(12, 12));
+  const core::RefloatMatrix rf1(a1, test_format());
+  const core::RefloatMatrix rf2(a2, test_format());
+  const std::size_t with_plans =
+      rf1.quantized().memory_bytes() +
+      core::SpmvPlan::build(rf1).payload_bytes() +
+      rf2.quantized().memory_bytes() +
+      core::SpmvPlan::build(rf2).payload_bytes();
+  ServeConfig config = untiled_config();
+  config.cache_bytes = rf1.resident_bytes() + rf2.resident_bytes();
+  ASSERT_GT(with_plans, config.cache_bytes);
+  ASSERT_LE(rf1.quantized().memory_bytes() +
+                core::SpmvPlan::build(rf1).payload_bytes(),
+            config.cache_bytes);
+
+  SolverDaemon daemon(config);
+  register_test_matrix(daemon);
+  daemon.register_matrix("laplace12x12", test_format(), [a2] { return a2; });
+  serve_and_measure(daemon, kName, core::BackendKind::kValue);
+  EXPECT_EQ(
+      serve_and_measure(daemon, "laplace12x12", core::BackendKind::kValue),
+      config.cache_bytes);
+  const ServeStats stats = daemon.stats();
+  EXPECT_EQ(stats.cache.resident_count, 2u);
+  EXPECT_EQ(stats.cache.evictions, 0u);
+  EXPECT_EQ(stats.cache.oversize, 0u);
+}
+
+// --- Environment knobs -----------------------------------------------------
+
+TEST(ServeConfigEnv, CacheMegabytesThatWrapInBytesKeepTheDefault) {
+  const std::size_t fallback = ServeConfig{}.cache_bytes;
+  {
+    // 2^44 MiB is 2^64 bytes: the shift to bytes used to wrap to 0.
+    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "17592186044416");
+    EXPECT_EQ(ServeConfig::from_env().cache_bytes, fallback);
+  }
+  {
+    // ... and 2^44 + 1 MiB to 1 MiB.
+    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "17592186044417");
+    EXPECT_EQ(ServeConfig::from_env().cache_bytes, fallback);
+  }
+  {
+    // strtoll clamps to LLONG_MAX with ERANGE.
+    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "99999999999999999999999");
+    EXPECT_EQ(ServeConfig::from_env().cache_bytes, fallback);
+  }
+  {
+    // The largest value that does not wrap is taken as given.
+    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "17592186044415");
+    EXPECT_EQ(ServeConfig::from_env().cache_bytes,
+              std::size_t{17592186044415} << 20);
+  }
+  {
+    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "64");
+    EXPECT_EQ(ServeConfig::from_env().cache_bytes, std::size_t{64} << 20);
+  }
+}
+
+TEST(ServeConfigEnv, OutOfRangeQueueAndBatchKeepTheDefaults) {
+  const ServeConfig defaults;
+  ScopedEnv queue("REFLOAT_SERVE_QUEUE", "99999999999999999999999");
+  ScopedEnv batch("REFLOAT_SERVE_BATCH", "-99999999999999999999999");
+  const ServeConfig config = ServeConfig::from_env();
+  EXPECT_EQ(config.queue_capacity, defaults.queue_capacity);
+  EXPECT_EQ(config.max_batch, defaults.max_batch);
 }
 
 // --- TCP hardening ---------------------------------------------------------

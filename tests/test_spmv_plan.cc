@@ -18,6 +18,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/core/simd.h"
+#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/util/random.h"
@@ -88,7 +89,7 @@ TEST(SpmvPlan, StructureIsValidAndMatchesLegacyBucketing) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
-  const core::SpmvPlan& plan = rf.plan();
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   ASSERT_TRUE(plan.valid());
 
   const LegacyBlocks legacy = legacy_blocks(rf);
@@ -119,7 +120,7 @@ TEST(SpmvPlan, ValidRejectsEachKindOfCorruption) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
-  const core::SpmvPlan& good = rf.plan();
+  const core::SpmvPlan good = core::SpmvPlan::build(rf);
   ASSERT_TRUE(good.valid());
   ASSERT_GE(good.num_blocks(), 2u);
 
@@ -248,7 +249,7 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   core::Format fmt = core::default_format();
   fmt.b = 4;
   const core::RefloatMatrix rf(a, fmt);
-  const core::SpmvPlan& plan = rf.plan();
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   ASSERT_TRUE(plan.valid());
   ASSERT_EQ(plan.block_rows(), 4u);
   EXPECT_EQ(plan.block_ptr[1], plan.block_ptr[2]);  // block-row 1 is empty
@@ -292,7 +293,7 @@ TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(8, 8)).shifted(0.2);
   const core::RefloatMatrix rf(a, core::format_fp64());
-  EXPECT_EQ(rf.plan().num_blocks(), 0u);
+  EXPECT_EQ(core::SpmvPlan::build(rf).num_blocks(), 0u);
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::size_t k = 2;
   const std::vector<double> x = random_vector(n * k, 600);
@@ -331,7 +332,7 @@ std::vector<double> blocked_value_sweep(const core::RefloatMatrix& rf,
     }
     return y;
   }
-  const core::SpmvPlan& plan = rf.plan();
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   for (std::size_t br = 0; br < plan.block_rows(); ++br) {
     for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
       const auto r0 = static_cast<std::size_t>(plan.row0[j]);
@@ -433,7 +434,7 @@ TEST(SpmvPlan, ValueSweepBitIdenticalToBlockedPlanLoop) {
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(c.a, c.format);
     if (c.format.b > 0) {
-      ASSERT_TRUE(rf.plan().valid()) << c.name;
+      ASSERT_TRUE(core::SpmvPlan::build(rf).valid()) << c.name;
     }
     const auto n = static_cast<std::size_t>(c.a.rows());
     for (const std::size_t k : ks) {

@@ -1,9 +1,10 @@
-// The tiled-execution contract (ISSUE 7): partitioning the SpmvPlan across
-// modeled ReRAM tiles is a pure scheduling change — every shard is a
-// zero-copy view, every SpMV path is bit-identical to its untiled
-// counterpart for any partition at any thread count — while the arch/
-// timing collapses to the monolithic closed form at one tile and the hw/
-// per-tile ECC measurably improves fault survival with tile count.
+// The tiled-execution contract: partitioning a RefloatMatrix across
+// modeled ReRAM tiles is a pure scheduling change — every shard is a set of
+// offsets that agrees with the matrix's SpmvPlan, every SpMV path is
+// bit-identical to its untiled counterpart for any partition at any thread
+// count — while the arch/ timing collapses to the monolithic closed form
+// at one tile and the hw/ per-tile ECC measurably improves fault survival
+// with tile count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,10 +56,11 @@ sparse::Csr empty_band_matrix() {
 
 TEST(TilePartition, CoversThePlanForEveryTileCount) {
   const core::RefloatMatrix rf(grid_matrix(), kFmt);
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   for (const int tiles : {1, 2, 3, 7, 13, 64}) {
     const core::TiledPlan tiled =
-        core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
-    EXPECT_TRUE(tiled.valid()) << tiles << " tiles";
+        core::TiledPlan::partition(rf, {.tiles = tiles});
+    EXPECT_TRUE(tiled.valid(plan)) << tiles << " tiles";
     EXPECT_EQ(tiled.tile_count(), std::min<int>(tiles, 64));
     std::size_t blocks = 0;
     std::size_t entries = 0;
@@ -66,8 +68,8 @@ TEST(TilePartition, CoversThePlanForEveryTileCount) {
       blocks += s.blocks();
       entries += s.entries();
     }
-    EXPECT_EQ(blocks, rf.plan().num_blocks()) << tiles << " tiles";
-    EXPECT_EQ(entries, rf.plan().num_entries()) << tiles << " tiles";
+    EXPECT_EQ(blocks, plan.num_blocks()) << tiles << " tiles";
+    EXPECT_EQ(entries, plan.num_entries()) << tiles << " tiles";
     EXPECT_EQ(tiled.stats().requested_tiles, tiles);
   }
 }
@@ -76,10 +78,11 @@ TEST(TilePartition, MoreTilesThanBlockRowsPadsEmptyShards) {
   // 64x64 at b=4 -> 4 block-rows; 7 requested tiles -> 3 empty trailing
   // shards, still a valid cover.
   const core::RefloatMatrix rf(empty_band_matrix(), kFmt);
-  ASSERT_EQ(rf.plan().block_rows(), 4u);
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
+  ASSERT_EQ(plan.block_rows(), 4u);
   const core::TiledPlan tiled =
-      core::TiledPlan::partition(rf.plan(), {.tiles = 7});
-  EXPECT_TRUE(tiled.valid());
+      core::TiledPlan::partition(rf, {.tiles = 7});
+  EXPECT_TRUE(tiled.valid(plan));
   EXPECT_EQ(tiled.tile_count(), 7);
   int empty_shards = 0;
   for (const core::TileShard& s : tiled.shards()) {
@@ -92,8 +95,8 @@ TEST(TilePartition, CapacityBudgetForcesExtraShards) {
   const core::RefloatMatrix rf(grid_matrix(), kFmt);
   const std::size_t cap = 3;
   const core::TiledPlan tiled = core::TiledPlan::partition(
-      rf.plan(), {.tiles = 2, .capacity_blocks = cap});
-  EXPECT_TRUE(tiled.valid());
+      rf, {.tiles = 2, .capacity_blocks = cap});
+  EXPECT_TRUE(tiled.valid(core::SpmvPlan::build(rf)));
   // 13 block-rows of ~3 blocks each cannot fit in 2 shards of 3 blocks.
   EXPECT_GT(tiled.tile_count(), 2);
   for (const core::TileShard& s : tiled.shards()) {
@@ -110,12 +113,13 @@ TEST(TilePartition, CapacityBudgetForcesExtraShards) {
 
 TEST(TilePartition, RefinementNeverWorsensBalance) {
   const core::RefloatMatrix rf(grid_matrix(), kFmt);
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   for (const int tiles : {2, 3, 5}) {
     const core::TiledPlan coarse = core::TiledPlan::partition(
-        rf.plan(), {.tiles = tiles, .refine = false});
+        rf, {.tiles = tiles, .refine = false});
     const core::TiledPlan refined = core::TiledPlan::partition(
-        rf.plan(), {.tiles = tiles, .refine = true});
-    EXPECT_TRUE(refined.valid());
+        rf, {.tiles = tiles, .refine = true});
+    EXPECT_TRUE(refined.valid(plan));
     EXPECT_LE(refined.stats().balance, coarse.stats().balance)
         << tiles << " tiles";
     EXPECT_GE(refined.stats().balance, 1.0);
@@ -148,7 +152,7 @@ TEST(TiledSpmv, BitIdenticalToUntiledForEveryPartitionAndThreadCount) {
     core::make_value_backend(rf, nullptr)->sweep(x, 1, want, {});
     for (const int tiles : {1, 2, 3, 7}) {
       const core::TiledPlan tiled =
-          core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
+          core::TiledPlan::partition(rf, {.tiles = tiles});
       const auto backend = core::make_value_backend(rf, &tiled);
       expect_bit_identical_across_threads(
           [&] {
@@ -170,7 +174,7 @@ TEST(TiledSpmv, CapacityForcedUnevenSplitStaysBitIdentical) {
   std::vector<double> want(x.size());
   core::make_value_backend(rf, nullptr)->sweep(x, 1, want, {});
   const core::TiledPlan tiled = core::TiledPlan::partition(
-      rf.plan(), {.tiles = 2, .capacity_blocks = 3});
+      rf, {.tiles = 2, .capacity_blocks = 3});
   ASSERT_GT(tiled.tile_count(), 2);
   const auto backend = core::make_value_backend(rf, &tiled);
   expect_bit_identical_across_threads(
@@ -199,7 +203,7 @@ TEST(TiledSpmv, NoisyPathBitIdenticalToUntiled) {
   core::make_noisy_backend(rf, 0.05, seed, nullptr)->sweep(x, 1, want, ctx);
   for (const int tiles : {1, 2, 3, 7}) {
     const core::TiledPlan tiled =
-        core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
+        core::TiledPlan::partition(rf, {.tiles = tiles});
     const auto backend = core::make_noisy_backend(rf, 0.05, seed, &tiled);
     expect_bit_identical_across_threads(
         [&] {
@@ -227,7 +231,7 @@ TEST(TiledHwSpmv, FaultFreeBuildMatchesMonolithicBitForBit) {
   mono.sweep(x, 1, want, {});
   for (const int tiles : {1, 2, 3, 7}) {
     const core::TiledPlan tiled =
-        core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
+        core::TiledPlan::partition(rf, {.tiles = tiles});
     expect_bit_identical_across_threads(
         [&] {
           hw::BitTrueBackend backend(rf, config, tiled, /*seed=*/55);
@@ -249,7 +253,7 @@ TEST(TiledHwSpmv, OneTileReproducesTheMonolithicFaultPopulation) {
   util::ThreadPool::set_global_threads(1);
   hw::BitTrueBackend mono(rf, config);
   const core::TiledPlan one =
-      core::TiledPlan::partition(rf.plan(), {.tiles = 1});
+      core::TiledPlan::partition(rf, {.tiles = 1});
   hw::BitTrueBackend tiled(rf, config, one);
   EXPECT_EQ(tiled.hw().tile_count(), 1);
   EXPECT_EQ(tiled.hw().stats().faulty_cells, mono.hw().stats().faulty_cells);
@@ -294,8 +298,8 @@ TEST(TiledHwSpmv, PerTileEccBudgetImprovesFaultSurvival) {
   EXPECT_EQ(mono.stats().faulty_cells + mono.stats().ecc_corrected, selected);
 
   const core::TiledPlan four =
-      core::TiledPlan::partition(rf.plan(), {.tiles = 4});
-  hw::HwSpmv tiled(rf, ecc, four);
+      core::TiledPlan::partition(rf, {.tiles = 4});
+  hw::HwSpmv tiled(rf, core::SpmvPlan::build(rf), ecc, four);
   ASSERT_EQ(tiled.tile_count(), 4);
   long long survived = 0;
   for (int t = 0; t < tiled.tile_count(); ++t) {
@@ -368,8 +372,9 @@ TEST(TiledSchedule, OneTileMatchesTheUntiledSimulation) {
   const sparse::Csr a = grid_matrix();
   const core::RefloatMatrix rf(a, kFmt);
   const sparse::BlockedMatrix blocked(rf.quantized(), kFmt.b);
-  ASSERT_EQ(blocked.nonzero_blocks(), rf.plan().num_blocks());
-  ASSERT_EQ(static_cast<std::size_t>(blocked.nnz()), rf.plan().num_entries());
+  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
+  ASSERT_EQ(blocked.nonzero_blocks(), plan.num_blocks());
+  ASSERT_EQ(static_cast<std::size_t>(blocked.nnz()), plan.num_entries());
 
   arch::AcceleratorConfig config = arch::refloat_config(kFmt);
   for (const long long capacity : {100000LL, 13LL}) {
@@ -377,8 +382,9 @@ TEST(TiledSchedule, OneTileMatchesTheUntiledSimulation) {
         capacity * arch::crossbars_per_cluster(config.format);
     const arch::ScheduleStats untiled = arch::simulate_spmv(config, blocked);
     const core::TiledPlan one =
-        core::TiledPlan::partition(rf.plan(), {.tiles = 1});
-    const arch::ScheduleStats tiled = arch::simulate_spmv_tiled(config, one);
+        core::TiledPlan::partition(rf, {.tiles = 1});
+    const arch::ScheduleStats tiled =
+        arch::simulate_spmv_tiled(config, plan, one);
     EXPECT_EQ(tiled.seconds, untiled.seconds) << "capacity " << capacity;
     EXPECT_EQ(tiled.rounds, untiled.rounds);
     EXPECT_EQ(tiled.cluster_utilization, untiled.cluster_utilization);
@@ -396,8 +402,9 @@ TEST(TiledSchedule, ReportsPerTileObservables) {
   arch::AcceleratorConfig config = arch::refloat_config(kFmt);
   config.total_crossbars = 8 * arch::crossbars_per_cluster(config.format);
   const core::TiledPlan tiled =
-      core::TiledPlan::partition(rf.plan(), {.tiles = 3});
-  const arch::ScheduleStats stats = arch::simulate_spmv_tiled(config, tiled);
+      core::TiledPlan::partition(rf, {.tiles = 3});
+  const arch::ScheduleStats stats =
+      arch::simulate_spmv_tiled(config, core::SpmvPlan::build(rf), tiled);
   EXPECT_EQ(stats.tiles, 3);
   ASSERT_EQ(stats.tile_utilization.size(), 3u);
   ASSERT_EQ(stats.tile_rounds.size(), 3u);
