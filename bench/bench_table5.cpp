@@ -23,11 +23,8 @@ int main() {
   for (const gen::SuiteSpec& spec : gen::suite()) {
     const MatrixBundle bundle = load_bundle(spec);
     const auto& a = bundle.a;
-    const sparse::SpectrumEstimate est = sparse::lanczos_extremes(
-        [&a](std::span<const double> x, std::span<double> y) {
-          a.spmv(x, y);
-        },
-        static_cast<std::size_t>(a.rows()), 300, /*seed=*/spec.seed);
+    const sparse::SpectrumEstimate est =
+        sparse::lanczos_extremes(a, 300, /*seed=*/spec.seed);
 
     table.add_row({std::to_string(spec.ss_id), spec.name,
                    util::fmt_i(spec.paper_rows), util::fmt_i(a.rows()),

@@ -21,6 +21,15 @@
 //                         cost a noisy or bit-true backend pays at
 //                         construction) on the grid-64 stencil and the
 //                         scattered matrix
+//   gen_build             the generators' direct CSR builds on small fixed
+//                         grids: gen_build/mass3d is the 27-point mass
+//                         stencil at 24^3 (the crystm/qa8fm shape),
+//                         gen_build/scattered the thermomech chain (7-point
+//                         stencil at 32^3, shifted, randomly permuted)
+//   probe                 the 96-step Lanczos definiteness probe
+//                         (sparse::lanczos_extremes on rf.quantized(), not
+//                         through the probe cache) on the grid-64 stencil
+//                         and the scattered matrix
 //   spmv_e2e/<isa>        a full k = 1 value-backend sweep (quantize_vector
 //                         + row sweep + epilogue) at grid 128 — comparable
 //                         to the historical 316 us scalar number in
@@ -71,6 +80,7 @@
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/engine.h"
+#include "src/sparse/lanczos.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
@@ -247,6 +257,53 @@ void plan_make(benchmark::State& state, const Workload& w) {
     benchmark::DoNotOptimize(plan.entry_value.data());
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(w.a.nnz()));
+}
+
+// --- gen_build: direct CSR generation -------------------------------------
+
+void gen_build_mass3d(benchmark::State& state) {
+  const gen::StencilSpec spec = gen::mass3d_27pt(24, 24, 24);
+  sparse::Index nnz = 0;
+  for (auto _ : state) {
+    const sparse::Csr a = gen::build_stencil(spec);
+    nnz = a.nnz();
+    benchmark::DoNotOptimize(a.values().data());
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(nnz));
+}
+
+void gen_build_scattered(benchmark::State& state) {
+  const gen::StencilSpec spec = gen::laplace3d_7pt(32, 32, 32);
+  std::vector<sparse::Index> perm(32 * 32 * 32);
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    perm[i] = static_cast<sparse::Index>(i);
+  }
+  util::Rng rng(11);
+  for (std::size_t i = perm.size() - 1; i > 0; --i) {
+    std::swap(perm[i], perm[rng.below(i + 1)]);
+  }
+  sparse::Index nnz = 0;
+  for (auto _ : state) {
+    const sparse::Csr a =
+        gen::build_stencil(spec).shifted(0.5).permuted_symmetric(perm);
+    nnz = a.nnz();
+    benchmark::DoNotOptimize(a.values().data());
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(nnz));
+}
+
+// --- probe: the Lanczos definiteness probe ---------------------------------
+
+void probe(benchmark::State& state, const Workload& w) {
+  for (auto _ : state) {
+    const sparse::SpectrumEstimate est =
+        sparse::lanczos_extremes(w.rf.quantized(), 96, /*seed=*/0x9e0beULL);
+    benchmark::DoNotOptimize(est.lambda_min);
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) * 96 *
                           static_cast<long>(w.a.nnz()));
 }
 
@@ -432,6 +489,16 @@ void register_all() {
       ->Arg(64);
   benchmark::RegisterBenchmark("plan_make/scattered", [](benchmark::State& s) {
     plan_make(s, scattered_workload());
+  });
+  benchmark::RegisterBenchmark("gen_build/mass3d", gen_build_mass3d);
+  benchmark::RegisterBenchmark("gen_build/scattered", gen_build_scattered);
+  benchmark::RegisterBenchmark("probe",
+                               [](benchmark::State& s) {
+                                 probe(s, workload(s.range(0)));
+                               })
+      ->Arg(64);
+  benchmark::RegisterBenchmark("probe/scattered", [](benchmark::State& s) {
+    probe(s, scattered_workload());
   });
   const core::SimdIsa best = core::simd_best_supported();
   for (const int threads : {1, 2, 4, 8}) {

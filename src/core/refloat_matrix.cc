@@ -190,11 +190,8 @@ const ConversionStats& RefloatMatrix::probe_definiteness(int steps) const {
   if (stats_.probe_steps >= steps || rows_ != cols_ || rows_ == 0) {
     return stats_;
   }
-  const sparse::SpectrumEstimate est = sparse::lanczos_extremes(
-      [this](std::span<const double> v, std::span<double> w) {
-        quantized_.spmv(v, w);
-      },
-      static_cast<std::size_t>(rows_), steps, /*seed=*/0x9e0beULL);
+  const sparse::SpectrumEstimate est =
+      sparse::lanczos_extremes(quantized_, steps, /*seed=*/0x9e0beULL);
   stats_.probe_steps = steps;
   stats_.probe_lambda_min = est.lambda_min;
   stats_.probe_lambda_max = est.lambda_max;

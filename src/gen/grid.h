@@ -40,6 +40,8 @@ StencilSpec laplace3d_7pt(Index nx, Index ny, Index nz);
 // [1 4 1]/6 per axis) — well-conditioned SPD, the crystm/qa8fm shape.
 StencilSpec mass3d_27pt(Index nx, Index ny, Index nz);
 
+// Emits the CSR row by row (no triplet sort). Zero-weight taps are dropped;
+// two taps with the same (dx, dy, dz) throw std::invalid_argument.
 sparse::Csr build_stencil(const StencilSpec& spec);
 
 // Analytic extreme eigenvalues of the separable stencils above on the

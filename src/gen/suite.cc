@@ -121,7 +121,8 @@ sparse::Csr roughen(sparse::Csr a, int scale_bits, std::uint64_t seed) {
   for (double& v : d) {
     v = std::exp2(-rng.uniform(0.0, static_cast<double>(scale_bits)));
   }
-  return a.scaled_symmetric(d);
+  a.scale_symmetric(d);
+  return a;
 }
 
 }  // namespace
@@ -178,19 +179,16 @@ sparse::Csr build_unscaled(const SuiteSpec& spec) {
       return a.permuted_symmetric(windowed_shuffle(a.rows(), spec.seed));
     }
     case MatrixKind::kPairedRing: {
+      // Row i couples to i +- 2 (-0.2) and to its pair partner i ^ 1
+      // (-0.25), which sits between them.
       const Index n = spec.nx;
-      std::vector<sparse::Triplet> triplets;
-      triplets.reserve(static_cast<std::size_t>(n) * 4);
-      for (Index i = 0; i < n; ++i) {
-        triplets.push_back({i, i, 1.0});
-        const Index partner = i ^ 1;
-        if (partner < n) triplets.push_back({i, partner, -0.25});
-        if (i + 2 < n) {
-          triplets.push_back({i, i + 2, -0.2});
-          triplets.push_back({i + 2, i, -0.2});
-        }
-      }
-      return sparse::Csr::from_triplets(n, n, std::move(triplets));
+      return sparse::Csr::from_rows(n, n, [n](Index i, auto&& put) {
+        if (i >= 2) put(i - 2, -0.2);
+        if ((i & 1) == 1) put(i - 1, -0.25);
+        put(i, 1.0);
+        if ((i & 1) == 0 && i + 1 < n) put(i + 1, -0.25);
+        if (i + 2 < n) put(i + 2, -0.2);
+      });
     }
     case MatrixKind::kWathen:
       return wathen(spec.nx, spec.ny, spec.seed);

@@ -59,6 +59,10 @@ sparse::Csr wathen(sparse::Index nx, sparse::Index ny, std::uint64_t seed) {
       }
     }
   }
+  // Stays on from_triplets, unlike the other generators: a coordinate
+  // shared by several elements sums its 3-4 contributions in whatever
+  // order std::sort (not stable) leaves them, so a direct build could not
+  // reproduce those sums bit for bit.
   return sparse::Csr::from_triplets(n, n, std::move(triplets));
 }
 

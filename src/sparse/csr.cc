@@ -86,51 +86,115 @@ void Csr::spmv(std::span<const double> x, std::span<double> y) const {
 }
 
 Csr Csr::shifted(double s) const {
-  std::vector<Triplet> triplets;
-  triplets.reserve(values_.size() + static_cast<std::size_t>(rows_));
-  for (Index r = 0; r < rows_; ++r) {
+  if (rows_ != cols_) {
+    throw std::invalid_argument("Csr::shifted: matrix is not square");
+  }
+  if (!canonical()) {
+    throw std::invalid_argument("Csr::shifted: input is not canonical");
+  }
+  // Row-wise merge of the sorted row with (r, r, s). a_rr + s is the
+  // two-term sum from_triplets formed, in either order.
+  return from_rows(rows_, cols_, [this, s](Index r, auto&& put) {
+    bool diagonal_done = false;
     for (Index k = row_ptr_[static_cast<std::size_t>(r)];
          k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      triplets.push_back({r, col_idx_[static_cast<std::size_t>(k)],
-                          values_[static_cast<std::size_t>(k)]});
+      const Index c = col_idx_[static_cast<std::size_t>(k)];
+      const double v = values_[static_cast<std::size_t>(k)];
+      if (c == r) {
+        put(c, v + s);
+        diagonal_done = true;
+        continue;
+      }
+      if (c > r && !diagonal_done) {
+        put(r, s);
+        diagonal_done = true;
+      }
+      put(c, v);
     }
-    triplets.push_back({r, r, s});
-  }
-  return from_triplets(rows_, cols_, std::move(triplets));
+    if (!diagonal_done) put(r, s);
+  });
 }
 
 Csr Csr::permuted_symmetric(std::span<const Index> perm) const {
-  // perm[new] = old; invert so we can relabel stored coordinates.
-  std::vector<Index> inverse(perm.size());
-  for (std::size_t n = 0; n < perm.size(); ++n) {
-    inverse[static_cast<std::size_t>(perm[n])] = static_cast<Index>(n);
+  if (rows_ != cols_) {
+    throw std::invalid_argument(
+        "Csr::permuted_symmetric: matrix is not square");
   }
-  std::vector<Triplet> triplets;
-  triplets.reserve(values_.size());
-  for (Index r = 0; r < rows_; ++r) {
-    for (Index k = row_ptr_[static_cast<std::size_t>(r)];
-         k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      triplets.push_back(
-          {inverse[static_cast<std::size_t>(r)],
-           inverse[static_cast<std::size_t>(
-               col_idx_[static_cast<std::size_t>(k)])],
-           values_[static_cast<std::size_t>(k)]});
+  if (perm.size() != static_cast<std::size_t>(rows_)) {
+    throw std::invalid_argument(
+        "Csr::permuted_symmetric: perm size differs from rows()");
+  }
+  // perm[new] = old; invert so we can relabel stored columns.
+  std::vector<Index> inverse(perm.size(), -1);
+  for (std::size_t n = 0; n < perm.size(); ++n) {
+    const Index old = perm[n];
+    if (old < 0 || old >= rows_ ||
+        inverse[static_cast<std::size_t>(old)] != -1) {
+      throw std::invalid_argument(
+          "Csr::permuted_symmetric: perm is not a bijection of [0, rows)");
+    }
+    inverse[static_cast<std::size_t>(old)] = static_cast<Index>(n);
+  }
+  if (!canonical()) {
+    throw std::invalid_argument(
+        "Csr::permuted_symmetric: input is not canonical");
+  }
+  // New row i is old row perm[i] without its explicit zeros, columns
+  // relabelled and then sorted within the row. The old rows are read in
+  // order and each is written to its new slot: the reads stream, and the
+  // relabelling reads inverse near the row's own index, where a banded
+  // matrix keeps its columns.
+  std::vector<Index> row_ptr(static_cast<std::size_t>(rows_) + 1, 0);
+  for (std::size_t r = 0; r < inverse.size(); ++r) {
+    Index kept = 0;
+    for (Index k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      if (values_[static_cast<std::size_t>(k)] != 0.0) ++kept;
+    }
+    row_ptr[static_cast<std::size_t>(inverse[r]) + 1] = kept;
+  }
+  for (std::size_t i = 0; i < perm.size(); ++i) row_ptr[i + 1] += row_ptr[i];
+  std::vector<Index> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<double> values(col_idx.size());
+  for (std::size_t r = 0; r < inverse.size(); ++r) {
+    auto out = static_cast<std::size_t>(
+        row_ptr[static_cast<std::size_t>(inverse[r])]);
+    for (Index k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const double v = values_[static_cast<std::size_t>(k)];
+      if (v == 0.0) continue;
+      col_idx[out] = inverse[static_cast<std::size_t>(
+          col_idx_[static_cast<std::size_t>(k)])];
+      values[out] = v;
+      ++out;
     }
   }
-  return from_triplets(rows_, cols_, std::move(triplets));
+  std::vector<std::pair<Index, double>> row;
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    const auto begin = static_cast<std::size_t>(row_ptr[i]);
+    const auto end = static_cast<std::size_t>(row_ptr[i + 1]);
+    row.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      row.emplace_back(col_idx[k], values[k]);
+    }
+    std::sort(row.begin(), row.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t k = begin; k < end; ++k) {
+      col_idx[k] = row[k - begin].first;
+      values[k] = row[k - begin].second;
+    }
+  }
+  return Csr(rows_, cols_, std::move(row_ptr), std::move(col_idx),
+             std::move(values));
 }
 
-Csr Csr::scaled_symmetric(std::span<const double> d) const {
-  Csr out = *this;
+void Csr::scale_symmetric(std::span<const double> d) {
   for (Index r = 0; r < rows_; ++r) {
     for (Index k = row_ptr_[static_cast<std::size_t>(r)];
          k < row_ptr_[static_cast<std::size_t>(r) + 1]; ++k) {
-      out.values_[static_cast<std::size_t>(k)] *=
+      values_[static_cast<std::size_t>(k)] *=
           d[static_cast<std::size_t>(r)] *
           d[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
     }
   }
-  return out;
 }
 
 double Csr::frobenius_norm() const {

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace refloat::sparse {
@@ -26,6 +28,14 @@ class Csr {
   // explicit zeros are dropped.
   static Csr from_triplets(Index rows, Index cols,
                            std::vector<Triplet> triplets);
+
+  // Builds row by row without a global sort. emit(r, put) calls put(c, v)
+  // for row r's entries in strictly ascending column order; explicit zeros
+  // are dropped, as from_triplets drops zero sums. emit runs twice per row,
+  // once to size the arrays exactly and once to fill them, so it must
+  // emit the same entries both times.
+  template <typename EmitRow>
+  static Csr from_rows(Index rows, Index cols, EmitRow&& emit);
 
   [[nodiscard]] Index rows() const { return rows_; }
   [[nodiscard]] Index cols() const { return cols_; }
@@ -60,15 +70,19 @@ class Csr {
   // y = A x. x must have cols() entries, y rows() entries.
   void spmv(std::span<const double> x, std::span<double> y) const;
 
-  // A + s * I (square matrices only; missing diagonal entries are created).
+  // A + s * I: s is added to each stored diagonal entry, or inserted where
+  // a row has none; entries that come out exactly zero are dropped.
+  // Throws std::invalid_argument unless the matrix is square and canonical.
   [[nodiscard]] Csr shifted(double s) const;
 
-  // P A P^T for the permutation perm, where perm[new_index] = old_index.
+  // P A P^T for the permutation perm, where perm[new_index] = old_index;
+  // explicit zeros are dropped. Throws std::invalid_argument unless the
+  // matrix is square and canonical and perm is a bijection of [0, rows()).
   [[nodiscard]] Csr permuted_symmetric(std::span<const Index> perm) const;
 
-  // Same sparsity, values transformed to d[i] * a_ij * d[j] (diagonal
-  // similarity scaling; keeps symmetry and definiteness).
-  [[nodiscard]] Csr scaled_symmetric(std::span<const double> d) const;
+  // In place: a_ij *= d[i] * d[j] (diagonal similarity scaling; keeps the
+  // sparsity, symmetry and definiteness).
+  void scale_symmetric(std::span<const double> d);
 
   [[nodiscard]] double frobenius_norm() const;
 
@@ -82,5 +96,32 @@ class Csr {
   std::vector<Index> col_idx_;  // size nnz
   std::vector<double> values_;  // size nnz
 };
+
+template <typename EmitRow>
+Csr Csr::from_rows(Index rows, Index cols, EmitRow&& emit) {
+  std::vector<Index> row_ptr(static_cast<std::size_t>(rows) + 1, 0);
+  for (Index r = 0; r < rows; ++r) {
+    Index count = 0;
+    emit(r, [&count](Index, double v) { count += v != 0.0 ? 1 : 0; });
+    row_ptr[static_cast<std::size_t>(r) + 1] =
+        row_ptr[static_cast<std::size_t>(r)] + count;
+  }
+  std::vector<Index> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<double> values(col_idx.size());
+  std::size_t k = 0;
+  for (Index r = 0; r < rows; ++r) {
+    emit(r, [&](Index c, double v) {
+      if (v == 0.0) return;
+      if (k == col_idx.size()) {
+        throw std::logic_error("Csr::from_rows: emit is not deterministic");
+      }
+      col_idx[k] = c;
+      values[k] = v;
+      ++k;
+    });
+  }
+  return Csr(rows, cols, std::move(row_ptr), std::move(col_idx),
+             std::move(values));
+}
 
 }  // namespace refloat::sparse

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/sparse/vector_ops.h"
@@ -42,15 +45,24 @@ double bisect_eigen(const std::vector<double>& alpha,
 
 }  // namespace
 
-SpectrumEstimate lanczos_extremes(const ApplyFn& op, std::size_t n, int steps,
+SpectrumEstimate lanczos_extremes(const Csr& a, int steps,
                                   std::uint64_t seed) {
-  steps = std::min<int>(steps, static_cast<int>(n));
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("lanczos_extremes: matrix is not square");
+  }
+  const auto n = static_cast<std::size_t>(a.rows());
+  if (steps <= 0 || n == 0) return {};
+  steps = static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(steps), n));
   util::Rng rng(seed);
   std::vector<double> v(n);
   for (double& x : v) x = rng.gaussian();
   const double v_norm = norm2(v);
   for (double& x : v) x /= v_norm;
 
+  const std::span<const Index> row_ptr = a.row_ptr();
+  const std::span<const Index> col_idx = a.col_idx();
+  const std::span<const double> values = a.values();
   std::vector<double> v_prev(n, 0.0);
   std::vector<double> w(n);
   std::vector<double> alpha;
@@ -58,17 +70,28 @@ SpectrumEstimate lanczos_extremes(const ApplyFn& op, std::size_t n, int steps,
   alpha.reserve(static_cast<std::size_t>(steps));
   double beta_prev = 0.0;
   for (int k = 0; k < steps; ++k) {
-    op(v, w);
-    const double a = dot(v, w);
-    alpha.push_back(a);
-    for (std::size_t i = 0; i < n; ++i) {
-      w[i] -= a * v[i] + beta_prev * v_prev[i];
+    // w = A v and alpha = v . w in one row loop.
+    double alpha_k = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      double acc = 0.0;
+      for (auto j = static_cast<std::size_t>(row_ptr[r]);
+           j < static_cast<std::size_t>(row_ptr[r + 1]); ++j) {
+        acc += values[j] * v[static_cast<std::size_t>(col_idx[j])];
+      }
+      w[r] = acc;
+      alpha_k += v[r] * acc;
     }
-    const double b = norm2(w);
-    if (b < 1e-13 * std::abs(a) || k + 1 == steps) break;
+    alpha.push_back(alpha_k);
+    double w_norm2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      w[i] -= alpha_k * v[i] + beta_prev * v_prev[i];
+      w_norm2 += w[i] * w[i];
+    }
+    const double b = std::sqrt(w_norm2);
+    if (b < 1e-13 * std::abs(alpha_k) || k + 1 == steps) break;
     beta.push_back(b);
     beta_prev = b;
-    v_prev = v;
+    std::swap(v_prev, v);
     for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / b;
   }
 

@@ -1,15 +1,21 @@
-// Lanczos extreme-eigenvalue estimation over an abstract apply oracle.
-// Plain Lanczos without reorthogonalization: lambda_max converges fast;
-// lambda_min is an *upper bound* that reads low for ill-conditioned
-// matrices (a caveat bench_table5 reports explicitly).
+// Lanczos extreme-eigenvalue estimation on a CSR matrix. Plain Lanczos
+// without reorthogonalization: lambda_max converges fast; lambda_min is an
+// *upper bound* that reads low for ill-conditioned matrices (a caveat
+// bench_table5 reports explicitly).
+//
+// Each step makes two passes over n: one row loop forms w = A v and
+// alpha = v . w together, and the update loop forms ||w||^2. The sums are
+// the ones Csr::spmv, dot and norm2 form, in the same order, and
+// lanczos.cc is built without FP contraction, so the estimate does not
+// depend on -march.
 //
 // Lives in sparse/ (not gen/) so core/ can run a few steps on a quantized
 // operator as a definiteness probe.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
+
+#include "src/sparse/csr.h"
 
 namespace refloat::sparse {
 
@@ -21,9 +27,9 @@ struct SpectrumEstimate {
   }
 };
 
-using ApplyFn = std::function<void(std::span<const double>, std::span<double>)>;
-
-SpectrumEstimate lanczos_extremes(const ApplyFn& op, std::size_t n, int steps,
-                                  std::uint64_t seed);
+// Runs min(steps, a.rows()) steps from a gaussian start vector drawn from
+// seed. Returns a zero estimate when that is no step at all (steps <= 0 or
+// an empty matrix); throws std::invalid_argument for a non-square matrix.
+SpectrumEstimate lanczos_extremes(const Csr& a, int steps, std::uint64_t seed);
 
 }  // namespace refloat::sparse

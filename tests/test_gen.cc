@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -47,6 +52,85 @@ TEST(Grid, ShiftCalibrationHitsTargetKappa) {
   stencil_eigen_range(spec, &lo, &hi);
   EXPECT_NEAR((hi + shift) / (lo + shift), kappa, 1e-6 * kappa);
   EXPECT_GT(lo + shift, 0.0);  // still SPD
+}
+
+// The triplet-path build_stencil that the direct row build replaced, kept
+// as the reference it must match bit for bit.
+sparse::Csr reference_build_stencil(const StencilSpec& spec) {
+  const Index n = spec.nx * spec.ny * spec.nz;
+  std::vector<sparse::Triplet> triplets;
+  for (Index z = 0; z < spec.nz; ++z) {
+    for (Index y = 0; y < spec.ny; ++y) {
+      for (Index x = 0; x < spec.nx; ++x) {
+        const Index row = x + spec.nx * (y + spec.ny * z);
+        for (const StencilTap& tap : spec.taps) {
+          const Index tx = x + tap.dx;
+          const Index ty = y + tap.dy;
+          const Index tz = z + tap.dz;
+          if (tx < 0 || tx >= spec.nx || ty < 0 || ty >= spec.ny || tz < 0 ||
+              tz >= spec.nz) {
+            continue;
+          }
+          triplets.push_back({row, tx + spec.nx * (ty + spec.ny * tz), tap.w});
+        }
+      }
+    }
+  }
+  return sparse::Csr::from_triplets(n, n, std::move(triplets));
+}
+
+void expect_identical(const sparse::Csr& got, const sparse::Csr& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_TRUE(got.canonical());
+  EXPECT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
+  ASSERT_EQ(got.values().size(), want.values().size());
+  for (std::size_t k = 0; k < got.values().size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.values()[k]),
+              std::bit_cast<std::uint64_t>(want.values()[k]))
+        << "entry " << k;
+  }
+}
+
+TEST(Grid, DirectStencilBuildMatchesTripletPath) {
+  // 1-wide dimensions make taps of different (dx, dy, dz) share a linear
+  // offset (13-point on nx = 1: dx = 1 and dy = 1 are both +1).
+  const std::vector<std::pair<Index, Index>> grids2d = {
+      {1, 1}, {1, 6}, {6, 1}, {2, 2}, {2, 7}, {3, 5}, {7, 4}, {16, 9}};
+  for (const auto& [nx, ny] : grids2d) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny));
+    for (const StencilSpec& spec :
+         {laplace2d_5pt(nx, ny), laplace2d_9pt(nx, ny),
+          laplace2d_13pt(nx, ny)}) {
+      expect_identical(build_stencil(spec), reference_build_stencil(spec));
+    }
+  }
+  const std::vector<std::array<Index, 3>> grids3d = {
+      {1, 1, 1}, {1, 1, 5}, {1, 4, 1}, {3, 1, 1},
+      {2, 3, 4}, {5, 5, 5}, {6, 2, 1}, {1, 3, 2}};
+  for (const auto& [nx, ny, nz] : grids3d) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                 std::to_string(nz));
+    for (const StencilSpec& spec :
+         {laplace3d_7pt(nx, ny, nz), mass3d_27pt(nx, ny, nz)}) {
+      expect_identical(build_stencil(spec), reference_build_stencil(spec));
+    }
+  }
+}
+
+TEST(Grid, StencilDropsZeroTapsAndRejectsDuplicates) {
+  StencilSpec spec;
+  spec.nx = 5;
+  spec.ny = 4;
+  spec.taps = {{0, 0, 0, 3.0},  {1, 0, 0, 0.0},  {-1, 0, 0, -0.0},
+               {0, 1, 0, -1.5}, {0, -9, 0, 2.0}, {2, 1, 0, 0.25}};
+  const sparse::Csr a = build_stencil(spec);
+  expect_identical(a, reference_build_stencil(spec));
+  for (const double v : a.values()) EXPECT_NE(v, 0.0);
+
+  spec.taps.push_back({0, 1, 0, 1.0});  // repeats (0, 1, 0)
+  EXPECT_THROW((void)build_stencil(spec), std::invalid_argument);
 }
 
 TEST(Wathen, SizeFormulaAndSpd) {
@@ -101,12 +185,146 @@ TEST(Lanczos, FindsExtremesOfKnownSpectrum) {
         {i, i, 0.5 + 7.5 * static_cast<double>(i) / static_cast<double>(n - 1)});
   }
   const sparse::Csr a = sparse::Csr::from_triplets(n, n, triplets);
-  const sparse::SpectrumEstimate est = sparse::lanczos_extremes(
-      [&a](std::span<const double> x, std::span<double> y) { a.spmv(x, y); },
-      static_cast<std::size_t>(n), 64, 17);
+  const sparse::SpectrumEstimate est = sparse::lanczos_extremes(a, 64, 17);
   EXPECT_NEAR(est.lambda_max, 8.0, 1e-6);
   EXPECT_NEAR(est.lambda_min, 0.5, 1e-6);
   EXPECT_NEAR(est.kappa(), 16.0, 1e-4);
+}
+
+// The Lanczos loop before its vector ops were fused (w = A v, then dot,
+// then the update, then norm2, then a copy of v into v_prev), with the
+// same Ritz extraction. This file is built without FP contraction, like
+// lanczos.cc, so both round every product before its add.
+int reference_sturm_count(const std::vector<double>& alpha,
+                          const std::vector<double>& beta, double x) {
+  int count = 0;
+  double d = 1.0;
+  for (std::size_t i = 0; i < alpha.size(); ++i) {
+    const double off = i == 0 ? 0.0 : beta[i - 1];
+    d = alpha[i] - x - off * off / (d == 0.0 ? 1e-300 : d);
+    if (d < 0.0) ++count;
+  }
+  return count;
+}
+
+double reference_bisect(const std::vector<double>& alpha,
+                        const std::vector<double>& beta, int index, double lo,
+                        double hi) {
+  for (int iter = 0;
+       iter < 200 && hi - lo > 1e-14 * std::max(1.0, std::abs(hi)); ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (reference_sturm_count(alpha, beta, mid) > index) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+sparse::SpectrumEstimate reference_lanczos(const sparse::Csr& a, int steps,
+                                           std::uint64_t seed) {
+  const auto n = static_cast<std::size_t>(a.rows());
+  const auto spmv = [&a](const std::vector<double>& x, std::vector<double>& y) {
+    for (Index r = 0; r < a.rows(); ++r) {
+      double acc = 0.0;
+      for (Index k = a.row_ptr()[static_cast<std::size_t>(r)];
+           k < a.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+        acc += a.values()[static_cast<std::size_t>(k)] *
+               x[static_cast<std::size_t>(
+                   a.col_idx()[static_cast<std::size_t>(k)])];
+      }
+      y[static_cast<std::size_t>(r)] = acc;
+    }
+  };
+  const auto dot = [](const std::vector<double>& x,
+                      const std::vector<double>& y) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
+    return acc;
+  };
+  steps = std::min<int>(steps, static_cast<int>(n));
+  util::Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.gaussian();
+  const double v_norm = std::sqrt(dot(v, v));
+  for (double& x : v) x /= v_norm;
+  std::vector<double> v_prev(n, 0.0);
+  std::vector<double> w(n);
+  std::vector<double> alpha;
+  std::vector<double> beta;
+  double beta_prev = 0.0;
+  for (int k = 0; k < steps; ++k) {
+    spmv(v, w);
+    const double al = dot(v, w);
+    alpha.push_back(al);
+    for (std::size_t i = 0; i < n; ++i) {
+      w[i] -= al * v[i] + beta_prev * v_prev[i];
+    }
+    const double b = std::sqrt(dot(w, w));
+    if (b < 1e-13 * std::abs(al) || k + 1 == steps) break;
+    beta.push_back(b);
+    beta_prev = b;
+    v_prev = v;
+    for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / b;
+  }
+  double lo = alpha[0];
+  double hi = alpha[0];
+  for (std::size_t i = 0; i < alpha.size(); ++i) {
+    const double left = i > 0 ? beta[i - 1] : 0.0;
+    const double right = i < beta.size() ? beta[i] : 0.0;
+    lo = std::min(lo, alpha[i] - left - right);
+    hi = std::max(hi, alpha[i] + left + right);
+  }
+  sparse::SpectrumEstimate est;
+  est.lambda_min = reference_bisect(alpha, beta, 0, lo, hi);
+  est.lambda_max = reference_bisect(
+      alpha, beta, static_cast<int>(alpha.size()) - 1, lo, hi);
+  return est;
+}
+
+TEST(Lanczos, FusedLoopMatchesReferenceBitForBit) {
+  const sparse::Csr spd = build_stencil(laplace2d_5pt(23, 17)).shifted(0.1);
+  const sparse::Csr indefinite =
+      build_stencil(laplace2d_9pt(19, 21)).shifted(-4.0);
+  // Two distinct eigenvalues: the Krylov space is exhausted at step 2, so
+  // the beta < 1e-13 |alpha| exit is taken.
+  std::vector<sparse::Triplet> two_level;
+  for (Index i = 0; i < 40; ++i) {
+    two_level.push_back({i, i, i < 15 ? 1.0 : 3.0});
+  }
+  const sparse::Csr degenerate = sparse::Csr::from_triplets(40, 40, two_level);
+  for (const sparse::Csr* a : {&spd, &indefinite, &degenerate}) {
+    for (const int steps : {1, 7, 96, 5000}) {
+      SCOPED_TRACE(steps);
+      const sparse::SpectrumEstimate got =
+          sparse::lanczos_extremes(*a, steps, 0x9e0beULL);
+      const sparse::SpectrumEstimate want =
+          reference_lanczos(*a, steps, 0x9e0beULL);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lambda_min),
+                std::bit_cast<std::uint64_t>(want.lambda_min));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lambda_max),
+                std::bit_cast<std::uint64_t>(want.lambda_max));
+    }
+  }
+  EXPECT_GT(sparse::lanczos_extremes(spd, 96, 1).lambda_min, 0.0);
+  EXPECT_LT(sparse::lanczos_extremes(indefinite, 96, 1).lambda_min, 0.0);
+}
+
+TEST(Lanczos, NoStepsGiveAZeroEstimateAndNonSquareThrows) {
+  const sparse::Csr a = build_stencil(laplace2d_5pt(4, 4));
+  for (const int steps : {0, -3}) {
+    const sparse::SpectrumEstimate est = sparse::lanczos_extremes(a, steps, 1);
+    EXPECT_EQ(est.lambda_min, 0.0);
+    EXPECT_EQ(est.lambda_max, 0.0);
+  }
+  const sparse::SpectrumEstimate empty =
+      sparse::lanczos_extremes(sparse::Csr::from_triplets(0, 0, {}), 10, 1);
+  EXPECT_EQ(empty.lambda_min, 0.0);
+  EXPECT_EQ(empty.lambda_max, 0.0);
+  const sparse::Csr wide = sparse::Csr::from_triplets(2, 3, {{0, 0, 1.0}});
+  EXPECT_THROW((void)sparse::lanczos_extremes(wide, 10, 1),
+               std::invalid_argument);
 }
 
 TEST(Suite, SpecsAreComplete) {
@@ -122,6 +340,53 @@ TEST(Suite, SpecsAreComplete) {
   EXPECT_EQ(overrides, 2);
   // gridgena's rhs is below tau by construction.
   EXPECT_LT(find_spec(1311)->b_norm, 1e-8);
+}
+
+// FNV-1a over (rows, cols) and the three CSR arrays: the bytes save_csr
+// writes. The pinned values were taken from the triplet-path generators,
+// so a changed hash means every cached data/<name>.csr is stale too.
+std::uint64_t csr_hash(const sparse::Csr& a) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  const std::int64_t dims[2] = {a.rows(), a.cols()};
+  mix(dims, sizeof(dims));
+  mix(a.row_ptr().data(), a.row_ptr().size_bytes());
+  mix(a.col_idx().data(), a.col_idx().size_bytes());
+  mix(a.values().data(), a.values().size_bytes());
+  return h;
+}
+
+TEST(Suite, DirectBuildersReproduceTripletPathStandIns) {
+  // wathen100/120 still build through from_triplets, so they are not part
+  // of this check.
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"crystm01", 0x69ca1ba5452a662cULL},
+      {"minsurfo", 0x4dcc3057cb4cbf02ULL},
+      {"crystm02", 0xf1a0bddc4a4f6850ULL},
+      {"shallow_water1", 0x60ddda9dc57ff837ULL},
+      {"gridgena", 0x2d306a49bbc7982aULL},
+      {"crystm03", 0xad00d200ff24f50aULL},
+      {"thermomech_TC", 0xff80025235d33029ULL},
+      {"Dubcova2", 0x3119117642e303daULL},
+      {"thermomech_dM", 0xc63c3940627f6450ULL},
+      {"qa8fm", 0x58cb990ee13bcc44ULL},
+  };
+  ASSERT_EQ(pinned.size() + 2, suite().size());
+  for (const auto& [name, hash] : pinned) {
+    const SuiteSpec* spec = nullptr;
+    for (const SuiteSpec& s : suite()) {
+      if (name == s.name) spec = &s;
+    }
+    ASSERT_NE(spec, nullptr) << name;
+    ASSERT_NE(spec->kind, MatrixKind::kWathen);
+    EXPECT_EQ(csr_hash(build(*spec)), hash) << name;
+  }
 }
 
 TEST(Suite, CsrCacheRoundTrips) {
