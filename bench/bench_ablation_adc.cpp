@@ -12,8 +12,7 @@
 #include "bench/harness.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
 
@@ -41,8 +40,8 @@ int main() {
     hw::ClusterConfig config;
     config.adc.bits = bits;
     hw::BitTrueBackend backend(rf, config, /*seed=*/1234);
-    solve::BackendOperator op(backend);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    solve::BackendMultiOperator op(backend, 1);
+    const solve::SolveResult res = solve::cg_multi(op, b, 1, opts).columns[0];
     table.add_row({std::to_string(bits), solve::status_name(res.status),
                    std::to_string(res.iterations),
                    util::fmt_g(res.final_residual, 3)});

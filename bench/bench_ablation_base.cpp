@@ -12,7 +12,7 @@
 
 #include "bench/harness.h"
 #include "src/gen/wathen.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/operator.h"
 #include "src/util/table.h"
 
@@ -30,7 +30,8 @@ void run_matrix(const char* name, const sparse::Csr& a, int fv,
   solve::SolveOptions opts = evaluation_options();
 
   solve::CsrOperator op_double(a);
-  const solve::SolveResult base = solve::cg(op_double, b, opts);
+  const solve::SolveResult base =
+      solve::cg_multi(op_double, b, 1, opts).columns[0];
   std::printf("%s (n=%lld, double: %ld iterations):\n", name,
               static_cast<long long>(a.rows()), base.iterations);
 
@@ -53,8 +54,8 @@ void run_matrix(const char* name, const sparse::Csr& a, int fv,
   for (const Variant& v : variants) {
     const core::RefloatMatrix rf(a, fmt, v.policy);
     const auto backend = core::make_value_backend(rf);
-    solve::BackendOperator op(*backend);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    solve::BackendMultiOperator op(*backend, 1);
+    const solve::SolveResult res = solve::cg_multi(op, b, 1, opts).columns[0];
     table.add_row({v.name, util::fmt_g(rf.stats().rel_error_fro, 3),
                    std::to_string(rf.stats().overflowed),
                    solve::status_name(res.status),

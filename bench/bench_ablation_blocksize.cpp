@@ -10,8 +10,7 @@
 
 #include "bench/harness.h"
 #include "src/arch/cost.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/util/table.h"
 
 int main() {
@@ -36,8 +35,9 @@ int main() {
     fmt.b = b;
     const core::RefloatMatrix rf(a, fmt);
     const auto backend = core::make_value_backend(rf);
-    solve::BackendOperator op(*backend);
-    const solve::SolveResult res = solve::cg(op, b_vec, opts);
+    solve::BackendMultiOperator op(*backend, 1);
+    const solve::SolveResult res =
+        solve::cg_multi(op, b_vec, 1, opts).columns[0];
     table.add_row({std::to_string(b), std::to_string(1 << b),
                    util::fmt_i(static_cast<long long>(rf.nonzero_blocks())),
                    std::to_string(rf.stats().locality_bits),

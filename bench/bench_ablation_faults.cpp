@@ -11,8 +11,7 @@
 #include "bench/harness.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
@@ -60,8 +59,8 @@ int main() {
     config.faults.stuck_at_one_rate = c.sa1;
     const double shown = c.sa0 + c.sa1;
     hw::BitTrueBackend backend(rf, config, /*seed=*/4321);
-    solve::BackendOperator op(backend);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    solve::BackendMultiOperator op(backend, 1);
+    const solve::SolveResult res = solve::cg_multi(op, b, 1, opts).columns[0];
     table.add_row({c.kind, util::fmt_g(shown, 2),
                    solve::status_name(res.status),
                    std::to_string(res.iterations),

@@ -11,8 +11,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/util/table.h"
 
 int main() {
@@ -54,8 +53,8 @@ int main() {
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(a, core::default_format(), c.policy);
     const auto backend = core::make_value_backend(rf);
-    solve::BackendOperator op(*backend);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    solve::BackendMultiOperator op(*backend, 1);
+    const solve::SolveResult res = solve::cg_multi(op, b, 1, opts).columns[0];
     table.add_row({c.name, util::fmt_g(rf.stats().rel_error_fro, 3),
                    std::to_string(rf.stats().flushed_to_zero),
                    solve::status_name(res.status),

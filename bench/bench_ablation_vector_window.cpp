@@ -11,8 +11,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/sparse/vector_ops.h"
 #include "src/util/random.h"
 #include "src/util/table.h"
@@ -40,12 +39,12 @@ int main() {
     const core::Format fmt{.b = 7, .e = 3, .f = 8, .ev = ev, .fv = 12};
     const core::RefloatMatrix rf(a, fmt);
     const auto backend = core::make_value_backend(rf);
-    solve::BackendOperator op(*backend);
+    solve::BackendMultiOperator op(*backend, 1);
     solve::SolveOptions opts;
     opts.tolerance = 1e-4;
     opts.max_iterations = 3000;
     opts.stall_window = 800;
-    const solve::SolveResult res = solve::cg(op, r, opts);
+    const solve::SolveResult res = solve::cg_multi(op, r, 1, opts).columns[0];
 
     a.spmv(res.solution, ax);
     sparse::sub(r, ax, rt);

@@ -9,8 +9,7 @@
 
 #include "bench/harness.h"
 #include "src/arch/cost.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/util/table.h"
 
 int main() {
@@ -39,13 +38,15 @@ int main() {
   const double sigmas[] = {0.001, 0.005, 0.01, 0.02, 0.05,
                            0.10,  0.15,  0.20, 0.25};
   for (double sigma : sigmas) {
-    const auto backend = core::make_noisy_backend(rf, sigma, /*seed=*/355 + 7);
-    solve::BackendOperator op(*backend);
+    constexpr std::uint64_t kSeed = 355 + 7;  // the operator's seed too
+    const auto backend = core::make_noisy_backend(rf, sigma, kSeed);
+    solve::BackendMultiOperator op(*backend, 1, kSeed);
     solve::SolveOptions opts = evaluation_options();
     // Noise-free convergence takes ~125 iterations; 8000 is decisively NC
     // (the noisy residual can creep forever without converging).
     opts.max_iterations = 8000;
-    const solve::SolveResult res = solve::cg(op, bundle.b, opts);
+    const solve::SolveResult res =
+        solve::cg_multi(op, bundle.b, 1, opts).columns[0];
 
     double speedup = 0.0;
     if (res.status == solve::SolveStatus::kConverged) {

@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/util/table.h"
 
 int main() {
@@ -53,8 +52,8 @@ int main() {
   for (const Entry& entry : entries) {
     const core::RefloatMatrix rf(a, entry.fmt);
     const auto backend = core::make_value_backend(rf);
-    solve::BackendOperator op(*backend);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    solve::BackendMultiOperator op(*backend, 1);
+    const solve::SolveResult res = solve::cg_multi(op, b, 1, opts).columns[0];
     const long xbars = 4L * core::model_bits(entry.fmt.e, entry.fmt.f);
     const long cycles = core::model_bits(entry.fmt.ev, entry.fmt.fv) +
                         core::model_bits(entry.fmt.e, entry.fmt.f) - 1;

@@ -25,8 +25,7 @@
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
@@ -150,8 +149,9 @@ int main() {
           core::TiledPlan::partition(rf_hw, {.tiles = tiles});
       // CG over the tiled bit-true datapath, per-tile faults + ECC.
       hw::BitTrueBackend backend(rf_hw, cluster, tiled, /*seed=*/4321);
-      solve::BackendOperator op(backend);
-      const solve::SolveResult res = solve::cg(op, b, opts);
+      solve::BackendMultiOperator op(backend, 1);
+      const solve::SolveResult res =
+          solve::cg_multi(op, b, 1, opts).columns[0];
       const hw::EngineStats& es = backend.hw().stats();
       ftable.add_row({util::fmt_g(rate, 2), std::to_string(tiles),
                       std::to_string(es.faulty_cells),

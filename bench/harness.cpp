@@ -15,8 +15,7 @@
 #endif
 
 #include "src/arch/cost.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/operator.h"
 #include "src/sparse/blocked.h"
 #include "src/util/log.h"
@@ -254,7 +253,7 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
   // it is cheap next to the solve itself.
   std::unique_ptr<core::RefloatMatrix> rf;
   std::unique_ptr<core::SweepBackend> backend;
-  std::unique_ptr<solve::LinearOperator> op;
+  std::unique_ptr<solve::MultiOperator> op;
   switch (platform) {
     case Platform::kDouble:
       op = std::make_unique<solve::CsrOperator>(bundle.a);
@@ -274,7 +273,7 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
             m.c_str(), cs.probe_lambda_min, cs.probe_steps);
       }
       backend = core::make_value_backend(*rf);
-      op = std::make_unique<solve::BackendOperator>(*backend);
+      op = std::make_unique<solve::BackendMultiOperator>(*backend, 1);
       break;
     }
     case Platform::kFeinberg:
@@ -284,9 +283,11 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
 
   solve::SolveOptions opts = evaluation_options();
   util::Timer timer;
-  solve::SolveResult result = solver == SolverKind::kCg
-                                  ? solve::cg(*op, bundle.b, opts)
-                                  : solve::bicgstab(*op, bundle.b, opts);
+  solve::SolveResult result =
+      (solver == SolverKind::kCg
+           ? solve::cg_multi(*op, bundle.b, 1, opts)
+           : solve::bicgstab_multi(*op, bundle.b, 1, opts))
+          .columns[0];
   const double wall = timer.seconds();
   solve::attach_true_residual(bundle.a, bundle.b, result);
 

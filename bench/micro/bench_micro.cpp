@@ -49,6 +49,10 @@
 //                         matrix whose nonzero 128x128 blocks hold ~2
 //                         entries — the thermomech regime, where a blocked
 //                         walk pays its per-block cost on every 2 entries
+//   solve/<method>/value/k<k>
+//                         cg_multi / bicgstab_multi over the value backend,
+//                         k = 1 and 8 right-hand sides, on the grid-32
+//                         stencil at a fixed 40 iterations (tolerance 0)
 //   csr_spmv              sparse::Csr::spmv, the exact FP64 baseline, at
 //                         grid 64/128/256 (ISA-independent)
 //   hw/cluster_mvm        one bit-sliced 128x128 crossbar-cluster MVM
@@ -80,6 +84,7 @@
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/engine.h"
+#include "src/solvers/batched.h"
 #include "src/sparse/lanczos.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -368,6 +373,32 @@ void backend_sweep(benchmark::State& state, const Workload& w,
                           static_cast<long>(k));
 }
 
+// --- solve: lockstep CG / BiCGSTAB at a fixed iteration count ------------
+
+void solve_fixed(benchmark::State& state, bool bicgstab, std::size_t k) {
+  constexpr long kIterations = 40;
+  core::simd_set_isa(core::simd_best_supported());
+  util::ThreadPool::set_global_threads(1);
+  const Workload& w = workload(32);
+  const auto backend = core::make_value_backend(w.rf, /*tiles=*/1);
+  const std::vector<double> b = solve::make_rhs_batch(w.a, k);
+  const solve::SolveOptions opts{.tolerance = 0.0,  // never met
+                                 .max_iterations = kIterations,
+                                 .record_trace = false};
+  for (auto _ : state) {
+    solve::BackendMultiOperator op(*backend, k);
+    const solve::BatchedSolveResult result =
+        bicgstab ? solve::bicgstab_multi(op, b, k, opts)
+                 : solve::cg_multi(op, b, k, opts);
+    benchmark::DoNotOptimize(result.columns.data());
+    for (const solve::SolveResult& column : result.columns) {
+      if (column.iterations != kIterations) state.SkipWithError("stopped");
+    }
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(k) * kIterations);
+}
+
 // --- csr_spmv: the exact FP64 baseline ------------------------------------
 
 void csr_spmv(benchmark::State& state) {
@@ -534,6 +565,16 @@ void register_all() {
                       core::BackendKind::kValue);
       })
       ->Arg(1)->Arg(8);
+  for (const bool bicgstab : {false, true}) {
+    for (const std::size_t k : {1, 8}) {
+      const std::string name = std::string("solve/") +
+                               (bicgstab ? "bicgstab" : "cg") + "/value/k" +
+                               std::to_string(k);
+      benchmark::RegisterBenchmark(name.c_str(), [=](benchmark::State& s) {
+        solve_fixed(s, bicgstab, k);
+      });
+    }
+  }
   benchmark::RegisterBenchmark("csr_spmv", csr_spmv)
       ->Arg(64)->Arg(128)->Arg(256);
   benchmark::RegisterBenchmark("hw/cluster_mvm", cluster_mvm);

@@ -2,21 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/solvers/monitor.h"
 #include "src/sparse/vector_ops.h"
 #include "src/util/random.h"
 
 namespace refloat::solve {
-
-void SequentialMultiOperator::apply_multi(std::span<const double> x,
-                                          std::size_t k,
-                                          std::span<double> y) {
-  const std::size_t n = static_cast<std::size_t>(op_.dim());
-  for (std::size_t j = 0; j < k; ++j) {
-    op_.apply(x.subspan(j * n, n), y.subspan(j * n, n));
-  }
-}
 
 BackendMultiOperator::BackendMultiOperator(core::SweepBackend& backend,
                                            std::size_t k, std::uint64_t seed)
@@ -34,24 +26,19 @@ BackendMultiOperator::BackendMultiOperator(core::SweepBackend& backend,
       seeds_(std::move(seeds)),
       counters_(seeds_.size(), 0) {}
 
-void BackendMultiOperator::apply_multi(std::span<const double> x,
-                                       std::size_t k, std::span<double> y) {
-  identity_.resize(k);
-  for (std::size_t j = 0; j < k; ++j) identity_[j] = j;
-  apply_multi_cols(x, k, y, identity_);
-}
-
-void BackendMultiOperator::apply_multi_cols(
-    std::span<const double> x, std::size_t k, std::span<double> y,
-    std::span<const std::size_t> columns) {
+void BackendMultiOperator::apply(std::span<const double> x, std::size_t k,
+                                 std::span<double> y,
+                                 std::span<const std::size_t> columns) {
+  if (columns.size() != k) {
+    throw std::invalid_argument("BackendMultiOperator: columns.size() != k");
+  }
   // Pass each packed column its OWN (seed, application-count) identity:
   // the streams a solo solve of that column would be consuming right now.
   ctx_seeds_.resize(k);
   ctx_sequences_.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t c = columns[j];
-    ctx_seeds_[j] = seeds_[c];
-    ctx_sequences_[j] = counters_[c];
+    ctx_seeds_[j] = seeds_.at(columns[j]);  // out_of_range past capacity
+    ctx_sequences_[j] = counters_[columns[j]];
   }
   backend_.sweep(x, k, y,
                  {.seeds = ctx_seeds_,
@@ -62,9 +49,8 @@ void BackendMultiOperator::apply_multi_cols(
 
 namespace {
 
-// Per-column bookkeeping shared by both lockstep drivers. The column's
-// numeric state lives in the big column-major arrays; this tracks its
-// scalars and lifecycle.
+// Per-column bookkeeping. The column's numeric state lives in the big
+// column-major arrays; this tracks its scalars and lifecycle.
 struct ColumnState {
   detail::Monitor monitor;
   SolveResult result;
@@ -74,124 +60,159 @@ struct ColumnState {
   explicit ColumnState(const SolveOptions& options) : monitor(options) {}
 };
 
-std::span<double> column(std::vector<double>& v, std::size_t c,
-                         std::size_t n) {
-  return {v.data() + c * n, n};
-}
+// What both lockstep drivers share: the argument checks, the per-column
+// options and bookkeeping, the active set, the iterate x and residual r
+// (k column-major vectors each), the batched applies and the final report.
+struct Lockstep {
+  MultiOperator& op;
+  const std::size_t n;
+  const SolveOptions& options;
+  std::vector<SolveOptions> col_opts;  // the monitors' options, never resized
+  std::vector<ColumnState> cols;
+  std::vector<std::size_t> active;  // live columns, ascending
+  std::vector<double> x;
+  std::vector<double> r;
+  std::vector<double> in_buf;
+  std::vector<double> out_buf;
+  BatchedSolveResult batch;
 
-std::span<const double> column(const std::vector<double>& v, std::size_t c,
-                               std::size_t n) {
-  return {v.data() + c * n, n};
-}
-
-void finalize(ColumnState& col, SolveStatus status, long k) {
-  col.result.status = status;
-  col.result.iterations = detail::reported_iterations(status, k);
-  col.result.final_residual = col.rnorm;
-  col.done = true;
-}
-
-// Collects the structured failure report: every non-converged column with
-// its status, terminal iteration, and last residual known good (the
-// monitor's best finite residual; the final residual when nothing finite
-// was ever checked).
-void collect_failures(BatchedSolveResult& batch,
-                      const std::vector<ColumnState>& cols) {
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    const SolveResult& r = cols[c].result;
-    if (r.status == SolveStatus::kConverged) continue;
-    double last_good = cols[c].monitor.best_residual();
-    if (!std::isfinite(last_good)) last_good = r.final_residual;
-    batch.failures.push_back(ColumnFailure{
-        .column = c,
-        .status = r.status,
-        .iteration = r.iterations,
-        .last_good_residual = last_good,
-    });
-  }
-}
-
-// Materializes the per-column SolveOptions the monitors reference: a copy
-// of `options` per column, with tolerances[c] (when provided) replacing
-// options.tolerance. The vector must outlive the ColumnStates — Monitor
-// holds its options by reference.
-std::vector<SolveOptions> column_options(const SolveOptions& options,
-                                         std::size_t k,
-                                         std::span<const double> tolerances) {
-  std::vector<SolveOptions> opts(k, options);
-  if (!tolerances.empty()) {
-    for (std::size_t c = 0; c < k && c < tolerances.size(); ++c) {
-      opts[c].tolerance = tolerances[c];
+  // x = 0 and r = b, or — with a warm start — x = x0 and r = b - A x0 (one
+  // extra batched apply).
+  Lockstep(MultiOperator& op_in, std::span<const double> b, std::size_t k,
+           const SolveOptions& options_in, std::span<const double> tolerances,
+           std::span<const double> x0)
+      : op(op_in),
+        n(static_cast<std::size_t>(op_in.dim())),
+        options(options_in),
+        col_opts(k, options_in) {
+    if (b.size() != k * n || (!tolerances.empty() && tolerances.size() != k) ||
+        (!x0.empty() && x0.size() != k * n)) {
+      throw std::invalid_argument(
+          "lockstep solve: b, tolerances or x0 does not match k columns");
+    }
+    for (std::size_t c = 0; c < tolerances.size(); ++c) {
+      col_opts[c].tolerance = tolerances[c];
+    }
+    cols.reserve(k);
+    for (std::size_t c = 0; c < k; ++c) {
+      cols.emplace_back(col_opts[c]);
+      active.push_back(c);
+    }
+    x.assign(k * n, 0.0);
+    r.assign(b.begin(), b.end());
+    if (!x0.empty()) {
+      std::copy(x0.begin(), x0.end(), x.begin());
+      std::vector<double> ax(k * n, 0.0);
+      apply(active, x, ax, 0);
+      for (const std::size_t c : active) {
+        sparse::sub(b.subspan(c * n, n), col(ax, c), col(r, c));
+      }
     }
   }
-  return opts;
-}
 
-void drop_done(std::vector<std::size_t>& active,
-               const std::vector<ColumnState>& cols) {
-  active.erase(std::remove_if(active.begin(), active.end(),
-                              [&](std::size_t c) { return cols[c].done; }),
-               active.end());
-}
+  std::span<double> col(std::vector<double>& v, std::size_t c) const {
+    return {v.data() + c * n, n};
+  }
+  std::span<const double> col(const std::vector<double>& v,
+                              std::size_t c) const {
+    return {v.data() + c * n, n};
+  }
 
-// After a checked apply: finalize every column the ABFT verdict flagged as
-// kCorrupted, mapping the verdict's packed indices back to original batch
-// columns. The flagged output is about to be dropped from the lockstep
-// (callers drop_done before consuming the apply), so x holds the last-good
-// iterate. No-op for unchecked operators and clean applies.
-void finalize_corrupted(MultiOperator& op,
-                        const std::vector<std::size_t>& active,
-                        std::vector<ColumnState>& cols, long it) {
-  const core::SweepVerdict* v = op.last_verdict();
-  if (v == nullptr || !v->checked || v->ok) return;
-  for (const std::size_t packed : v->bad_columns) {
-    if (packed < active.size()) {
-      finalize(cols[active[packed]], SolveStatus::kCorrupted, it);
+  void trace(std::size_t c) {
+    if (options.record_trace) cols[c].result.trace.push_back(cols[c].rnorm);
+  }
+
+  void finalize(std::size_t c, SolveStatus status, long it) {
+    ColumnState& state = cols[c];
+    state.result.status = status;
+    state.result.iterations = detail::reported_iterations(status, it);
+    state.result.final_residual = state.rnorm;
+    state.done = true;
+  }
+
+  void drop_done() {
+    active.erase(std::remove_if(active.begin(), active.end(),
+                                [&](std::size_t c) { return cols[c].done; }),
+                 active.end());
+  }
+
+  // The residual check before iteration it + 1: finalizes every column its
+  // monitor stops; true while any column is left to iterate.
+  bool check(long it) {
+    for (const std::size_t c : active) {
+      if (const auto status = cols[c].monitor.check(it, cols[c].rnorm)) {
+        finalize(c, *status, it);
+      }
     }
+    drop_done();
+    return !active.empty();
   }
-}
 
-// Packs the active columns' vectors into a dense batch, applies, and
-// scatters the results back into each column's destination array. The
-// copies move bits, not arithmetic, so column results match single applies.
-// Every apply goes through apply_multi_cols with the active column ids, so
-// stochastic operators keep per-column stream identity through dropout.
-// Columns the operator's ABFT verdict flags are finalized as kCorrupted
-// here; callers must drop_done before consuming the apply's output.
-void batched_apply(MultiOperator& op, const std::vector<std::size_t>& active,
-                   const std::vector<double>& src, std::vector<double>& dst,
-                   std::size_t n, std::vector<double>& in_buf,
-                   std::vector<double>& out_buf, BatchedSolveResult& tally,
-                   std::vector<ColumnState>& cols, long it) {
-  const std::size_t ka = active.size();
-  if (ka == 0) return;
-  // While every column is still live (`active` is sorted and unique, so
-  // full size means the identity set) the column-major arrays already ARE
-  // the batch — skip the 2*k*n pack/scatter copies of the common case.
-  if (ka * n == src.size()) {
-    op.apply_multi_cols(src, ka, dst, active);
-    tally.batched_applies += 1;
-    tally.column_applies += static_cast<long>(ka);
-    finalize_corrupted(op, active, cols, it);
-    return;
+  // dst = A src over the `subset` columns (ascending) in ONE operator
+  // apply. The packing copies move bits, not arithmetic, so column results
+  // match single applies; `subset` travels along as the column ids, so
+  // stochastic operators keep per-column stream identity through dropout.
+  // Columns the ABFT verdict flags are finalized as kCorrupted and dropped
+  // from the active set before anyone consumes their output — x still
+  // holds their last-good iterate.
+  void apply(const std::vector<std::size_t>& subset,
+             const std::vector<double>& src, std::vector<double>& dst,
+             long it) {
+    const std::size_t ka = subset.size();
+    if (ka == 0) return;
+    // When the subset is every column the column-major arrays already ARE
+    // the batch — skip the 2*k*n pack/scatter copies of the common case.
+    const bool whole = ka * n == src.size();
+    if (!whole) {
+      in_buf.resize(ka * n);
+      out_buf.resize(ka * n);
+      for (std::size_t idx = 0; idx < ka; ++idx) {
+        const auto from = col(src, subset[idx]);
+        std::copy(from.begin(), from.end(), in_buf.begin() + idx * n);
+      }
+    }
+    op.apply(whole ? src : in_buf, ka, whole ? dst : out_buf, subset);
+    if (!whole) {
+      for (std::size_t idx = 0; idx < ka; ++idx) {
+        std::copy(out_buf.begin() + idx * n, out_buf.begin() + (idx + 1) * n,
+                  col(dst, subset[idx]).begin());
+      }
+    }
+    batch.batched_applies += 1;
+    batch.column_applies += static_cast<long>(ka);
+    const core::SweepVerdict* v = op.last_verdict();
+    if (v != nullptr && v->checked && !v->ok) {
+      for (const std::size_t packed : v->bad_columns) {
+        if (packed < ka) finalize(subset[packed], SolveStatus::kCorrupted, it);
+      }
+    }
+    drop_done();
   }
-  in_buf.resize(ka * n);
-  out_buf.resize(ka * n);
-  for (std::size_t idx = 0; idx < ka; ++idx) {
-    const auto from = column(src, active[idx], n);
-    std::copy(from.begin(), from.end(), in_buf.begin() + idx * n);
+
+  // Every column's result, in order, plus the structured failure report:
+  // each non-converged column with its status, terminal iteration, and
+  // last residual known good (the monitor's best finite residual; the
+  // final residual when nothing finite was ever checked).
+  BatchedSolveResult finish() {
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      SolveResult& result = cols[c].result;
+      if (result.status != SolveStatus::kConverged) {
+        double last_good = cols[c].monitor.best_residual();
+        if (!std::isfinite(last_good)) last_good = result.final_residual;
+        batch.failures.push_back(ColumnFailure{
+            .column = c,
+            .status = result.status,
+            .iteration = result.iterations,
+            .last_good_residual = last_good,
+        });
+      }
+      const auto xc = col(x, c);
+      result.solution.assign(xc.begin(), xc.end());
+      batch.columns.push_back(std::move(result));
+    }
+    return std::move(batch);
   }
-  op.apply_multi_cols({in_buf.data(), ka * n}, ka, {out_buf.data(), ka * n},
-                      active);
-  for (std::size_t idx = 0; idx < ka; ++idx) {
-    const auto to = column(dst, active[idx], n);
-    std::copy(out_buf.begin() + idx * n, out_buf.begin() + (idx + 1) * n,
-              to.begin());
-  }
-  tally.batched_applies += 1;
-  tally.column_applies += static_cast<long>(ka);
-  finalize_corrupted(op, active, cols, it);
-}
+};
 
 }  // namespace
 
@@ -199,84 +220,43 @@ BatchedSolveResult cg_multi(MultiOperator& op, std::span<const double> b,
                             std::size_t k, const SolveOptions& options,
                             std::span<const double> tolerances,
                             std::span<const double> x0) {
-  const std::size_t n = static_cast<std::size_t>(op.dim());
-  BatchedSolveResult batch;
-  const std::vector<SolveOptions> col_opts =
-      column_options(options, k, tolerances);
-  std::vector<ColumnState> cols;
-  cols.reserve(k);
-  std::vector<double> x(k * n, 0.0);
-  std::vector<double> r(b.begin(), b.begin() + static_cast<long>(k * n));
-  std::vector<double> ap(k * n, 0.0);
-  std::vector<double> rho(k, 0.0);
-  std::vector<std::size_t> active;
-  std::vector<double> in_buf;
-  std::vector<double> out_buf;
-
-  for (std::size_t c = 0; c < k; ++c) {
-    cols.emplace_back(col_opts[c]);
-    active.push_back(c);
-  }
-  if (!x0.empty()) {
-    std::copy(x0.begin(), x0.begin() + static_cast<long>(k * n), x.begin());
-    batched_apply(op, active, x, ap, n, in_buf, out_buf, batch, cols, 0);
-    drop_done(active, cols);
-    for (const std::size_t c : active) {
-      sparse::sub(b.subspan(c * n, n), column(ap, c, n), column(r, c, n));
-    }
-  }
+  Lockstep ls(op, b, k, options, tolerances, x0);
+  std::vector<double>& x = ls.x;
+  std::vector<double>& r = ls.r;
   std::vector<double> p(r);
-  for (const std::size_t c : active) {
-    rho[c] = sparse::dot(column(r, c, n), column(r, c, n));
-    cols[c].rnorm = std::sqrt(rho[c]);
-    if (options.record_trace) cols[c].result.trace.push_back(cols[c].rnorm);
+  std::vector<double> ap(k * ls.n, 0.0);
+  std::vector<double> rho(k, 0.0);
+  for (const std::size_t c : ls.active) {
+    rho[c] = sparse::dot(ls.col(r, c), ls.col(r, c));
+    ls.cols[c].rnorm = std::sqrt(rho[c]);
+    ls.trace(c);
   }
 
   long it = 0;
-  while (!active.empty()) {
-    for (const std::size_t c : active) {
-      if (const auto status = cols[c].monitor.check(it, cols[c].rnorm)) {
-        finalize(cols[c], *status, it);
-      }
-    }
-    drop_done(active, cols);
-    if (active.empty()) break;
+  while (ls.check(it)) {
     ++it;
-
     // ONE SpMM for every column still iterating (the batched hot path).
-    batched_apply(op, active, p, ap, n, in_buf, out_buf, batch, cols, it);
-    drop_done(active, cols);
-
-    for (const std::size_t c : active) {
-      const auto pc = column(p, c, n);
-      const auto apc = column(ap, c, n);
+    ls.apply(ls.active, p, ap, it);
+    for (const std::size_t c : ls.active) {
+      const auto pc = ls.col(p, c);
+      const auto apc = ls.col(ap, c);
       const double p_ap = sparse::dot(pc, apc);
       if (!std::isfinite(p_ap) || p_ap == 0.0) {
-        finalize(cols[c], SolveStatus::kBreakdown, it);
+        ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
       const double alpha = rho[c] / p_ap;
-      sparse::axpy(alpha, pc, column(x, c, n));
-      sparse::axpy(-alpha, apc, column(r, c, n));
-      const double rho_next =
-          sparse::dot(column(r, c, n), column(r, c, n));
-      cols[c].rnorm = std::sqrt(rho_next);
-      if (options.record_trace) {
-        cols[c].result.trace.push_back(cols[c].rnorm);
-      }
-      sparse::xpby(column(r, c, n), rho_next / rho[c], pc);
+      sparse::axpy(alpha, pc, ls.col(x, c));
+      sparse::axpy(-alpha, apc, ls.col(r, c));
+      const double rho_next = sparse::dot(ls.col(r, c), ls.col(r, c));
+      ls.cols[c].rnorm = std::sqrt(rho_next);
+      ls.trace(c);
+      sparse::xpby(ls.col(r, c), rho_next / rho[c], pc);
       rho[c] = rho_next;
     }
-    drop_done(active, cols);
+    ls.drop_done();
   }
-
-  collect_failures(batch, cols);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto xc = column(x, c, n);
-    cols[c].result.solution.assign(xc.begin(), xc.end());
-    batch.columns.push_back(std::move(cols[c].result));
-  }
-  return batch;
+  return ls.finish();
 }
 
 BatchedSolveResult bicgstab_multi(MultiOperator& op,
@@ -284,14 +264,11 @@ BatchedSolveResult bicgstab_multi(MultiOperator& op,
                                   const SolveOptions& options,
                                   std::span<const double> tolerances,
                                   std::span<const double> x0) {
-  const std::size_t n = static_cast<std::size_t>(op.dim());
-  BatchedSolveResult batch;
-  const std::vector<SolveOptions> col_opts =
-      column_options(options, k, tolerances);
-  std::vector<ColumnState> cols;
-  cols.reserve(k);
-  std::vector<double> x(k * n, 0.0);
-  std::vector<double> r(b.begin(), b.begin() + static_cast<long>(k * n));
+  Lockstep ls(op, b, k, options, tolerances, x0);
+  const std::size_t n = ls.n;
+  std::vector<double>& x = ls.x;
+  std::vector<double>& r = ls.r;
+  std::vector<ColumnState>& cols = ls.cols;
   std::vector<double> p(k * n, 0.0);
   std::vector<double> v(k * n, 0.0);
   std::vector<double> s(k * n, 0.0);
@@ -304,151 +281,115 @@ BatchedSolveResult bicgstab_multi(MultiOperator& op,
   std::vector<int> restarts(k, 0);
   constexpr int kMaxRestarts = 40;
   constexpr double kRestartGrowth = 100.0;
-  std::vector<std::size_t> active;
   std::vector<std::size_t> subset;
-  std::vector<double> in_buf;
-  std::vector<double> out_buf;
 
-  for (std::size_t c = 0; c < k; ++c) {
-    cols.emplace_back(col_opts[c]);
-    active.push_back(c);
-  }
-  if (!x0.empty()) {
-    std::copy(x0.begin(), x0.begin() + static_cast<long>(k * n), x.begin());
-    batched_apply(op, active, x, t, n, in_buf, out_buf, batch, cols, 0);
-    drop_done(active, cols);
-    for (const std::size_t c : active) {
-      sparse::sub(b.subspan(c * n, n), column(t, c, n), column(r, c, n));
-    }
-  }
   std::vector<double> r_shadow(r);
-  for (const std::size_t c : active) {
-    cols[c].rnorm = sparse::norm2(column(r, c, n));
+  for (const std::size_t c : ls.active) {
+    cols[c].rnorm = sparse::norm2(ls.col(r, c));
     best_since_restart[c] = cols[c].rnorm;
-    if (options.record_trace) cols[c].result.trace.push_back(cols[c].rnorm);
+    ls.trace(c);
   }
 
   long it = 0;
-  while (!active.empty()) {
-    for (const std::size_t c : active) {
-      if (const auto status = cols[c].monitor.check(it, cols[c].rnorm)) {
-        finalize(cols[c], *status, it);
-      }
-    }
-    drop_done(active, cols);
-    if (active.empty()) break;
+  while (ls.check(it)) {
     ++it;
 
     // Restart rescue: recompute r = b - A x for the columns whose recursive
     // residual detached. All restarting columns share one SpMM.
     subset.clear();
-    for (const std::size_t c : active) {
+    for (const std::size_t c : ls.active) {
       if (cols[c].rnorm > kRestartGrowth * best_since_restart[c] &&
           restarts[c] < kMaxRestarts) {
         subset.push_back(c);
       }
     }
-    batched_apply(op, subset, x, t, n, in_buf, out_buf, batch, cols, it);
+    ls.apply(subset, x, t, it);
     for (const std::size_t c : subset) {
       if (cols[c].done) continue;  // restart apply flagged this column
       ++restarts[c];
-      sparse::sub(b.subspan(c * n, n), column(t, c, n), column(r, c, n));
-      const auto rc = column(r, c, n);
-      std::copy(rc.begin(), rc.end(), column(r_shadow, c, n).begin());
-      sparse::fill(column(p, c, n), 0.0);
-      sparse::fill(column(v, c, n), 0.0);
+      sparse::sub(b.subspan(c * n, n), ls.col(t, c), ls.col(r, c));
+      const auto rc = ls.col(r, c);
+      std::copy(rc.begin(), rc.end(), ls.col(r_shadow, c).begin());
+      sparse::fill(ls.col(p, c), 0.0);
+      sparse::fill(ls.col(v, c), 0.0);
       rho[c] = alpha[c] = omega[c] = 1.0;
       cols[c].rnorm = sparse::norm2(rc);
       best_since_restart[c] = cols[c].rnorm;
     }
 
-    drop_done(active, cols);
-
-    for (const std::size_t c : active) {
-      rho_next[c] = sparse::dot(column(r_shadow, c, n), column(r, c, n));
+    for (const std::size_t c : ls.active) {
+      rho_next[c] = sparse::dot(ls.col(r_shadow, c), ls.col(r, c));
       if (!std::isfinite(rho_next[c]) || rho_next[c] == 0.0) {
-        finalize(cols[c], SolveStatus::kBreakdown, it);
+        ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
       const double beta = (rho_next[c] / rho[c]) * (alpha[c] / omega[c]);
-      const auto rc = column(r, c, n);
-      const auto pc = column(p, c, n);
-      const auto vc = column(v, c, n);
+      const auto rc = ls.col(r, c);
+      const auto pc = ls.col(p, c);
+      const auto vc = ls.col(v, c);
       for (std::size_t i = 0; i < n; ++i) {
         pc[i] = rc[i] + beta * (pc[i] - omega[c] * vc[i]);
       }
     }
-    drop_done(active, cols);
+    ls.drop_done();
 
     // First SpMM of the iteration proper: v = A p for all live columns.
-    batched_apply(op, active, p, v, n, in_buf, out_buf, batch, cols, it);
-    drop_done(active, cols);
-    for (const std::size_t c : active) {
-      const double rhat_v =
-          sparse::dot(column(r_shadow, c, n), column(v, c, n));
+    ls.apply(ls.active, p, v, it);
+    for (const std::size_t c : ls.active) {
+      const double rhat_v = sparse::dot(ls.col(r_shadow, c), ls.col(v, c));
       if (!std::isfinite(rhat_v) || rhat_v == 0.0) {
-        finalize(cols[c], SolveStatus::kBreakdown, it);
+        ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
       alpha[c] = rho_next[c] / rhat_v;
-      const auto rc = column(r, c, n);
-      const auto vc = column(v, c, n);
-      const auto sc = column(s, c, n);
+      const auto rc = ls.col(r, c);
+      const auto vc = ls.col(v, c);
+      const auto sc = ls.col(s, c);
       for (std::size_t i = 0; i < n; ++i) sc[i] = rc[i] - alpha[c] * vc[i];
       const double snorm = sparse::norm2(sc);
-      if (snorm <= col_opts[c].tolerance) {
-        sparse::axpy(alpha[c], column(p, c, n), column(x, c, n));
+      if (snorm <= ls.col_opts[c].tolerance) {
+        sparse::axpy(alpha[c], ls.col(p, c), ls.col(x, c));
         cols[c].rnorm = snorm;
-        if (options.record_trace) {
-          cols[c].result.trace.push_back(cols[c].rnorm);
-        }
-        finalize(cols[c], SolveStatus::kConverged, it);
+        ls.trace(c);
+        ls.finalize(c, SolveStatus::kConverged, it);
       }
     }
-    drop_done(active, cols);
+    ls.drop_done();
 
     // Second SpMM: t = A s for the columns that did not exit early.
-    batched_apply(op, active, s, t, n, in_buf, out_buf, batch, cols, it);
-    drop_done(active, cols);
-    for (const std::size_t c : active) {
-      const auto sc = column(s, c, n);
-      const auto tc = column(t, c, n);
+    ls.apply(ls.active, s, t, it);
+    for (const std::size_t c : ls.active) {
+      const auto sc = ls.col(s, c);
+      const auto tc = ls.col(t, c);
       const double t_t = sparse::dot(tc, tc);
       if (!std::isfinite(t_t) || t_t == 0.0) {
-        finalize(cols[c], SolveStatus::kBreakdown, it);
+        ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
       omega[c] = sparse::dot(tc, sc) / t_t;
       if (!std::isfinite(omega[c]) || omega[c] == 0.0) {
-        finalize(cols[c], SolveStatus::kBreakdown, it);
+        ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
-      const auto xc = column(x, c, n);
-      const auto pc = column(p, c, n);
-      const auto rc = column(r, c, n);
+      const auto xc = ls.col(x, c);
+      const auto pc = ls.col(p, c);
+      const auto rc = ls.col(r, c);
+      const double a = alpha[c];
+      const double w = omega[c];
       for (std::size_t i = 0; i < n; ++i) {
-        xc[i] += alpha[c] * pc[i] + omega[c] * sc[i];
-        rc[i] = sc[i] - omega[c] * tc[i];
+        xc[i] += a * pc[i] + w * sc[i];
+        rc[i] = sc[i] - w * tc[i];
       }
       rho[c] = rho_next[c];
       cols[c].rnorm = sparse::norm2(rc);
       if (cols[c].rnorm < best_since_restart[c]) {
         best_since_restart[c] = cols[c].rnorm;
       }
-      if (options.record_trace) {
-        cols[c].result.trace.push_back(cols[c].rnorm);
-      }
+      ls.trace(c);
     }
-    drop_done(active, cols);
+    ls.drop_done();
   }
-
-  collect_failures(batch, cols);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto xc = column(x, c, n);
-    cols[c].result.solution.assign(xc.begin(), xc.end());
-    batch.columns.push_back(std::move(cols[c].result));
-  }
-  return batch;
+  return ls.finish();
 }
 
 std::vector<double> make_rhs_batch(const sparse::Csr& a, std::size_t k,

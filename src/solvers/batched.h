@@ -7,18 +7,21 @@
 // each reprogram round is charged once per batch instead of once per
 // right-hand side (arch::spmm_time models the amortization).
 //
+// These are the library's only CG and BiCGSTAB: a single-RHS solve is the
+// k = 1 case (cg_multi(op, b, 1, options).columns[0]).
+//
 // Numerical contract: the lockstep drivers are *orchestration only*. Every
 // column keeps its own scalars, vectors, and Monitor, and every batched
 // apply is column-wise bit-identical to a single apply — so each column's
 // trajectory (status, iteration count, solution, trace) is bit-identical
-// to running solve::cg / solve::bicgstab on that column alone. Columns
-// that terminate drop out of the active batch; the remaining columns keep
-// batching.
+// to the textbook serial CG / BiCGSTAB run on that column alone
+// (tests/reference_solvers.h keeps that serial statement as the pin).
+// Columns that terminate drop out of the active batch; the remaining
+// columns keep batching.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/core/sweep_backend.h"
@@ -26,68 +29,22 @@
 
 namespace refloat::solve {
 
-// A Y = A X oracle over k column-major vectors (x.size() == k * dim()).
-// Implementations decide whether columns share work; the lockstep drivers
-// only require column-wise bit-identity with the corresponding
-// single-vector operator.
-class MultiOperator {
- public:
-  virtual ~MultiOperator() = default;
-  virtual void apply_multi(std::span<const double> x, std::size_t k,
-                           std::span<double> y) = 0;
-  // Batched apply over an explicit column subset: `columns` (k entries)
-  // names the original batch column each packed vector belongs to. The
-  // lockstep drivers route every apply through this so stochastic
-  // implementations can keep per-column stream identity when converged
-  // columns drop out of the pack; the default discards the identities and
-  // delegates to apply_multi — correct for deterministic operators.
-  virtual void apply_multi_cols(std::span<const double> x, std::size_t k,
-                                std::span<double> y,
-                                std::span<const std::size_t> columns) {
-    (void)columns;
-    apply_multi(x, k, y);
-  }
-  [[nodiscard]] virtual sparse::Index dim() const = 0;
-  [[nodiscard]] virtual std::string label() const = 0;
-  // ABFT verdict of the most recent apply when the underlying execution
-  // view runs checked sweeps (core::SweepBackend::set_abft); nullptr means
-  // this operator is unchecked. The lockstep drivers consult this after
-  // every batched apply and finalize flagged columns as kCorrupted before
-  // their scalars touch the poisoned output.
-  [[nodiscard]] virtual const core::SweepVerdict* last_verdict() const {
-    return nullptr;
-  }
-};
-
-// Baseline adapter: applies a single-vector operator column by column
-// (no batching win — the reference the batched paths are tested against).
-class SequentialMultiOperator final : public MultiOperator {
- public:
-  explicit SequentialMultiOperator(LinearOperator& op) : op_(op) {}
-  void apply_multi(std::span<const double> x, std::size_t k,
-                   std::span<double> y) override;
-  [[nodiscard]] sparse::Index dim() const override { return op_.dim(); }
-  [[nodiscard]] std::string label() const override {
-    return op_.label() + "+seq";
-  }
-
- private:
-  LinearOperator& op_;
-};
-
 // Routes the lockstep drivers through any core::SweepBackend — the one
 // adapter that batches all three execution views (value / noisy /
 // bit-true). For stochastic backends it maintains each column's solo
 // stream identity: column j keeps its own seed and a private application
 // counter that advances only when the column participates in an apply —
-// exactly the (seed, sequence++) stream the column's solo operator would
-// consume — so every column of a batched noisy or bit-true solve is
-// bit-identical to its solo solve, through dropout, restarts, and early
-// exits. The backend is borrowed; one operator instance per solve.
+// exactly the (seed, sequence++) stream a default-context sweep of a
+// backend built with that seed draws — so every column of a batched noisy
+// or bit-true solve is bit-identical to its solo solve, through dropout,
+// restarts, and early exits. The backend is borrowed; one operator
+// instance per solve. An apply naming a column id >= the capacity throws
+// std::out_of_range.
 class BackendMultiOperator final : public MultiOperator {
  public:
   // Capacity `k` columns; stochastic identities fork `seed` per column
-  // (column 0 keeps it verbatim, matching the single-RHS operators).
+  // (column 0 keeps it verbatim, so a k = 1 operator draws the streams of
+  // the backend's default context when `seed` is the backend's own seed).
   BackendMultiOperator(core::SweepBackend& backend, std::size_t k,
                        std::uint64_t seed = 0x5eedULL);
   // Explicit per-column seeds (e.g. the serving layer passing each
@@ -95,21 +52,14 @@ class BackendMultiOperator final : public MultiOperator {
   BackendMultiOperator(core::SweepBackend& backend,
                        std::vector<std::uint64_t> seeds);
 
-  void apply_multi(std::span<const double> x, std::size_t k,
-                   std::span<double> y) override;
-  void apply_multi_cols(std::span<const double> x, std::size_t k,
-                        std::span<double> y,
-                        std::span<const std::size_t> columns) override;
+  void apply(std::span<const double> x, std::size_t k, std::span<double> y,
+             std::span<const std::size_t> columns) override;
   [[nodiscard]] sparse::Index dim() const override {
     return static_cast<sparse::Index>(backend_.rows());
-  }
-  [[nodiscard]] std::string label() const override {
-    return std::string(backend_.label()) + "+batched";
   }
   [[nodiscard]] const core::SweepVerdict* last_verdict() const override {
     return backend_.abft() != nullptr ? &verdict_ : nullptr;
   }
-  [[nodiscard]] core::SweepBackend& backend() { return backend_; }
 
  private:
   core::SweepBackend& backend_;
@@ -117,7 +67,6 @@ class BackendMultiOperator final : public MultiOperator {
   std::vector<std::uint64_t> counters_;  // applies the column took part in
   std::vector<std::uint64_t> ctx_seeds_;
   std::vector<std::uint64_t> ctx_sequences_;
-  std::vector<std::size_t> identity_;
   core::SweepVerdict verdict_;  // filled by every checked sweep
 };
 
@@ -139,7 +88,7 @@ struct BatchedSolveResult {
   // column order — the daemon's retry/degrade ladder keys its rungs off
   // these statuses.
   std::vector<ColumnFailure> failures;
-  // Operator-application accounting: how many batched apply_multi calls the
+  // Operator-application accounting: how many batched apply calls the
   // lockstep run issued vs the per-column applications they carried (the
   // k-sequential-solves count). Their ratio is the reprogram amortization
   // the timing model prices.
@@ -154,28 +103,31 @@ struct BatchedSolveResult {
   }
 };
 
-// Lockstep CG on k right-hand sides. `b` holds k column-major vectors of
-// op.dim() entries each. Column j's result is bit-identical to
-// cg(op_single, column j, options).
+// Lockstep CG on k right-hand sides. `b` holds exactly k column-major
+// vectors of op.dim() entries each. Column j's result is bit-identical to
+// serial CG on column j alone.
 //
 // `tolerances` (empty, or exactly k entries) overrides options.tolerance
 // per column — the serving layer batches same-matrix requests that arrive
 // with different tolerances, and each column must still terminate exactly
 // as its solo solve would. Column j with tolerances[j] = t is bit-identical
-// to the serial solver run with options.tolerance = t.
+// to the serial solve with options.tolerance = t.
 //
 // `x0` (empty, or k column-major vectors) warm-starts the solve: x = x0 and
 // r = b - A x0 (one extra batched apply), the recovery ladder's "re-solve
 // from the last-good iterate" rung. Empty keeps the classic x = 0 start —
 // and only that start carries the bit-identity contract above.
+//
+// Throws std::invalid_argument when b.size() != k * op.dim(), or when
+// `tolerances` / `x0` is non-empty and not k / k * op.dim() long.
 BatchedSolveResult cg_multi(MultiOperator& op, std::span<const double> b,
                             std::size_t k, const SolveOptions& options,
                             std::span<const double> tolerances = {},
                             std::span<const double> x0 = {});
 
-// Lockstep BiCGSTAB (same contract, including the restart rescue and the
-// early s-norm exit of the serial implementation — the early exit also
-// honors the per-column tolerance).
+// Lockstep BiCGSTAB (same contract and the same argument checks, including
+// the restart rescue and the early s-norm exit of the serial method — the
+// early exit also honors the per-column tolerance).
 BatchedSolveResult bicgstab_multi(MultiOperator& op,
                                   std::span<const double> b, std::size_t k,
                                   const SolveOptions& options,

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "src/core/format.h"
+
 namespace refloat::solve {
 
 namespace {
@@ -67,13 +69,14 @@ TruncatedOperator::TruncatedOperator(const sparse::Csr& a, TruncateSpec spec)
     : spec_(spec),
       quantized_(truncate_matrix(a, spec.exp_bits, spec.frac_bits)) {}
 
-void TruncatedOperator::apply(std::span<const double> x,
-                              std::span<double> y) {
+void TruncatedOperator::apply(std::span<const double> x, std::size_t k,
+                              std::span<double> y,
+                              std::span<const std::size_t> columns) {
   scratch_.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     scratch_[i] = truncate_fp(x[i], spec_.exp_bits, spec_.frac_bits);
   }
-  quantized_.spmv(scratch_, y);
+  CsrOperator(quantized_).apply(scratch_, k, y, columns);
 }
 
 }  // namespace refloat::solve

@@ -1,6 +1,9 @@
-// The platform operators of the evaluation: exact double, ReFloat (any
-// core::SweepBackend view, including Fig. 10's RTN noise), the Feinberg
-// [32] fixed-point baseline, and global FP truncation (Table I).
+// The platform operators of the evaluation that do not sweep a ReFloat
+// backend: exact double, the Feinberg [32] fixed-point baseline, and global
+// FP truncation (Table I). The ReFloat platform in all three execution
+// views is solve::BackendMultiOperator (src/solvers/batched.h). Each
+// runs its single-vector SpMV on the k columns one by one, in column
+// order, so a column's result never depends on the batch it rides in.
 //
 // Threading contract: parallelism lives *inside* the SpMV (block-row shards
 // on util::ThreadPool::global()), so apply() is called from one solver
@@ -12,47 +15,26 @@
 #include <span>
 #include <vector>
 
-#include "src/core/sweep_backend.h"
 #include "src/solvers/solver.h"
 #include "src/sparse/csr.h"
 
 namespace refloat::solve {
 
 // Exact FP64 SpMV — the GPU/double platform.
-class CsrOperator final : public LinearOperator {
+class CsrOperator final : public MultiOperator {
  public:
   explicit CsrOperator(const sparse::Csr& a) : a_(a) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    a_.spmv(x, y);
+  void apply(std::span<const double> x, std::size_t k, std::span<double> y,
+             std::span<const std::size_t> /*columns*/) override {
+    const auto n = static_cast<std::size_t>(a_.rows());
+    for (std::size_t j = 0; j < k; ++j) {
+      a_.spmv(x.subspan(j * n, n), y.subspan(j * n, n));
+    }
   }
   [[nodiscard]] sparse::Index dim() const override { return a_.rows(); }
-  [[nodiscard]] std::string label() const override { return "double"; }
 
  private:
   const sparse::Csr& a_;
-};
-
-// k=1 adapter over any core::SweepBackend — the ReFloat platform operator
-// in all three execution views (value "refloat", noisy "refloat+rtn",
-// bit-true "hw+bittrue"). The backend is borrowed and outlives the
-// operator; apply() is one default-context sweep, so a stochastic backend
-// draws a fresh (seed, sequence++) stream per application and a solve is
-// reproducible at any REFLOAT_THREADS / REFLOAT_TILES setting.
-class BackendOperator final : public LinearOperator {
- public:
-  explicit BackendOperator(core::SweepBackend& backend) : backend_(backend) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    backend_.sweep(x, 1, y, {});
-  }
-  [[nodiscard]] sparse::Index dim() const override {
-    return static_cast<sparse::Index>(backend_.rows());
-  }
-  [[nodiscard]] std::string label() const override {
-    return backend_.label();
-  }
-
- private:
-  core::SweepBackend& backend_;
 };
 
 // Feinberg et al. [32]: matrix-global shared exponent, 52-bit fixed-point
@@ -60,16 +42,16 @@ class BackendOperator final : public LinearOperator {
 // Entries whose exponent falls out of the window flush to zero — the
 // mechanism behind the paper's Feinberg non-convergence cases (per-block
 // bases are exactly what ReFloat adds).
-class FeinbergOperator final : public LinearOperator {
+class FeinbergOperator final : public MultiOperator {
  public:
   explicit FeinbergOperator(const sparse::Csr& a);
-  void apply(std::span<const double> x, std::span<double> y) override {
-    quantized_.spmv(x, y);
+  void apply(std::span<const double> x, std::size_t k, std::span<double> y,
+             std::span<const std::size_t> columns) override {
+    CsrOperator(quantized_).apply(x, k, y, columns);
   }
   [[nodiscard]] sparse::Index dim() const override {
     return quantized_.rows();
   }
-  [[nodiscard]] std::string label() const override { return "feinberg"; }
   [[nodiscard]] std::size_t flushed() const { return flushed_; }
 
   static constexpr int kExponentBits = 6;
@@ -88,14 +70,14 @@ struct TruncateSpec {
   int frac_bits = 52;
 };
 
-class TruncatedOperator final : public LinearOperator {
+class TruncatedOperator final : public MultiOperator {
  public:
   TruncatedOperator(const sparse::Csr& a, TruncateSpec spec);
-  void apply(std::span<const double> x, std::span<double> y) override;
+  void apply(std::span<const double> x, std::size_t k, std::span<double> y,
+             std::span<const std::size_t> columns) override;
   [[nodiscard]] sparse::Index dim() const override {
     return quantized_.rows();
   }
-  [[nodiscard]] std::string label() const override { return "truncated"; }
 
  private:
   TruncateSpec spec_;

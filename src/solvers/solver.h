@@ -6,23 +6,39 @@
 // to relative residuals at ||b|| = 1, which is the paper's tau = 1e-8 setup.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/sparse/csr.h"
 
+namespace refloat::core {
+struct SweepVerdict;
+}  // namespace refloat::core
+
 namespace refloat::solve {
 
-// A y = A x oracle. Implementations decide the arithmetic (exact double,
-// refloat-quantized, bit-true crossbars, ...).
-class LinearOperator {
+// A Y = A X oracle over k column-major vectors (x.size() == k * dim()), the
+// one operator interface of the lockstep CG/BiCGSTAB drivers. Column j of
+// an apply must be bit-identical to applying that column alone.
+class MultiOperator {
  public:
-  virtual ~LinearOperator() = default;
-  virtual void apply(std::span<const double> x, std::span<double> y) = 0;
+  virtual ~MultiOperator() = default;
+  // `columns` (k entries) names the original batch column of each packed
+  // vector, so stochastic operators keep per-column stream identity when
+  // converged columns drop out of the pack; deterministic ones ignore it.
+  virtual void apply(std::span<const double> x, std::size_t k,
+                     std::span<double> y,
+                     std::span<const std::size_t> columns) = 0;
   [[nodiscard]] virtual sparse::Index dim() const = 0;
-  [[nodiscard]] virtual std::string label() const = 0;
+  // ABFT verdict of the most recent apply when the underlying execution
+  // view runs checked sweeps (core::SweepBackend::set_abft); nullptr means
+  // this operator is unchecked. The lockstep drivers consult this after
+  // every apply and finalize flagged columns as kCorrupted before their
+  // scalars touch the poisoned output.
+  [[nodiscard]] virtual const core::SweepVerdict* last_verdict() const {
+    return nullptr;
+  }
 };
 
 enum class SolveStatus {

@@ -21,10 +21,9 @@
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/hw_spmv.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_solvers.h"
 
 namespace refloat {
 namespace {
@@ -307,7 +306,8 @@ TEST(SweepBackend, BatchedNoisySolveMatchesSoloAtAnyThreadsAndTiles) {
   opts.tolerance = 1e-6;
   opts.max_iterations = 2000;
 
-  // Solo references, untiled at one thread, with the per-column seeds
+  // Serial reference solves, untiled at one thread, each sweeping the
+  // default context of a backend built with the per-column seed
   // BackendMultiOperator forks from `seed`.
   util::ThreadPool::set_global_threads(1);
   std::vector<solve::SolveResult> solo;
@@ -315,9 +315,9 @@ TEST(SweepBackend, BatchedNoisySolveMatchesSoloAtAnyThreadsAndTiles) {
     const std::uint64_t seed_j =
         j == 0 ? seed : util::stream_seed(seed, j, core::kColumnForkSalt);
     auto solo_backend = core::make_noisy_backend(rf, sigma, seed_j, 1);
-    solve::BackendOperator op(*solo_backend);
-    solo.push_back(
-        solve::cg(op, std::span<const double>(b).subspan(j * n, n), opts));
+    solo.push_back(solve::reference::cg(
+        solve::reference::default_sweep(*solo_backend),
+        std::span<const double>(b).subspan(j * n, n), opts));
   }
   ASSERT_NE(solo[0].iterations, solo[1].iterations);
 
@@ -388,8 +388,8 @@ TEST(HwSpmvBatched, ApplyMultiBitIdenticalToSequentialSameFaultSeed) {
 
 TEST(SweepBackend, BatchedBitTrueSolveMatchesSoloSolve) {
   // The serving path end to end: a batched bit-true solve through
-  // BackendMultiOperator reproduces each column's solo solve (same
-  // programmed image, per-column noise identities).
+  // BackendMultiOperator reproduces each column's serial reference solve
+  // (same programmed image, per-column noise identities).
   util::ThreadPool::set_global_threads(2);
   const sparse::Csr a = test_matrix();
   const core::RefloatMatrix rf(a, test_format());
@@ -405,10 +405,9 @@ TEST(SweepBackend, BatchedBitTrueSolveMatchesSoloSolve) {
   std::vector<solve::SolveResult> solo;
   for (std::size_t j = 0; j < k; ++j) {
     auto backend = hw::make_bit_true_backend(rf, config);
-    solve::BackendMultiOperator op(*backend, 1);
-    const solve::BatchedSolveResult one = solve::cg_multi(
-        op, std::span<const double>(b).subspan(j * n, n), 1, opts);
-    solo.push_back(one.columns[0]);
+    solo.push_back(solve::reference::cg(
+        solve::reference::default_sweep(*backend),
+        std::span<const double>(b).subspan(j * n, n), opts));
   }
 
   auto backend = hw::make_bit_true_backend(rf, config);

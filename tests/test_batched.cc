@@ -1,19 +1,20 @@
 // The lockstep batching contract: cg_multi / bicgstab_multi are
 // orchestration only — every column's trajectory (status, iteration count,
-// residuals, trace, solution) is bit-identical to running the serial solver
-// on that column alone, even when columns terminate at different
-// iterations, and the batch issues far fewer operator applications than k
-// sequential solves.
+// residuals, trace, solution) is bit-identical to running the serial
+// reference solver (tests/reference_solvers.h) on that column alone, even
+// when columns terminate at different iterations, and the batch issues far
+// fewer operator applications than k sequential solves. Inputs whose sizes
+// disagree with k are rejected before anything is read.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/gen/grid.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
 #include "src/solvers/operator.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_solvers.h"
 
 namespace refloat::solve {
 namespace {
@@ -68,9 +69,9 @@ TEST(BatchedSolve, CgMultiBitIdenticalToSequentialCg) {
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
     const auto backend = core::make_value_backend(rf);
-    BackendOperator op(*backend);
-    serial.push_back(
-        cg(op, std::span<const double>(b).subspan(c * n, n), opts));
+    serial.push_back(reference::cg(reference::default_sweep(*backend),
+                                   std::span<const double>(b).subspan(c * n, n),
+                                   opts));
   }
   // Columns must genuinely differ, or the lockstep dropout path is untested.
   EXPECT_NE(serial[0].iterations, serial[2].iterations);
@@ -104,9 +105,9 @@ TEST(BatchedSolve, BicgstabMultiBitIdenticalToSequentialBicgstab) {
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
     const auto backend = core::make_value_backend(rf);
-    BackendOperator op(*backend);
-    serial.push_back(
-        bicgstab(op, std::span<const double>(b).subspan(c * n, n), opts));
+    serial.push_back(reference::bicgstab(
+        reference::default_sweep(*backend),
+        std::span<const double>(b).subspan(c * n, n), opts));
   }
 
   const auto backend = core::make_value_backend(rf);
@@ -116,10 +117,10 @@ TEST(BatchedSolve, BicgstabMultiBitIdenticalToSequentialBicgstab) {
   EXPECT_LT(batch.batched_applies, batch.column_applies);
 }
 
-TEST(BatchedSolve, SequentialMultiOperatorMatchesTooAndHandlesMaxIterations) {
-  // The baseline adapter (per-column applies through any LinearOperator)
-  // must satisfy the same contract — here on the exact double platform with
-  // a budget small enough that every column stops at max-iterations.
+TEST(BatchedSolve, CsrOperatorColumnsMatchAndHandleMaxIterations) {
+  // A column-by-column operator (the exact double platform) must satisfy
+  // the same contract, with a budget small enough that every column stops
+  // at max-iterations.
   util::ThreadPool::set_global_threads(1);
   const sparse::Csr a = test_matrix();
   const std::size_t n = static_cast<std::size_t>(a.rows());
@@ -132,17 +133,48 @@ TEST(BatchedSolve, SequentialMultiOperatorMatchesTooAndHandlesMaxIterations) {
 
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
-    CsrOperator op(a);
-    serial.push_back(
-        cg(op, std::span<const double>(b).subspan(c * n, n), opts));
+    serial.push_back(reference::cg(
+        reference::spmv(a), std::span<const double>(b).subspan(c * n, n),
+        opts));
   }
   ASSERT_EQ(serial[0].status, SolveStatus::kMaxIterations);
 
-  CsrOperator op(a);
-  SequentialMultiOperator multi(op);
+  CsrOperator multi(a);
   const BatchedSolveResult batch = cg_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
   EXPECT_FALSE(batch.all_converged());
+}
+
+TEST(BatchedSolve, RejectsInputsThatDisagreeWithK) {
+  // Every size is checked against k before a vector is copied: a short b,
+  // a tolerances span of the wrong length, or a short warm start would
+  // otherwise be read past its end.
+  const sparse::Csr a = test_matrix();
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  const std::size_t k = 2;
+  CsrOperator op(a);
+  SolveOptions opts;
+  const std::vector<double> one_column = make_rhs(a);
+  const std::vector<double> b = make_rhs_batch(a, k);
+  const std::vector<double> long_b = make_rhs_batch(a, k + 1);
+  const std::vector<double> one_tolerance = {1e-8};
+  const std::vector<double> three_tolerances = {1e-8, 1e-8, 1e-8};
+  const std::vector<double> short_x0(n, 0.0);
+
+  for (const bool use_cg : {true, false}) {
+    const auto solve = [&](std::span<const double> rhs,
+                           std::span<const double> tolerances,
+                           std::span<const double> x0) {
+      return use_cg ? cg_multi(op, rhs, k, opts, tolerances, x0)
+                    : bicgstab_multi(op, rhs, k, opts, tolerances, x0);
+    };
+    EXPECT_THROW(solve(one_column, {}, {}), std::invalid_argument);
+    EXPECT_THROW(solve(long_b, {}, {}), std::invalid_argument);
+    EXPECT_THROW(solve(b, one_tolerance, {}), std::invalid_argument);
+    EXPECT_THROW(solve(b, three_tolerances, {}), std::invalid_argument);
+    EXPECT_THROW(solve(b, {}, short_x0), std::invalid_argument);
+    EXPECT_NO_THROW(solve(b, {}, {}));
+  }
 }
 
 TEST(BatchedSolve, MakeRhsBatchColumnsAreDistinctAndColumnZeroIsMakeRhs) {

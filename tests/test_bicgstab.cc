@@ -1,14 +1,24 @@
-#include "src/solvers/bicgstab.h"
-
+// BiCGSTAB is the k = 1 case of the lockstep driver:
+// bicgstab_multi(op, b, 1, options).columns[0].
 #include <gtest/gtest.h>
 
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/operator.h"
 
 namespace refloat::solve {
 namespace {
+
+SolveResult solo_cg(MultiOperator& op, std::span<const double> b,
+                    const SolveOptions& options) {
+  return cg_multi(op, b, 1, options).columns[0];
+}
+
+SolveResult solo_bicgstab(MultiOperator& op, std::span<const double> b,
+                          const SolveOptions& options) {
+  return bicgstab_multi(op, b, 1, options).columns[0];
+}
 
 TEST(Bicgstab, ConvergesOnSpdLaplace) {
   const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(16, 16));
@@ -17,7 +27,7 @@ TEST(Bicgstab, ConvergesOnSpdLaplace) {
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 2000;
-  const SolveResult result = bicgstab(op, b, opts);
+  const SolveResult result = solo_bicgstab(op, b, opts);
   EXPECT_EQ(result.status, SolveStatus::kConverged);
 
   SolveResult checked = result;
@@ -35,8 +45,8 @@ TEST(Bicgstab, FewerIterationsThanCgPerIterationCount) {
   opts.max_iterations = 4000;
   CsrOperator op_cg(a);
   CsrOperator op_bi(a);
-  const SolveResult r_cg = cg(op_cg, b, opts);
-  const SolveResult r_bi = bicgstab(op_bi, b, opts);
+  const SolveResult r_cg = solo_cg(op_cg, b, opts);
+  const SolveResult r_bi = solo_bicgstab(op_bi, b, opts);
   ASSERT_EQ(r_cg.status, SolveStatus::kConverged);
   ASSERT_EQ(r_bi.status, SolveStatus::kConverged);
   EXPECT_LT(r_bi.iterations, r_cg.iterations);
@@ -48,12 +58,12 @@ TEST(Bicgstab, ValueBackendOperatorConverges) {
   const std::vector<double> b = make_rhs(a);
   const core::RefloatMatrix rf(a, core::default_format());
   const auto backend = core::make_value_backend(rf);
-  BackendOperator op(*backend);
+  BackendMultiOperator op(*backend, 1);
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 5000;
   opts.stall_window = 1000;
-  const SolveResult result = bicgstab(op, b, opts);
+  const SolveResult result = solo_bicgstab(op, b, opts);
   EXPECT_EQ(result.status, SolveStatus::kConverged);
 }
 

@@ -1,14 +1,20 @@
-#include "src/solvers/cg.h"
-
+// CG is the k = 1 case of the lockstep driver: every single-RHS solve in
+// the library is cg_multi(op, b, 1, options).columns[0].
 #include <gtest/gtest.h>
 
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/operator.h"
 #include "src/sparse/vector_ops.h"
 
 namespace refloat::solve {
 namespace {
+
+SolveResult solo_cg(MultiOperator& op, std::span<const double> b,
+                    const SolveOptions& options) {
+  return cg_multi(op, b, 1, options).columns[0];
+}
 
 TEST(Cg, ConvergesOnSpdLaplaceToTau) {
   // The ISSUE's acceptance case: CG on a small SPD Laplace matrix to 1e-8.
@@ -18,7 +24,7 @@ TEST(Cg, ConvergesOnSpdLaplaceToTau) {
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 2000;
-  const SolveResult result = cg(op, b, opts);
+  const SolveResult result = solo_cg(op, b, opts);
   EXPECT_EQ(result.status, SolveStatus::kConverged);
   EXPECT_LE(result.final_residual, 1e-8);
   EXPECT_GT(result.iterations, 1);
@@ -36,7 +42,7 @@ TEST(Cg, TraceIsMonotoneAtTheTail) {
   SolveOptions opts;
   opts.tolerance = 1e-10;
   opts.max_iterations = 2000;
-  const SolveResult result = cg(op, b, opts);
+  const SolveResult result = solo_cg(op, b, opts);
   ASSERT_GE(result.trace.size(), 2u);
   EXPECT_DOUBLE_EQ(result.trace.front(), sparse::norm2(b));
   EXPECT_LT(result.trace.back(), result.trace.front());
@@ -49,7 +55,7 @@ TEST(Cg, TinyRhsConvergesAtFirstResidualCheck) {
   CsrOperator op(a);
   SolveOptions opts;
   opts.tolerance = 1e-8;
-  const SolveResult result = cg(op, b, opts);
+  const SolveResult result = solo_cg(op, b, opts);
   EXPECT_EQ(result.status, SolveStatus::kConverged);
   EXPECT_EQ(result.iterations, 1);
 }
@@ -64,13 +70,13 @@ TEST(Cg, ValueBackendOperatorConvergesWithExtraIterations) {
   opts.stall_window = 800;
 
   CsrOperator exact(a);
-  const SolveResult exact_result = cg(exact, b, opts);
+  const SolveResult exact_result = solo_cg(exact, b, opts);
   ASSERT_EQ(exact_result.status, SolveStatus::kConverged);
 
   const core::RefloatMatrix rf(a, core::default_format());
   const auto backend = core::make_value_backend(rf);
-  BackendOperator quantized(*backend);
-  const SolveResult rf_result = cg(quantized, b, opts);
+  BackendMultiOperator quantized(*backend, 1);
+  const SolveResult rf_result = solo_cg(quantized, b, opts);
   EXPECT_EQ(rf_result.status, SolveStatus::kConverged);
   // Table VI shape: refloat converges, usually paying some extra iterations.
   EXPECT_GE(rf_result.iterations, exact_result.iterations);
@@ -80,15 +86,18 @@ TEST(Cg, ValueBackendOperatorConvergesWithExtraIterations) {
 TEST(Cg, StallDetectionFires) {
   // An operator that injects a fixed error floor: the residual cannot pass
   // it, so the stall window must trigger.
-  class FloorOperator final : public LinearOperator {
+  class FloorOperator final : public MultiOperator {
    public:
     explicit FloorOperator(const sparse::Csr& a) : a_(a) {}
-    void apply(std::span<const double> x, std::span<double> y) override {
-      a_.spmv(x, y);
-      y[0] += 1e-4;  // constant inconsistency
+    void apply(std::span<const double> x, std::size_t k, std::span<double> y,
+               std::span<const std::size_t> /*columns*/) override {
+      const std::size_t n = static_cast<std::size_t>(a_.rows());
+      for (std::size_t j = 0; j < k; ++j) {
+        a_.spmv(x.subspan(j * n, n), y.subspan(j * n, n));
+        y[j * n] += 1e-4;  // constant inconsistency
+      }
     }
     [[nodiscard]] sparse::Index dim() const override { return a_.rows(); }
-    [[nodiscard]] std::string label() const override { return "floor"; }
 
    private:
     const sparse::Csr& a_;
@@ -101,7 +110,7 @@ TEST(Cg, StallDetectionFires) {
   opts.tolerance = 1e-12;
   opts.max_iterations = 10000;
   opts.stall_window = 50;
-  const SolveResult result = cg(op, b, opts);
+  const SolveResult result = solo_cg(op, b, opts);
   EXPECT_EQ(result.status, SolveStatus::kStalled);
   EXPECT_LT(result.iterations, opts.max_iterations);
 }

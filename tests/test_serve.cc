@@ -24,10 +24,8 @@
 #include "src/serve/daemon.h"
 #include "src/serve/tcp_server.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/fault_injector.h"
+#include "tests/reference_solvers.h"
 
 namespace refloat::serve {
 namespace {
@@ -90,11 +88,11 @@ solve::SolveResult solo_cg(std::span<const double> b, double tolerance) {
   const sparse::Csr a = test_csr();
   const core::RefloatMatrix rf(a, test_format());
   const auto backend = core::make_value_backend(rf);
-  solve::BackendOperator op(*backend);
   solve::SolveOptions options;
   options.tolerance = tolerance;
   options.record_trace = false;
-  return solve::cg(op, b, options);
+  return solve::reference::cg(solve::reference::default_sweep(*backend), b,
+                              options);
 }
 
 TEST(Serve, BatchedBitIdenticalToSolo) {
@@ -372,12 +370,12 @@ TEST(Serve, BackendsBatchSeparatelyAndNoisyMatchesSolo) {
 
   const core::RefloatMatrix rf(a, test_format());
   const auto backend = core::make_noisy_backend(rf, sigma, noise_seed);
-  solve::BackendOperator op(*backend);
   solve::SolveOptions options;
   options.tolerance = 1e-8;
   options.record_trace = false;
-  const solve::SolveResult want =
-      solve::cg(op, batch_column(b, n, 1), options);
+  const solve::SolveResult want = solve::reference::cg(
+      solve::reference::default_sweep(*backend), batch_column(b, n, 1),
+      options);
   EXPECT_EQ(noisy_response.iterations, want.iterations);
   EXPECT_EQ(noisy_response.final_residual, want.final_residual);
   ASSERT_EQ(noisy_response.solution.size(), want.solution.size());
