@@ -5,14 +5,14 @@
 // core::simd_set_isa, so one JSON run carries the scalar-vs-vector ratio
 // directly. Suites:
 //
-//   sweep_spmv/<isa>      kernel-only single-RHS row sweep over the
-//                         dequantized CSR (no quantize, no thread pool;
-//                         the AVX2 table runs the scalar row loop)
+//   sweep_spmv/<isa>      kernel-only single-RHS row sweep over the packed
+//                         dequantized operand (no quantize, no thread
+//                         pool; the AVX2 table runs the scalar row loop)
 //   sweep_spmm/<isa>/K    kernel-only K-RHS interleaved row sweep, K
 //                         2/4/8/16
 //   quantize_span/<isa>   the exponent-field fast path over dense spans
-//   plan_build            RefloatMatrix conversion (quantize + dequantized
-//                         CSR + block index; no SpmvPlan) on the
+//   plan_build            RefloatMatrix conversion (quantize + packed
+//                         operand + block index; no SpmvPlan) on the
 //                         grid-64/128 stencils, and plan_build/scattered
 //                         on the backend_sweep/value_scattered matrix (~2
 //                         entries per nonzero block: per-block cost
@@ -161,7 +161,7 @@ std::vector<core::SimdIsa> runnable_isas() {
 void sweep_spmv(benchmark::State& state, core::SimdIsa isa, bool rates) {
   core::simd_set_isa(isa);
   const Workload& w = workload(state.range(0));
-  const sparse::Csr& q = w.rf.quantized();
+  const sparse::PackedCsr& q = w.rf.quantized();
   const auto rows = static_cast<std::size_t>(q.rows());
   const core::SweepKernels& kernels = core::sweep_kernels();
   std::vector<double> y(rows);
@@ -192,7 +192,7 @@ void sweep_spmm(benchmark::State& state, core::SimdIsa isa, bool rates) {
   core::simd_set_isa(isa);
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const Workload& w = workload(state.range(0));
-  const sparse::Csr& q = w.rf.quantized();
+  const sparse::PackedCsr& q = w.rf.quantized();
   const core::SweepKernels& kernels = core::sweep_kernels();
   const std::size_t n = static_cast<std::size_t>(w.a.rows());
   util::Rng rng(17);

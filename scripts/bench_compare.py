@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
-"""Compare a google-benchmark JSON run against a checked-in baseline.
+"""Compare google-benchmark JSON runs against a checked-in baseline.
 
-The perf-smoke CI job runs bench_micro with --benchmark_out=current.json and
-gates on:
+The perf-smoke CI job runs bench_micro three times, each with
+--benchmark_out=run-<i>.json, and gates on:
 
-    python3 scripts/bench_compare.py bench/micro/baseline.json current.json
+    python3 scripts/bench_compare.py bench/micro/baseline.json \
+        run-1.json run-2.json run-3.json
+
+Statistic: within one run a row's time is the median of its repetitions
+(or its single time); across the runs given, a row is gated on the MINIMUM
+of those per-run medians. On a shared host a row's median moves 10-20%
+between otherwise identical runs, because neighbours steal time from
+whole runs; the fastest of several runs is the one least disturbed, and a
+real slowdown still shows in every run. The baseline row itself is read
+with the same per-run median.
 
 A benchmark REGRESSES when its time exceeds baseline * (1 + tolerance);
 a benchmark present in the baseline but missing from the run is an error
@@ -25,6 +34,13 @@ skipped: they are derived views of the same times.
 Refresh the baseline after an intentional perf change with:
 
     python3 scripts/bench_compare.py baseline.json current.json --update
+
+Rule for refreshing a row that FAILS the gate: refresh it only when the
+parent commit fails the same row under the same statistic (the minimum of
+its per-run medians over as many runs, against the same baseline and
+tolerance) — then the failure is the host or the baseline, not the change.
+A row that the parent passes and the change fails is a regression to fix,
+not a row to refresh. --update takes a single run.
 """
 
 import argparse
@@ -59,10 +75,24 @@ def load_times(path, normalize):
     return times
 
 
+def min_of_runs(paths, normalize):
+    """Returns {benchmark name: min over runs of the run's (median) time}.
+
+    A row missing from some runs is gated on the runs that have it.
+    """
+    best = {}
+    for path in paths:
+        for name, t in load_times(path, normalize).items():
+            best[name] = min(t, best.get(name, t))
+    return best
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="checked-in baseline JSON")
-    ap.add_argument("current", help="fresh --benchmark_out JSON")
+    ap.add_argument("current", nargs="+",
+                    help="one or more fresh --benchmark_out JSONs; each row "
+                         "is gated on the minimum of its per-run medians")
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="allowed fractional slowdown per benchmark "
                          "(default 0.25 = +25%%)")
@@ -78,16 +108,21 @@ def main():
     args = ap.parse_args()
 
     if args.update:
-        with open(args.current) as f:
+        if len(args.current) != 1:
+            sys.exit("--update takes exactly one current run")
+        with open(args.current[0]) as f:
             doc = json.load(f)
         with open(args.baseline, "w") as f:
             json.dump(doc, f, indent=1)
             f.write("\n")
-        print(f"baseline refreshed from {args.current}")
+        print(f"baseline refreshed from {args.current[0]}")
         return 0
 
     base = load_times(args.baseline, args.normalize)
-    cur = load_times(args.current, args.normalize)
+    cur = min_of_runs(args.current, args.normalize)
+    if len(args.current) > 1:
+        print(f"current: minimum of per-run medians over "
+              f"{len(args.current)} runs")
 
     regressions = []
     improvements = []

@@ -10,7 +10,10 @@
 //     issues them (the k-RHS sweep holds one running sum per column in a
 //     vector lane; the single-RHS sweep is the scalar loop itself);
 //   * remainder tails run the scalar reference loops from
-//     kernels_scalar.cc (same -ffp-contract=off TU discipline).
+//     kernels_scalar.cc (same -ffp-contract=off TU discipline);
+//   * a stored fp32 matrix value is widened with vcvtps2pd / vcvtss2sd
+//     before its multiply, which is exact, so both value codes produce the
+//     scalar reference's products.
 #include "src/core/simd.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -19,34 +22,49 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
-#include "src/sparse/csr.h"
+#include "src/sparse/packed_csr.h"
 
 namespace refloat::core {
 
 namespace {
 
+// Broadcasts one stored matrix value, widened to double, to every lane: the
+// fp32 code decodes with vcvtps2pd (exact), the fp64 code is a plain
+// broadcast.
+inline __m256d broadcast_value4(const float* p) {
+  return _mm256_cvtps_pd(_mm_broadcast_ss(p));
+}
+inline __m256d broadcast_value4(const double* p) {
+  return _mm256_broadcast_sd(p);
+}
+inline __m128d broadcast_value2(const float* p) {
+  return _mm_set1_pd(static_cast<double>(*p));  // vcvtss2sd
+}
+inline __m128d broadcast_value2(const double* p) { return _mm_set1_pd(*p); }
+
 // K-wide interleaved row sweep: one __m256d running sum per four columns,
 // ys[0..K) = sum_e v_e * xs_e[0..K) with one mul and one add per column
 // per entry in entry order — the scalar order exactly.
-template <std::size_t K>
-void spmm_rows_avx2_fixed(const sparse::Csr& a, std::size_t r_begin,
+template <std::size_t K, typename V>
+void spmm_rows_avx2_fixed(sparse::PackedRows<V> a, std::size_t r_begin,
                           std::size_t r_end, const double* __restrict__ x,
                           double* __restrict__ y) {
   static_assert(K % 4 == 0);
   constexpr std::size_t kVecs = K / 4;
-  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
-  const sparse::Index* __restrict__ col = a.col_idx().data();
-  const double* __restrict__ val = a.values().data();
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr;
+  const std::uint32_t* __restrict__ col = a.col;
+  const V* __restrict__ val = a.val;
   for (std::size_t r = r_begin; r < r_end; ++r) {
     __m256d acc[kVecs];
     for (std::size_t i = 0; i < kVecs; ++i) acc[i] = _mm256_setzero_pd();
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
     for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
-      const __m256d v = _mm256_broadcast_sd(val + e);
-      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * K;
+      const __m256d v = broadcast_value4(val + e);
+      const double* __restrict__ xs = x + std::size_t{col[e]} * K;
       for (std::size_t i = 0; i < kVecs; ++i) {
         acc[i] = _mm256_add_pd(acc[i],
                                _mm256_mul_pd(v, _mm256_loadu_pd(xs + 4 * i)));
@@ -59,38 +77,40 @@ void spmm_rows_avx2_fixed(const sparse::Csr& a, std::size_t r_begin,
 }
 
 // K=2 uses one SSE2 128-bit running sum (AVX2 implies SSE2).
-void spmm_rows_avx2_k2(const sparse::Csr& a, std::size_t r_begin,
+template <typename V>
+void spmm_rows_avx2_k2(sparse::PackedRows<V> a, std::size_t r_begin,
                        std::size_t r_end, const double* __restrict__ x,
                        double* __restrict__ y) {
-  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
-  const sparse::Index* __restrict__ col = a.col_idx().data();
-  const double* __restrict__ val = a.values().data();
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr;
+  const std::uint32_t* __restrict__ col = a.col;
+  const V* __restrict__ val = a.val;
   for (std::size_t r = r_begin; r < r_end; ++r) {
     __m128d acc = _mm_setzero_pd();
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
     for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
       const __m128d prod = _mm_mul_pd(
-          _mm_set1_pd(val[e]),
-          _mm_loadu_pd(x + static_cast<std::size_t>(col[e]) * 2));
+          broadcast_value2(val + e), _mm_loadu_pd(x + std::size_t{col[e]} * 2));
       acc = _mm_add_pd(acc, prod);
     }
     _mm_storeu_pd(y + r * 2, acc);
   }
 }
 
-void spmm_rows_avx2(const sparse::Csr& a, std::size_t r_begin,
-                    std::size_t r_end, std::size_t k,
-                    const double* __restrict__ x, double* __restrict__ y) {
-  switch (k) {
-    case 2: return spmm_rows_avx2_k2(a, r_begin, r_end, x, y);
-    case 4: return spmm_rows_avx2_fixed<4>(a, r_begin, r_end, x, y);
-    case 8: return spmm_rows_avx2_fixed<8>(a, r_begin, r_end, x, y);
-    case 16: return spmm_rows_avx2_fixed<16>(a, r_begin, r_end, x, y);
-    default:
-      // Generic widths take the scalar loop (they are off every paper
-      // path; the fixed-K dispatch is the contract the tests pin).
-      return scalar_sweep_kernels()->spmm_rows(a, r_begin, r_end, k, x, y);
-  }
+void spmm_rows_avx2(const sparse::PackedCsr& a, std::size_t r_begin,
+                    std::size_t r_end, std::size_t k, const double* x,
+                    double* y) {
+  a.visit([&](auto rows) {
+    switch (k) {
+      case 2: return spmm_rows_avx2_k2(rows, r_begin, r_end, x, y);
+      case 4: return spmm_rows_avx2_fixed<4>(rows, r_begin, r_end, x, y);
+      case 8: return spmm_rows_avx2_fixed<8>(rows, r_begin, r_end, x, y);
+      case 16: return spmm_rows_avx2_fixed<16>(rows, r_begin, r_end, x, y);
+      default:
+        // Generic widths take the scalar loop (they are off every paper
+        // path; the fixed-K dispatch is the contract the tests pin).
+        return scalar_sweep_kernels()->spmm_rows(a, r_begin, r_end, k, x, y);
+    }
+  });
 }
 
 // Four-lane quantize_span fast path. Lane classification, grid selection,

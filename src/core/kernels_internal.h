@@ -8,7 +8,7 @@
 #include <cstdint>
 
 namespace refloat::sparse {
-class Csr;
+class PackedCsr;
 }  // namespace refloat::sparse
 
 namespace refloat::core {
@@ -28,7 +28,7 @@ const SweepKernels* neon_sweep_kernels();
 // semantics, so they stay bit-identical).
 void quantize_span_fast_scalar(const double* x, std::size_t n,
                                const QuantSpanArgs& args, double* out);
-void spmv_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
+void spmv_rows_scalar(const sparse::PackedCsr& a, std::size_t r_begin,
                       std::size_t r_end, const double* x, double* y);
 
 }  // namespace refloat::core

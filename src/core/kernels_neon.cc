@@ -16,31 +16,34 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
-#include "src/sparse/csr.h"
+#include "src/sparse/packed_csr.h"
 
 namespace refloat::core {
 
 namespace {
 
-template <std::size_t K>
-void spmm_rows_neon_fixed(const sparse::Csr& a, std::size_t r_begin,
+// K-wide interleaved row sweep: K/2 float64x2_t running sums, the stored
+// value widened to double (exact for either code) and broadcast.
+template <std::size_t K, typename V>
+void spmm_rows_neon_fixed(sparse::PackedRows<V> a, std::size_t r_begin,
                           std::size_t r_end, const double* __restrict__ x,
                           double* __restrict__ y) {
   static_assert(K % 2 == 0);
   constexpr std::size_t kVecs = K / 2;
-  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
-  const sparse::Index* __restrict__ col = a.col_idx().data();
-  const double* __restrict__ val = a.values().data();
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr;
+  const std::uint32_t* __restrict__ col = a.col;
+  const V* __restrict__ val = a.val;
   for (std::size_t r = r_begin; r < r_end; ++r) {
     float64x2_t acc[kVecs];
     for (std::size_t i = 0; i < kVecs; ++i) acc[i] = vdupq_n_f64(0.0);
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
     for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
-      const float64x2_t v = vdupq_n_f64(val[e]);
-      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * K;
+      const float64x2_t v = vdupq_n_f64(static_cast<double>(val[e]));
+      const double* __restrict__ xs = x + std::size_t{col[e]} * K;
       for (std::size_t i = 0; i < kVecs; ++i) {
         acc[i] = vaddq_f64(acc[i], vmulq_f64(v, vld1q_f64(xs + 2 * i)));
       }
@@ -51,17 +54,19 @@ void spmm_rows_neon_fixed(const sparse::Csr& a, std::size_t r_begin,
   }
 }
 
-void spmm_rows_neon(const sparse::Csr& a, std::size_t r_begin,
-                    std::size_t r_end, std::size_t k,
-                    const double* __restrict__ x, double* __restrict__ y) {
-  switch (k) {
-    case 2: return spmm_rows_neon_fixed<2>(a, r_begin, r_end, x, y);
-    case 4: return spmm_rows_neon_fixed<4>(a, r_begin, r_end, x, y);
-    case 8: return spmm_rows_neon_fixed<8>(a, r_begin, r_end, x, y);
-    case 16: return spmm_rows_neon_fixed<16>(a, r_begin, r_end, x, y);
-    default:
-      return scalar_sweep_kernels()->spmm_rows(a, r_begin, r_end, k, x, y);
-  }
+void spmm_rows_neon(const sparse::PackedCsr& a, std::size_t r_begin,
+                    std::size_t r_end, std::size_t k, const double* x,
+                    double* y) {
+  a.visit([&](auto rows) {
+    switch (k) {
+      case 2: return spmm_rows_neon_fixed<2>(rows, r_begin, r_end, x, y);
+      case 4: return spmm_rows_neon_fixed<4>(rows, r_begin, r_end, x, y);
+      case 8: return spmm_rows_neon_fixed<8>(rows, r_begin, r_end, x, y);
+      case 16: return spmm_rows_neon_fixed<16>(rows, r_begin, r_end, x, y);
+      default:
+        return scalar_sweep_kernels()->spmm_rows(a, r_begin, r_end, k, x, y);
+    }
+  });
 }
 
 // Two-lane quantize_span fast path; mirrors the AVX2 lane logic (see

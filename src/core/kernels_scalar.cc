@@ -6,62 +6,65 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
 #include "src/core/simd.h"
-#include "src/sparse/csr.h"
+#include "src/sparse/packed_csr.h"
 
 namespace refloat::core {
 
-// Row-range value sweep over the dequantized CSR. Each row's running sum
-// lives in a register, starts at +0.0 and takes its addends in CSR order
-// (ascending column), one multiply then one add each. Raw __restrict__
+namespace {
+
+// Row-range value sweep over the packed dequantized operand. Each row's
+// running sum lives in a register, starts at +0.0 and takes its addends in
+// CSR order (ascending column), one multiply then one add each, the stored
+// value widened to double first (exact for either code). Raw __restrict__
 // pointers encode the caller contract the spans cannot: the output never
-// aliases the matrix or the quantized input. Non-static: the vector TUs
-// use it as their single-RHS sweep.
-void spmv_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
+// aliases the matrix or the quantized input.
+template <typename V>
+void spmv_rows_packed(sparse::PackedRows<V> a, std::size_t r_begin,
                       std::size_t r_end, const double* __restrict__ x,
                       double* __restrict__ y) {
-  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
-  const sparse::Index* __restrict__ col = a.col_idx().data();
-  const double* __restrict__ val = a.values().data();
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr;
+  const std::uint32_t* __restrict__ col = a.col;
+  const V* __restrict__ val = a.val;
   for (std::size_t r = r_begin; r < r_end; ++r) {
     double sum = 0.0;
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
     for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
-      sum += val[e] * x[static_cast<std::size_t>(col[e])];
+      sum += static_cast<double>(val[e]) * x[col[e]];
     }
     y[r] = sum;
   }
 }
 
-namespace {
-
 // Batched row sweep with a compile-time batch width: the fixed K lets the
 // compiler keep the K running sums in registers and fully unroll the
 // per-entry column loop. Operands are row-major interleaved (slot
 // i*K + column).
-template <std::size_t K>
-void spmm_rows_fixed(const sparse::Csr& a, std::size_t r_begin,
+template <std::size_t K, typename V>
+void spmm_rows_fixed(sparse::PackedRows<V> a, std::size_t r_begin,
                      std::size_t r_end, const double* __restrict__ x,
                      double* __restrict__ y) {
-  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
-  const sparse::Index* __restrict__ col = a.col_idx().data();
-  const double* __restrict__ val = a.values().data();
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr;
+  const std::uint32_t* __restrict__ col = a.col;
+  const V* __restrict__ val = a.val;
   for (std::size_t r = r_begin; r < r_end; ++r) {
     double acc[K] = {};
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
     for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
-      const double v = val[e];
-      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * K;
+      const auto v = static_cast<double>(val[e]);
+      const double* __restrict__ xs = x + std::size_t{col[e]} * K;
       for (std::size_t c = 0; c < K; ++c) acc[c] += v * xs[c];
     }
     for (std::size_t c = 0; c < K; ++c) y[r * K + c] = acc[c];
   }
 }
 
-void spmm_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
+template <typename V>
+void spmm_rows_packed(sparse::PackedRows<V> a, std::size_t r_begin,
                       std::size_t r_end, std::size_t k,
                       const double* __restrict__ x, double* __restrict__ y) {
   switch (k) {
@@ -71,22 +74,34 @@ void spmm_rows_scalar(const sparse::Csr& a, std::size_t r_begin,
     case 16: return spmm_rows_fixed<16>(a, r_begin, r_end, x, y);
     default: break;
   }
-  const sparse::Index* __restrict__ row_ptr = a.row_ptr().data();
-  const sparse::Index* __restrict__ col = a.col_idx().data();
-  const double* __restrict__ val = a.values().data();
+  const sparse::Index* __restrict__ row_ptr = a.row_ptr;
+  const std::uint32_t* __restrict__ col = a.col;
+  const V* __restrict__ val = a.val;
   for (std::size_t r = r_begin; r < r_end; ++r) {
     double* __restrict__ ys = y + r * k;
     std::fill(ys, ys + k, 0.0);
     const auto end = static_cast<std::size_t>(row_ptr[r + 1]);
     for (auto e = static_cast<std::size_t>(row_ptr[r]); e < end; ++e) {
-      const double v = val[e];
-      const double* __restrict__ xs = x + static_cast<std::size_t>(col[e]) * k;
+      const auto v = static_cast<double>(val[e]);
+      const double* __restrict__ xs = x + std::size_t{col[e]} * k;
       for (std::size_t c = 0; c < k; ++c) ys[c] += v * xs[c];
     }
   }
 }
 
+void spmm_rows_scalar(const sparse::PackedCsr& a, std::size_t r_begin,
+                      std::size_t r_end, std::size_t k, const double* x,
+                      double* y) {
+  a.visit([&](auto rows) { spmm_rows_packed(rows, r_begin, r_end, k, x, y); });
+}
+
 }  // namespace
+
+// Non-static: the vector TUs use it as their single-RHS sweep.
+void spmv_rows_scalar(const sparse::PackedCsr& a, std::size_t r_begin,
+                      std::size_t r_end, const double* x, double* y) {
+  a.visit([&](auto rows) { spmv_rows_packed(rows, r_begin, r_end, x, y); });
+}
 
 // The in-window quantization fast path (see quantize_span in format.cc for
 // the guard that gets here): normal values round on their own binade's

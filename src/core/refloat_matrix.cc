@@ -41,17 +41,12 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
   double err_sq = 0.0;
   double ref_sq = 0.0;
   QuantTally tally;
-  // The dequantized CSR is emitted row by row, dropping entries that
-  // quantized to zero.
-  std::vector<sparse::Index> q_row_ptr(at(rows_) + 1, 0);
-  std::vector<sparse::Index> q_col_idx;
-  std::vector<double> q_values;
-  q_col_idx.reserve(values.size());
-  q_values.reserve(values.size());
+  // The resident operand is emitted row by row straight into its packed
+  // arrays, dropping entries that quantized to zero; the builder checks the
+  // column range before it allocates and picks the value code.
+  sparse::PackedCsr::Builder packed(rows_, cols_, values.size());
   const auto emit = [&](sparse::Index c, double q) {
-    if (q == 0.0) return;
-    q_col_idx.push_back(c);
-    q_values.push_back(q);
+    if (q != 0.0) packed.push(c, q);
   };
 
   if (format_.b == 0) {
@@ -65,14 +60,14 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
         ref_sq += v * v;
         emit(col_idx[at(k)], q);
       }
-      q_row_ptr[at(r) + 1] = static_cast<sparse::Index>(q_values.size());
+      packed.end_row();
     }
   } else {
     // Stream one band of 2^b rows (one grid block-row) at a time. The band's
     // entries are grouped by block column; blocks are visited in ascending
     // block column, so blocks, err_sq and ref_sq all follow (block-row,
     // block-column, entry) order. Quantized values go back to their input
-    // slot, and the band is then appended to the dequantized CSR in row
+    // slot, and the band is then appended to the packed operand in row
     // order.
     const int b = format_.b;
     const sparse::Index side = sparse::Index{1} << b;
@@ -81,7 +76,7 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
     index_.block_ptr.push_back(0);
     for (sparse::Index r0 = 0; r0 < rows_; r0 += side) {
       const sparse::Index r1 = std::min(r0 + side, rows_);
-      band.scatter(a, r0, r1);
+      band.scatter(sparse::row_arrays(a), r0, r1);
       band_q.resize(at(row_ptr[at(r1)] - row_ptr[at(r0)]));
       const std::span<const sparse::Index> touched = band.block_cols();
       for (std::size_t i = 0; i < touched.size(); ++i) {
@@ -125,7 +120,7 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
         for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
           emit(col_idx[at(k)], band_q[at(k - k0)]);
         }
-        q_row_ptr[at(r) + 1] = static_cast<sparse::Index>(q_values.size());
+        packed.end_row();
       }
     }
   }
@@ -135,8 +130,7 @@ RefloatMatrix::RefloatMatrix(const sparse::Csr& a, const Format& format,
   stats_.underflowed = tally.underflowed;
   stats_.flushed_to_zero = tally.flushed_to_zero;
   stats_.rel_error_fro = ref_sq > 0.0 ? std::sqrt(err_sq / ref_sq) : 0.0;
-  quantized_ = sparse::Csr(rows_, cols_, std::move(q_row_ptr),
-                           std::move(q_col_idx), std::move(q_values));
+  quantized_ = packed.finish();
 }
 
 long long RefloatMatrix::storage_bits() const {

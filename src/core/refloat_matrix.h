@@ -1,15 +1,18 @@
 // RefloatMatrix: a CSR matrix converted to the ReFloat block format —
 // per-block shared base exponent, e-bit per-value exponent offsets, f-bit
 // fractions (paper §IV). The conversion keeps two things:
-//   * the dequantized CSR (`quantized()`), the operand of the value-faithful
-//     sweeps, the ABFT checksum and the definiteness probe, and
+//   * the dequantized operand (`quantized()`) as a sparse::PackedCsr —
+//     uint32 columns and one value code per matrix (fp32 when every
+//     dequantized value is fp32-exact, else fp64) — the operand of the
+//     value-faithful sweeps, the ABFT checksum, the definiteness probe and
+//     SpmvPlan::build, and
 //   * a compact block index (`block_index()`): per grid block-row its range
 //     of nonzero blocks, and per block its block column and shared base
 //     exponent — what tiling, the storage model and the block walkers need
 //     beyond the CSR.
 // It keeps no SpmvPlan: the views that walk blocks (noisy sweeps, bit-true
 // programming, the schedule model) build one with SpmvPlan::build(rf), so a
-// value resident pins the CSR and the index alone.
+// value resident pins the packed operand and the index alone.
 //
 // A RefloatMatrix holds the operand; it does not sweep itself. Every sweep
 // of it — value-faithful, noisy (Fig. 10) or bit-true — goes through
@@ -23,6 +26,7 @@
 
 #include "src/core/format.h"
 #include "src/sparse/csr.h"
+#include "src/sparse/packed_csr.h"
 
 namespace refloat::core {
 
@@ -75,31 +79,38 @@ class RefloatMatrix {
 
   // Converts `a`, which must be canonical (sparse::Csr::canonical(): row_ptr
   // from 0 to nnz, never decreasing; columns strictly ascending within
-  // [0, cols) per row) — std::invalid_argument otherwise. The conversion
-  // streams one 2^b-row band (grid block-row) at a time: it groups the
-  // band's entries by block column (BandScatter), visits the touched block
-  // columns in ascending order (base selection, quantization, index
-  // append), then appends the band's nonzero quantized entries to
-  // quantized() in row order. Blocks and the error sums in stats()
-  // therefore follow (block-row, block-column, row-major entry) order.
+  // [0, cols) per row) and address at most UINT32_MAX columns —
+  // std::invalid_argument otherwise, raised before any allocation. The
+  // conversion streams one 2^b-row band (grid block-row) at a time: it
+  // groups the band's entries by block column (BandScatter), visits the
+  // touched block columns in ascending order (base selection, quantization,
+  // index append), then appends the band's nonzero quantized entries to
+  // quantized() in row order, widening quantized() to the fp64 code at the
+  // first value fp32 cannot hold exactly. Blocks and the error sums in
+  // stats() therefore follow (block-row, block-column, row-major entry)
+  // order.
   RefloatMatrix(const sparse::Csr& a, const Format& format,
                 const QuantPolicy& policy = {});
 
   [[nodiscard]] const Format& format() const { return format_; }
   [[nodiscard]] const QuantPolicy& policy() const { return policy_; }
   [[nodiscard]] const ConversionStats& stats() const { return stats_; }
-  // Dequantized matrix (exact-value view of the quantized operator): the
-  // operand the value sweeps read row by row.
-  [[nodiscard]] const sparse::Csr& quantized() const { return quantized_; }
+  // Dequantized matrix (exact-value view of the quantized operator), packed:
+  // the operand the value sweeps read row by row. quantized().to_csr() is
+  // the same operand as an FP64 CSR, for tests and benches.
+  [[nodiscard]] const sparse::PackedCsr& quantized() const {
+    return quantized_;
+  }
   [[nodiscard]] const BlockIndex& block_index() const { return index_; }
   [[nodiscard]] std::size_t nonzero_blocks() const { return index_.size(); }
-  // Mutable access to the dequantized CSR values, for the fault-injection
+  // Mutable access to the stored value codes of quantized() (a span of
+  // float or of double, per quantized().code()), for the fault-injection
   // layer only: the kPlanBuild site corrupts a freshly built resident in
   // place after its ABFT checksum was taken and before its backend is built
   // — value backends sweep these values, noisy and bit-true backends build
   // their SpmvPlan from them — so checked sweeps can prove they detect
   // silent corruption of the operand. Production code never calls this.
-  [[nodiscard]] std::span<double> mutable_quantized_values() {
+  [[nodiscard]] sparse::PackedCsr::MutableValues mutable_quantized_codes() {
     return quantized_.mutable_values();
   }
 
@@ -115,12 +126,12 @@ class RefloatMatrix {
   // concurrently from multiple threads for the same matrix.
   const ConversionStats& probe_definiteness(int steps = 96) const;
 
-  // Host heap bytes a resident (built) matrix pins: the dequantized CSR
-  // plus the block index. The serving layer's residency cache budgets this
-  // plus whatever the entry's backend adds (SweepBackend::resident_bytes) —
-  // the software mirror of "programmed crossbar capacity is the scarce
-  // resource" (the cache evicts by these bytes so programming cost is paid
-  // once per resident matrix).
+  // Host heap bytes a resident (built) matrix pins: the packed operand's
+  // arrays plus the block index. The serving layer's residency cache
+  // budgets this plus whatever the entry's backend adds
+  // (SweepBackend::resident_bytes) — the software mirror of "programmed
+  // crossbar capacity is the scarce resource" (the cache evicts by these
+  // bytes so programming cost is paid once per resident matrix).
   [[nodiscard]] std::size_t resident_bytes() const {
     return quantized_.memory_bytes() + index_.bytes();
   }
@@ -142,7 +153,7 @@ class RefloatMatrix {
   Format format_;
   QuantPolicy policy_;
   mutable ConversionStats stats_;  // probe fields filled lazily
-  sparse::Csr quantized_;
+  sparse::PackedCsr quantized_;
   BlockIndex index_;  // empty when format_.b == 0
   sparse::Index original_nnz_ = 0;
   sparse::Index rows_ = 0;

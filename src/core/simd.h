@@ -1,15 +1,18 @@
 // Runtime-dispatched SIMD kernels for the value-faithful sweeps, the vector
 // quantization fast path and the ABFT epilogue reduction.
 //
-// The value sweeps walk the dequantized CSR (RefloatMatrix::quantized())
-// row by row: the value-faithful result depends only on the dequantized
+// The value sweeps walk the packed dequantized operand
+// (RefloatMatrix::quantized(), a sparse::PackedCsr) row by row, decoding
+// each stored fp32 or fp64 value to double exactly: the value-faithful
+// result depends only on the dequantized
 // block values and the digital accumulation after the ADC, and the 128x128
 // block grid is how the hardware maps the matrix, not part of that
 // arithmetic. The plan stores each block row-major and each block-row's
 // blocks in ascending column order, so every output row of the blocked
 // sweep received its addends in ascending column order — CSR order — and
 // a row kernel with the running sum in a register reproduces it bit for
-// bit. Three implementations of the same kernel table exist side by side:
+// bit. Each row loop is one template instantiated per value code. Three
+// implementations of the same kernel table exist side by side:
 //
 //   scalar   portable reference, compiled with -ffp-contract=off so its
 //            mul-then-add order is the pinned semantics everywhere
@@ -32,7 +35,7 @@
 #include <cstddef>
 
 namespace refloat::sparse {
-class Csr;
+class PackedCsr;
 }  // namespace refloat::sparse
 
 namespace refloat::core {
@@ -86,15 +89,16 @@ struct QuantSpanArgs {
 struct SweepKernels {
   // y[r] = sum_e a[r, col(e)] * x[col(e)] for every row r in
   // [r_begin, r_end): the running sum starts at +0.0 and takes one multiply
-  // then one add per entry in CSR (ascending column) order. Every row of
-  // the range is written; an empty row reads +0.0.
-  void (*spmv_rows)(const sparse::Csr& a, std::size_t r_begin,
+  // then one add per entry in CSR (ascending column) order, the entry's
+  // stored code widened to double first. Every row of the range is
+  // written; an empty row reads +0.0.
+  void (*spmv_rows)(const sparse::PackedCsr& a, std::size_t r_begin,
                     std::size_t r_end, const double* x, double* y);
   // The k-RHS counterpart over row-major interleaved operands (slot
   // i*k + column): column j of y is exactly spmv_rows on column j of x.
   // k in {2,4,8,16} runs a fixed-width kernel holding the k running sums in
   // registers, anything else the generic loop.
-  void (*spmm_rows)(const sparse::Csr& a, std::size_t r_begin,
+  void (*spmm_rows)(const sparse::PackedCsr& a, std::size_t r_begin,
                     std::size_t r_end, std::size_t k, const double* x,
                     double* y);
   // The in-window fast path of core::quantize_span (exponent-field grids +

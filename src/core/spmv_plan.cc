@@ -68,7 +68,7 @@ bool SpmvPlan::valid() const {
   }
   // Within a block-row every row's entries ascend in global column: the
   // blocked sweep's per-row addend order is CSR order, which is what lets
-  // the value sweeps walk the dequantized CSR instead of the plan.
+  // the value sweeps walk the packed operand instead of the plan.
   std::vector<sparse::Index> last_col;  // per in-block row
   for (std::size_t br = 0; br < n_brows; ++br) {
     last_col.assign(side(), -1);
@@ -87,7 +87,7 @@ bool SpmvPlan::valid() const {
 SpmvPlan SpmvPlan::build(const RefloatMatrix& rf) {
   const int b = rf.format().b;
   if (b == 0) return {};
-  const sparse::Csr& q = rf.quantized();
+  const sparse::PackedCsr& q = rf.quantized();
   const RefloatMatrix::BlockIndex& index = rf.block_index();
   const sparse::Index side = sparse::Index{1} << b;
   SpmvPlanBuilder builder;
@@ -95,7 +95,8 @@ SpmvPlan SpmvPlan::build(const RefloatMatrix& rf) {
   BandScatter band(b, q.cols());
   for (std::size_t br = 0; br < index.block_rows(); ++br) {
     const auto r0 = static_cast<sparse::Index>(br) << b;
-    band.scatter(q, r0, std::min(r0 + side, q.rows()));
+    const sparse::Index r1 = std::min(r0 + side, q.rows());
+    q.visit([&](auto rows) { band.scatter(rows, r0, r1); });
     // The band's touched block columns are a subset of the index's blocks
     // for this block-row (both ascending): a block whose entries all
     // flushed to zero has no CSR entries and stays an empty block.
@@ -171,12 +172,13 @@ BandScatter::BandScatter(int b, sparse::Index cols)
               0),
       touched_bits_((cursor_.size() + 63) / 64, 0) {}
 
-void BandScatter::scatter(const sparse::Csr& a, sparse::Index r0,
+template <typename C, typename V>
+void BandScatter::scatter(sparse::RowArrays<C, V> a, sparse::Index r0,
                           sparse::Index r1) {
   const auto at = [](sparse::Index i) { return static_cast<std::size_t>(i); };
-  const std::span<const sparse::Index> row_ptr = a.row_ptr();
-  const std::span<const sparse::Index> col_idx = a.col_idx();
-  const std::span<const double> values = a.values();
+  const sparse::Index* row_ptr = a.row_ptr;
+  const C* col_idx = a.col;
+  const V* values = a.val;
   const sparse::Index mask = (sparse::Index{1} << b_) - 1;
   const sparse::Index k0 = row_ptr[at(r0)];
   const std::size_t band_nnz = at(row_ptr[at(r1)] - k0);
@@ -213,14 +215,23 @@ void BandScatter::scatter(const sparse::Csr& a, sparse::Index r0,
   slots_.resize(band_nnz);
   for (sparse::Index r = r0; r < r1; ++r) {
     for (sparse::Index k = row_ptr[at(r)]; k < row_ptr[at(r) + 1]; ++k) {
-      const sparse::Index c = col_idx[at(k)];
+      const auto c = static_cast<sparse::Index>(col_idx[at(k)]);
       const std::size_t pos = cursor_[at(c >> b_)]++;
-      values_[pos] = values[at(k)];
+      values_[pos] = static_cast<double>(values[at(k)]);
       slots_[pos] = {at(k - k0), static_cast<std::int32_t>(r & mask),
                      static_cast<std::int32_t>(c & mask)};
     }
   }
   for (const sparse::Index bc : touched_) cursor_[at(bc)] = 0;
 }
+
+// The conversion scatters its FP64 input, SpmvPlan::build the packed
+// operand in either code.
+template void BandScatter::scatter(sparse::RowArrays<sparse::Index, double>,
+                                   sparse::Index, sparse::Index);
+template void BandScatter::scatter(sparse::PackedRows<float>, sparse::Index,
+                                   sparse::Index);
+template void BandScatter::scatter(sparse::PackedRows<double>, sparse::Index,
+                                   sparse::Index);
 
 }  // namespace refloat::core

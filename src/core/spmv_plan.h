@@ -4,7 +4,7 @@
 // one structure-of-arrays arena: packed int16 within-block coordinates,
 // dequantized values, and per-block origins / base exponents / entry
 // offsets. It is not part of a resident RefloatMatrix: SpmvPlan::build(rf)
-// derives it from the matrix's dequantized CSR and block index, and only
+// derives it from the matrix's packed operand and block index, and only
 // the consumers that walk blocks build one — the noisy SweepBackend owns
 // the plan it sweeps (its per-block partials are part of the noise model),
 // the bit-true `hw::HwSpmv` programs its crossbars from a plan it then
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/sparse/csr.h"
+#include "src/sparse/packed_csr.h"
 
 namespace refloat::core {
 
@@ -104,12 +105,13 @@ class SpmvPlanBuilder {
 
 // One 2^b-row band (grid block-row) of a canonical CSR grouped by block
 // column — the scatter the RefloatMatrix conversion (over the input) and
-// SpmvPlan::build (over the dequantized CSR) share. scatter() counts the
-// band's entries per block column, lists the touched block columns in
-// ascending order (a per-column bitmap scanned between the band's extreme
-// words, so no sort), and scatters the entries stably into one run per
-// touched column; canonical input makes each run row-major with ascending
-// columns, the plan's entry order. Buffers are reused across bands.
+// SpmvPlan::build (over the packed dequantized operand) share. scatter()
+// counts the band's entries per block column, lists the touched block
+// columns in ascending order (a per-column bitmap scanned between the
+// band's extreme words, so no sort), and scatters the entries stably into
+// one run per touched column; canonical input makes each run row-major with
+// ascending columns, the plan's entry order. Buffers are reused across
+// bands.
 class BandScatter {
  public:
   struct Slot {
@@ -119,8 +121,11 @@ class BandScatter {
 
   BandScatter(int b, sparse::Index cols);
 
-  // Groups rows [r0, r1) of `a`; r0 is a multiple of 2^b and r1 - r0 <= 2^b.
-  void scatter(const sparse::Csr& a, sparse::Index r0, sparse::Index r1);
+  // Groups rows [r0, r1) of `a` (an FP64 CSR's or a packed operand's
+  // arrays; values are widened to double); r0 is a multiple of 2^b and
+  // r1 - r0 <= 2^b.
+  template <typename C, typename V>
+  void scatter(sparse::RowArrays<C, V> a, sparse::Index r0, sparse::Index r1);
 
   // The last band's touched block columns, ascending.
   [[nodiscard]] std::span<const sparse::Index> block_cols() const {

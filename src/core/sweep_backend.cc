@@ -17,13 +17,14 @@ AbftChecksum make_abft_checksum(const RefloatMatrix& rf,
                                 double rel_tolerance) {
   AbftChecksum abft;
   abft.rel_tolerance = rel_tolerance;
-  const sparse::Csr& a = rf.quantized();
+  const sparse::PackedCsr& a = rf.quantized();
   abft.colsum.assign(static_cast<std::size_t>(a.cols()), 0.0);
-  const std::span<const sparse::Index> col_idx = a.col_idx();
-  const std::span<const double> values = a.values();
-  for (std::size_t e = 0; e < values.size(); ++e) {
-    abft.colsum[static_cast<std::size_t>(col_idx[e])] += values[e];
-  }
+  const auto nnz = static_cast<std::size_t>(a.nnz());
+  a.visit([&](auto q) {
+    for (std::size_t e = 0; e < nnz; ++e) {
+      abft.colsum[q.col[e]] += static_cast<double>(q.val[e]);
+    }
+  });
   return abft;
 }
 
@@ -242,7 +243,7 @@ void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
                         std::vector<double>& xq) {
   xq.resize(x.size());
   rf.quantize_vector(x, xq);
-  // Row by row over the resident dequantized CSR: each row takes its
+  // Row by row over the resident packed operand: each row takes its
   // addends in ascending column order, exactly as a blocked walk of the
   // plan delivers them — bit-identical at any thread count, on every SIMD
   // path, for every tile partition, and for scalar (b = 0) formats alike.
@@ -279,7 +280,8 @@ void sweep_noisy_single(const RefloatMatrix& rf, const SpmvPlan& plan,
   rf.quantize_vector(x, xq);
   sparse::fill(y, 0.0);
   if (rf.format().b == 0) {
-    rf.quantized().spmv(xq, y);
+    sweep_kernels().spmv_rows(rf.quantized(), 0, y.size(), xq.data(),
+                              y.data());
     util::Rng rng(util::stream_seed(seed, sequence, 0));
     for (auto& v : y) v *= 1.0 + sigma * rng.gaussian();
     return;
@@ -318,7 +320,8 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const SpmvPlan& plan,
           std::span<double>(scratch.columns).subspan(j * n_cols, n_cols);
       rf.quantize_vector(x.subspan(j * n_cols, n_cols), xqj);
       const std::span<double> yj = y.subspan(j * n_rows, n_rows);
-      rf.quantized().spmv(xqj, yj);
+      sweep_kernels().spmv_rows(rf.quantized(), 0, n_rows, xqj.data(),
+                                yj.data());
       util::Rng rng(util::stream_seed(seeds[j], sequences[j], 0));
       for (auto& v : yj) v *= 1.0 + sigma * rng.gaussian();
     }

@@ -90,14 +90,14 @@ struct SweepVerdict {
 };
 
 // The precomputed ABFT checksum row: column sums of the dequantized
-// operator (one CSR pass). It is a snapshot: computed when a matrix becomes
-// resident, it keeps describing the clean operand, so later silent damage
-// to the dequantized CSR values — which value sweeps read and from which
-// noisy and bit-true backends build their SpmvPlan — is visible against
-// it. The classic trick is appending this row to A so the sweep emits its
-// own check value; here the backends
-// contract it against the quantized operand directly — the same O(n·k)
-// work without disturbing the block image.
+// operator (one pass over the packed operand). It is a snapshot: computed
+// when a matrix becomes resident, it keeps describing the clean operand, so
+// later silent damage to the stored value codes — which value sweeps read
+// and from which noisy and bit-true backends build their SpmvPlan — is
+// visible against it. The classic trick is appending this row to A so the
+// sweep emits its own check value; here the backends contract it against
+// the quantized operand directly — the same O(n·k) work without disturbing
+// the block image.
 //
 // `rel_tolerance` scales with the execution view's honest deviation from
 // the exact product: FP rounding only for the value backend, sigma-scaled
@@ -185,7 +185,7 @@ class SweepBackend {
   const AbftChecksum* abft_ = nullptr;
 };
 
-// Value-faithful backend: sweeps rf's dequantized CSR row by row (the
+// Value-faithful backend: sweeps rf's packed operand row by row (the
 // blocked accumulation order, bit for bit); it builds no plan. `tiles` > 1
 // partitions rf and shards the rows by tile (bit-identical to untiled); the
 // default follows $REFLOAT_TILES. The overloads taking a TiledPlan* borrow

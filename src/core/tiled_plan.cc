@@ -10,9 +10,9 @@ namespace refloat::core {
 namespace {
 
 // Block and entry offsets of grid block-row boundaries — O(1) via the
-// block index and the dequantized CSR's row_ptr (an entry range of plan
-// blocks is the same range of CSR entries: both hold the nonzero quantized
-// entries in block-row order).
+// block index and the packed operand's row_ptr (an entry range of plan
+// blocks is the same range of operand entries: both hold the nonzero
+// quantized entries in block-row order).
 struct Offsets {
   const std::vector<std::size_t>& block_ptr;
   std::span<const sparse::Index> row_ptr;

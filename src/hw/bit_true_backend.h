@@ -50,7 +50,7 @@ class BitTrueBackend final : public core::SweepBackend {
   // Recovery-ladder hook: reprograms the crossbar from scratch with a
   // fresh fault population — config.faults.seed forked by `salt` — exactly
   // as real hardware would re-image a tile whose cells drifted. The plan
-  // is rebuilt from rf (so damage to rf's dequantized CSR survives a
+  // is rebuilt from rf (so damage to rf's packed operand survives a
   // reprogram); format and tile partition are unchanged; with zero
   // configured fault rate the rebuilt image sweeps bit-identically to the
   // original. The arch layer prices this as one full write-verify

@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "src/arch/config.h"
 #include "src/arch/timing.h"
@@ -322,12 +323,16 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
           built->rf.probe_definiteness().likely_indefinite();
     }
     // Injected plan corruption: silently damages the resident operand —
-    // the dequantized CSR values, which value backends sweep and from which
-    // noisy and bit-true backends build their SpmvPlan below. Checked
-    // sweeps flag it on the first apply against the checksum taken above.
+    // one stored value code of the packed dequantized operand, which value
+    // backends sweep and from which noisy and bit-true backends build their
+    // SpmvPlan below. Checked sweeps flag it on the first apply against the
+    // checksum taken above.
     if (inj.armed(util::FaultSite::kPlanBuild)) {
-      inj.maybe_corrupt(util::FaultSite::kPlanBuild,
-                        built->rf.mutable_quantized_values());
+      std::visit(
+          [&inj](auto codes) {
+            inj.maybe_corrupt(util::FaultSite::kPlanBuild, codes);
+          },
+          built->rf.mutable_quantized_codes());
     }
     if (tiles > 1 && built->rf.nonzero_blocks() > 0) {
       built->tiled = core::TiledPlan::partition(built->rf, {.tiles = tiles});

@@ -5,8 +5,8 @@
 // bit-true crossbar image) is the expensive step, and it should be paid
 // once per resident matrix, then amortized across every solve that hits it.
 //
-// Capacity is byte-accounted (RefloatMatrix::resident_bytes — the
-// dequantized CSR plus its block index — + the tiled shard index + the
+// Capacity is byte-accounted (RefloatMatrix::resident_bytes — the packed
+// dequantized operand plus its block index — + the tiled shard index + the
 // backend's SweepBackend::resident_bytes, which is 0 for value residents),
 // not entry-counted, so one huge matrix and many small ones budget against
 // the same limit. Lookups are single-flight: when two
@@ -53,7 +53,7 @@ struct ResidentEntry {
   std::unique_ptr<core::SweepBackend> backend;
   // ABFT checksum row over the dequantized operator (empty colsum when
   // checked sweeps are off). Taken while the operand is still clean, before
-  // the fault injector's `plan` site can damage rf's dequantized CSR (and,
+  // the fault injector's `plan` site can damage rf's packed operand (and,
   // through it, any plan the backend builds), so silent corruption of that
   // operand fails verification. The backend holds a pointer to this member
   // — the entry's address is pinned by shared_ptr.

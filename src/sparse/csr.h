@@ -59,14 +59,6 @@ class Csr {
   // ReFloat conversion requires it and the binary cache loader checks it.
   [[nodiscard]] bool canonical() const;
 
-  // Heap bytes the three CSR arrays pin — the host-memory side of the
-  // serving layer's residency accounting (core::RefloatMatrix::
-  // resident_bytes sums this with the plan payload).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return row_ptr_.size() * sizeof(Index) + col_idx_.size() * sizeof(Index) +
-           values_.size() * sizeof(double);
-  }
-
   // y = A x. x must have cols() entries, y rows() entries.
   void spmv(std::span<const double> x, std::span<double> y) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -43,14 +42,15 @@ double bisect_eigen(const std::vector<double>& alpha,
   return 0.5 * (lo + hi);
 }
 
-}  // namespace
-
-SpectrumEstimate lanczos_extremes(const Csr& a, int steps,
-                                  std::uint64_t seed) {
-  if (a.rows() != a.cols()) {
+// The one Lanczos loop, over an FP64 CSR's or a packed operand's arrays
+// (values widened to double, exactly).
+template <typename C, typename V>
+SpectrumEstimate lanczos_rows(RowArrays<C, V> a, Index rows, Index cols,
+                              int steps, std::uint64_t seed) {
+  if (rows != cols) {
     throw std::invalid_argument("lanczos_extremes: matrix is not square");
   }
-  const auto n = static_cast<std::size_t>(a.rows());
+  const auto n = static_cast<std::size_t>(rows);
   if (steps <= 0 || n == 0) return {};
   steps = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(steps), n));
@@ -60,9 +60,9 @@ SpectrumEstimate lanczos_extremes(const Csr& a, int steps,
   const double v_norm = norm2(v);
   for (double& x : v) x /= v_norm;
 
-  const std::span<const Index> row_ptr = a.row_ptr();
-  const std::span<const Index> col_idx = a.col_idx();
-  const std::span<const double> values = a.values();
+  const Index* row_ptr = a.row_ptr;
+  const C* col_idx = a.col;
+  const V* values = a.val;
   std::vector<double> v_prev(n, 0.0);
   std::vector<double> w(n);
   std::vector<double> alpha;
@@ -76,7 +76,8 @@ SpectrumEstimate lanczos_extremes(const Csr& a, int steps,
       double acc = 0.0;
       for (auto j = static_cast<std::size_t>(row_ptr[r]);
            j < static_cast<std::size_t>(row_ptr[r + 1]); ++j) {
-        acc += values[j] * v[static_cast<std::size_t>(col_idx[j])];
+        acc += static_cast<double>(values[j]) *
+               v[static_cast<std::size_t>(col_idx[j])];
       }
       w[r] = acc;
       alpha_k += v[r] * acc;
@@ -110,6 +111,20 @@ SpectrumEstimate lanczos_extremes(const Csr& a, int steps,
   est.lambda_max =
       bisect_eigen(alpha, beta, static_cast<int>(alpha.size()) - 1, lo, hi);
   return est;
+}
+
+}  // namespace
+
+SpectrumEstimate lanczos_extremes(const Csr& a, int steps,
+                                  std::uint64_t seed) {
+  return lanczos_rows(row_arrays(a), a.rows(), a.cols(), steps, seed);
+}
+
+SpectrumEstimate lanczos_extremes(const PackedCsr& a, int steps,
+                                  std::uint64_t seed) {
+  return a.visit([&](auto rows) {
+    return lanczos_rows(rows, a.rows(), a.cols(), steps, seed);
+  });
 }
 
 }  // namespace refloat::sparse

@@ -1,4 +1,6 @@
-// Lanczos extreme-eigenvalue estimation on a CSR matrix. Plain Lanczos
+// Lanczos extreme-eigenvalue estimation on a CSR matrix — an FP64
+// sparse::Csr or a packed operand (the definiteness probe's input), one
+// loop templated on the value type. Plain Lanczos
 // without reorthogonalization: lambda_max converges fast; lambda_min is an
 // *upper bound* that reads low for ill-conditioned matrices (a caveat
 // bench_table5 reports explicitly).
@@ -16,6 +18,7 @@
 #include <cstdint>
 
 #include "src/sparse/csr.h"
+#include "src/sparse/packed_csr.h"
 
 namespace refloat::sparse {
 
@@ -31,5 +34,9 @@ struct SpectrumEstimate {
 // seed. Returns a zero estimate when that is no step at all (steps <= 0 or
 // an empty matrix); throws std::invalid_argument for a non-square matrix.
 SpectrumEstimate lanczos_extremes(const Csr& a, int steps, std::uint64_t seed);
+// The same estimate over a packed operand: bit-identical to running it on
+// a.to_csr().
+SpectrumEstimate lanczos_extremes(const PackedCsr& a, int steps,
+                                  std::uint64_t seed);
 
 }  // namespace refloat::sparse

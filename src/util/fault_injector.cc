@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "src/util/log.h"
 #include "src/util/random.h"
@@ -185,7 +186,13 @@ bool FaultInjector::fire(FaultSite which, std::uint64_t* event_out) {
   return true;
 }
 
-bool FaultInjector::maybe_corrupt(FaultSite which, std::span<double> y) {
+template <typename T>
+bool FaultInjector::corrupt_one(FaultSite which, std::span<T> y) {
+  // The IEEE bit pattern of T and its top exponent bit (just below the
+  // sign): bit 62 of a double, bit 30 of a float.
+  using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t,
+                                  std::uint32_t>;
+  constexpr Bits kTopExponentBit = Bits{1} << (sizeof(T) * 8 - 2);
   std::uint64_t event = 0;
   if (y.empty() || !fire(which, &event)) return false;
   Site& site = sites_[index(which)];
@@ -193,15 +200,22 @@ bool FaultInjector::maybe_corrupt(FaultSite which, std::span<double> y) {
                       kCorruptionSalt));
   const std::size_t idx = static_cast<std::size_t>(rng.below(y.size()));
   if (rng.below(4) == 3) {
-    y[idx] = std::numeric_limits<double>::quiet_NaN();
+    y[idx] = std::numeric_limits<T>::quiet_NaN();
   } else {
     // Flip the highest exponent bit below the sign: a silent but huge
     // magnitude error — the ABFT checksum's target, invisible to a single
     // isfinite() guard.
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(y[idx]);
-    y[idx] = std::bit_cast<double>(bits ^ (1ULL << 62));
+    y[idx] = std::bit_cast<T>(std::bit_cast<Bits>(y[idx]) ^ kTopExponentBit);
   }
   return true;
+}
+
+bool FaultInjector::maybe_corrupt(FaultSite which, std::span<double> y) {
+  return corrupt_one(which, y);
+}
+
+bool FaultInjector::maybe_corrupt(FaultSite which, std::span<float> y) {
+  return corrupt_one(which, y);
 }
 
 FaultInjector::SiteStats FaultInjector::site_stats(FaultSite which) const {

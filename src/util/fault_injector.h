@@ -10,9 +10,10 @@
 // exactly one fault with rate = 1, budget = 1.
 //
 // Sites (where the serving stack consults the injector):
-//   plan      — SpmvPlan payload corruption right after a residency build
-//               quantizes the matrix (silent: only the ABFT checksum,
-//               computed from the independent dequantized CSR, can see it)
+//   plan      — resident operand corruption right after a residency build
+//               quantizes the matrix: one stored value code (fp32 or fp64)
+//               of the packed dequantized operand (silent: only the ABFT
+//               checksum, taken before the damage, can see it)
 //   sweep     — one element of a sweep's output column flipped or NaN'd
 //               (what the ABFT checked mode exists to catch)
 //   build     — residency-cache builder throws (loud build failure)
@@ -88,9 +89,12 @@ class FaultInjector {
   bool should_fire(FaultSite site);
 
   // Corrupts one element of `y` when the site fires: a deterministic
-  // element gets its top exponent bit flipped, or (every 4th firing) NaN.
-  // Returns true when a corruption landed.
+  // element gets its top exponent bit below the sign flipped, or (every 4th
+  // firing) NaN. Returns true when a corruption landed. The float overload
+  // corrupts a resident operand stored in the fp32 code (bit 30 instead of
+  // bit 62); both pick the same element and outcome for the same event.
   bool maybe_corrupt(FaultSite site, std::span<double> y);
+  bool maybe_corrupt(FaultSite site, std::span<float> y);
 
   struct SiteStats {
     std::uint64_t events = 0;
@@ -107,6 +111,8 @@ class FaultInjector {
   // should_fire plus the event number that fired (keys the corruption
   // stream so a firing replays identically).
   bool fire(FaultSite site, std::uint64_t* event_out);
+  template <typename T>
+  bool corrupt_one(FaultSite site, std::span<T> y);
 
   struct Site {
     std::atomic<bool> armed{false};

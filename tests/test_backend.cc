@@ -71,7 +71,7 @@ sparse::Csr matrix_with_empty_band() {
 // of the dequantized CSR.
 std::vector<double> reference_value(const core::RefloatMatrix& rf,
                                     std::span<const double> x) {
-  const sparse::Csr& q = rf.quantized();
+  const sparse::Csr q = rf.quantized().to_csr();
   std::vector<double> xq(x.size());
   rf.quantize_vector(x, xq);
   std::vector<double> y(static_cast<std::size_t>(q.rows()));
@@ -98,7 +98,7 @@ std::vector<double> reference_noisy(const core::RefloatMatrix& rf,
                                     std::span<const double> x, double sigma,
                                     std::uint64_t seed,
                                     std::uint64_t sequence) {
-  const sparse::Csr& q = rf.quantized();
+  const sparse::Csr q = rf.quantized().to_csr();
   const auto rows = static_cast<std::size_t>(q.rows());
   const auto cols = static_cast<std::size_t>(q.cols());
   std::vector<double> xq(x.size());

@@ -6,7 +6,10 @@
 // the serving daemon's recovery ladder is assembled from.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "src/core/spmv_plan.h"
@@ -158,7 +161,54 @@ TEST(FaultInjectorTest, CorruptionIsDeterministicAndVisible) {
   EXPECT_EQ(y, clean);
 }
 
+// A resident operand stored in the fp32 code takes the plan site's faults
+// on its float codes: the same event picks the same element and outcome as
+// on doubles, and a flip hits bit 30 — the top exponent bit below the sign,
+// as bit 62 is for a double — so 0.5 becomes a silent 2^127.
+TEST(FaultInjectorTest, Fp32CodesFlipBit30OrTurnNaNLikeDoubles) {
+  const std::vector<float> clean32(64, 0.5f);
+  const std::vector<double> clean64(64, 0.5);
+  FaultInjector on32;
+  FaultInjector on64;
+  ASSERT_TRUE(on32.configure_from_text("plan:1:31:8"));
+  ASSERT_TRUE(on64.configure_from_text("plan:1:31:8"));
+  int flips = 0;
+  int nans = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<float> y32 = clean32;
+    std::vector<double> y64 = clean64;
+    ASSERT_TRUE(on32.maybe_corrupt(FaultSite::kPlanBuild, y32));
+    ASSERT_TRUE(on64.maybe_corrupt(FaultSite::kPlanBuild, y64));
+    for (std::size_t i = 0; i < clean32.size(); ++i) {
+      const bool hit = std::bit_cast<std::uint64_t>(y64[i]) !=
+                       std::bit_cast<std::uint64_t>(clean64[i]);
+      if (!hit) {
+        EXPECT_EQ(y32[i], clean32[i]) << "round " << round << " element " << i;
+      } else if (std::isnan(y64[i])) {
+        EXPECT_TRUE(std::isnan(y32[i])) << "round " << round;
+        ++nans;
+      } else {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(y64[i]),
+                  std::bit_cast<std::uint64_t>(clean64[i]) ^ (1ULL << 62));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(y32[i]),
+                  std::bit_cast<std::uint32_t>(clean32[i]) ^ (1U << 30));
+        EXPECT_EQ(y32[i], 0x1p127f);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(flips + nans, 8);
+  EXPECT_GT(flips, 0);
+}
+
 // --- ABFT checked sweeps ---------------------------------------------------
+
+// Adds 1e3 to the first stored value code of rf's packed operand, in
+// whichever code (fp32 or fp64) it is stored.
+void damage_first_code(core::RefloatMatrix& rf) {
+  std::visit([](auto codes) { codes[0] += 1e3f; },
+             rf.mutable_quantized_codes());
+}
 
 TEST(Abft, ChecksumMatchesColumnSums) {
   const sparse::Csr a = test_csr();
@@ -170,8 +220,9 @@ TEST(Abft, ChecksumMatchesColumnSums) {
   // contract against the all-ones vector and compare with a dense sum.
   double total = 0.0;
   for (const double c : abft.colsum) total += c;
+  const sparse::Csr q = rf.quantized().to_csr();
   double dense = 0.0;
-  for (const double v : rf.quantized().values()) dense += v;
+  for (const double v : q.values()) dense += v;
   EXPECT_NEAR(total, dense, 1e-9 * std::abs(dense));
 }
 
@@ -272,14 +323,14 @@ TEST(Abft, InjectedSweepCorruptionIsFlaggedPerColumn) {
 
 // The checksum is a snapshot of the clean operand taken when the matrix
 // becomes resident: damaging what a backend actually sweeps after it was
-// taken must be visible. Value sweeps read the dequantized CSR values.
+// taken must be visible. Value sweeps read the packed operand's codes.
 TEST(Abft, SilentPlanCorruptionIsCaught) {
   GlobalInjectorGuard guard;
   const sparse::Csr a = test_csr();
   core::RefloatMatrix rf(a, test_format());
-  ASSERT_GT(rf.mutable_quantized_values().size(), 0u);
+  ASSERT_GT(rf.quantized().nnz(), 0);
   const core::AbftChecksum abft = core::make_abft_checksum(rf);
-  rf.mutable_quantized_values()[0] += 1e3;
+  damage_first_code(rf);
 
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::vector<double> x(n, 1.0);
@@ -294,7 +345,7 @@ TEST(Abft, SilentPlanCorruptionIsCaught) {
 
 // The noisy twin: noisy sweeps read the SpmvPlan arena (their per-block
 // partials are part of the noise model), which the backend builds from the
-// dequantized CSR — so damage to that operand reaches the arena of every
+// packed operand — so damage to that operand reaches the arena of every
 // noisy backend built after it.
 TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
   GlobalInjectorGuard guard;
@@ -315,7 +366,7 @@ TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
   EXPECT_TRUE(verdict.checked);
   EXPECT_TRUE(verdict.ok);
 
-  rf.mutable_quantized_values()[0] += 1e3;
+  damage_first_code(rf);
   auto damaged = core::make_noisy_backend(rf, sigma, /*seed=*/5);
   damaged->set_abft(&abft);
   damaged->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
@@ -324,7 +375,7 @@ TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
 }
 
 // The bit-true twin: the backend programs its crossbars from a plan it
-// builds from the dequantized CSR and then frees, so damage to that operand
+// builds from the packed operand and then frees, so damage to that operand
 // is in the image from the first sweep on — and survives a reprogram, which
 // rebuilds the plan from the same operand.
 TEST(Abft, SilentPlanCorruptionOnBitTrueImageSurvivesReprogram) {
@@ -345,7 +396,7 @@ TEST(Abft, SilentPlanCorruptionOnBitTrueImageSurvivesReprogram) {
     EXPECT_TRUE(verdict.ok);
   }
 
-  rf.mutable_quantized_values()[0] += 1e3;
+  damage_first_code(rf);
   hw::BitTrueBackend backend(rf, hw::ClusterConfig{});
   backend.set_abft(&abft);
   backend.sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
 #include "src/gen/matrix_market.h"
 #include "src/gen/rcm.h"
@@ -386,6 +387,64 @@ TEST(Suite, DirectBuildersReproduceTripletPathStandIns) {
     ASSERT_NE(spec, nullptr) << name;
     ASSERT_NE(spec->kind, MatrixKind::kWathen);
     EXPECT_EQ(csr_hash(build(*spec)), hash) << name;
+  }
+}
+
+// The resident operand is packed (uint32 columns, fp32 value code) but
+// decodes exactly: on every stand-in, at its Table VII format, to_csr()
+// hashes (csr_hash) to the FP64 dequantized CSR an unpacked conversion
+// produces, and the definiteness probe, which sweeps the packed operand,
+// reads the pinned Ritz values bit for bit. Every stand-in's quantized
+// values are fp32-exact.
+TEST(Suite, PackedOperandKeepsDequantizedStandInsAndProbes) {
+  struct Pin {
+    const char* name;
+    std::uint64_t hash;
+    double lambda_min;
+    double lambda_max;
+  };
+  const std::vector<Pin> pinned = {
+      {"crystm01", 0xc8429511eb53038bULL,
+       0x1.4faa09fbe8d1ep-41, 0x1.b81a26e152bbp-35},
+      {"minsurfo", 0x1ae6072c339ccfdbULL,
+       0x1.433aba50db18ep-5, 0x1.9445d9454c30ep+2},
+      {"crystm02", 0x41ba796f104b7b81ULL,
+       0x1.3d274c010127cp-41, 0x1.cb2163566b8d1p-35},
+      {"shallow_water1", 0xbb0aa936689514b7ULL,
+       0x1.601a47729d93ep-2, 0x1.a7f9c40c326fep+0},
+      {"wathen100", 0x781184e8f0ffccbbULL,
+       0x1.9f5e8d72ab4fep-2, 0x1.78ae909134883p+8},
+      {"gridgena", 0xb13cd40c6b6f8d0eULL,
+       -0x1.fbd0779c06b3fp-2, 0x1.6fe21c42493f6p+3},
+      {"wathen120", 0x55b8efa6b51affcdULL,
+       0x1.9b9ec23af8902p-2, 0x1.69870a7c05e72p+8},
+      {"crystm03", 0x852a75cfbac0e751ULL,
+       0x1.384c16e813116p-41, 0x1.d7f648038a942p-35},
+      {"thermomech_TC", 0x2f14926d20576f94ULL,
+       0x1.799fcd74a5656p-5, 0x1.206f406f93804p+3},
+      {"Dubcova2", 0x91d9acbea93dd6ccULL,
+       -0x1.3fb2a0197c547p-10, 0x1.3e7f0b441d431p+3},
+      {"thermomech_dM", 0x9e6da175d0e0d1beULL,
+       0x1.7f34ab24ac99cp-5, 0x1.1bcf0e79dfc3ep+3},
+      {"qa8fm", 0x25d1db809f57ec04ULL,
+       0x1.061b8af2fcce4p-6, 0x1.3ebe5881d341p-1},
+  };
+  ASSERT_EQ(pinned.size(), suite().size());
+  for (const Pin& pin : pinned) {
+    const SuiteSpec* spec = nullptr;
+    for (const SuiteSpec& s : suite()) {
+      if (std::string(pin.name) == s.name) spec = &s;
+    }
+    ASSERT_NE(spec, nullptr) << pin.name;
+    const core::Format format = spec->fv_override != 0
+                                    ? core::default_format_fv16()
+                                    : core::default_format();
+    const core::RefloatMatrix rf(build(*spec), format);
+    EXPECT_EQ(rf.quantized().code(), sparse::ValueCode::kFp32) << pin.name;
+    EXPECT_EQ(csr_hash(rf.quantized().to_csr()), pin.hash) << pin.name;
+    const core::ConversionStats& probe = rf.probe_definiteness();
+    EXPECT_EQ(probe.probe_lambda_min, pin.lambda_min) << pin.name;
+    EXPECT_EQ(probe.probe_lambda_max, pin.lambda_max) << pin.name;
   }
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -39,7 +41,8 @@ TEST(RefloatMatrix, RoundTripErrorBoundedByFractionBits) {
     EXPECT_LE(rf.stats().rel_error_fro, bound);
     // Entry-wise check through the dequantized matrix.
     const auto va = a.values();
-    const auto vq = rf.quantized().values();
+    const sparse::Csr q = rf.quantized().to_csr();
+    const auto vq = q.values();
     ASSERT_EQ(va.size(), vq.size());
     for (std::size_t i = 0; i < va.size(); ++i) {
       EXPECT_LE(std::abs(va[i] - vq[i]),
@@ -98,7 +101,7 @@ TEST(RefloatMatrix, ValueSweepMatchesQuantizedCsr) {
   std::vector<double> xq(x.size());
   rf.quantize_vector(x, xq);
   std::vector<double> reference(x.size());
-  rf.quantized().spmv(xq, reference);
+  rf.quantized().to_csr().spmv(xq, reference);
   std::vector<double> y(x.size());
   make_value_backend(rf)->sweep(x, 1, y, {});
   for (std::size_t i = 0; i < y.size(); ++i) {
@@ -348,7 +351,7 @@ void expect_matches_reference(const sparse::Csr& a, const Format& fmt,
     EXPECT_EQ(int{index.base[j]}, ref.plan.base[j]);
   }
 
-  const sparse::Csr& q = rf.quantized();
+  const sparse::Csr q = rf.quantized().to_csr();
   EXPECT_EQ(q.rows(), ref.quantized.rows());
   EXPECT_EQ(q.cols(), ref.quantized.cols());
   EXPECT_TRUE(same_bits(q.row_ptr(), ref.quantized.row_ptr()));
@@ -439,6 +442,64 @@ TEST(RefloatMatrix, AllZeroBlockStaysInTheIndexAndThePlan) {
   ASSERT_EQ(plan.num_blocks(), 5u);
   EXPECT_EQ(plan.entry_ptr, (std::vector<std::size_t>{0, 2, 2, 2, 3, 4}));
   EXPECT_EQ(plan.num_entries(), 4u);
+}
+
+// The packed operand stores fp32 codes only when every dequantized value
+// survives the round trip through float; one value that does not (here
+// 1/3 under the identity-like FP64 scalar format) switches the whole
+// matrix to fp64, and either way to_csr() returns the values unchanged.
+TEST(RefloatMatrix, ValueCodeIsFp32OnlyWhenEveryValueIsExact) {
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index i = 0; i < 40; ++i) {
+    triplets.push_back({i, i, 2.0 + static_cast<double>(i)});
+    if (i > 0) triplets.push_back({i, i - 1, -0.75});
+  }
+  const sparse::Csr exact = sparse::Csr::from_triplets(40, 40, triplets);
+  triplets.push_back({39, 0, 1.0 / 3.0});
+  const sparse::Csr one_inexact = sparse::Csr::from_triplets(40, 40, triplets);
+
+  const auto expect_packed = [](const sparse::Csr& in, sparse::ValueCode code,
+                                std::size_t value_bytes) {
+    const RefloatMatrix rf(in, format_fp64());
+    EXPECT_EQ(rf.quantized().code(), code);
+    const sparse::Csr out = rf.quantized().to_csr();
+    EXPECT_TRUE(std::equal(in.values().begin(), in.values().end(),
+                           out.values().begin(), out.values().end()));
+    EXPECT_TRUE(std::equal(in.col_idx().begin(), in.col_idx().end(),
+                           out.col_idx().begin(), out.col_idx().end()));
+    const auto rows = static_cast<std::size_t>(in.rows());
+    const auto nnz = static_cast<std::size_t>(in.nnz());
+    EXPECT_EQ(rf.quantized().memory_bytes(),
+              (rows + 1) * 8 + nnz * (4 + value_bytes));
+  };
+  expect_packed(exact, sparse::ValueCode::kFp32, 4);
+  expect_packed(one_inexact, sparse::ValueCode::kFp64, 8);
+
+  // Blocked formats follow the same rule: f = 3 keeps every value on a
+  // 4-bit significand (fp32), f = 30 does not fit float's 24 bits.
+  Format wide = default_format();
+  wide.f = 30;
+  EXPECT_EQ(RefloatMatrix(test_matrix(), default_format()).quantized().code(),
+            sparse::ValueCode::kFp32);
+  EXPECT_EQ(RefloatMatrix(test_matrix(), wide).quantized().code(),
+            sparse::ValueCode::kFp64);
+}
+
+// Packed columns are uint32: a matrix with more columns than that can
+// address is rejected up front — before the conversion sizes anything by
+// the column count — rather than having its column indices truncated.
+TEST(RefloatMatrix, RejectsMoreColumnsThanUint32CanAddress) {
+  const sparse::Index too_wide =
+      sparse::Index{std::numeric_limits<std::uint32_t>::max()} + 2;
+  const sparse::Csr a(1, too_wide, {0, 0}, {}, {});
+  for (const Format& fmt : {format_fp32(), default_format()}) {
+    ASSERT_THROW(RefloatMatrix(a, fmt), std::invalid_argument);
+  }
+  const sparse::Csr widest(
+      1, sparse::Index{std::numeric_limits<std::uint32_t>::max()}, {0, 0},
+      {}, {});
+  EXPECT_EQ(RefloatMatrix(widest, format_fp32()).quantized().cols(),
+            widest.cols());
 }
 
 TEST(RefloatMatrix, StreamedConversionMatchesReference) {

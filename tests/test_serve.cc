@@ -764,11 +764,11 @@ TEST(ServeProtocol, DeadlineMsPastTheClockRangeIsRejected) {
 }
 
 TEST(ServeFaults, PlanCorruptionOnValueResidentIsCaughtAndRebuilt) {
-  // The plan site damages the operand a value resident sweeps (its
-  // dequantized CSR values) after the ABFT checksum was taken: the first
-  // apply is flagged, the clean re-solve hits the same persistent damage,
-  // and the rebuild rung (budget spent) answers bit-identically to a
-  // fault-free solve.
+  // The plan site damages the operand a value resident sweeps (one value
+  // code of its packed operand) after the ABFT checksum was taken: the
+  // first apply is flagged, the clean re-solve hits the same persistent
+  // damage, and the rebuild rung (budget spent) answers bit-identically to
+  // a fault-free solve.
   GlobalInjectorGuard guard;
   SolverDaemon daemon(manual_config());
   register_test_matrix(daemon);
@@ -801,7 +801,7 @@ TEST(ServeFaults, PlanCorruptionOnValueResidentIsCaughtAndRebuilt) {
   EXPECT_EQ(stats.recovered, 1u);
 }
 
-// The plan site damages a resident's dequantized CSR, from which noisy and
+// The plan site damages a resident's packed operand, from which noisy and
 // bit-true backends build their SpmvPlan. Serves `request` once with the
 // plan-site `spec` armed and once on a fault-free daemon, and checks the
 // faulty answer recovered through a rebuild, bit-identical to the clean
@@ -964,10 +964,12 @@ TEST(Residency, NoisyResidentCountsItsPlanOnce) {
 
 TEST(Residency, CacheHoldsTwoValueResidentsThatFitOnlyWithoutPlans) {
   // Two matrices whose value residents fit the cache together under the
-  // CSR + block-index accounting, while one of them plus its plan arena
-  // (what a value resident used to pin) would already crowd out the other.
+  // packed-operand + block-index accounting, while one of them plus its
+  // plan arena (what a value resident used to pin) would already crowd out
+  // the other. The second matrix is large enough that the first one's plan
+  // fits beside the packed operands' budget.
   const sparse::Csr a1 = test_csr();
-  const sparse::Csr a2 = gen::build_stencil(gen::laplace2d_5pt(12, 12));
+  const sparse::Csr a2 = gen::build_stencil(gen::laplace2d_5pt(20, 20));
   const core::RefloatMatrix rf1(a1, test_format());
   const core::RefloatMatrix rf2(a2, test_format());
   const std::size_t with_plans =
@@ -984,10 +986,10 @@ TEST(Residency, CacheHoldsTwoValueResidentsThatFitOnlyWithoutPlans) {
 
   SolverDaemon daemon(config);
   register_test_matrix(daemon);
-  daemon.register_matrix("laplace12x12", test_format(), [a2] { return a2; });
+  daemon.register_matrix("laplace20x20", test_format(), [a2] { return a2; });
   serve_and_measure(daemon, kName, core::BackendKind::kValue);
   EXPECT_EQ(
-      serve_and_measure(daemon, "laplace12x12", core::BackendKind::kValue),
+      serve_and_measure(daemon, "laplace20x20", core::BackendKind::kValue),
       config.cache_bytes);
   const ServeStats stats = daemon.stats();
   EXPECT_EQ(stats.cache.resident_count, 2u);

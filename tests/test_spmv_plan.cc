@@ -3,8 +3,9 @@
 // batched SpMM is column-wise bit-identical to sequential SpMVs, both at
 // every tested thread count (including odd shard counts), and an all-zero
 // band of rows appears as an empty block-row range, not a missing one. The
-// value sweeps, which read the dequantized CSR row by row, are pinned bit
-// for bit to the blocked plan loop they replaced.
+// value sweeps, which read the packed dequantized operand row by row, are
+// pinned bit for bit to the blocked plan loop they replaced, in both value
+// codes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,7 +48,7 @@ using LegacyBlocks =
 
 LegacyBlocks legacy_blocks(const core::RefloatMatrix& rf) {
   LegacyBlocks blocks;
-  const sparse::Csr& q = rf.quantized();
+  const sparse::Csr q = rf.quantized().to_csr();
   const int b = rf.format().b;
   const auto row_ptr = q.row_ptr();
   const auto col_idx = q.col_idx();
@@ -262,7 +263,7 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   std::vector<double> xq(64);
   rf.quantize_vector(x, xq);
   std::vector<double> reference(64, 0.0);
-  rf.quantized().spmv(xq, reference);
+  rf.quantized().to_csr().spmv(xq, reference);
   const auto backend = core::make_value_backend(rf);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool::set_global_threads(threads);
@@ -318,7 +319,7 @@ TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
 // TU is compiled with -ffp-contract=off, like the kernels.
 std::vector<double> blocked_value_sweep(const core::RefloatMatrix& rf,
                                         std::span<const double> xq) {
-  const sparse::Csr& q = rf.quantized();
+  const sparse::Csr q = rf.quantized().to_csr();
   const auto rows = static_cast<std::size_t>(q.rows());
   std::vector<double> y(rows, 0.0);
   if (rf.format().b == 0) {
@@ -415,24 +416,33 @@ std::vector<core::SimdIsa> runnable_isas() {
   return isas;
 }
 
+// Runs over both value codes of the packed operand: the narrow format's
+// 3-bit fractions are fp32-exact, the wide format's 30-bit fractions force
+// the fp64 fallback, and each case asserts which code it exercises.
 TEST(SpmvPlan, ValueSweepBitIdenticalToBlockedPlanLoop) {
   const core::Format narrow{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
   const core::Format wide{.b = 4, .e = 7, .f = 30, .ev = 7, .fv = 30};
+  constexpr sparse::ValueCode kFp32 = sparse::ValueCode::kFp32;
+  constexpr sparse::ValueCode kFp64 = sparse::ValueCode::kFp64;
   const struct Case {
     const char* name;
     sparse::Csr a;
     core::Format format;
+    sparse::ValueCode code;
   } cases[] = {
-      {"dense blocks", dense_block_matrix(), narrow},
-      {"dense blocks, wide", dense_block_matrix(), wide},
-      {"scattered", scattered_matrix(), narrow},
-      {"scattered, wide", scattered_matrix(), wide},
-      {"empty band", empty_band_matrix(), wide},
-      {"b = 0", scattered_matrix(), core::format_fp32()},
+      {"dense blocks", dense_block_matrix(), narrow, kFp32},
+      {"dense blocks, wide", dense_block_matrix(), wide, kFp64},
+      {"scattered", scattered_matrix(), narrow, kFp32},
+      {"scattered, wide", scattered_matrix(), wide, kFp64},
+      {"empty band", empty_band_matrix(), narrow, kFp32},
+      {"empty band, wide", empty_band_matrix(), wide, kFp64},
+      {"b = 0", scattered_matrix(), core::format_fp32(), kFp32},
+      {"b = 0, fp64", scattered_matrix(), core::format_fp64(), kFp64},
   };
   const std::size_t ks[] = {1, 2, 3, 4, 5, 8, 16};
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(c.a, c.format);
+    ASSERT_EQ(rf.quantized().code(), c.code) << c.name;
     if (c.format.b > 0) {
       ASSERT_TRUE(core::SpmvPlan::build(rf).valid()) << c.name;
     }

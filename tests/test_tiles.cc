@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/arch/cost.h"
@@ -28,6 +30,9 @@ namespace refloat {
 namespace {
 
 const core::Format kFmt{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
+// 30 fraction bits: grid_matrix()'s quantized values no longer fit fp32, so
+// the packed operand falls back to the fp64 value code.
+const core::Format kWideFmt{.b = 4, .e = 3, .f = 30, .ev = 3, .fv = 8};
 
 std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -143,8 +148,12 @@ void expect_bit_identical_across_threads(
 }
 
 TEST(TiledSpmv, BitIdenticalToUntiledForEveryPartitionAndThreadCount) {
-  for (const sparse::Csr& a : {grid_matrix(), empty_band_matrix()}) {
-    const core::RefloatMatrix rf(a, kFmt);
+  std::set<sparse::ValueCode> codes;  // both packed value codes are covered
+  for (const auto& [a, fmt] : {std::pair{grid_matrix(), kFmt},
+                               std::pair{grid_matrix(), kWideFmt},
+                               std::pair{empty_band_matrix(), kFmt}}) {
+    const core::RefloatMatrix rf(a, fmt);
+    codes.insert(rf.quantized().code());
     const std::vector<double> x =
         random_vector(static_cast<std::size_t>(a.rows()), 201);
     util::ThreadPool::set_global_threads(1);
@@ -163,6 +172,7 @@ TEST(TiledSpmv, BitIdenticalToUntiledForEveryPartitionAndThreadCount) {
           want, "value path");
     }
   }
+  EXPECT_EQ(codes.size(), 2u);
 }
 
 TEST(TiledSpmv, CapacityForcedUnevenSplitStaysBitIdentical) {
@@ -188,30 +198,33 @@ TEST(TiledSpmv, CapacityForcedUnevenSplitStaysBitIdentical) {
 
 TEST(TiledSpmv, NoisyPathBitIdenticalToUntiled) {
   // Noise streams are keyed per grid block-row, not per tile, so the tiled
-  // noisy sweep reproduces the untiled one exactly.
-  const sparse::Csr a = grid_matrix();
-  const core::RefloatMatrix rf(a, kFmt);
-  const std::vector<double> x =
-      random_vector(static_cast<std::size_t>(a.rows()), 203);
-  util::ThreadPool::set_global_threads(1);
-  // Every sweep draws the explicit stream identity (seed 77, sequence 3).
-  const std::uint64_t seed = 77;
-  const std::uint64_t sequence = 3;
-  const core::SweepContext ctx{.seeds = {&seed, 1},
-                               .sequences = {&sequence, 1}};
-  std::vector<double> want(x.size());
-  core::make_noisy_backend(rf, 0.05, seed, nullptr)->sweep(x, 1, want, ctx);
-  for (const int tiles : {1, 2, 3, 7}) {
-    const core::TiledPlan tiled =
-        core::TiledPlan::partition(rf, {.tiles = tiles});
-    const auto backend = core::make_noisy_backend(rf, 0.05, seed, &tiled);
-    expect_bit_identical_across_threads(
-        [&] {
-          std::vector<double> y(x.size());
-          backend->sweep(x, 1, y, ctx);
-          return y;
-        },
-        want, "noisy path");
+  // noisy sweep reproduces the untiled one exactly — with the plan built
+  // from either packed value code.
+  for (const core::Format& fmt : {kFmt, kWideFmt}) {
+    const sparse::Csr a = grid_matrix();
+    const core::RefloatMatrix rf(a, fmt);
+    const std::vector<double> x =
+        random_vector(static_cast<std::size_t>(a.rows()), 203);
+    util::ThreadPool::set_global_threads(1);
+    // Every sweep draws the explicit stream identity (seed 77, sequence 3).
+    const std::uint64_t seed = 77;
+    const std::uint64_t sequence = 3;
+    const core::SweepContext ctx{.seeds = {&seed, 1},
+                                 .sequences = {&sequence, 1}};
+    std::vector<double> want(x.size());
+    core::make_noisy_backend(rf, 0.05, seed, nullptr)->sweep(x, 1, want, ctx);
+    for (const int tiles : {1, 2, 3, 7}) {
+      const core::TiledPlan tiled =
+          core::TiledPlan::partition(rf, {.tiles = tiles});
+      const auto backend = core::make_noisy_backend(rf, 0.05, seed, &tiled);
+      expect_bit_identical_across_threads(
+          [&] {
+            std::vector<double> y(x.size());
+            backend->sweep(x, 1, y, ctx);
+            return y;
+          },
+          want, "noisy path");
+    }
   }
 }
 
@@ -371,7 +384,7 @@ TEST(TiledTiming, EccRoundChargeAccumulatesPerTileRound) {
 TEST(TiledSchedule, OneTileMatchesTheUntiledSimulation) {
   const sparse::Csr a = grid_matrix();
   const core::RefloatMatrix rf(a, kFmt);
-  const sparse::BlockedMatrix blocked(rf.quantized(), kFmt.b);
+  const sparse::BlockedMatrix blocked(rf.quantized().to_csr(), kFmt.b);
   const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   ASSERT_EQ(blocked.nonzero_blocks(), plan.num_blocks());
   ASSERT_EQ(static_cast<std::size_t>(blocked.nnz()), plan.num_entries());
