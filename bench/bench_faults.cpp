@@ -218,8 +218,9 @@ int run() {
 
   std::printf("\n=== ABFT checked-sweep overhead ===\n\n");
   const double overhead_pct = measure_checked_overhead_pct();
-  std::printf("checked-mode overhead: %.1f%% (target <= 5%%; regression-"
-              "gated via bench_micro backend_sweep/value_checked)\n",
+  std::printf("checked-mode overhead: %.1f%% (measured, not a target; "
+              "regression-gated via bench_micro backend_sweep/value_checked; "
+              "the ROADMAP's ABFT fusion is the open cut)\n",
               overhead_pct);
 
   std::printf("\nSeries written to results/fault_recovery.csv\n");

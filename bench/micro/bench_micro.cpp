@@ -44,11 +44,12 @@
 //                         value is the checksum verification overhead), and
 //                         the bit-true crossbar datapath (hw::BitTrueBackend,
 //                         ideal cluster config) at grid 32
-//   backend_sweep/value_scattered/k
-//                         the value backend at k = 1 and 8 on a scattered
-//                         matrix whose nonzero 128x128 blocks hold ~2
-//                         entries — the thermomech regime, where a blocked
-//                         walk pays its per-block cost on every 2 entries
+//   backend_sweep/{value,noisy}_scattered/k
+//                         the value and noisy backends at k = 1 and 8 on a
+//                         scattered matrix whose nonzero 128x128 blocks
+//                         hold ~2 entries — the thermomech regime, where a
+//                         blocked walk pays its per-block cost on every 2
+//                         entries
 //   solve/<method>/value/k<k>
 //                         cg_multi / bicgstab_multi over the value backend,
 //                         k = 1 and 8 right-hand sides, on the grid-32
@@ -557,13 +558,18 @@ void register_all() {
   benchmark::RegisterBenchmark("backend_sweep/bittrue",
                                grid_sweep(core::BackendKind::kBitTrue, false))
       ->Args({32, 1})->Args({32, 8});
-  benchmark::RegisterBenchmark(
-      "backend_sweep/value_scattered",
-      [](benchmark::State& s) {
-        backend_sweep(s, scattered_workload(),
-                      static_cast<std::size_t>(s.range(0)),
-                      core::BackendKind::kValue);
-      })
+  // Scattered-workload rows take Arg(k).
+  const auto scattered_sweep = [](core::BackendKind kind) {
+    return [kind](benchmark::State& s) {
+      backend_sweep(s, scattered_workload(),
+                    static_cast<std::size_t>(s.range(0)), kind);
+    };
+  };
+  benchmark::RegisterBenchmark("backend_sweep/value_scattered",
+                               scattered_sweep(core::BackendKind::kValue))
+      ->Arg(1)->Arg(8);
+  benchmark::RegisterBenchmark("backend_sweep/noisy_scattered",
+                               scattered_sweep(core::BackendKind::kNoisy))
       ->Arg(1)->Arg(8);
   for (const bool bicgstab : {false, true}) {
     for (const std::size_t k : {1, 8}) {

@@ -10,9 +10,9 @@
 //     of nonzero blocks, and per block its block column and shared base
 //     exponent — what tiling, the storage model and the block walkers need
 //     beyond the CSR.
-// It keeps no SpmvPlan: the views that walk blocks (noisy sweeps, bit-true
-// programming, the schedule model) build one with SpmvPlan::build(rf), so a
-// value resident pins the packed operand and the index alone.
+// It keeps no SpmvPlan: the views that walk blocks (bit-true programming,
+// the schedule model) build one with SpmvPlan::build(rf), so a value or
+// noisy resident pins the packed operand and the index alone.
 //
 // A RefloatMatrix holds the operand; it does not sweep itself. Every sweep
 // of it — value-faithful, noisy (Fig. 10) or bit-true — goes through
@@ -107,8 +107,8 @@ class RefloatMatrix {
   // float or of double, per quantized().code()), for the fault-injection
   // layer only: the kPlanBuild site corrupts a freshly built resident in
   // place after its ABFT checksum was taken and before its backend is built
-  // — value backends sweep these values, noisy and bit-true backends build
-  // their SpmvPlan from them — so checked sweeps can prove they detect
+  // — value and noisy backends sweep these values, a bit-true backend
+  // builds its SpmvPlan from them — so checked sweeps can prove they detect
   // silent corruption of the operand. Production code never calls this.
   [[nodiscard]] sparse::PackedCsr::MutableValues mutable_quantized_codes() {
     return quantized_.mutable_values();

@@ -5,10 +5,11 @@
 // dequantized values, and per-block origins / base exponents / entry
 // offsets. It is not part of a resident RefloatMatrix: SpmvPlan::build(rf)
 // derives it from the matrix's packed operand and block index, and only
-// the consumers that walk blocks build one — the noisy SweepBackend owns
-// the plan it sweeps (its per-block partials are part of the noise model),
-// the bit-true `hw::HwSpmv` programs its crossbars from a plan it then
-// frees, and the storage/schedule models read one. One flat image instead
+// the consumers that walk blocks build one — the bit-true `hw::HwSpmv`
+// programs its crossbars from a plan it then frees, and the
+// storage/schedule models read one. (The noisy SweepBackend reproduces the
+// plan's per-block partials and draw order from the packed operand and the
+// block index, and builds none.) One flat image instead
 // of a vector-of-vectors heap per block (no pointer chasing, one
 // allocation per array, ~12 payload bytes per nonzero).
 //

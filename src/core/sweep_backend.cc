@@ -105,32 +105,15 @@ void SweepBackend::finish_sweep(std::span<const double> x_check,
 
 namespace {
 
-// Runs fn(br) for every block-row, one pool shard per block-row (untiled)
-// or per tile shard (block-rows serial within a shard). Both schedules
-// visit each block-row exactly once, so any fn whose cross-block-row writes
-// are disjoint produces bit-identical results under either.
-template <typename Fn>
-void parallel_block_rows(const SpmvPlan& plan, const TiledPlan* tiled,
-                         Fn&& fn) {
-  if (tiled == nullptr || tiled->empty()) {
-    util::ThreadPool::global().parallel_for(plan.block_rows(), fn);
-    return;
-  }
-  const std::span<const TileShard> shards = tiled->shards();
-  util::ThreadPool::global().parallel_for(shards.size(), [&](std::size_t t) {
-    const TileShard& s = shards[t];
-    for (std::size_t br = s.brow_begin; br < s.brow_end; ++br) fn(br);
-  });
-}
-
 // Rows per shard of the value sweeps on scalar formats (b = 0), which have
 // no block grid to shard by; one 128-row block-row's worth.
 constexpr std::size_t kScalarFormatRowGrain = 128;
 
 // Runs fn(r_begin, r_end) over every row of rf: one pool shard per grid
 // block-row's rows (untiled) or per tile shard's contiguous block-row range
-// (tiled) — the shards the block sweeps use. Every row owns its output, so
-// any shard schedule is bit-identical.
+// (tiled), so every range is made of whole grid bands. Every row owns its
+// output (and every band its noise streams), so any shard schedule is
+// bit-identical.
 template <typename Fn>
 void parallel_row_ranges(const RefloatMatrix& rf, const TiledPlan* tiled,
                          Fn&& fn) {
@@ -178,64 +161,152 @@ void quantize_interleaved(const RefloatMatrix& rf, std::span<const double> x,
   sparse::interleave(scratch.columns, n_cols, k, scratch.x_interleaved);
 }
 
-// One block-row of the noisy sweep: serial (brow, bcol) block order, one
-// Gaussian draw per nonzero per-block row partial, in row order. Shared by
-// the untiled and tiled noisy paths so they are the same instruction
-// sequence per block-row (bit-identity across partitions).
-void noisy_block_row(const SpmvPlan& plan, std::size_t br,
-                     std::span<const double> xq, std::span<double> y,
-                     double sigma, util::Rng& rng,
-                     std::vector<double>& partial) {
-  const std::size_t side = plan.side();
-  partial.resize(side);
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    std::fill(partial.begin(), partial.end(), 0.0);
-    for (std::size_t e = plan.entry_ptr[j]; e < plan.entry_ptr[j + 1]; ++e) {
-      partial[static_cast<std::size_t>(plan.entry_row[e])] +=
-          plan.entry_value[e] *
-          xq[c0 + static_cast<std::size_t>(plan.entry_col[e])];
+// Per-thread buffers of the noisy band walk, reused across bands and sweeps.
+struct NoisyBandScratch {
+  std::vector<std::uint32_t> slot_of;   // block column -> slot in its band
+  std::vector<std::uint32_t> run_slot;  // per run: its block's slot
+  std::vector<double> partial;          // per run: its k partials
+  std::vector<std::size_t> row_end;     // per band row: one past its last run
+  std::vector<std::size_t> rank;        // per (slot, column): nonzero count,
+                                        // then the next draw it takes
+  std::vector<double> draws;            // the band's draws, column by column
+};
+
+// One grid band (block-row br, 2^b rows) of the noisy sweep (Fig. 10 RTN)
+// over the packed operand. It reproduces the block walk of the model: per
+// column one stream, drawn in (block, row) order, with zero partials
+// skipped.
+//
+// The entries of a row that share `col >> b` form a run. A run's sum starts
+// at +0.0 and adds in ascending column order, so it is the block's per-row
+// partial bit for bit. Pass 1 sums every run and counts each block's
+// nonzero partials per column. An exclusive prefix over the band's blocks
+// (block_index() order) turns the counts into ranks: rows come in ascending
+// order, so a block's next nonzero partial takes the next rank. The band's
+// draws are taken in rank order. Pass 2 adds each row's runs in ascending
+// block order, the partial of rank i scaled by (1 + sigma * draw i).
+//
+// K > 0 fixes the batch width at compile time; K == 0 reads it from k.
+// Operands are row-major interleaved (slot i*k + column; k = 1 is plain).
+// The caller sizes s.slot_of to the grid's block columns.
+template <std::size_t K, typename V>
+void noisy_band(sparse::PackedRows<V> a,
+                const RefloatMatrix::BlockIndex& index, int b,
+                std::size_t rows, std::size_t br, std::size_t k,
+                const double* __restrict__ x, double* __restrict__ y,
+                double sigma, util::Rng* rngs, NoisyBandScratch& s) {
+  const std::size_t kc = K > 0 ? K : k;
+  const std::size_t r0 = br << b;
+  const std::size_t r1 = std::min(rows, r0 + (std::size_t{1} << b));
+  const std::size_t j0 = index.block_ptr[br];
+  const std::size_t blocks = index.block_ptr[br + 1] - j0;
+  for (std::size_t j = 0; j < blocks; ++j) {
+    s.slot_of[static_cast<std::size_t>(index.block_col[j0 + j])] =
+        static_cast<std::uint32_t>(j);
+  }
+  // A run holds at least one entry, so the band's nnz bounds its runs.
+  const auto band_nnz = static_cast<std::size_t>(a.row_ptr[r1] - a.row_ptr[r0]);
+  s.run_slot.resize(band_nnz);
+  s.partial.resize(band_nnz * kc);
+  s.row_end.resize(r1 - r0);
+  s.rank.assign(blocks * kc, 0);
+
+  std::size_t runs = 0;
+  std::size_t nonzero = 0;
+  for (std::size_t r = r0; r < r1; ++r) {
+    const auto end = static_cast<std::size_t>(a.row_ptr[r + 1]);
+    for (auto e = static_cast<std::size_t>(a.row_ptr[r]); e < end;) {
+      const std::uint32_t bc = a.col[e] >> b;
+      double* __restrict__ p = s.partial.data() + runs * kc;
+      if constexpr (K > 0) {
+        double acc[K] = {};
+        for (; e < end && (a.col[e] >> b) == bc; ++e) {
+          const auto v = static_cast<double>(a.val[e]);
+          const double* __restrict__ xs = x + std::size_t{a.col[e]} * K;
+          for (std::size_t c = 0; c < K; ++c) acc[c] += v * xs[c];
+        }
+        std::copy_n(acc, K, p);
+      } else {
+        std::fill_n(p, kc, 0.0);
+        for (; e < end && (a.col[e] >> b) == bc; ++e) {
+          const auto v = static_cast<double>(a.val[e]);
+          const double* __restrict__ xs = x + std::size_t{a.col[e]} * kc;
+          for (std::size_t c = 0; c < kc; ++c) p[c] += v * xs[c];
+        }
+      }
+      const std::uint32_t slot = s.slot_of[bc];
+      std::size_t* count = s.rank.data() + std::size_t{slot} * kc;
+      for (std::size_t c = 0; c < kc; ++c) {
+        if (p[c] == 0.0) continue;
+        ++count[c];
+        ++nonzero;
+      }
+      s.run_slot[runs++] = slot;
     }
-    for (std::size_t r = 0; r < side; ++r) {
-      if (partial[r] == 0.0) continue;
-      y[r0 + r] += partial[r] * (1.0 + sigma * rng.gaussian());
+    s.row_end[r - r0] = runs;
+  }
+
+  s.draws.resize(nonzero);
+  std::size_t next = 0;
+  for (std::size_t c = 0; c < kc; ++c) {
+    const std::size_t first = next;
+    for (std::size_t j = 0; j < blocks; ++j) {
+      const std::size_t count = s.rank[j * kc + c];
+      s.rank[j * kc + c] = next;
+      next += count;
+    }
+    for (std::size_t i = first; i < next; ++i) s.draws[i] = rngs[c].gaussian();
+  }
+
+  std::size_t q = 0;
+  for (std::size_t r = r0; r < r1; ++r) {
+    double* __restrict__ ys = y + r * kc;
+    std::fill_n(ys, kc, 0.0);
+    for (; q < s.row_end[r - r0]; ++q) {
+      const double* __restrict__ p = s.partial.data() + q * kc;
+      std::size_t* rank = s.rank.data() + std::size_t{s.run_slot[q]} * kc;
+      for (std::size_t c = 0; c < kc; ++c) {
+        if (p[c] == 0.0) continue;
+        ys[c] += p[c] * (1.0 + sigma * s.draws[rank[c]++]);
+      }
     }
   }
 }
 
-// The k-RHS counterpart over the interleaved images (slot i*k + column).
-// Per column the partial accumulates in the same entry order and the noise
-// draws happen at the same (block, row) points with the same zero skip as
-// noisy_block_row — column j is bit-identical to a solo sweep with stream
-// rngs[j]. This TU is -ffp-contract=off, so both loops round mul-then-add.
-void noisy_block_row_multi(const SpmvPlan& plan, std::size_t br,
-                           std::size_t k, const double* xq, double* y,
-                           double sigma, util::Rng* rngs,
-                           std::vector<double>& partial) {
-  const std::size_t side = plan.side();
-  partial.resize(side * k);
-  for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-    const std::size_t r0 = static_cast<std::size_t>(plan.row0[j]);
-    const std::size_t c0 = static_cast<std::size_t>(plan.col0[j]);
-    std::fill(partial.begin(), partial.end(), 0.0);
-    for (std::size_t e = plan.entry_ptr[j]; e < plan.entry_ptr[j + 1]; ++e) {
-      const double v = plan.entry_value[e];
-      const double* xs =
-          xq + (c0 + static_cast<std::size_t>(plan.entry_col[e])) * k;
-      double* ps =
-          partial.data() + static_cast<std::size_t>(plan.entry_row[e]) * k;
-      for (std::size_t c = 0; c < k; ++c) ps[c] += v * xs[c];
-    }
-    for (std::size_t r = 0; r < side; ++r) {
-      const double* ps = partial.data() + r * k;
-      double* ys = y + (r0 + r) * k;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (ps[c] == 0.0) continue;
-        ys[c] += ps[c] * (1.0 + sigma * rngs[c].gaussian());
+// The noisy sweep of rows [r_begin, r_end), which are whole grid bands:
+// band br draws column j's noise from Rng(stream_seed(seeds[j],
+// sequences[j], br)), so the result does not depend on which thread or tile
+// runs the band. Buffers are per worker thread, not per shard.
+void noisy_rows(const RefloatMatrix& rf, std::size_t r_begin,
+                std::size_t r_end, std::size_t k, const double* x, double* y,
+                double sigma, std::span<const std::uint64_t> seeds,
+                std::span<const std::uint64_t> sequences) {
+  thread_local NoisyBandScratch scratch;
+  thread_local std::vector<util::Rng> rngs;
+  const int b = rf.format().b;
+  const auto rows = static_cast<std::size_t>(rf.quantized().rows());
+  const auto cols = static_cast<std::size_t>(rf.quantized().cols());
+  scratch.slot_of.resize((cols + (std::size_t{1} << b) - 1) >> b);
+  rf.quantized().visit([&](auto a) {
+    for (std::size_t br = r_begin >> b; (br << b) < r_end; ++br) {
+      rngs.clear();
+      for (std::size_t j = 0; j < k; ++j) {
+        rngs.emplace_back(util::stream_seed(seeds[j], sequences[j], br));
+      }
+      const auto band = [&]<std::size_t K>() {
+        noisy_band<K>(a, rf.block_index(), b, rows, br, k, x, y, sigma,
+                      rngs.data(), scratch);
+      };
+      switch (k) {
+        case 1: band.template operator()<1>(); break;
+        case 2: band.template operator()<2>(); break;
+        case 4: band.template operator()<4>(); break;
+        case 8: band.template operator()<8>(); break;
+        case 16: band.template operator()<16>(); break;
+        default: band.template operator()<0>(); break;
       }
     }
-  }
+  });
 }
 
 void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
@@ -271,49 +342,23 @@ void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
   sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
 
-void sweep_noisy_single(const RefloatMatrix& rf, const SpmvPlan& plan,
-                        const TiledPlan* tiled,
-                        std::span<const double> x, std::span<double> y,
-                        std::vector<double>& xq, double sigma,
-                        std::uint64_t seed, std::uint64_t sequence) {
-  xq.resize(x.size());
-  rf.quantize_vector(x, xq);
-  sparse::fill(y, 0.0);
-  if (rf.format().b == 0) {
-    sweep_kernels().spmv_rows(rf.quantized(), 0, y.size(), xq.data(),
-                              y.data());
-    util::Rng rng(util::stream_seed(seed, sequence, 0));
-    for (auto& v : y) v *= 1.0 + sigma * rng.gaussian();
-    return;
-  }
-  parallel_block_rows(plan, tiled, [&](std::size_t br) {
-    // One counter-based noise stream per (sequence, grid block-row): the
-    // draw order within a block-row is the serial block order, so the
-    // result does not depend on which thread runs the shard or which tile
-    // owns the block-row. The partial buffer is per worker thread (zeroed
-    // before each block), not per shard.
-    util::Rng rng(util::stream_seed(seed, sequence, br));
-    thread_local std::vector<double> partial;
-    noisy_block_row(plan, br, xq, y, sigma, rng, partial);
-  });
-}
-
-// Batched noisy sweep: column j's noise comes from one stream per
-// (seeds[j], sequences[j], grid block-row), drawn in the serial block order
-// with the same nonzero-partial skip as the single-RHS loop — column j is
-// bit-identical to sweep_noisy_single(x_j, seeds[j], sequences[j]) at any
-// thread count and tile split. Both spans need >= k entries.
-void sweep_noisy_multi(const RefloatMatrix& rf, const SpmvPlan& plan,
-                       const TiledPlan* tiled,
-                       std::span<const double> x, std::size_t k,
-                       std::span<double> y, BatchScratch& scratch,
-                       double sigma, std::span<const std::uint64_t> seeds,
-                       std::span<const std::uint64_t> sequences) {
+// Noisy sweep of k column-major vectors: column j draws from the streams of
+// (seeds[j], sequences[j], grid block-row), so it is bit-identical to a
+// solo sweep of x_j under that identity at any thread count and tile split.
+// Both spans need >= k entries. The quantized columns (the ABFT epilogue's
+// operand) are left in scratch.columns; k = 1 skips the interleave.
+void sweep_noisy(const RefloatMatrix& rf, const TiledPlan* tiled,
+                 std::span<const double> x, std::size_t k,
+                 std::span<double> y, BatchScratch& scratch, double sigma,
+                 std::span<const std::uint64_t> seeds,
+                 std::span<const std::uint64_t> sequences) {
   if (k == 0) return;
   assert(seeds.size() >= k && sequences.size() >= k);
-  const std::size_t n_cols = static_cast<std::size_t>(rf.quantized().cols());
-  const std::size_t n_rows = static_cast<std::size_t>(rf.quantized().rows());
+  const auto n_cols = static_cast<std::size_t>(rf.quantized().cols());
+  const auto n_rows = static_cast<std::size_t>(rf.quantized().rows());
   if (rf.format().b == 0) {
+    // No block grid: the exact product, then one stream per column scaling
+    // every row.
     scratch.columns.resize(n_cols * k);
     for (std::size_t j = 0; j < k; ++j) {
       const std::span<double> xqj =
@@ -327,23 +372,22 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const SpmvPlan& plan,
     }
     return;
   }
-  quantize_interleaved(rf, x, k, scratch);
-  scratch.y_interleaved.assign(n_rows * k, 0.0);
-  parallel_block_rows(plan, tiled, [&](std::size_t br) {
-    // k per-column streams per block-row, each keyed exactly as the solo
-    // sweep of that column would key it.
-    thread_local std::vector<util::Rng> rngs;
-    rngs.clear();
-    rngs.reserve(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      rngs.emplace_back(util::stream_seed(seeds[j], sequences[j], br));
-    }
-    thread_local std::vector<double> partial;
-    noisy_block_row_multi(plan, br, k, scratch.x_interleaved.data(),
-                          scratch.y_interleaved.data(), sigma, rngs.data(),
-                          partial);
+  const double* xs = nullptr;
+  double* ys = y.data();
+  if (k == 1) {
+    scratch.columns.resize(n_cols);
+    rf.quantize_vector(x, scratch.columns);
+    xs = scratch.columns.data();
+  } else {
+    quantize_interleaved(rf, x, k, scratch);
+    scratch.y_interleaved.resize(n_rows * k);
+    xs = scratch.x_interleaved.data();
+    ys = scratch.y_interleaved.data();
+  }
+  parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
+    noisy_rows(rf, r0, r1, k, xs, ys, sigma, seeds, sequences);
   });
-  sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
+  if (k > 1) sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
 
 // Owns-or-borrows the tile partition: every backend supports both the
@@ -410,7 +454,6 @@ class NoisyBackend final : public SweepBackend {
   NoisyBackend(const RefloatMatrix& rf, double sigma, std::uint64_t seed,
                Tiling tiling)
       : rf_(rf),
-        plan_(SpmvPlan::build(rf)),
         tiles_(rf, tiling),
         sigma_(sigma),
         seed_(seed) {}
@@ -425,9 +468,6 @@ class NoisyBackend final : public SweepBackend {
     return BackendKind::kNoisy;
   }
   [[nodiscard]] const char* label() const override { return "refloat+rtn"; }
-  [[nodiscard]] std::size_t resident_bytes() const override {
-    return plan_.payload_bytes();
-  }
 
   void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
              const SweepContext& ctx) override {
@@ -447,28 +487,19 @@ class NoisyBackend final : public SweepBackend {
       seeds = default_seeds_;
       sequences = default_sequences_;
     }
-    if (k == 1) {
-      sweep_noisy_single(rf_, plan_, tiles_.get(), x, y, xq_, sigma_,
-                         seeds[0], sequences[0]);
-    } else {
-      sweep_noisy_multi(rf_, plan_, tiles_.get(), x, k, y, scratch_, sigma_,
-                        seeds, sequences);
-    }
-    finish_sweep(k == 1 ? std::span<const double>(xq_)
-                        : std::span<const double>(scratch_.columns),
-                 y, k, ctx.verdict);
+    sweep_noisy(rf_, tiles_.get(), x, k, y, scratch_, sigma_, seeds,
+                sequences);
+    finish_sweep(scratch_.columns, y, k, ctx.verdict);
   }
 
  private:
   const RefloatMatrix& rf_;
-  SpmvPlan plan_;  // built from rf_ at construction; empty when b == 0
   TileRouting tiles_;
   double sigma_;
   std::uint64_t seed_;
   std::uint64_t sequence_ = 0;  // distinct noise per default-context sweep
   std::vector<std::uint64_t> default_seeds_;
   std::vector<std::uint64_t> default_sequences_;
-  std::vector<double> xq_;
   BatchScratch scratch_;
 };
 

@@ -12,7 +12,7 @@
 //   * k = 1 runs the single-RHS loops (value, noisy) — the batched
 //     scaffolding is skipped entirely, not merely equivalent.
 //   * Column j of a k-RHS sweep is bit-identical to a solo sweep of that
-//     column: matrix entries (value) or blocks (noisy, bit-true) are
+//     column: matrix entries (value, noisy) or blocks (bit-true) are
 //     visited once per batch and applied to all k columns, but per column
 //     the accumulation order is exactly the serial single-RHS order.
 //   * Stochastic backends key their counter-based streams per
@@ -20,10 +20,10 @@
 //     every column reproduces its solo-solve trajectory at any thread
 //     count and any tile split.
 //
-// What each view keeps: the value backend sweeps rf.quantized() and holds
-// nothing beyond scratch; the noisy backend builds and owns the SpmvPlan
-// it walks (SpmvPlan::build at construction); the bit-true backend builds a
-// plan, programs its crossbar image from it and frees it. resident_bytes()
+// What each view keeps: the value and noisy backends sweep rf.quantized()
+// (the noisy one band by band, ranking its draws from rf.block_index())
+// and hold nothing beyond scratch; the bit-true backend builds a plan,
+// programs its crossbar image from it and frees it. resident_bytes()
 // reports what a view pins on top of the RefloatMatrix it borrows.
 //
 // Tiling is a constructor-time choice (a pure scheduling change), threading
@@ -33,8 +33,8 @@
 // sparse::deinterleave as the single layout-transpose definition.
 //
 // This TU is compiled with -ffp-contract=off like the kernel TUs: the noisy
-// partial accumulation is scalar code, and pinning its rounding makes the
-// solo and batched noisy loops bit-comparable on every build flag set.
+// partial accumulation is scalar code, and pinning its rounding makes solo
+// and batched noisy columns bit-comparable on every build flag set.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +92,8 @@ struct SweepVerdict {
 // The precomputed ABFT checksum row: column sums of the dequantized
 // operator (one pass over the packed operand). It is a snapshot: computed
 // when a matrix becomes resident, it keeps describing the clean operand, so
-// later silent damage to the stored value codes — which value sweeps read
-// and from which noisy and bit-true backends build their SpmvPlan — is
+// later silent damage to the stored value codes — which value and noisy
+// sweeps read and from which a bit-true backend builds its SpmvPlan — is
 // visible against it. The classic trick is appending this row to A so the
 // sweep emits its own check value; here the backends contract it against
 // the quantized operand directly — the same O(n·k) work without disturbing
@@ -163,9 +163,10 @@ class SweepBackend {
   }
 
   // Host heap bytes the view pins beyond the RefloatMatrix it borrows (and
-  // beyond per-sweep scratch): 0 for value sweeps, the owned SpmvPlan for
-  // noisy sweeps, the programmed crossbar image for bit-true. The serving
-  // layer adds this to RefloatMatrix::resident_bytes for its cache budget.
+  // beyond per-sweep scratch): 0 for value and noisy sweeps, which read
+  // the resident operand itself; the programmed crossbar image for
+  // bit-true. The serving layer adds this to RefloatMatrix::resident_bytes
+  // for its cache budget.
   [[nodiscard]] virtual std::size_t resident_bytes() const { return 0; }
 
  protected:
@@ -202,9 +203,11 @@ std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
 // (block, row) order with zero partials skipped — so the result does not
 // depend on threads or tiles. With an empty SweepContext, column 0 of sweep
 // number s draws the streams of (seed, sequence = s), and column j > 0
-// forks the seed by kColumnForkSalt. The backend builds and owns the
-// SpmvPlan of rf at construction (resident_bytes()); `tiles` defaults as
-// for the value backend.
+// forks the seed by kColumnForkSalt. The backend sweeps rf's packed
+// operand one grid band at a time and builds no plan: the entries of a row
+// that share a block column form that block's partial, and a prefix over
+// the band's per-block nonzero counts ranks each partial in the draw order.
+// `tiles` defaults as for the value backend.
 std::unique_ptr<SweepBackend> make_noisy_backend(
     const RefloatMatrix& rf, double sigma, std::uint64_t seed,
     int tiles = default_tile_count());

@@ -8,9 +8,9 @@
 // entries. The partition reads only the matrix's block index and its CSR
 // row_ptr (the entries before block-row br are row_ptr[br << b]) and holds
 // no pointer into either: a shard is a set of offsets that addresses the
-// rows of rf.quantized() (value sweeps) and the blocks and entries of
-// SpmvPlan::build(rf) (noisy sweeps, bit-true programming, the schedule
-// model) alike.
+// rows of rf.quantized() (value and noisy sweeps) and the blocks and
+// entries of SpmvPlan::build(rf) (bit-true programming, the schedule model)
+// alike.
 //
 // Partitioning is capacity-aware greedy (pack block-rows up to the smaller
 // of the per-tile crossbar budget and the balanced target, leaving one

@@ -80,10 +80,4 @@ std::unique_ptr<core::SweepBackend> make_bit_true_backend(
   return std::make_unique<BitTrueBackend>(rf, config, seed);
 }
 
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    const core::TiledPlan& tiled, std::uint64_t seed) {
-  return std::make_unique<BitTrueBackend>(rf, config, tiled, seed);
-}
-
 }  // namespace refloat::hw

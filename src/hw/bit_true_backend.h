@@ -81,8 +81,5 @@ class BitTrueBackend final : public core::SweepBackend {
 std::unique_ptr<core::SweepBackend> make_bit_true_backend(
     const core::RefloatMatrix& rf, const ClusterConfig& config,
     std::uint64_t seed = 0x817b17ULL);
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    const core::TiledPlan& tiled, std::uint64_t seed = 0x817b17ULL);
 
 }  // namespace refloat::hw

@@ -19,7 +19,6 @@
 #include "src/util/log.h"
 #include "src/util/random.h"
 #include "src/util/stats.h"
-#include "src/util/table.h"
 #include "src/util/timer.h"
 
 namespace refloat::serve {
@@ -702,48 +701,6 @@ ServeStats SolverDaemon::stats() const {
   }
   out.cache = cache_.stats();
   return out;
-}
-
-void SolverDaemon::print_stats() const {
-  const ServeStats s = stats();
-  util::Table table({"metric", "value"});
-  const auto u64 = [](std::uint64_t v) {
-    return util::fmt_i(static_cast<long long>(v));
-  };
-  table.add_row({"submitted", u64(s.submitted)});
-  table.add_row({"completed", u64(s.completed)});
-  table.add_row({"shed (queue full)", u64(s.shed_queue_full)});
-  table.add_row({"shed (deadline)", u64(s.shed_deadline)});
-  table.add_row({"failed", u64(s.failed)});
-  table.add_row({"batches", u64(s.batches)});
-  table.add_row({"mean batch k", util::fmt_f(s.mean_batch_k(), 2)});
-  table.add_row({"max batch k", u64(s.max_batch_k)});
-  table.add_row({"abft failures", u64(s.abft_failures)});
-  table.add_row({"retries", u64(s.retries)});
-  table.add_row({"recovered", u64(s.recovered)});
-  table.add_row({"degraded", u64(s.degraded)});
-  table.add_row({"reprograms", u64(s.reprograms)});
-  table.add_row({"rebuilds", u64(s.rebuilds)});
-  if (s.reprograms > 0) {
-    table.add_row({"modeled reprogram cost",
-                   util::fmt_duration(s.reprogram_seconds_sum)});
-  }
-  table.add_row({"cache hits", u64(s.cache.hits)});
-  table.add_row({"cache misses", u64(s.cache.misses)});
-  table.add_row({"cache evictions", u64(s.cache.evictions)});
-  table.add_row({"resident matrices", u64(s.cache.resident_count)});
-  table.add_row({"resident bytes", u64(s.cache.resident_bytes)});
-  table.add_row({"p50 total", util::fmt_duration(s.p50_total_ms * 1e-3)});
-  table.add_row({"p99 total", util::fmt_duration(s.p99_total_ms * 1e-3)});
-  if (s.completed > 0) {
-    const double inv = 1.0 / static_cast<double>(s.completed);
-    table.add_row({"mean queue wait",
-                   util::fmt_duration(s.queue_seconds_sum * inv)});
-    table.add_row({"mean build", util::fmt_duration(s.build_seconds_sum * inv)});
-    table.add_row({"mean solve", util::fmt_duration(s.solve_seconds_sum * inv)});
-    table.add_row({"mean total", util::fmt_duration(s.total_seconds_sum * inv)});
-  }
-  table.print();
 }
 
 }  // namespace refloat::serve

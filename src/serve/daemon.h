@@ -64,8 +64,8 @@ struct ServeConfig {
   static ServeConfig from_env();
 };
 
-// Aggregated serving counters plus the latency distribution, exported as
-// the stats table (print_stats / the TCP STATS verb).
+// Aggregated serving counters plus the latency distribution, exported
+// through stats() (and the TCP STATS verb).
 struct ServeStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;       // answered kOk
@@ -134,9 +134,6 @@ class SolverDaemon {
   void shutdown();
 
   [[nodiscard]] ServeStats stats() const;
-  // The stats table, aligned for humans (bench_serve and the TCP STATS
-  // verb share the underlying counters).
-  void print_stats() const;
 
   [[nodiscard]] const ServeConfig& config() const { return config_; }
 

@@ -1,15 +1,15 @@
 // LRU residency cache of built matrices — the serving-layer embodiment of
 // the paper's core economics: programming a matrix into ReRAM (here:
 // quantizing into a RefloatMatrix, partitioning the TiledPlan, probing
-// definiteness, building the backend — a noisy backend's SpmvPlan, a
-// bit-true crossbar image) is the expensive step, and it should be paid
-// once per resident matrix, then amortized across every solve that hits it.
+// definiteness, building the backend — a bit-true crossbar image) is the
+// expensive step, and it should be paid once per resident matrix, then
+// amortized across every solve that hits it.
 //
 // Capacity is byte-accounted (RefloatMatrix::resident_bytes — the packed
 // dequantized operand plus its block index — + the tiled shard index + the
-// backend's SweepBackend::resident_bytes, which is 0 for value residents),
-// not entry-counted, so one huge matrix and many small ones budget against
-// the same limit. Lookups are single-flight: when two
+// backend's SweepBackend::resident_bytes, which is 0 for value and noisy
+// residents), not entry-counted, so one huge matrix and many small ones
+// budget against the same limit. Lookups are single-flight: when two
 // threads request the same cold matrix, exactly one runs the builder while
 // the other waits on it — never two concurrent builds of the same key
 // (tests/test_lru_cache.cc pins this under TSan).

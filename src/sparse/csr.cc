@@ -1,7 +1,6 @@
 #include "src/sparse/csr.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -195,12 +194,6 @@ void Csr::scale_symmetric(std::span<const double> d) {
           d[static_cast<std::size_t>(col_idx_[static_cast<std::size_t>(k)])];
     }
   }
-}
-
-double Csr::frobenius_norm() const {
-  double acc = 0.0;
-  for (const double v : values_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 Index Csr::bandwidth() const {

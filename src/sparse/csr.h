@@ -76,8 +76,6 @@ class Csr {
   // sparsity, symmetry and definiteness).
   void scale_symmetric(std::span<const double> d);
 
-  [[nodiscard]] double frobenius_norm() const;
-
   // Largest |i - j| over stored entries.
   [[nodiscard]] Index bandwidth() const;
 

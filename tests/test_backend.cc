@@ -18,6 +18,7 @@
 #include "src/core/sweep_backend.h"
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
+#include "src/gen/suite.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/hw_spmv.h"
 #include "src/solvers/batched.h"
@@ -65,6 +66,69 @@ sparse::Csr matrix_with_empty_band() {
     }
   }
   return sparse::Csr::from_triplets(a.rows(), a.cols(), std::move(triplets));
+}
+
+// A windowed-shuffle scattered operand (the thermomech shape): a 16^3
+// 7-point Laplacian under a symmetric permutation that shuffles indices
+// within windows of n/2, so at b = 3 and 4 a nonzero block holds 1-2
+// entries and a band's runs spread over many block columns.
+sparse::Csr scattered_test_matrix() {
+  gen::SuiteSpec spec;
+  spec.name = "scattered12";
+  spec.kind = gen::MatrixKind::kScattered3d7;
+  spec.nx = spec.ny = spec.nz = 16;
+  spec.seed = 17;
+  spec.paper_kappa = 100.0;
+  return gen::build(spec);
+}
+
+// Row r holds its diagonal, a pair (+0.5, -0.5) at columns (p, p + 1) with
+// p even, and a pair (0.5, -0.25) at (q, q + 1). Under an operand with
+// x[2i] == x[2i + 1] the first pair's run sums to exactly +0.0 and must
+// draw nothing, while the run beside it draws. 100 rows leave a ragged
+// last band at b = 3 and 4.
+sparse::Csr cancelling_matrix() {
+  constexpr sparse::Index n = 100;
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index r = 0; r < n; ++r) {
+    triplets.push_back({r, r, 4.0 + 0.01 * static_cast<double>(r)});
+    const sparse::Index p = 2 * ((5 * r + 3) % (n / 2));
+    const sparse::Index q = 2 * ((11 * r + 7) % (n / 2));
+    const auto clear = [r](sparse::Index c) { return r != c && r != c + 1; };
+    if (clear(p)) {
+      triplets.push_back({r, p, 0.5});
+      triplets.push_back({r, p + 1, -0.5});
+    }
+    if (clear(q) && q != p) {
+      triplets.push_back({r, q, 0.5});
+      triplets.push_back({r, q + 1, -0.25});
+    }
+  }
+  return sparse::Csr::from_triplets(n, n, std::move(triplets));
+}
+
+// Runs of rf's operand (a row's entries sharing col >> b) whose partial
+// under the quantized x is exactly zero.
+std::size_t zero_runs(const core::RefloatMatrix& rf,
+                      std::span<const double> x) {
+  const sparse::Csr q = rf.quantized().to_csr();
+  std::vector<double> xq(x.size());
+  rf.quantize_vector(x, xq);
+  const int b = rf.format().b;
+  std::size_t zeros = 0;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(q.rows()); ++r) {
+    auto e = static_cast<std::size_t>(q.row_ptr()[r]);
+    const auto end = static_cast<std::size_t>(q.row_ptr()[r + 1]);
+    while (e < end) {
+      const sparse::Index block = q.col_idx()[e] >> b;
+      double partial = 0.0;
+      for (; e < end && (q.col_idx()[e] >> b) == block; ++e) {
+        partial += q.values()[e] * xq[static_cast<std::size_t>(q.col_idx()[e])];
+      }
+      zeros += partial == 0.0 ? 1 : 0;
+    }
+  }
+  return zeros;
 }
 
 // Value-view reference: quantize x, then one ascending-column sum per row
@@ -175,26 +239,68 @@ TEST(SweepBackend, ValueK1BitIdenticalToRowReference) {
 
 TEST(SweepBackend, NoisyMatchesSerialReference) {
   // Every column of every noisy sweep reproduces reference_noisy under its
-  // explicit (seed, sequence) identity, bit for bit: k = 1 / 3 / 8, untiled
-  // and 4 tiles, 1 / 2 / 8 threads, a blocked and a scalar format, and a
-  // matrix whose block-row band 2 is empty.
+  // explicit (seed, sequence) identity, bit for bit: k = 1 / 2 / 3 / 4 / 8
+  // / 16, untiled and 4 tiles, 1 / 2 / 8 threads. The operands cover a
+  // blocked and a scalar format; an empty band; a scattered operand at
+  // b = 3 / 4 / 7; runs that cancel to zero; and the fp64 value code with a
+  // ragged last band. At k > 1, column 1's leading operand segments (at
+  // least 64 entries, at most half) are signed zeros, so its zero skips
+  // differ from the other columns'.
   const double sigma = 5e-2;
   const sparse::Csr stencil = noisy_test_matrix();
   const sparse::Csr banded = matrix_with_empty_band();
+  const sparse::Csr scattered = scattered_test_matrix();
+  const sparse::Csr cancelling = cancelling_matrix();
+  const auto with_b = [](int b) {
+    core::Format fmt = core::default_format();
+    fmt.b = b;
+    return fmt;
+  };
+  const core::Format wide{.b = 4, .e = 7, .f = 30, .ev = 7, .fv = 30};
   struct Case {
     const char* name;
     const sparse::Csr* a;
     core::Format fmt;
+    bool paired_x = false;  // x[2i + 1] = x[2i]
   };
   const Case cases[] = {{"b=4", &stencil, test_format()},
                         {"fp32", &stencil, core::format_fp32()},
-                        {"empty band", &banded, test_format()}};
+                        {"empty band", &banded, test_format()},
+                        {"scattered, b=3", &scattered, with_b(3)},
+                        {"scattered, b=4", &scattered, with_b(4)},
+                        {"scattered, b=7", &scattered, with_b(7)},
+                        {"cancelling, b=3", &cancelling, with_b(3), true},
+                        {"cancelling, b=4", &cancelling, with_b(4), true},
+                        {"fp64 code, ragged", &stencil, wide}};
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(*c.a, c.fmt);
     const std::size_t n = static_cast<std::size_t>(c.a->rows());
-    for (const std::size_t k :
-         {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      const std::vector<double> x = test_vector(n * k, 60 + k);
+    if (c.a == &scattered && c.fmt.b < 7) {
+      ASSERT_LE(rf.quantized().nnz(), 2 * static_cast<sparse::Index>(
+                                              rf.nonzero_blocks()))
+          << c.name;
+    }
+    if (c.fmt.f == wide.f) {
+      ASSERT_EQ(rf.quantized().code(), sparse::ValueCode::kFp64);
+      ASSERT_NE(n % (std::size_t{1} << c.fmt.b), 0u);
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                                std::size_t{3}, std::size_t{4},
+                                std::size_t{8}, std::size_t{16}}) {
+      std::vector<double> x = test_vector(n * k, 60 + k);
+      if (c.paired_x) {
+        for (std::size_t i = 1; i < x.size(); i += 2) x[i] = x[i - 1];
+      }
+      if (k > 1) {
+        const std::size_t zeros =
+            std::min(n / 2, std::max<std::size_t>(64, std::size_t{1} << c.fmt.b));
+        for (std::size_t i = 0; i < zeros; ++i) {
+          x[n + i] = i % 2 == 0 ? 0.0 : -0.0;
+        }
+      }
+      if (c.paired_x) {
+        ASSERT_GT(zero_runs(rf, std::span<const double>(x).first(n)), 0u);
+      }
       std::vector<std::uint64_t> seeds(k), sequences(k);
       std::vector<double> want(n * k);
       for (std::size_t j = 0; j < k; ++j) {

@@ -12,7 +12,6 @@
 #include <variant>
 #include <vector>
 
-#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -343,15 +342,14 @@ TEST(Abft, SilentPlanCorruptionIsCaught) {
   EXPECT_FALSE(verdict.ok);
 }
 
-// The noisy twin: noisy sweeps read the SpmvPlan arena (their per-block
-// partials are part of the noise model), which the backend builds from the
-// packed operand — so damage to that operand reaches the arena of every
-// noisy backend built after it.
-TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
+// The noisy twin: noisy sweeps read the packed operand itself (band by
+// band, no plan), so damage to that operand reaches every noisy backend,
+// whether it was built before the damage or after it.
+TEST(Abft, SilentPlanCorruptionIsCaughtByNoisySweeps) {
   GlobalInjectorGuard guard;
   const sparse::Csr a = test_csr();
   core::RefloatMatrix rf(a, test_format());
-  ASSERT_GT(core::SpmvPlan::build(rf).entry_value.size(), 0u);
+  ASSERT_GT(rf.quantized().nnz(), 0);
   const double sigma = 1e-3;
   const core::AbftChecksum abft =
       core::make_abft_checksum(rf, /*rel_tolerance=*/32.0 * sigma);
@@ -367,6 +365,9 @@ TEST(Abft, SilentPlanCorruptionIsCaughtOnNoisyPlanArena) {
   EXPECT_TRUE(verdict.ok);
 
   damage_first_code(rf);
+  backend->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});
+  EXPECT_TRUE(verdict.checked);
+  EXPECT_FALSE(verdict.ok);
   auto damaged = core::make_noisy_backend(rf, sigma, /*seed=*/5);
   damaged->set_abft(&abft);
   damaged->sweep(x, 1, y, core::SweepContext{{}, {}, &verdict});

@@ -953,13 +953,27 @@ TEST(Residency, ValueResidentBudgetsCsrAndBlockIndexButNoPlan) {
             rf.resident_bytes());
 }
 
-TEST(Residency, NoisyResidentCountsItsPlanOnce) {
+TEST(Residency, NoisyResidentBudgetsCsrBlockIndexAndTileIndexOnly) {
+  // The noisy view sweeps the packed operand band by band and keeps no
+  // SpmvPlan, so a noisy resident pins what a value resident pins: the
+  // operand, the block index and, when tiled, the shard index.
   const core::RefloatMatrix rf(test_csr(), test_format());
-  const std::size_t plan_bytes = core::SpmvPlan::build(rf).payload_bytes();
-  SolverDaemon daemon(untiled_config());
-  register_test_matrix(daemon);
-  EXPECT_EQ(serve_and_measure(daemon, kName, core::BackendKind::kNoisy),
-            rf.resident_bytes() + plan_bytes);
+  EXPECT_EQ(core::make_noisy_backend(rf, 1e-3, 1, 1)->resident_bytes(), 0u);
+  const std::size_t tile_index_bytes =
+      core::TiledPlan::partition(rf, {.tiles = 4}).index_bytes();
+  ASSERT_GT(tile_index_bytes, 0u);
+
+  SolverDaemon untiled(untiled_config());
+  register_test_matrix(untiled);
+  EXPECT_EQ(serve_and_measure(untiled, kName, core::BackendKind::kNoisy),
+            rf.resident_bytes());
+
+  ServeConfig config = manual_config();
+  config.tiles = 4;
+  SolverDaemon tiled(config);
+  register_test_matrix(tiled);
+  EXPECT_EQ(serve_and_measure(tiled, kName, core::BackendKind::kNoisy),
+            rf.resident_bytes() + tile_index_bytes);
 }
 
 TEST(Residency, CacheHoldsTwoValueResidentsThatFitOnlyWithoutPlans) {
