@@ -1,4 +1,4 @@
-// Tile-sweep study (ISSUE 7): shards one SpmvPlan across N modeled ReRAM
+// Tile-sweep study: shards one matrix's block grid across N modeled ReRAM
 // tiles and reports what scale-out buys and costs.
 //
 // Part 1 (modeled): per-tile capacity small enough that the monolithic
@@ -21,7 +21,6 @@
 #include "src/arch/cost.h"
 #include "src/arch/schedule.h"
 #include "src/arch/timing.h"
-#include "src/core/spmv_plan.h"
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -46,7 +45,7 @@ double min_tile_utilization(const arch::ScheduleStats& stats) {
 int main() {
   using namespace refloat::bench;
   using namespace refloat;
-  std::printf("=== Tile sweep: sharded SpmvPlan across modeled ReRAM tiles "
+  std::printf("=== Tile sweep: sharded block grid across modeled ReRAM tiles "
               "===\n\n");
   util::Timer sweep_timer;
 
@@ -57,7 +56,6 @@ int main() {
   const sparse::Csr a_model =
       gen::build_stencil(gen::laplace2d_5pt(64, 64)).shifted(0.2);
   const core::RefloatMatrix rf_model(a_model, fmt);
-  const core::SpmvPlan plan_model = core::SpmvPlan::build(rf_model);
   arch::AcceleratorConfig config = arch::refloat_config(fmt);
   const long long capacity = 96;
   config.total_crossbars =
@@ -67,7 +65,8 @@ int main() {
   std::printf("Matrix: 64x64 Poisson grid (%lld rows, %zu blocks, %zu nnz); "
               "per-tile capacity %lld clusters; ECC check %.0f ns/round.\n\n",
               static_cast<long long>(a_model.rows()),
-              plan_model.num_blocks(), plan_model.num_entries(),
+              rf_model.nonzero_blocks(),
+              static_cast<std::size_t>(rf_model.quantized().nnz()),
               capacity, config.ecc_round_ns);
 
   util::CsvWriter csv(results_dir() + "/tiles.csv");
@@ -83,7 +82,7 @@ int main() {
     const core::TiledPlan tiled =
         core::TiledPlan::partition(rf_model, {.tiles = tiles});
     const arch::ScheduleStats stats =
-        arch::simulate_spmv_tiled(config, plan_model, tiled);
+        arch::simulate_spmv_tiled(config, rf_model, tiled);
     if (tiles == 1) base_seconds = stats.seconds;
     const double util_min = min_tile_utilization(stats);
     double util_max = 0.0;
@@ -173,7 +172,7 @@ int main() {
       "\nEach tile repairs up to %lld stuck defects at programming time "
       "(write-verify + spare cells), so\ntotal correction capacity scales "
       "with tile count while each tile's defect share shrinks: at a fault\n"
-      "rate the monolithic budget cannot absorb, sharding the same plan "
+      "rate the monolithic budget cannot absorb, sharding the same matrix "
       "over more tiles drives the\nsurviving-fault count monotonically to "
       "zero, and the solver recovers the fault-free trajectory\nexactly — "
       "reliability as a scale-out dividend.\n",

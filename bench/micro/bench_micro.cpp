@@ -12,15 +12,11 @@
 //                         2/4/8/16
 //   quantize_span/<isa>   the exponent-field fast path over dense spans
 //   plan_build            RefloatMatrix conversion (quantize + packed
-//                         operand + block index; no SpmvPlan) on the
-//                         grid-64/128 stencils, and plan_build/scattered
-//                         on the backend_sweep/value_scattered matrix (~2
-//                         entries per nonzero block: per-block cost
-//                         dominates, as in the thermomech stand-ins)
-//   plan_make             SpmvPlan::build from a converted matrix (the
-//                         cost a noisy or bit-true backend pays at
-//                         construction) on the grid-64 stencil and the
-//                         scattered matrix
+//                         operand + block index) on the grid-64/128
+//                         stencils, and plan_build/scattered on the
+//                         backend_sweep/value_scattered matrix (~2 entries
+//                         per nonzero block: per-block cost dominates, as
+//                         in the thermomech stand-ins)
 //   gen_build             the generators' direct CSR builds on small fixed
 //                         grids: gen_build/mass3d is the 27-point mass
 //                         stencil at 24^3 (the crystm/qa8fm shape),
@@ -60,6 +56,10 @@
 //                         (11 matrix planes, 16-bit operand, 10% density)
 //   hw/engine_apply       one processing-engine pass over a 10%-dense
 //                         128x128 block (quantize, four-quadrant MVM, ADC)
+//   hw/program/32         constructing hw::BitTrueBackend (ideal cluster
+//                         config) on the grid-32 stencil: the bit-true
+//                         programming pass, band scatter to engines, that
+//                         backend_sweep/bittrue/32 sweeps
 //   calibration           fixed serial FP dependency chain; pure host-speed
 //                         probe used by bench_compare.py --normalize to
 //                         factor machine speed out of cross-host baselines
@@ -80,7 +80,6 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/core/simd.h"
-#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -250,17 +249,6 @@ void plan_build(benchmark::State& state, const Workload& w) {
   for (auto _ : state) {
     core::RefloatMatrix rf(w.a, fmt);
     benchmark::DoNotOptimize(rf.nonzero_blocks());
-  }
-  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
-                          static_cast<long>(w.a.nnz()));
-}
-
-// --- plan_make: SpmvPlan::build from a converted matrix -------------------
-
-void plan_make(benchmark::State& state, const Workload& w) {
-  for (auto _ : state) {
-    const core::SpmvPlan plan = core::SpmvPlan::build(w.rf);
-    benchmark::DoNotOptimize(plan.entry_value.data());
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *
                           static_cast<long>(w.a.nnz()));
@@ -463,6 +451,16 @@ void engine_apply(benchmark::State& state) {
   }
 }
 
+void hw_program(benchmark::State& state) {
+  const Workload& w = workload(state.range(0));
+  for (auto _ : state) {
+    const hw::BitTrueBackend backend(w.rf, hw::ClusterConfig{});
+    benchmark::DoNotOptimize(backend.resident_bytes());
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(w.a.nnz()));
+}
+
 // --- calibration: fixed host-speed probe -----------------------------------
 
 void calibration(benchmark::State& state) {
@@ -513,14 +511,6 @@ void register_all() {
       ->Arg(64)->Arg(128);
   benchmark::RegisterBenchmark("plan_build/scattered", [](benchmark::State& s) {
     plan_build(s, scattered_workload());
-  });
-  benchmark::RegisterBenchmark("plan_make",
-                               [](benchmark::State& s) {
-                                 plan_make(s, workload(s.range(0)));
-                               })
-      ->Arg(64);
-  benchmark::RegisterBenchmark("plan_make/scattered", [](benchmark::State& s) {
-    plan_make(s, scattered_workload());
   });
   benchmark::RegisterBenchmark("gen_build/mass3d", gen_build_mass3d);
   benchmark::RegisterBenchmark("gen_build/scattered", gen_build_scattered);
@@ -585,6 +575,7 @@ void register_all() {
       ->Arg(64)->Arg(128)->Arg(256);
   benchmark::RegisterBenchmark("hw/cluster_mvm", cluster_mvm);
   benchmark::RegisterBenchmark("hw/engine_apply", engine_apply);
+  benchmark::RegisterBenchmark("hw/program", hw_program)->Arg(32);
   benchmark::RegisterBenchmark("calibration", calibration);
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Dead-surface report: lists the functions librefloat.a exports that no
-# test or bench binary keeps. Report only — it exits 0 whatever it finds.
+# Dead-surface gate: lists the functions librefloat.a exports that no
+# test or bench binary keeps, and exits 1 when the list is not empty.
 #
 # Builds every target of the root project and bench/e2e's bench_e2e (a
 # project of its own) with -ffunction-sections (one section per function)
@@ -47,4 +47,5 @@ count=$(printf '%s' "$dead" | grep -c . || true)
 echo "dead_symbols: $count exported librefloat function(s) kept by no binary"
 if [[ -n "$dead" ]]; then
   printf '%s\n' "$dead" | c++filt | sed 's/^/  /'
+  exit 1
 fi

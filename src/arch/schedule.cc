@@ -86,7 +86,7 @@ ScheduleStats simulate_spmv(const AcceleratorConfig& config,
 }
 
 ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
-                                  const core::SpmvPlan& plan,
+                                  const core::RefloatMatrix& rf,
                                   const core::TiledPlan& tiled) {
   ScheduleStats stats;
   const core::Format& fmt = config.format;
@@ -104,7 +104,7 @@ ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
 
   const std::vector<std::size_t> blocks_per_tile = tiled.blocks_per_tile();
   const TiledSpmvTiming timing =
-      tiled_spmm_time(config, blocks_per_tile, plan.rows, 1);
+      tiled_spmm_time(config, blocks_per_tile, rf.quantized().rows(), 1);
   stats.seconds = timing.seconds;
   stats.rounds = timing.rounds;
   stats.tiles = timing.tiles;
@@ -145,11 +145,12 @@ ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
   // Stream traffic. Each non-resident tile re-streams its shard's encoded
   // cells every pass; vector-segment traffic keeps the per-block formula so
   // one tile reproduces the untiled numbers exactly.
-  const long long side = static_cast<long long>(plan.side());
-  const long long block_cols =
-      (static_cast<long long>(plan.cols) + side - 1) / side;
+  const long long rows = rf.quantized().rows();
+  const long long cols = rf.quantized().cols();
+  const long long side = 1LL << rf.format().b;
   const long long grid_dim =
-      std::max(static_cast<long long>(plan.block_rows()), block_cols);
+      std::max(static_cast<long long>(rf.block_index().block_rows()),
+               (cols + side - 1) / side);
   for (std::size_t t = 0; t < blocks_per_tile.size(); ++t) {
     if (timing.tile_rounds[t] <= 1) continue;
     const core::TileShard& shard = tiled.shard(static_cast<int>(t));
@@ -168,9 +169,8 @@ ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
   // partial output vector per link. Zero at one tile.
   const long long links = static_cast<long long>(stats.tiles) - 1;
   if (links > 0) {
-    stats.broadcast_bits = links * static_cast<long long>(plan.cols) *
-                           (1LL + fmt.ev + fmt.fv);
-    stats.reduction_bits = links * static_cast<long long>(plan.rows) * 64LL;
+    stats.broadcast_bits = links * cols * (1LL + fmt.ev + fmt.fv);
+    stats.reduction_bits = links * rows * 64LL;
   }
   return stats;
 }

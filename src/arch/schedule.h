@@ -39,14 +39,14 @@ struct ScheduleStats {
 ScheduleStats simulate_spmv(const AcceleratorConfig& config,
                             const sparse::BlockedMatrix& blocked);
 
-// Tiled counterpart over a partitioned plan (`tiled` a partition of the
-// matrix `plan` was built from): the shared-writer /
+// Tiled counterpart over a partitioned matrix (`tiled` a partition of rf):
+// the shared-writer /
 // per-tile-double-buffered pipeline of arch::tiled_spmm_time plus the
 // observables — per-tile utilization and rounds, tree link traffic, ECC
 // charge. With one tile and ECC off, seconds/rounds/utilization/traffic all
 // equal simulate_spmv on the same blocks.
 ScheduleStats simulate_spmv_tiled(const AcceleratorConfig& config,
-                                  const core::SpmvPlan& plan,
+                                  const core::RefloatMatrix& rf,
                                   const core::TiledPlan& tiled);
 
 }  // namespace refloat::arch

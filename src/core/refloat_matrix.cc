@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/spmv_plan.h"
+#include "src/core/band_scatter.h"
 #include "src/sparse/lanczos.h"
 
 namespace refloat::core {

@@ -4,15 +4,16 @@
 //   * the dequantized operand (`quantized()`) as a sparse::PackedCsr —
 //     uint32 columns and one value code per matrix (fp32 when every
 //     dequantized value is fp32-exact, else fp64) — the operand of the
-//     value-faithful sweeps, the ABFT checksum, the definiteness probe and
-//     SpmvPlan::build, and
+//     value-faithful and noisy sweeps, the ABFT checksum, the definiteness
+//     probe and bit-true programming, and
 //   * a compact block index (`block_index()`): per grid block-row its range
 //     of nonzero blocks, and per block its block column and shared base
 //     exponent — what tiling, the storage model and the block walkers need
 //     beyond the CSR.
-// It keeps no SpmvPlan: the views that walk blocks (bit-true programming,
-// the schedule model) build one with SpmvPlan::build(rf), so a value or
-// noisy resident pins the packed operand and the index alone.
+// These two are the matrix's only block layout. Bit-true programming
+// (hw::HwSpmv) scatters each band of the packed operand by block column
+// and densifies every indexed block from its run, so every resident pins
+// the packed operand and the index alone.
 //
 // A RefloatMatrix holds the operand; it does not sweep itself. Every sweep
 // of it — value-faithful, noisy (Fig. 10) or bit-true — goes through
@@ -108,8 +109,9 @@ class RefloatMatrix {
   // layer only: the kPlanBuild site corrupts a freshly built resident in
   // place after its ABFT checksum was taken and before its backend is built
   // — value and noisy backends sweep these values, a bit-true backend
-  // builds its SpmvPlan from them — so checked sweeps can prove they detect
-  // silent corruption of the operand. Production code never calls this.
+  // programs its crossbars from them — so checked sweeps can prove they
+  // detect silent corruption of the operand. Production code never calls
+  // this.
   [[nodiscard]] sparse::PackedCsr::MutableValues mutable_quantized_codes() {
     return quantized_.mutable_values();
   }

@@ -93,7 +93,7 @@ struct SweepVerdict {
 // operator (one pass over the packed operand). It is a snapshot: computed
 // when a matrix becomes resident, it keeps describing the clean operand, so
 // later silent damage to the stored value codes — which value and noisy
-// sweeps read and from which a bit-true backend builds its SpmvPlan — is
+// sweeps read and from which a bit-true backend programs its crossbars — is
 // visible against it. The classic trick is appending this row to A so the
 // sweep emits its own check value; here the backends contract it against
 // the quantized operand directly — the same O(n·k) work without disturbing

@@ -10,9 +10,8 @@ namespace refloat::core {
 namespace {
 
 // Block and entry offsets of grid block-row boundaries — O(1) via the
-// block index and the packed operand's row_ptr (an entry range of plan
-// blocks is the same range of operand entries: both hold the nonzero
-// quantized entries in block-row order).
+// block index and the packed operand's row_ptr (the entries before
+// block-row br are row_ptr[br << b]).
 struct Offsets {
   const std::vector<std::size_t>& block_ptr;
   std::span<const sparse::Index> row_ptr;
@@ -172,27 +171,20 @@ std::vector<std::size_t> TiledPlan::blocks_per_tile() const {
   return counts;
 }
 
-bool TiledPlan::valid(const SpmvPlan& plan) const {
-  if (shards_.empty()) return plan.block_rows() == 0;
-  if (plan.block_ptr.empty()) {
-    // Block-less plan (b == 0): every shard must be an all-zero view.
-    for (const TileShard& s : shards_) {
-      if (s.brow_end != 0 || s.block_end != 0 || s.entry_end != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
+bool TiledPlan::valid(const RefloatMatrix& rf) const {
+  const RefloatMatrix::BlockIndex& index = rf.block_index();
+  if (shards_.empty()) return index.block_rows() == 0;
+  const Offsets at{index.block_ptr, rf.quantized().row_ptr(), rf.format().b};
   if (shards_.front().brow_begin != 0) return false;
-  if (shards_.back().brow_end != plan.block_rows()) return false;
+  if (shards_.back().brow_end != index.block_rows()) return false;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const TileShard& s = shards_[i];
     if (s.brow_begin > s.brow_end) return false;
     if (i > 0 && shards_[i - 1].brow_end != s.brow_begin) return false;
-    if (s.block_begin != plan.block_ptr[s.brow_begin]) return false;
-    if (s.block_end != plan.block_ptr[s.brow_end]) return false;
-    if (s.entry_begin != plan.entry_ptr[s.block_begin]) return false;
-    if (s.entry_end != plan.entry_ptr[s.block_end]) return false;
+    if (s.block_begin != at.block(s.brow_begin)) return false;
+    if (s.block_end != at.block(s.brow_end)) return false;
+    if (s.entry_begin != at.entry(s.brow_begin)) return false;
+    if (s.entry_end != at.entry(s.brow_end)) return false;
   }
   return true;
 }

@@ -3,14 +3,14 @@
 // A tile shard is a contiguous range of grid block-rows (the partitioning
 // atom — block-rows own disjoint output rows, which is what keeps tiled
 // execution bit-identical to untiled). Blocks are ordered by (block-row,
-// block-col) in both the block index and any SpmvPlan built from it, so a
-// contiguous block-row range is also a contiguous range of blocks and of
-// entries. The partition reads only the matrix's block index and its CSR
-// row_ptr (the entries before block-row br are row_ptr[br << b]) and holds
-// no pointer into either: a shard is a set of offsets that addresses the
-// rows of rf.quantized() (value and noisy sweeps) and the blocks and
-// entries of SpmvPlan::build(rf) (bit-true programming, the schedule model)
-// alike.
+// block-col) in the block index, so a contiguous block-row range is also a
+// contiguous range of blocks and of entries. The partition reads only the
+// matrix's block index and its packed operand's row_ptr (the entries before
+// block-row br are row_ptr[br << b]) and holds no pointer into either: a
+// shard is a set of offsets that addresses the rows of rf.quantized()
+// (value and noisy sweeps), the blocks of rf.block_index() (bit-true
+// programming) and the per-tile block and entry counts the schedule model
+// prices.
 //
 // Partitioning is capacity-aware greedy (pack block-rows up to the smaller
 // of the per-tile crossbar budget and the balanced target, leaving one
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
-#include "src/core/spmv_plan.h"
 
 namespace refloat::core {
 
@@ -102,10 +101,10 @@ class TiledPlan {
     return shards_.size() * sizeof(TileShard);
   }
 
-  // Shards are contiguous, cover every grid block-row of `plan` exactly
-  // once, and their block/entry ranges agree with its block_ptr/entry_ptr —
-  // for SpmvPlan::build of the partitioned matrix.
-  [[nodiscard]] bool valid(const SpmvPlan& plan) const;
+  // Shards are contiguous, cover every grid block-row of `rf` exactly once,
+  // and their block/entry ranges agree with rf.block_index().block_ptr and
+  // rf.quantized().row_ptr() — for the partitioned matrix.
+  [[nodiscard]] bool valid(const RefloatMatrix& rf) const;
 
  private:
   std::vector<TileShard> shards_;

@@ -27,7 +27,7 @@ bool load_matrix_market(const std::string& path, sparse::Csr* out,
                         std::string* error = nullptr);
 
 // How the ReFloat blocking sees a matrix: the occupancy of the 2^b x 2^b
-// block grid the SpmvPlan will build (block_side = 2^b).
+// block grid its block index will hold (block_side = 2^b).
 struct BlockLayoutStats {
   sparse::Index rows = 0;
   sparse::Index cols = 0;

@@ -18,32 +18,31 @@ constexpr std::uint64_t kReprogramSalt = 0x4e409ULL;
 BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
                                const ClusterConfig& config,
                                std::uint64_t seed)
-    : rf_(rf),
-      config_(config),
-      rows_(static_cast<std::size_t>(rf.quantized().rows())),
-      cols_(static_cast<std::size_t>(rf.quantized().cols())),
-      hw_(rf, config),
-      default_rng_(seed) {}
+    : BitTrueBackend(rf, config, nullptr, seed) {}
 
 BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
                                const ClusterConfig& config,
                                const core::TiledPlan& tiled,
                                std::uint64_t seed)
+    : BitTrueBackend(rf, config, &tiled, seed) {}
+
+BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
+                               const ClusterConfig& config,
+                               const core::TiledPlan* tiled,
+                               std::uint64_t seed)
     : rf_(rf),
       config_(config),
-      tiled_(&tiled),
+      tiled_(tiled),
       rows_(static_cast<std::size_t>(rf.quantized().rows())),
       cols_(static_cast<std::size_t>(rf.quantized().cols())),
-      hw_(rf, core::SpmvPlan::build(rf), config, tiled),
+      hw_(rf, config, tiled),
       default_rng_(seed) {}
 
 bool BitTrueBackend::reprogram(std::uint64_t salt) {
   ClusterConfig fresh = config_;
   fresh.faults.seed = util::stream_seed(config_.faults.seed, salt,
                                         kReprogramSalt);
-  hw_ = tiled_ != nullptr
-            ? HwSpmv(rf_, core::SpmvPlan::build(rf_), fresh, *tiled_)
-            : HwSpmv(rf_, fresh);
+  hw_ = HwSpmv(rf_, fresh, tiled_);
   ++reprograms_;
   return true;
 }

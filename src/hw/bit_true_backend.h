@@ -4,8 +4,8 @@
 // engines, drawing the per-tile fault populations, consuming the ECC
 // scoreboards — happens ONCE at construction and serves every subsequent
 // sweep and every column of a batch: the modeled-hardware-honest
-// amortization the arch layer prices with bit_true_spmm_time. The SpmvPlan
-// the image is programmed from is built for that pass and freed after it;
+// amortization the arch layer prices with bit_true_spmm_time. The engines
+// are programmed straight from the matrix's packed operand and block index;
 // the backend keeps only the programmed engines (resident_bytes()).
 //
 // Stream semantics: with an empty SweepContext, sweep number s draws its
@@ -30,9 +30,8 @@ class BitTrueBackend final : public core::SweepBackend {
   BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
                  std::uint64_t seed = 0x817b17ULL);
   // Tiled programming: per-tile fault populations and ECC budgets, exactly
-  // the tiled HwSpmv constructor over SpmvPlan::build(rf). `rf` and `tiled`
-  // are borrowed for the backend's lifetime (reprogram() rebuilds the plan
-  // and the image from them).
+  // the tiled HwSpmv build. `rf` and `tiled` are borrowed for the backend's
+  // lifetime (reprogram() rebuilds the image from them).
   BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
                  const core::TiledPlan& tiled,
                  std::uint64_t seed = 0x817b17ULL);
@@ -49,8 +48,8 @@ class BitTrueBackend final : public core::SweepBackend {
 
   // Recovery-ladder hook: reprograms the crossbar from scratch with a
   // fresh fault population — config.faults.seed forked by `salt` — exactly
-  // as real hardware would re-image a tile whose cells drifted. The plan
-  // is rebuilt from rf (so damage to rf's packed operand survives a
+  // as real hardware would re-image a tile whose cells drifted. The image
+  // is reprogrammed from rf (so damage to rf's packed operand survives a
   // reprogram); format and tile partition are unchanged; with zero
   // configured fault rate the rebuilt image sweeps bit-identically to the
   // original. The arch layer prices this as one full write-verify
@@ -67,6 +66,9 @@ class BitTrueBackend final : public core::SweepBackend {
   [[nodiscard]] const HwSpmv& hw() const { return hw_; }
 
  private:
+  BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
+                 const core::TiledPlan* tiled, std::uint64_t seed);
+
   const core::RefloatMatrix& rf_;
   ClusterConfig config_;                       // fault seed of the ORIGINAL image
   const core::TiledPlan* tiled_ = nullptr;     // borrowed; null = monolithic

@@ -2,35 +2,54 @@
 
 #include <algorithm>
 
+#include "src/core/band_scatter.h"
 #include "src/util/thread_pool.h"
 
 namespace refloat::hw {
 
-void HwSpmv::program_tile(const core::RefloatMatrix& rf,
-                          const core::SpmvPlan& plan, ClusterConfig config,
-                          std::size_t block_begin, std::size_t block_end) {
-  // Program one engine per plan block, densifying straight from the SoA
-  // arena. The whole tile draws on one correction budget, consumed in
-  // programming order.
+void HwSpmv::program_tile(const core::RefloatMatrix& rf, ClusterConfig config,
+                          std::size_t brow_begin, std::size_t brow_end) {
+  // Program one engine per indexed block, band by band: each band of the
+  // packed operand is grouped by block column, and every block of the
+  // band's index range is densified from its run — or left all zero when
+  // its entries all flushed to zero (it has no run). The whole tile draws
+  // on one correction budget, consumed in programming order.
+  const core::RefloatMatrix::BlockIndex& index = rf.block_index();
+  const sparse::PackedCsr& q = rf.quantized();
+  const int b = rf.format().b;
   long long budget = config.ecc.correct_cells;
   long long faulty = 0;
   long long corrected = 0;
   std::vector<std::vector<double>> dense(
       static_cast<std::size_t>(side_),
       std::vector<double>(static_cast<std::size_t>(side_), 0.0));
-  for (std::size_t j = block_begin; j < block_end; ++j) {
-    for (auto& row : dense) std::fill(row.begin(), row.end(), 0.0);
-    for (std::size_t e = plan.entry_ptr[j]; e < plan.entry_ptr[j + 1]; ++e) {
-      dense[static_cast<std::size_t>(plan.entry_row[e])]
-           [static_cast<std::size_t>(plan.entry_col[e])] =
-               plan.entry_value[e];
+  core::BandScatter band(b, cols_);
+  for (std::size_t br = brow_begin; br < brow_end; ++br) {
+    const auto r0 = static_cast<sparse::Index>(br) << b;
+    const sparse::Index r1 = std::min<sparse::Index>(r0 + side_, rows_);
+    q.visit([&](auto rows) { band.scatter(rows, r0, r1); });
+    const std::span<const sparse::Index> touched = band.block_cols();
+    std::size_t run = 0;
+    for (std::size_t j = index.block_ptr[br]; j < index.block_ptr[br + 1];
+         ++j) {
+      const sparse::Index bc = index.block_col[j];
+      for (auto& row : dense) std::fill(row.begin(), row.end(), 0.0);
+      if (run < touched.size() && touched[run] == bc) {
+        const std::span<const double> values = band.run_values(run);
+        const std::span<const core::BandScatter::Slot> slots =
+            band.run_slots(run);
+        for (std::size_t p = 0; p < values.size(); ++p) {
+          dense[static_cast<std::size_t>(slots[p].r)]
+               [static_cast<std::size_t>(slots[p].c)] = values[p];
+        }
+        ++run;
+      }
+      engines_.push_back({r0, bc << b,
+                          ProcessingEngine(dense, index.base[j], rf.format(),
+                                           config, rf.policy(), &budget)});
+      faulty += engines_.back().engine.faulty_cells();
+      corrected += engines_.back().engine.ecc_corrected();
     }
-    engines_.push_back(
-        {plan.row0[j], plan.col0[j],
-         ProcessingEngine(dense, plan.base[j], rf.format(), config,
-                          rf.policy(), &budget)});
-    faulty += engines_.back().engine.faulty_cells();
-    corrected += engines_.back().engine.ecc_corrected();
   }
   tile_faulty_cells_.push_back(faulty);
   tile_corrected_cells_.push_back(corrected);
@@ -38,22 +57,16 @@ void HwSpmv::program_tile(const core::RefloatMatrix& rf,
   stats_.ecc_corrected += corrected;
 }
 
-HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config)
-    : HwSpmv(rf, core::SpmvPlan::build(rf), config, nullptr) {}
-
-HwSpmv::HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
-               ClusterConfig config, const core::TiledPlan& tiled)
-    : HwSpmv(rf, plan, config, &tiled) {}
-
-HwSpmv::HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
-               ClusterConfig config, const core::TiledPlan* tiled)
+HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
+               const core::TiledPlan* tiled)
     : rows_(rf.quantized().rows()),
       cols_(rf.quantized().cols()),
       side_(1 << rf.format().b),
-      noisy_(config.noise.sigma > 0.0) {
-  engines_.reserve(plan.num_blocks());
+      noisy_(config.noise.sigma > 0.0),
+      row_begin_(rf.block_index().block_ptr) {
+  engines_.reserve(rf.nonzero_blocks());
   if (tiled == nullptr) {
-    program_tile(rf, plan, config, 0, plan.num_blocks());
+    program_tile(rf, config, 0, rf.block_index().block_rows());
   } else {
     const std::uint64_t seed = config.faults.seed;
     for (int t = 0; t < tiled->tile_count(); ++t) {
@@ -67,17 +80,13 @@ HwSpmv::HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
         tile_config.faults.seed =
             util::stream_seed(seed, static_cast<std::uint64_t>(t), 0x713e5ULL);
       }
-      program_tile(rf, plan, tile_config, shard.block_begin, shard.block_end);
+      program_tile(rf, tile_config, shard.brow_begin, shard.brow_end);
     }
     if (tiled->tile_count() == 0) {
       tile_faulty_cells_.push_back(0);
       tile_corrected_cells_.push_back(0);
     }
   }
-  // The plan's full-grid block-row index is also the threading shard index:
-  // engines are 1:1 with plan blocks, so the offsets carry over (empty
-  // block-rows become no-op shards).
-  row_begin_ = plan.block_ptr;
 }
 
 void HwSpmv::apply_multi(std::span<const double> x, std::size_t k,

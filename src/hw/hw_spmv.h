@@ -1,8 +1,8 @@
 // Whole-matrix SpMV over the bit-true datapath: one ProcessingEngine per
-// nonzero ReFloat block (programmed straight from an SpmvPlan arena, which
-// the image does not keep), partial outputs accumulated digitally — the
-// hardware-exact counterpart of the value backend's sweep. Callers reach it
-// through hw::BitTrueBackend.
+// indexed ReFloat block (densified band by band from the matrix's packed
+// operand and block index, which the image does not copy), partial outputs
+// accumulated digitally — the hardware-exact counterpart of the value
+// backend's sweep. Callers reach it through hw::BitTrueBackend.
 //
 // apply_multi() shards by block-row over util::ThreadPool::global()
 // ($REFLOAT_THREADS): block-rows own disjoint output rows, every shard
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
-#include "src/core/spmv_plan.h"
 #include "src/core/tiled_plan.h"
 #include "src/hw/engine.h"
 
@@ -24,21 +23,19 @@ namespace refloat::hw {
 
 class HwSpmv {
  public:
-  // Monolithic build: builds rf's SpmvPlan, programs it as one tile — one
-  // fault seed, one ECC budget (config.ecc.correct_cells) — and frees it.
-  HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config);
-
-  // Tiled build from `plan` (SpmvPlan::build(rf); borrowed for the
-  // constructor only): each shard of `tiled` (a partition of rf) is
-  // programmed as its own tile with its own stuck-at fault population —
-  // tile 0 keeps config.faults.seed verbatim (so one tile reproduces the
-  // monolithic build bit-for-bit), tile t > 0 derives a per-tile seed —
-  // and its own ECC budget of config.ecc.correct_cells (total correction
-  // capacity scales with tile count; the reliability lever
-  // bench_tiles ablates). The compute path is unchanged: engines stay in
-  // plan-block order and apply_multi() shards by block-row.
-  HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
-         ClusterConfig config, const core::TiledPlan& tiled);
+  // Programs one engine per block of rf.block_index(), in index order.
+  // With `tiled` == nullptr the matrix is one tile: one fault seed, one ECC
+  // budget (config.ecc.correct_cells). Otherwise each shard of `tiled` (a
+  // partition of rf; borrowed for the constructor only) is programmed as
+  // its own tile with its own stuck-at fault population — tile 0 keeps
+  // config.faults.seed verbatim (so one tile reproduces the monolithic
+  // build bit-for-bit), tile t > 0 derives a per-tile seed — and its own
+  // ECC budget of config.ecc.correct_cells (total correction capacity
+  // scales with tile count; the reliability lever bench_tiles ablates).
+  // The compute path is the same either way: engines stay in block-index
+  // order and apply_multi() shards by block-row.
+  HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
+         const core::TiledPlan* tiled = nullptr);
 
   // Y = A X for k column-major vectors (x.size() == k * cols) through the
   // crossbar engines. The programming pass — fault populations, ECC
@@ -74,14 +71,10 @@ class HwSpmv {
   }
 
  private:
-  // Shared by both builds: `tiled` == nullptr programs one tile.
-  HwSpmv(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
-         ClusterConfig config, const core::TiledPlan* tiled);
-  // Programs plan blocks [block_begin, block_end) as one tile and records
-  // its fault/correction counts.
-  void program_tile(const core::RefloatMatrix& rf, const core::SpmvPlan& plan,
-                    ClusterConfig config, std::size_t block_begin,
-                    std::size_t block_end);
+  // Programs the blocks of grid block-rows [brow_begin, brow_end) as one
+  // tile and records its fault/correction counts.
+  void program_tile(const core::RefloatMatrix& rf, ClusterConfig config,
+                    std::size_t brow_begin, std::size_t brow_end);
   struct BlockEngine {
     sparse::Index row0 = 0;
     sparse::Index col0 = 0;
@@ -94,7 +87,7 @@ class HwSpmv {
   bool noisy_ = false;
   std::vector<BlockEngine> engines_;
   // engines_[row_begin_[i] .. row_begin_[i+1]) is grid block-row i — the
-  // threading shard, copied from the plan's block_ptr (size = grid
+  // threading shard, copied from the block index's block_ptr (size = grid
   // block-row count + 1; empty block-rows are empty ranges).
   std::vector<std::size_t> row_begin_;
   std::vector<long long> tile_faulty_cells_;

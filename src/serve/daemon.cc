@@ -321,11 +321,11 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
       built->indefinite =
           built->rf.probe_definiteness().likely_indefinite();
     }
-    // Injected plan corruption: silently damages the resident operand —
-    // one stored value code of the packed dequantized operand, which value
-    // backends sweep and from which noisy and bit-true backends build their
-    // SpmvPlan below. Checked sweeps flag it on the first apply against the
-    // checksum taken above.
+    // Injected plan corruption (the `plan:` fault site): silently damages
+    // the resident operand — one stored value code of the packed
+    // dequantized operand, which value and noisy backends sweep and from
+    // which a bit-true backend programs its crossbars below. Checked sweeps
+    // flag it on the first apply against the checksum taken above.
     if (inj.armed(util::FaultSite::kPlanBuild)) {
       std::visit(
           [&inj](auto codes) {

@@ -38,11 +38,11 @@ namespace refloat::serve {
 
 // One resident matrix: the built RefloatMatrix, its tile partition (shard
 // offsets; empty when running untiled), and the execution backend the
-// residency key names (value / noisy / bit-true — the noisy backend owns
-// its SpmvPlan, the bit-true one its programmed crossbar image, which is
-// exactly the cost the residency amortizes). The backend borrows `rf` and
-// `tiled`, so it MUST be built only after the entry reached its final
-// address. The backend's per-sweep scratch is per-instance, and
+// residency key names (value / noisy / bit-true — value and noisy backends
+// sweep rf itself, the bit-true one owns its programmed crossbar image,
+// which is exactly the cost the residency amortizes). The backend borrows
+// `rf` and `tiled`, so it MUST be built only after the entry reached its
+// final address. The backend's per-sweep scratch is per-instance, and
 // batches dispatch serially on the daemon's one dispatcher (or pumping)
 // thread, so the shared-const entry handing out a mutable sweep is safe.
 struct ResidentEntry {

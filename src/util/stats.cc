@@ -24,14 +24,6 @@ double geomean(const std::vector<double>& v) {
   return std::exp(log_sum / static_cast<double>(count));
 }
 
-double stddev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double acc = 0.0;
-  for (const double x : v) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(v.size() - 1));
-}
-
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());

@@ -7,7 +7,6 @@ namespace refloat::util {
 
 double mean(const std::vector<double>& v);
 double geomean(const std::vector<double>& v);  // ignores non-positive entries
-double stddev(const std::vector<double>& v);
 double median(std::vector<double> v);
 
 // Linear-interpolated percentile, p in [0, 100] (p=50 == median for odd

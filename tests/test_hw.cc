@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/core/refloat_matrix.h"
-#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
+#include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/engine.h"
@@ -259,7 +263,7 @@ TEST(ProcessingEngine, MatchesRefloatQuantizedProduct) {
       gen::build_stencil(gen::laplace2d_5pt(4, 4)).shifted(0.2);  // 16 = 2^b
   const core::RefloatMatrix rf(a, fmt);
   ASSERT_EQ(rf.nonzero_blocks(), 1u);
-  const int block_base = core::SpmvPlan::build(rf).base[0];
+  const int block_base = rf.block_index().base[0];
 
   std::vector<std::vector<double>> dense(16, std::vector<double>(16, 0.0));
   // Rebuild the raw block from the original matrix.
@@ -344,6 +348,215 @@ TEST(Faults, StuckAt0And1AreEquivalentInTheSignedEngine) {
   }
   // The rate is high enough that the fault injection itself must be live.
   EXPECT_TRUE(any_fault_effect);
+}
+
+
+// --- The programmed image, pinned absolutely -------------------------------
+// One FNV-1a digest per case over everything a bit-true backend exposes:
+// the bits of a k = 1 and a k = 3 sweep (default noise stream), the engine
+// stats after them, resident_bytes(), the engine and tile counts and every
+// tile's fault / correction tallies, then the same after one reprogram().
+// The digests were taken from the build that programmed its engines from an
+// SoA block arena, so any change to which blocks get engines, how a block
+// is densified, the programming order (ECC budget consumption, per-tile
+// fault seeds) or the resident accounting fails here.
+
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(std::span<const double> ys) {
+    for (const double y : ys) add(std::bit_cast<std::uint64_t>(y));
+  }
+};
+
+void add_image(Fnv& fnv, const BitTrueBackend& backend) {
+  const HwSpmv& hw = backend.hw();
+  const EngineStats& s = hw.stats();
+  for (const long long v :
+       {s.crossbar_ops, s.adc_clips, s.faulty_cells, s.ecc_corrected}) {
+    fnv.add(static_cast<std::uint64_t>(v));
+  }
+  fnv.add(backend.resident_bytes());
+  fnv.add(hw.engines());
+  fnv.add(static_cast<std::uint64_t>(hw.tile_count()));
+  for (int t = 0; t < hw.tile_count(); ++t) {
+    fnv.add(static_cast<std::uint64_t>(hw.tile_faulty_cells(t)));
+    fnv.add(static_cast<std::uint64_t>(hw.tile_corrected_cells(t)));
+  }
+}
+
+std::vector<double> pin_vector(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.gaussian();
+  return x;
+}
+
+// Sweeps k = 1 and k = 3, reprograms once and sweeps k = 3 again.
+std::uint64_t image_digest(const core::RefloatMatrix& rf,
+                           const ClusterConfig& config, int tiles) {
+  core::TiledPlan tiled;
+  if (tiles > 0) {
+    tiled = core::TiledPlan::partition(rf, {.tiles = tiles});
+  }
+  BitTrueBackend backend = tiles > 0 ? BitTrueBackend(rf, config, tiled)
+                                     : BitTrueBackend(rf, config);
+  const auto n = static_cast<std::size_t>(rf.quantized().rows());
+  Fnv fnv;
+  const std::vector<double> x1 = pin_vector(n, 91);
+  const std::vector<double> x3 = pin_vector(3 * n, 92);
+  std::vector<double> y1(n);
+  std::vector<double> y3(3 * n);
+  backend.sweep(x1, 1, y1, {});
+  fnv.add(y1);
+  backend.sweep(x3, 3, y3, {});
+  fnv.add(y3);
+  add_image(fnv, backend);
+  backend.reprogram(5);
+  backend.sweep(x3, 3, y3, {});
+  fnv.add(y3);
+  add_image(fnv, backend);
+  return fnv.h;
+}
+
+// A diagonal plus three random entries per row at magnitudes 2^-9..2^9.
+sparse::Csr pin_scattered_matrix() {
+  constexpr sparse::Index n = 700;
+  util::Rng rng(73);
+  std::vector<sparse::Triplet> triplets;
+  for (sparse::Index r = 0; r < n; ++r) {
+    triplets.push_back({r, r, 4.0});
+    for (int i = 0; i < 3; ++i) {
+      const auto c = static_cast<sparse::Index>(rng.below(n));
+      triplets.push_back({r, c, rng.gaussian() * std::ldexp(1.0, i * 9 - 9)});
+    }
+  }
+  return sparse::Csr::from_triplets(n, n, triplets);
+}
+
+// 40x40 at b = 3: band 0 indexes blocks at block columns 1 and 2 whose
+// entries are all exact zeros (they quantize to nothing, yet keep their
+// block and engine), band 3 (rows 24..31) is empty, and bands 1, 2 and 4
+// carry ordinary blocks.
+sparse::Csr flushed_block_matrix() {
+  return sparse::Csr(
+      40, 40,
+      {0,  3,  5,  6,  6,  6,  6,  6,  6,  6,  7,  7,  7,  7,
+       7,  7,  7,  8,  8,  8,  8,  8,  8,  8,  8,  8,  8,  8,
+       8,  8,  8,  8,  8,  10, 12, 14, 16, 18, 20, 22, 24},
+      {0,  9,  10, 1,  12, 20, 9,  17, 2,  32, 3,  33, 4,  34,
+       5,  35, 6,  36, 7,  37, 8,  38, 9,  39},
+      {1.0,  0.0,  -0.0, 2.0,  0.0,  0.0,  3.0,  4.0,  1.5,  5.0, 1.5, 5.0,
+       -1.5, 5.0,  1.5,  5.0,  1.5,  5.0,  -1.5, 5.0,  1.5,  5.0, 1.5, 5.0});
+}
+
+TEST(HwSpmv, ImagePinnedToParent) {
+  const sparse::Csr laplace24 =
+      gen::build_stencil(gen::laplace2d_5pt(24, 24)).shifted(0.2);
+  const sparse::Csr laplace37x29 =
+      gen::build_stencil(gen::laplace2d_5pt(37, 29)).shifted(0.2);
+  const sparse::Csr scattered = pin_scattered_matrix();
+  const sparse::Csr flushed = flushed_block_matrix();
+  ClusterConfig ideal;
+  ClusterConfig faulty;
+  faulty.faults.stuck_at_zero_rate = 3e-2;
+  faulty.faults.stuck_at_one_rate = 1e-2;
+  faulty.ecc.correct_cells = 40;
+  ClusterConfig faulty_noisy = faulty;
+  faulty_noisy.noise.sigma = 0.3;  // bites on 1-3 popcount samples
+  const struct {
+    const char* name;
+    ClusterConfig config;
+  } datapaths[] = {
+      {"ideal", ideal}, {"faulty", faulty}, {"faulty+noise", faulty_noisy}};
+  const auto with_b = [](int b) {
+    core::Format fmt = core::default_format();
+    fmt.b = b;
+    return fmt;
+  };
+  // 30 fraction bits: 4.2 is not fp32-exact, so the operand is fp64-coded.
+  const core::Format wide{.b = 4, .e = 2, .f = 30, .ev = 3, .fv = 8};
+  struct Case {
+    std::string name;
+    const sparse::Csr* a;
+    core::Format fmt;
+  };
+  std::vector<Case> cases;
+  for (const auto& [name, a] :
+       {std::pair{"laplace24", &laplace24},
+        std::pair{"laplace37x29", &laplace37x29},
+        std::pair{"scattered700", &scattered}}) {
+    for (const int b : {3, 4, 7}) {
+      cases.push_back({std::string(name) + " b=" + std::to_string(b), a,
+                       with_b(b)});
+    }
+  }
+  cases.push_back({"flushed block + empty band b=3", &flushed, with_b(3)});
+  cases.push_back({"fp64 code laplace37x29 b=4", &laplace37x29, wide});
+
+  // Three rows per case (ideal, faulty, faulty+noise), each monolithic,
+  // one tile, four tiles: one tile is the monolithic build by design.
+  const std::uint64_t pinned[] = {
+      0xedef20fe4727c364ULL, 0xedef20fe4727c364ULL, 0x37a37ee73f5d44b4ULL,
+      0x196dddbcdbf2d0a8ULL, 0x196dddbcdbf2d0a8ULL, 0x44a7ea26df6b8526ULL,
+      0xa1a2b72c2af1694bULL, 0xa1a2b72c2af1694bULL, 0x115c969efb90a4f0ULL,
+      0xad7ffef3ab64d39eULL, 0xad7ffef3ab64d39eULL, 0x246df76fd423f742ULL,
+      0x66f51d8cbcb4c001ULL, 0x66f51d8cbcb4c001ULL, 0xc87eec0fc3d981a6ULL,
+      0xaab4e48a4b54910bULL, 0xaab4e48a4b54910bULL, 0xc4656a4604603337ULL,
+      0x98e2d5d1819f9568ULL, 0x98e2d5d1819f9568ULL, 0x1b3081c712066f30ULL,
+      0x86724dfdf52cfd5bULL, 0x86724dfdf52cfd5bULL, 0x50bc08214b2b5d4cULL,
+      0x2ed7dd4b413df989ULL, 0x2ed7dd4b413df989ULL, 0x7ff944319490fc50ULL,
+      0xb199064b9ffd17a5ULL, 0xb199064b9ffd17a5ULL, 0x1ded6f361d873575ULL,
+      0xb6f88c63926cdfbdULL, 0xb6f88c63926cdfbdULL, 0x8176ea4d734d9836ULL,
+      0x9095aceddb0a7a3eULL, 0x9095aceddb0a7a3eULL, 0x88bd1b141ee29c4eULL,
+      0x47048c4299f1cfbfULL, 0x47048c4299f1cfbfULL, 0x1ed184c2d26df463ULL,
+      0x2c460a4c7dcbdbc1ULL, 0x2c460a4c7dcbdbc1ULL, 0x607841ec9e246803ULL,
+      0x091277cc3039476cULL, 0x091277cc3039476cULL, 0xe935b067177e12d9ULL,
+      0x9aceb2140c157f83ULL, 0x9aceb2140c157f83ULL, 0x4cadcd2e1921897bULL,
+      0xccb4a7324e3d3fc6ULL, 0xccb4a7324e3d3fc6ULL, 0xdc33bca589ade394ULL,
+      0x0bc25fff63d4b8b4ULL, 0x0bc25fff63d4b8b4ULL, 0x89fae52a2a183384ULL,
+      0x0b4d849c68e754f8ULL, 0x0b4d849c68e754f8ULL, 0xdf27273dba356818ULL,
+      0x53c5e40c77909897ULL, 0x53c5e40c77909897ULL, 0xce04e996403c5267ULL,
+      0xe0e069906efe337bULL, 0xe0e069906efe337bULL, 0x6dfb243b98cce98bULL,
+      0x0249ee0892b06e4cULL, 0x0249ee0892b06e4cULL, 0x415013bcb790efc8ULL,
+      0xd13e5db4cdb94254ULL, 0xd13e5db4cdb94254ULL, 0xb50c76e731e6311cULL,
+      0x55d4b19d070c9aa6ULL, 0x55d4b19d070c9aa6ULL, 0x182db1d66d34b2a9ULL,
+      0x70fa5b74955f5644ULL, 0x70fa5b74955f5644ULL, 0x9232c38e30cae8c8ULL,
+      0xd512a8a48ef29062ULL, 0xd512a8a48ef29062ULL, 0x316870535c6e9660ULL,
+      0x87cd596102dcb8a9ULL, 0x87cd596102dcb8a9ULL, 0x48e8d22f1f945bddULL,
+      0x8be0f29b677b93bcULL, 0x8be0f29b677b93bcULL, 0x749034787a76b8a4ULL,
+      0xe748f9837ae0c1d9ULL, 0xe748f9837ae0c1d9ULL, 0xb95d376e3e139904ULL,
+      0x9ff03c8291f82960ULL, 0x9ff03c8291f82960ULL, 0x7a0af08eb051237eULL,
+      0x0987a12db56b9a91ULL, 0x0987a12db56b9a91ULL, 0x894bd1a732247a29ULL,
+      0x674f687290d102e0ULL, 0x674f687290d102e0ULL, 0xa9d1fe2e001c3632ULL,
+      0xd494f12bef3e6f12ULL, 0xd494f12bef3e6f12ULL, 0x7bf10967eaab0105ULL,
+  };
+  std::size_t i = 0;
+  for (const Case& c : cases) {
+    const core::RefloatMatrix rf(*c.a, c.fmt);
+    if (c.a == &flushed) {
+      ASSERT_EQ(rf.nonzero_blocks(), 8u);
+      ASSERT_EQ(rf.block_index().block_ptr[3], rf.block_index().block_ptr[4]);
+    }
+    if (c.fmt.f == wide.f) {
+      ASSERT_EQ(rf.quantized().code(), sparse::ValueCode::kFp64);
+    }
+    for (const auto& dp : datapaths) {
+      for (const int tiles : {0, 1, 4}) {
+        const std::uint64_t digest = image_digest(rf, dp.config, tiles);
+        ASSERT_LT(i, std::size(pinned));
+        EXPECT_EQ(digest, pinned[i])
+            << c.name << ", " << dp.name << ", tiles " << tiles;
+        ++i;
+      }
+    }
+  }
+  EXPECT_EQ(i, std::size(pinned));
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "src/core/spmv_plan.h"
+#include "src/core/band_scatter.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/gen/suite.h"
@@ -109,13 +109,26 @@ TEST(RefloatMatrix, ValueSweepMatchesQuantizedCsr) {
   }
 }
 
-TEST(RefloatMatrix, PlanCoversAllNonzeros) {
+TEST(RefloatMatrix, BlockIndexCoversAllNonzeros) {
+  // Every entry of the packed operand lies in a block its band indexes.
   const sparse::Csr a = test_matrix();
   const RefloatMatrix rf(a, default_format());
-  const SpmvPlan plan = SpmvPlan::build(rf);
-  EXPECT_TRUE(plan.valid());
-  EXPECT_EQ(plan.num_entries(), static_cast<std::size_t>(rf.quantized().nnz()));
-  EXPECT_EQ(plan.num_blocks(), rf.nonzero_blocks());
+  const RefloatMatrix::BlockIndex& index = rf.block_index();
+  const int b = rf.format().b;
+  const sparse::Csr q = rf.quantized().to_csr();
+  for (sparse::Index r = 0; r < q.rows(); ++r) {
+    const auto br = static_cast<std::size_t>(r >> b);
+    const auto first = index.block_col.begin() +
+                       static_cast<std::ptrdiff_t>(index.block_ptr[br]);
+    const auto last = index.block_col.begin() +
+                      static_cast<std::ptrdiff_t>(index.block_ptr[br + 1]);
+    for (sparse::Index k = q.row_ptr()[static_cast<std::size_t>(r)];
+         k < q.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      const auto bc = static_cast<std::int32_t>(
+          q.col_idx()[static_cast<std::size_t>(k)] >> b);
+      EXPECT_TRUE(std::binary_search(first, last, bc)) << "row " << r;
+    }
+  }
   EXPECT_GT(rf.nonzero_blocks(), 0u);
 }
 
@@ -154,10 +167,9 @@ TEST(RefloatMatrix, ScalarFormatFp64RoundTripsExactly) {
 
 TEST(RefloatMatrix, RejectsNonCanonicalInput) {
   // 2x4, row 0 = {0, 2}, row 1 = {1, 3} is canonical; each variant breaks
-  // one rule. Converted anyway, a repeated coordinate would give a plan
-  // that SpmvPlan::valid() rejects (the plan keeps both entries, the CSR
-  // sums them), and an out-of-range column a block origin outside the
-  // matrix.
+  // one rule. Converted anyway, a repeated coordinate would reach the
+  // packed operand twice, and an out-of-range column would index a block
+  // outside the grid.
   const auto csr = [](std::vector<sparse::Index> cols) {
     return sparse::Csr(2, 4, {0, 2, 4}, std::move(cols),
                        {1.0, 2.0, 3.0, 4.0});
@@ -186,8 +198,20 @@ TEST(RefloatMatrix, RejectsNonCanonicalInput) {
 // unsorted-block fallback: inputs are canonical), kept as the reference the
 // streamed conversion must match bit for bit.
 
+// One block of the reference conversion: its grid position, base exponent
+// and surviving (nonzero quantized) entries, row-major.
+struct RefEntry {
+  std::int32_t r, c;
+  double q;
+};
+struct RefBlock {
+  sparse::Index brow, bcol;
+  int base;
+  std::vector<RefEntry> entries;
+};
+
 struct Converted {
-  SpmvPlan plan;
+  std::vector<RefBlock> blocks;  // (block-row, block-column) order
   sparse::Csr quantized;
   ConversionStats stats;
 };
@@ -241,7 +265,6 @@ Converted reference_convert(const sparse::Csr& a, const Format& format,
              values[static_cast<std::size_t>(k)]});
       }
     }
-    SpmvPlanBuilder builder;
     std::vector<double> block_values;
     for (auto& [key, raws] : buckets) {
       block_values.clear();
@@ -268,19 +291,19 @@ Converted reference_convert(const sparse::Csr& a, const Format& format,
       const sparse::Index row0 = key.first << b;
       const sparse::Index col0 = key.second << b;
       const int base = select_block_base(block_values, format.e, policy);
-      builder.begin_block(row0, col0, base);
+      RefBlock& block = out.blocks.emplace_back(
+          RefBlock{key.first, key.second, base, {}});
       for (const Raw& raw : raws) {
         const double q =
             quantize_value(raw.v, base, format.e, format.f, policy, &tally);
         err_sq += (raw.v - q) * (raw.v - q);
         ref_sq += raw.v * raw.v;
         if (q != 0.0) {
-          builder.push_entry(raw.r, raw.c, q);
+          block.entries.push_back({raw.r, raw.c, q});
           quantized_triplets.push_back({row0 + raw.r, col0 + raw.c, q});
         }
       }
     }
-    out.plan = builder.finish(rows, a.cols(), b);
   }
   out.stats.values = tally.values;
   out.stats.overflowed = tally.overflowed;
@@ -309,11 +332,6 @@ bool same_bits(std::span<const T> x, std::span<const T> y) {
   return true;
 }
 
-template <typename T>
-bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
-  return same_bits(std::span<const T>(x), std::span<const T>(y));
-}
-
 void expect_matches_reference(const sparse::Csr& a, const Format& fmt,
                               const QuantPolicy& policy,
                               const std::string& what) {
@@ -322,33 +340,53 @@ void expect_matches_reference(const sparse::Csr& a, const Format& fmt,
   ASSERT_TRUE(a.canonical());
   const RefloatMatrix rf(a, fmt, policy);
   const Converted ref = reference_convert(a, fmt, policy);
-  // The plan is no longer kept by the conversion: SpmvPlan::build(rf)
-  // rebuilds it from the dequantized CSR and the block index, and must
-  // equal the reference conversion's plan field for field.
-  const SpmvPlan p = SpmvPlan::build(rf);
-  EXPECT_EQ(p.b, ref.plan.b);
-  EXPECT_EQ(p.rows, ref.plan.rows);
-  EXPECT_EQ(p.cols, ref.plan.cols);
-  EXPECT_TRUE(same_bits(p.block_ptr, ref.plan.block_ptr));
-  EXPECT_TRUE(same_bits(p.row0, ref.plan.row0));
-  EXPECT_TRUE(same_bits(p.col0, ref.plan.col0));
-  EXPECT_TRUE(same_bits(p.base, ref.plan.base));
-  EXPECT_TRUE(same_bits(p.entry_ptr, ref.plan.entry_ptr));
-  EXPECT_TRUE(same_bits(p.entry_row, ref.plan.entry_row));
-  EXPECT_TRUE(same_bits(p.entry_col, ref.plan.entry_col));
-  EXPECT_TRUE(same_bits(p.entry_value, ref.plan.entry_value));
-  if (fmt.b > 0) {
-    EXPECT_TRUE(p.valid());
-  }
-  // The resident block index is the plan's block structure, and the
-  // storage model and nonzero_blocks() read it.
+  // The block index is the reference's block list: the same blocks in the
+  // same order with the same base exponents, every grid block-row covered.
+  // Each band of the packed operand, grouped by block column as bit-true
+  // programming groups it, has one run per block with surviving entries,
+  // holding exactly those entries in row-major order.
   const RefloatMatrix::BlockIndex& index = rf.block_index();
-  EXPECT_EQ(rf.nonzero_blocks(), ref.plan.num_blocks());
-  EXPECT_TRUE(same_bits(index.block_ptr, ref.plan.block_ptr));
-  ASSERT_EQ(index.size(), ref.plan.num_blocks());
-  for (std::size_t j = 0; j < index.size(); ++j) {
-    EXPECT_EQ(sparse::Index{index.block_col[j]} << fmt.b, ref.plan.col0[j]);
-    EXPECT_EQ(int{index.base[j]}, ref.plan.base[j]);
+  EXPECT_EQ(rf.nonzero_blocks(), ref.blocks.size());
+  ASSERT_EQ(index.size(), ref.blocks.size());
+  if (fmt.b == 0) {
+    EXPECT_TRUE(index.block_ptr.empty());
+  } else {
+    const sparse::Index side = sparse::Index{1} << fmt.b;
+    ASSERT_EQ(index.block_rows(),
+              static_cast<std::size_t>((a.rows() + side - 1) / side));
+    BandScatter band(fmt.b, a.cols());
+    std::size_t j = 0;
+    for (std::size_t br = 0; br < index.block_rows(); ++br) {
+      const auto r0 = static_cast<sparse::Index>(br) << fmt.b;
+      const sparse::Index r1 = std::min(r0 + side, a.rows());
+      rf.quantized().visit([&](auto arrays) { band.scatter(arrays, r0, r1); });
+      const std::span<const sparse::Index> touched = band.block_cols();
+      EXPECT_EQ(index.block_ptr[br], j);
+      std::size_t run = 0;
+      for (; j < ref.blocks.size() &&
+             ref.blocks[j].brow == static_cast<sparse::Index>(br);
+           ++j) {
+        const RefBlock& block = ref.blocks[j];
+        EXPECT_EQ(sparse::Index{index.block_col[j]}, block.bcol);
+        EXPECT_EQ(int{index.base[j]}, block.base);
+        if (block.entries.empty()) continue;  // flushed: no run
+        ASSERT_LT(run, touched.size());
+        EXPECT_EQ(touched[run], block.bcol);
+        const std::span<const double> values = band.run_values(run);
+        const std::span<const BandScatter::Slot> slots = band.run_slots(run);
+        ASSERT_EQ(values.size(), block.entries.size());
+        for (std::size_t p = 0; p < values.size(); ++p) {
+          EXPECT_EQ(slots[p].r, block.entries[p].r);
+          EXPECT_EQ(slots[p].c, block.entries[p].c);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(values[p]),
+                    std::bit_cast<std::uint64_t>(block.entries[p].q));
+        }
+        ++run;
+      }
+      EXPECT_EQ(run, touched.size());  // every run is an indexed block
+    }
+    EXPECT_EQ(j, ref.blocks.size());
+    EXPECT_EQ(index.block_ptr.back(), index.size());
   }
 
   const sparse::Csr q = rf.quantized().to_csr();
@@ -426,7 +464,7 @@ sparse::Csr zero_block_matrix() {
                      {1.0, 0.0, -0.0, 2.0, 0.0, 0.0, 3.0, 4.0});
 }
 
-TEST(RefloatMatrix, AllZeroBlockStaysInTheIndexAndThePlan) {
+TEST(RefloatMatrix, AllZeroBlockStaysInTheIndex) {
   Format fmt = default_format();
   fmt.b = 3;
   const RefloatMatrix rf(zero_block_matrix(), fmt);
@@ -437,11 +475,13 @@ TEST(RefloatMatrix, AllZeroBlockStaysInTheIndexAndThePlan) {
   ASSERT_EQ(index.block_ptr, (std::vector<std::size_t>{0, 3, 4, 5}));
   EXPECT_EQ(index.block_col, (std::vector<std::int32_t>{0, 1, 2, 1, 2}));
   EXPECT_EQ(rf.nonzero_blocks(), 5u);
-  const SpmvPlan plan = SpmvPlan::build(rf);
-  ASSERT_TRUE(plan.valid());
-  ASSERT_EQ(plan.num_blocks(), 5u);
-  EXPECT_EQ(plan.entry_ptr, (std::vector<std::size_t>{0, 2, 2, 2, 3, 4}));
-  EXPECT_EQ(plan.num_entries(), 4u);
+  // The packed operand's band-0 entries all sit in block column 0; the
+  // indexed blocks at columns 1 and 2 hold none.
+  BandScatter band(fmt.b, 24);
+  rf.quantized().visit([&](auto arrays) { band.scatter(arrays, 0, 8); });
+  ASSERT_EQ(band.block_cols().size(), 1u);
+  EXPECT_EQ(band.block_cols()[0], 0);
+  EXPECT_EQ(band.run_values(0).size(), 2u);
 }
 
 // The packed operand stores fp32 codes only when every dequantized value

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/spmv_plan.h"
 #include "src/gen/grid.h"
 #include "src/serve/daemon.h"
 #include "src/serve/tcp_server.h"
@@ -801,8 +800,8 @@ TEST(ServeFaults, PlanCorruptionOnValueResidentIsCaughtAndRebuilt) {
   EXPECT_EQ(stats.recovered, 1u);
 }
 
-// The plan site damages a resident's packed operand, from which noisy and
-// bit-true backends build their SpmvPlan. Serves `request` once with the
+// The plan site damages a resident's packed operand, which noisy backends
+// sweep and bit-true backends program from. Serves `request` once with the
 // plan-site `spec` armed and once on a fault-free daemon, and checks the
 // faulty answer recovered through a rebuild, bit-identical to the clean
 // one. Returns the faulty daemon's stats.
@@ -842,8 +841,8 @@ ServeStats serve_through_plan_fault(const SolveRequest& request,
 }
 
 TEST(ServeFaults, PlanCorruptionOnNoisyResidentIsCaughtAndRebuilt) {
-  // The noisy backend built its plan from the damaged CSR: the first solve
-  // is flagged, the rung-1 re-solve hits the same persistent damage, and
+  // The noisy backend sweeps the damaged operand: the first solve is
+  // flagged, the rung-1 re-solve hits the same persistent damage, and
   // the rung-2 rebuild (budget spent) answers bit-identically to a
   // fault-free solve.
   SolveRequest request;
@@ -861,11 +860,10 @@ TEST(ServeFaults, PlanCorruptionOnNoisyResidentIsCaughtAndRebuilt) {
 }
 
 TEST(ServeFaults, PlanCorruptionOnBitTrueResidentSurvivesReprogram) {
-  // The bit-true image was programmed from a plan built from the damaged
-  // CSR: the first solve and the rung-1 re-solve are flagged, the rung-2
-  // reprogram rebuilds the plan from the same damaged operand and is
-  // flagged too, and the rung-3 rebuild answers bit-identically to a
-  // fault-free solve.
+  // The bit-true image was programmed from the damaged operand: the first
+  // solve and the rung-1 re-solve are flagged, the rung-2 reprogram
+  // programs from the same damaged operand and is flagged too, and the
+  // rung-3 rebuild answers bit-identically to a fault-free solve.
   SolveRequest request;
   request.matrix = kName;
   request.rhs_seed = 5;
@@ -939,10 +937,8 @@ ServeConfig untiled_config() {
   return config;
 }
 
-TEST(Residency, ValueResidentBudgetsCsrAndBlockIndexButNoPlan) {
+TEST(Residency, ValueResidentBudgetsCsrAndBlockIndexOnly) {
   const core::RefloatMatrix rf(test_csr(), test_format());
-  const std::size_t plan_bytes = core::SpmvPlan::build(rf).payload_bytes();
-  ASSERT_GT(plan_bytes, 0u);
   ASSERT_GT(rf.block_index().bytes(), 0u);
   EXPECT_EQ(rf.resident_bytes(),
             rf.quantized().memory_bytes() + rf.block_index().bytes());
@@ -955,7 +951,7 @@ TEST(Residency, ValueResidentBudgetsCsrAndBlockIndexButNoPlan) {
 
 TEST(Residency, NoisyResidentBudgetsCsrBlockIndexAndTileIndexOnly) {
   // The noisy view sweeps the packed operand band by band and keeps no
-  // SpmvPlan, so a noisy resident pins what a value resident pins: the
+  // copy of it, so a noisy resident pins what a value resident pins: the
   // operand, the block index and, when tiled, the shard index.
   const core::RefloatMatrix rf(test_csr(), test_format());
   EXPECT_EQ(core::make_noisy_backend(rf, 1e-3, 1, 1)->resident_bytes(), 0u);
@@ -976,39 +972,28 @@ TEST(Residency, NoisyResidentBudgetsCsrBlockIndexAndTileIndexOnly) {
             rf.resident_bytes() + tile_index_bytes);
 }
 
-TEST(Residency, CacheHoldsTwoValueResidentsThatFitOnlyWithoutPlans) {
-  // Two matrices whose value residents fit the cache together under the
-  // packed-operand + block-index accounting, while one of them plus its
-  // plan arena (what a value resident used to pin) would already crowd out
-  // the other. The second matrix is large enough that the first one's plan
-  // fits beside the packed operands' budget.
+TEST(Residency, CacheHoldsTwoValueResidentsAtExactlyTheirBytes) {
+  // A cache of exactly the two residents' bytes holds both; one byte less
+  // and serving the second evicts the first.
   const sparse::Csr a1 = test_csr();
   const sparse::Csr a2 = gen::build_stencil(gen::laplace2d_5pt(20, 20));
   const core::RefloatMatrix rf1(a1, test_format());
   const core::RefloatMatrix rf2(a2, test_format());
-  const std::size_t with_plans =
-      rf1.quantized().memory_bytes() +
-      core::SpmvPlan::build(rf1).payload_bytes() +
-      rf2.quantized().memory_bytes() +
-      core::SpmvPlan::build(rf2).payload_bytes();
-  ServeConfig config = untiled_config();
-  config.cache_bytes = rf1.resident_bytes() + rf2.resident_bytes();
-  ASSERT_GT(with_plans, config.cache_bytes);
-  ASSERT_LE(rf1.quantized().memory_bytes() +
-                core::SpmvPlan::build(rf1).payload_bytes(),
-            config.cache_bytes);
-
-  SolverDaemon daemon(config);
-  register_test_matrix(daemon);
-  daemon.register_matrix("laplace20x20", test_format(), [a2] { return a2; });
-  serve_and_measure(daemon, kName, core::BackendKind::kValue);
-  EXPECT_EQ(
-      serve_and_measure(daemon, "laplace20x20", core::BackendKind::kValue),
-      config.cache_bytes);
-  const ServeStats stats = daemon.stats();
-  EXPECT_EQ(stats.cache.resident_count, 2u);
-  EXPECT_EQ(stats.cache.evictions, 0u);
-  EXPECT_EQ(stats.cache.oversize, 0u);
+  for (const std::size_t slack : {std::size_t{0}, std::size_t{1}}) {
+    ServeConfig config = untiled_config();
+    config.cache_bytes = rf1.resident_bytes() + rf2.resident_bytes() - slack;
+    SolverDaemon daemon(config);
+    register_test_matrix(daemon);
+    daemon.register_matrix("laplace20x20", test_format(), [a2] { return a2; });
+    serve_and_measure(daemon, kName, core::BackendKind::kValue);
+    EXPECT_EQ(
+        serve_and_measure(daemon, "laplace20x20", core::BackendKind::kValue),
+        slack == 0 ? config.cache_bytes : rf2.resident_bytes());
+    const ServeStats stats = daemon.stats();
+    EXPECT_EQ(stats.cache.resident_count, slack == 0 ? 2u : 1u);
+    EXPECT_EQ(stats.cache.evictions, slack == 0 ? 0u : 1u);
+    EXPECT_EQ(stats.cache.oversize, 0u);
+  }
 }
 
 // --- Environment knobs -----------------------------------------------------

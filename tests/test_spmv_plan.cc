@@ -1,11 +1,11 @@
-// The SpmvPlan contract: the contiguous SoA payload is a pure layout change
-// — plan-SpMV is bit-identical to the historical per-block-heap path, the
-// batched SpMM is column-wise bit-identical to sequential SpMVs, both at
-// every tested thread count (including odd shard counts), and an all-zero
-// band of rows appears as an empty block-row range, not a missing one. The
-// value sweeps, which read the packed dequantized operand row by row, are
-// pinned bit for bit to the blocked plan loop they replaced, in both value
-// codes.
+// The block layout contract: a RefloatMatrix's block index lists exactly
+// the blocks a (block-row, block-column) bucketing of its packed operand
+// finds, in that order, and an all-zero band of rows appears as an empty
+// block-row range, not a missing one. The value sweep, which reads the
+// packed operand row by row, is bit-identical to the historical blocked
+// loop over those buckets, and the batched SpMM is column-wise
+// bit-identical to sequential SpMVs — at every tested thread count
+// (including odd shard counts), tile count, ISA and in both value codes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/core/simd.h"
-#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/util/random.h"
@@ -35,10 +34,10 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   return x;
 }
 
-// The pre-plan payload (PR 4 era): one heap-allocated entry vector per
-// block, bucketed in (brow, bcol) map order with entries in CSR row-major
-// order — rebuilt here from the dequantized CSR as an independent reference
-// for the plan's ordering contract.
+// The historical block payload: one heap-allocated entry vector per block,
+// bucketed in (brow, bcol) map order with entries in CSR row-major order —
+// rebuilt here from the dequantized CSR as an independent reference for
+// the block index and the blocked sweep order.
 struct LegacyEntry {
   std::int32_t r, c;
   double v;
@@ -66,124 +65,69 @@ LegacyBlocks legacy_blocks(const core::RefloatMatrix& rf) {
   return blocks;
 }
 
-// The pre-plan SpMV loop: serial walk over the AoS blocks in map order.
-std::vector<double> legacy_spmv(const core::RefloatMatrix& rf,
-                                const LegacyBlocks& blocks,
-                                std::span<const double> x) {
-  std::vector<double> xq(x.size());
-  rf.quantize_vector(x, xq);
-  std::vector<double> y(static_cast<std::size_t>(rf.quantized().rows()), 0.0);
+// The blocked value loop the row sweeps replaced, kept here as the
+// reference: zero y, visit the blocks in (brow, bcol) order, and add every
+// entry's product into its output row. Scalar formats (b = 0) have no
+// blocks; their value path was the CSR SpMV, a running sum per row. This
+// TU is compiled with -ffp-contract=off, like the kernels.
+std::vector<double> blocked_value_sweep(const core::RefloatMatrix& rf,
+                                        std::span<const double> xq) {
+  const sparse::Csr q = rf.quantized().to_csr();
+  const auto rows = static_cast<std::size_t>(q.rows());
+  std::vector<double> y(rows, 0.0);
+  if (rf.format().b == 0) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      double acc = 0.0;
+      for (auto e = static_cast<std::size_t>(q.row_ptr()[r]);
+           e < static_cast<std::size_t>(q.row_ptr()[r + 1]); ++e) {
+        acc += q.values()[e] * xq[static_cast<std::size_t>(q.col_idx()[e])];
+      }
+      y[r] = acc;
+    }
+    return y;
+  }
   const int b = rf.format().b;
-  for (const auto& [key, entries] : blocks) {
-    const sparse::Index row0 = key.first << b;
-    const sparse::Index col0 = key.second << b;
+  for (const auto& [key, entries] : legacy_blocks(rf)) {
+    const auto r0 = static_cast<std::size_t>(key.first << b);
+    const auto c0 = static_cast<std::size_t>(key.second << b);
     for (const LegacyEntry& e : entries) {
-      y[static_cast<std::size_t>(row0 + e.r)] +=
-          e.v * xq[static_cast<std::size_t>(col0 + e.c)];
+      y[r0 + static_cast<std::size_t>(e.r)] +=
+          e.v * xq[c0 + static_cast<std::size_t>(e.c)];
     }
   }
   return y;
 }
 
-TEST(SpmvPlan, StructureIsValidAndMatchesLegacyBucketing) {
+TEST(BlockLayout, BlockIndexMatchesLegacyBucketing) {
   const core::Format fmt{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
-  ASSERT_TRUE(plan.valid());
+  const core::RefloatMatrix::BlockIndex& index = rf.block_index();
 
+  // Same blocks in the same order (no block of this matrix flushes to
+  // zero, so every indexed block has a bucket), every grid block-row
+  // covered, and every entry in some block.
   const LegacyBlocks legacy = legacy_blocks(rf);
-  ASSERT_EQ(plan.num_blocks(), legacy.size());
-  // Same blocks in the same order, same entries in the same order.
+  ASSERT_EQ(index.size(), legacy.size());
+  ASSERT_EQ(index.block_rows(), 13u);
   std::size_t j = 0;
-  for (const auto& [key, entries] : legacy) {
-    EXPECT_EQ(plan.row0[j], key.first << fmt.b);
-    EXPECT_EQ(plan.col0[j], key.second << fmt.b);
-    ASSERT_EQ(plan.entry_ptr[j + 1] - plan.entry_ptr[j], entries.size());
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const std::size_t idx = plan.entry_ptr[j] + e;
-      EXPECT_EQ(plan.entry_row[idx], entries[e].r);
-      EXPECT_EQ(plan.entry_col[idx], entries[e].c);
-      EXPECT_EQ(plan.entry_value[idx], entries[e].v);
-    }
+  std::size_t entries = 0;
+  for (const auto& [key, bucket] : legacy) {
+    const auto br = static_cast<std::size_t>(key.first);
+    EXPECT_GE(j, index.block_ptr[br]);
+    EXPECT_LT(j, index.block_ptr[br + 1]);
+    EXPECT_EQ(sparse::Index{index.block_col[j]}, key.second);
+    entries += bucket.size();
     ++j;
   }
-  EXPECT_GT(plan.payload_bytes(), 0u);
+  EXPECT_EQ(index.block_ptr.front(), 0u);
+  EXPECT_EQ(index.block_ptr.back(), index.size());
+  EXPECT_EQ(entries, static_cast<std::size_t>(rf.quantized().nnz()));
+  EXPECT_GT(index.bytes(), 0u);
 }
 
-// valid() is the gate a corrupted plan must fail loudly at — it is
-// debug-asserted at the end of SpmvPlanBuilder::finish and is what a tile
-// partitioner's shard ranges are checked against. Each corruption below
-// breaks exactly one clause of the contract.
-TEST(SpmvPlan, ValidRejectsEachKindOfCorruption) {
-  const core::Format fmt{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
-  const sparse::Csr a =
-      gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
-  const core::RefloatMatrix rf(a, fmt);
-  const core::SpmvPlan good = core::SpmvPlan::build(rf);
-  ASSERT_TRUE(good.valid());
-  ASSERT_GE(good.num_blocks(), 2u);
-
-  {  // block_ptr not monotone
-    core::SpmvPlan p = good;
-    p.block_ptr[1] = p.block_ptr[2] + 1;
-    EXPECT_FALSE(p.valid());
-  }
-  {  // block_ptr does not end at num_blocks()
-    core::SpmvPlan p = good;
-    p.block_ptr.back() += 1;
-    EXPECT_FALSE(p.valid());
-  }
-  {  // entry_ptr does not cover the arena
-    core::SpmvPlan p = good;
-    p.entry_ptr.back() -= 1;
-    EXPECT_FALSE(p.valid());
-  }
-  {  // entry_ptr not monotone mid-arena
-    core::SpmvPlan p = good;
-    p.entry_ptr[1] = p.entry_ptr[2] + 1;
-    EXPECT_FALSE(p.valid());
-  }
-  {  // a block claims the wrong block-row
-    core::SpmvPlan p = good;
-    p.row0[0] += static_cast<sparse::Index>(p.side());
-    EXPECT_FALSE(p.valid());
-  }
-  {  // block origin not aligned to the block side
-    core::SpmvPlan p = good;
-    p.col0[0] += 1;
-    EXPECT_FALSE(p.valid());
-  }
-  {  // block origin outside the matrix
-    core::SpmvPlan p = good;
-    p.col0[0] = p.cols + static_cast<sparse::Index>(p.side());
-    EXPECT_FALSE(p.valid());
-  }
-  {  // within-block coordinate out of range
-    core::SpmvPlan p = good;
-    p.entry_col[0] = static_cast<std::int16_t>(p.side());
-    EXPECT_FALSE(p.valid());
-  }
-  {  // SoA arrays out of step
-    core::SpmvPlan p = good;
-    p.base.pop_back();
-    EXPECT_FALSE(p.valid());
-  }
-  {  // a row's entries out of ascending column order within its block-row
-    core::SpmvPlan p = good;
-    std::size_t e = 0;
-    while (e + 1 < p.num_entries() && p.entry_row[e] != p.entry_row[e + 1]) {
-      ++e;
-    }
-    ASSERT_LT(e + 1, p.num_entries());
-    std::swap(p.entry_col[e], p.entry_col[e + 1]);
-    std::swap(p.entry_value[e], p.entry_value[e + 1]);
-    EXPECT_FALSE(p.valid());
-  }
-}
-
-TEST(SpmvPlan, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
+TEST(BlockLayout, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
   const core::Format fmt{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
   // 20x10 grid -> 200 rows -> 13 block-rows at b=4: odd, not a multiple of
   // any tested thread count.
@@ -192,8 +136,9 @@ TEST(SpmvPlan, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
   const core::RefloatMatrix rf(a, fmt);
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 301);
-  const std::vector<double> reference =
-      legacy_spmv(rf, legacy_blocks(rf), x);
+  std::vector<double> xq(x.size());
+  rf.quantize_vector(x, xq);
+  const std::vector<double> reference = blocked_value_sweep(rf, xq);
   const auto backend = core::make_value_backend(rf);
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool::set_global_threads(threads);
@@ -207,7 +152,7 @@ TEST(SpmvPlan, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
   util::ThreadPool::set_global_threads(1);
 }
 
-TEST(SpmvPlan, SpmmBitIdenticalToSequentialSpmvsAcrossThreadCounts) {
+TEST(BlockLayout, SpmmBitIdenticalToSequentialSpmvsAcrossThreadCounts) {
   const core::Format fmt{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
@@ -237,9 +182,9 @@ TEST(SpmvPlan, SpmmBitIdenticalToSequentialSpmvsAcrossThreadCounts) {
   util::ThreadPool::set_global_threads(1);
 }
 
-TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
+TEST(BlockLayout, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   // 64x64 at b=4: rows 16..31 carry no entries at all, so grid block-row 1
-  // must exist in the plan index as an empty range.
+  // must exist in the block index as an empty range.
   std::vector<sparse::Triplet> triplets;
   for (sparse::Index i = 0; i < 64; ++i) {
     if (i >= 16 && i < 32) continue;
@@ -250,12 +195,11 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   core::Format fmt = core::default_format();
   fmt.b = 4;
   const core::RefloatMatrix rf(a, fmt);
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
-  ASSERT_TRUE(plan.valid());
-  ASSERT_EQ(plan.block_rows(), 4u);
-  EXPECT_EQ(plan.block_ptr[1], plan.block_ptr[2]);  // block-row 1 is empty
-  EXPECT_GT(plan.block_ptr[1], plan.block_ptr[0]);
-  EXPECT_GT(plan.block_ptr[3], plan.block_ptr[2]);
+  const std::vector<std::size_t>& block_ptr = rf.block_index().block_ptr;
+  ASSERT_EQ(rf.block_index().block_rows(), 4u);
+  EXPECT_EQ(block_ptr[1], block_ptr[2]);  // block-row 1 is empty
+  EXPECT_GT(block_ptr[1], block_ptr[0]);
+  EXPECT_GT(block_ptr[3], block_ptr[2]);
 
   // SpMV over the gap still matches the quantized-CSR reference, at every
   // thread count, and the empty band reads exactly zero.
@@ -290,11 +234,12 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   util::ThreadPool::set_global_threads(1);
 }
 
-TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
+TEST(BlockLayout, ScalarFormatHasNoBlocksButSpmmStillWorks) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(8, 8)).shifted(0.2);
   const core::RefloatMatrix rf(a, core::format_fp64());
-  EXPECT_EQ(core::SpmvPlan::build(rf).num_blocks(), 0u);
+  EXPECT_EQ(rf.block_index().size(), 0u);
+  EXPECT_TRUE(rf.block_index().block_ptr.empty());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::size_t k = 2;
   const std::vector<double> x = random_vector(n * k, 600);
@@ -310,43 +255,7 @@ TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
   }
 }
 
-// --- The value sweep vs the blocked plan loop it replaced -----------------
-
-// The blocked value loop the row sweeps replaced, kept here as the
-// reference: zero y, visit the plan's blocks in (brow, bcol) order, and add
-// every entry's product into its output row. Scalar formats (b = 0) have
-// no plan; their value path was the CSR SpMV, a running sum per row. This
-// TU is compiled with -ffp-contract=off, like the kernels.
-std::vector<double> blocked_value_sweep(const core::RefloatMatrix& rf,
-                                        std::span<const double> xq) {
-  const sparse::Csr q = rf.quantized().to_csr();
-  const auto rows = static_cast<std::size_t>(q.rows());
-  std::vector<double> y(rows, 0.0);
-  if (rf.format().b == 0) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      double acc = 0.0;
-      for (auto e = static_cast<std::size_t>(q.row_ptr()[r]);
-           e < static_cast<std::size_t>(q.row_ptr()[r + 1]); ++e) {
-        acc += q.values()[e] * xq[static_cast<std::size_t>(q.col_idx()[e])];
-      }
-      y[r] = acc;
-    }
-    return y;
-  }
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
-  for (std::size_t br = 0; br < plan.block_rows(); ++br) {
-    for (std::size_t j = plan.block_ptr[br]; j < plan.block_ptr[br + 1]; ++j) {
-      const auto r0 = static_cast<std::size_t>(plan.row0[j]);
-      const auto c0 = static_cast<std::size_t>(plan.col0[j]);
-      for (std::size_t e = plan.entry_ptr[j]; e < plan.entry_ptr[j + 1]; ++e) {
-        const double v = plan.entry_value[e];
-        y[r0 + static_cast<std::size_t>(plan.entry_row[e])] +=
-            v * xq[c0 + static_cast<std::size_t>(plan.entry_col[e])];
-      }
-    }
-  }
-  return y;
-}
+// --- The value sweep vs the blocked loop across ISAs and codes ------------
 
 // Operand values spanning 2^-40..2^40 in magnitude, both signs, with
 // signed zeros sprinkled in.
@@ -419,7 +328,7 @@ std::vector<core::SimdIsa> runnable_isas() {
 // Runs over both value codes of the packed operand: the narrow format's
 // 3-bit fractions are fp32-exact, the wide format's 30-bit fractions force
 // the fp64 fallback, and each case asserts which code it exercises.
-TEST(SpmvPlan, ValueSweepBitIdenticalToBlockedPlanLoop) {
+TEST(BlockLayout, ValueSweepBitIdenticalToBlockedLoop) {
   const core::Format narrow{.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 8};
   const core::Format wide{.b = 4, .e = 7, .f = 30, .ev = 7, .fv = 30};
   constexpr sparse::ValueCode kFp32 = sparse::ValueCode::kFp32;
@@ -443,9 +352,6 @@ TEST(SpmvPlan, ValueSweepBitIdenticalToBlockedPlanLoop) {
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(c.a, c.format);
     ASSERT_EQ(rf.quantized().code(), c.code) << c.name;
-    if (c.format.b > 0) {
-      ASSERT_TRUE(core::SpmvPlan::build(rf).valid()) << c.name;
-    }
     const auto n = static_cast<std::size_t>(c.a.rows());
     for (const std::size_t k : ks) {
       const std::vector<double> x = wide_operand(n * k, 1000 + k);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
-#include "src/core/spmv_plan.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
@@ -93,7 +92,7 @@ TEST(ThreadedSpmv, RefloatBitIdenticalAcrossThreadCounts) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
-  ASSERT_EQ(core::SpmvPlan::build(rf).block_rows(), 13u);
+  ASSERT_EQ(rf.block_index().block_rows(), 13u);
   const std::vector<double> x =
       random_vector(static_cast<std::size_t>(a.rows()), 101);
   const auto backend = core::make_value_backend(rf);

@@ -1,6 +1,7 @@
 // The tiled-execution contract: partitioning a RefloatMatrix across
 // modeled ReRAM tiles is a pure scheduling change — every shard is a set of
-// offsets that agrees with the matrix's SpmvPlan, every SpMV path is
+// offsets that agrees with the matrix's block index and packed operand,
+// every SpMV path is
 // bit-identical to its untiled counterpart for any partition at any thread
 // count — while the arch/ timing collapses to the monolithic closed form
 // at one tile and the hw/ per-tile ECC measurably improves fault survival
@@ -48,7 +49,7 @@ sparse::Csr grid_matrix() {
 }
 
 // 64x64 with rows 16..31 empty: grid block-row 1 is an empty range in the
-// plan and must land inside some shard as a no-op band.
+// block index and must land inside some shard as a no-op band.
 sparse::Csr empty_band_matrix() {
   std::vector<sparse::Triplet> triplets;
   for (sparse::Index i = 0; i < 64; ++i) {
@@ -59,13 +60,15 @@ sparse::Csr empty_band_matrix() {
   return sparse::Csr::from_triplets(64, 64, triplets);
 }
 
-TEST(TilePartition, CoversThePlanForEveryTileCount) {
+TEST(TilePartition, CoversTheMatrixForEveryTileCount) {
   const core::RefloatMatrix rf(grid_matrix(), kFmt);
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
+  const core::RefloatMatrix other(empty_band_matrix(), kFmt);
   for (const int tiles : {1, 2, 3, 7, 13, 64}) {
     const core::TiledPlan tiled =
         core::TiledPlan::partition(rf, {.tiles = tiles});
-    EXPECT_TRUE(tiled.valid(plan)) << tiles << " tiles";
+    EXPECT_TRUE(tiled.valid(rf)) << tiles << " tiles";
+    // A partition of one matrix is not a cover of another.
+    EXPECT_FALSE(tiled.valid(other)) << tiles << " tiles";
     EXPECT_EQ(tiled.tile_count(), std::min<int>(tiles, 64));
     std::size_t blocks = 0;
     std::size_t entries = 0;
@@ -73,8 +76,9 @@ TEST(TilePartition, CoversThePlanForEveryTileCount) {
       blocks += s.blocks();
       entries += s.entries();
     }
-    EXPECT_EQ(blocks, plan.num_blocks()) << tiles << " tiles";
-    EXPECT_EQ(entries, plan.num_entries()) << tiles << " tiles";
+    EXPECT_EQ(blocks, rf.nonzero_blocks()) << tiles << " tiles";
+    EXPECT_EQ(entries, static_cast<std::size_t>(rf.quantized().nnz()))
+        << tiles << " tiles";
     EXPECT_EQ(tiled.stats().requested_tiles, tiles);
   }
 }
@@ -83,11 +87,10 @@ TEST(TilePartition, MoreTilesThanBlockRowsPadsEmptyShards) {
   // 64x64 at b=4 -> 4 block-rows; 7 requested tiles -> 3 empty trailing
   // shards, still a valid cover.
   const core::RefloatMatrix rf(empty_band_matrix(), kFmt);
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
-  ASSERT_EQ(plan.block_rows(), 4u);
+  ASSERT_EQ(rf.block_index().block_rows(), 4u);
   const core::TiledPlan tiled =
       core::TiledPlan::partition(rf, {.tiles = 7});
-  EXPECT_TRUE(tiled.valid(plan));
+  EXPECT_TRUE(tiled.valid(rf));
   EXPECT_EQ(tiled.tile_count(), 7);
   int empty_shards = 0;
   for (const core::TileShard& s : tiled.shards()) {
@@ -101,7 +104,7 @@ TEST(TilePartition, CapacityBudgetForcesExtraShards) {
   const std::size_t cap = 3;
   const core::TiledPlan tiled = core::TiledPlan::partition(
       rf, {.tiles = 2, .capacity_blocks = cap});
-  EXPECT_TRUE(tiled.valid(core::SpmvPlan::build(rf)));
+  EXPECT_TRUE(tiled.valid(rf));
   // 13 block-rows of ~3 blocks each cannot fit in 2 shards of 3 blocks.
   EXPECT_GT(tiled.tile_count(), 2);
   for (const core::TileShard& s : tiled.shards()) {
@@ -118,13 +121,12 @@ TEST(TilePartition, CapacityBudgetForcesExtraShards) {
 
 TEST(TilePartition, RefinementNeverWorsensBalance) {
   const core::RefloatMatrix rf(grid_matrix(), kFmt);
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
   for (const int tiles : {2, 3, 5}) {
     const core::TiledPlan coarse = core::TiledPlan::partition(
         rf, {.tiles = tiles, .refine = false});
     const core::TiledPlan refined = core::TiledPlan::partition(
         rf, {.tiles = tiles, .refine = true});
-    EXPECT_TRUE(refined.valid(plan));
+    EXPECT_TRUE(refined.valid(rf));
     EXPECT_LE(refined.stats().balance, coarse.stats().balance)
         << tiles << " tiles";
     EXPECT_GE(refined.stats().balance, 1.0);
@@ -312,7 +314,7 @@ TEST(TiledHwSpmv, PerTileEccBudgetImprovesFaultSurvival) {
 
   const core::TiledPlan four =
       core::TiledPlan::partition(rf, {.tiles = 4});
-  hw::HwSpmv tiled(rf, core::SpmvPlan::build(rf), ecc, four);
+  hw::HwSpmv tiled(rf, ecc, &four);
   ASSERT_EQ(tiled.tile_count(), 4);
   long long survived = 0;
   for (int t = 0; t < tiled.tile_count(); ++t) {
@@ -385,9 +387,8 @@ TEST(TiledSchedule, OneTileMatchesTheUntiledSimulation) {
   const sparse::Csr a = grid_matrix();
   const core::RefloatMatrix rf(a, kFmt);
   const sparse::BlockedMatrix blocked(rf.quantized().to_csr(), kFmt.b);
-  const core::SpmvPlan plan = core::SpmvPlan::build(rf);
-  ASSERT_EQ(blocked.nonzero_blocks(), plan.num_blocks());
-  ASSERT_EQ(static_cast<std::size_t>(blocked.nnz()), plan.num_entries());
+  ASSERT_EQ(blocked.nonzero_blocks(), rf.nonzero_blocks());
+  ASSERT_EQ(blocked.nnz(), rf.quantized().nnz());
 
   arch::AcceleratorConfig config = arch::refloat_config(kFmt);
   for (const long long capacity : {100000LL, 13LL}) {
@@ -397,7 +398,7 @@ TEST(TiledSchedule, OneTileMatchesTheUntiledSimulation) {
     const core::TiledPlan one =
         core::TiledPlan::partition(rf, {.tiles = 1});
     const arch::ScheduleStats tiled =
-        arch::simulate_spmv_tiled(config, plan, one);
+        arch::simulate_spmv_tiled(config, rf, one);
     EXPECT_EQ(tiled.seconds, untiled.seconds) << "capacity " << capacity;
     EXPECT_EQ(tiled.rounds, untiled.rounds);
     EXPECT_EQ(tiled.cluster_utilization, untiled.cluster_utilization);
@@ -417,7 +418,7 @@ TEST(TiledSchedule, ReportsPerTileObservables) {
   const core::TiledPlan tiled =
       core::TiledPlan::partition(rf, {.tiles = 3});
   const arch::ScheduleStats stats =
-      arch::simulate_spmv_tiled(config, core::SpmvPlan::build(rf), tiled);
+      arch::simulate_spmv_tiled(config, rf, tiled);
   EXPECT_EQ(stats.tiles, 3);
   ASSERT_EQ(stats.tile_utilization.size(), 3u);
   ASSERT_EQ(stats.tile_rounds.size(), 3u);
