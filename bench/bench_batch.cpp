@@ -49,7 +49,8 @@ void measured_backend_sweeps() {
   entries.push_back({"value", core::make_value_backend(rf)});
   entries.push_back({"noisy", core::make_noisy_backend(rf, 1e-3, 42)});
   entries.push_back(
-      {"bittrue", hw::make_bit_true_backend(rf, hw::ClusterConfig{})});
+      {"bittrue",
+       std::make_unique<hw::BitTrueBackend>(rf, hw::ClusterConfig{})});
   // Stuck-at-1 cells occupy otherwise empty (plane, row) slices and every
   // nonzero sample draws noise, so this row bounds what the occupancy skip
   // saves on a degraded array.
@@ -58,14 +59,17 @@ void measured_backend_sweeps() {
   degraded.faults.stuck_at_zero_rate = 1e-2;
   degraded.faults.stuck_at_one_rate = 1e-2;
   entries.push_back(
-      {"bittrue+noise+faults", hw::make_bit_true_backend(rf, degraded)});
+      {"bittrue+noise+faults",
+       std::make_unique<hw::BitTrueBackend>(rf, degraded)});
 
   std::vector<double> x(kWide * n);
   util::Rng rng(11);
   for (double& v : x) v = rng.gaussian();
   std::vector<double> y(kWide * n);
 
-  util::CsvWriter csv(bench::results_dir() + "/backend_throughput.csv");
+  // Wall-clock timings differ between runs, so they go under
+  // results/timing/, apart from the answer series in results/*.csv.
+  util::CsvWriter csv(bench::results_dir() + "/timing/backend_throughput.csv");
   csv.row({"backend", "k", "per_rhs_us", "batched_speedup"});
   util::Table table(
       {"backend", "per-RHS k=1 (us)", "per-RHS k=8 (us)", "batched speedup"});
@@ -90,7 +94,7 @@ void measured_backend_sweeps() {
   }
   table.print();
   std::printf("\nlaplace32x32 (n = %zu), b = 4, %d sweeps per cell; series "
-              "in results/backend_throughput.csv\n",
+              "in results/timing/backend_throughput.csv\n",
               n, kReps);
 }
 
@@ -157,20 +161,20 @@ int main() {
     const arch::AcceleratorConfig config =
         arch::refloat_config(bundle.format);
     const arch::DeploymentCost cost =
-        arch::deployment_cost(config, bundle.nonzero_blocks);
+        arch::deployment_cost(config, bundle.rf.nonzero_blocks());
 
     double per_rhs_k1 = 0.0;
     std::vector<std::string> cells = {spec.name,
                                       util::fmt_i(static_cast<long long>(
-                                          bundle.nonzero_blocks)),
+                                          bundle.rf.nonzero_blocks())),
                                       std::to_string(cost.rounds)};
     for (const long k : kBatch) {
       const arch::SolveTime time = arch::accelerator_batched_solve_time(
-          config, bundle.nonzero_blocks, bundle.a.rows(), kIterations,
+          config, bundle.rf.nonzero_blocks(), bundle.a.rows(), kIterations,
           profile, k);
       if (k == 1) per_rhs_k1 = time.per_rhs_seconds;
       const double speedup = per_rhs_k1 / time.per_rhs_seconds;
-      csv.row({spec.name, std::to_string(bundle.nonzero_blocks),
+      csv.row({spec.name, std::to_string(bundle.rf.nonzero_blocks()),
                std::to_string(cost.rounds), std::to_string(k),
                util::fmt_g(time.per_rhs_seconds, 6),
                util::fmt_g(speedup, 4)});

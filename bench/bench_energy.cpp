@@ -38,11 +38,12 @@ int main() {
     }
     // Feinberg-fc uses double's iteration count (as in Fig. 8).
     const arch::SolveEnergy ef = arch::accelerator_solve_energy(
-        arch::feinberg_config(), energy, bundle.nonzero_blocks,
+        arch::feinberg_config(), energy, bundle.rf.nonzero_blocks(),
         bundle.a.rows(), rd.iterations, arch::cg_profile());
     const arch::SolveEnergy er = arch::accelerator_solve_energy(
-        arch::refloat_config(bundle.format), energy, bundle.nonzero_blocks,
-        bundle.a.rows(), rr.iterations, arch::cg_profile());
+        arch::refloat_config(bundle.format), energy,
+        bundle.rf.nonzero_blocks(), bundle.a.rows(), rr.iterations,
+        arch::cg_profile());
 
     const double write_share =
         er.total_joules() > 0.0 ? er.write_joules / er.total_joules() : 0.0;

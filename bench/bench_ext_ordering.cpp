@@ -13,7 +13,6 @@
 #include "src/arch/cost.h"
 #include "src/arch/timing.h"
 #include "src/gen/rcm.h"
-#include "src/sparse/blocked.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
 
@@ -35,10 +34,10 @@ int main() {
     const MatrixBundle bundle = load_bundle(*spec);
     const arch::AcceleratorConfig cfg = arch::refloat_config(bundle.format);
 
-    const sparse::BlockedMatrix before(bundle.a, bundle.format.b);
+    const core::RefloatMatrix& before = bundle.rf;
     const auto perm = gen::rcm_permutation(bundle.a);
     const sparse::Csr reordered = bundle.a.permuted_symmetric(perm);
-    const sparse::BlockedMatrix after(reordered, bundle.format.b);
+    const core::RefloatMatrix after(reordered, bundle.format);
 
     const arch::SpmvTiming t_before =
         arch::spmv_time(cfg, before.nonzero_blocks());

@@ -20,7 +20,6 @@ int main() {
 
   const gen::SuiteSpec* spec = gen::find_spec(355);
   const MatrixBundle bundle = load_bundle(*spec);
-  const core::RefloatMatrix rf(bundle.a, bundle.format);
 
   // GPU reference time from the double run.
   ResultCache cache(solves_cache_dir());
@@ -39,7 +38,7 @@ int main() {
                            0.10,  0.15,  0.20, 0.25};
   for (double sigma : sigmas) {
     constexpr std::uint64_t kSeed = 355 + 7;  // the operator's seed too
-    const auto backend = core::make_noisy_backend(rf, sigma, kSeed);
+    const auto backend = core::make_noisy_backend(bundle.rf, sigma, kSeed);
     solve::BackendMultiOperator op(*backend, 1, kSeed);
     solve::SolveOptions opts = evaluation_options();
     // Noise-free convergence takes ~125 iterations; 8000 is decisively NC
@@ -52,7 +51,7 @@ int main() {
     if (res.status == solve::SolveStatus::kConverged) {
       const double t =
           arch::accelerator_solve_time(arch::refloat_config(bundle.format),
-                                       bundle.nonzero_blocks,
+                                       bundle.rf.nonzero_blocks(),
                                        bundle.a.rows(), res.iterations,
                                        arch::cg_profile())
               .total_seconds;

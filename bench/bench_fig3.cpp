@@ -76,8 +76,7 @@ void locality(util::CsvWriter& csv) {
                   "offsets clamped"});
   for (const gen::SuiteSpec& spec : gen::suite()) {
     const MatrixBundle bundle = load_bundle(spec);
-    const core::RefloatMatrix rf(bundle.a, bundle.format);
-    const auto& stats = rf.stats();
+    const auto& stats = bundle.rf.stats();
     const double clamped_pct =
         100.0 *
         static_cast<double>(stats.overflowed + stats.underflowed) /

@@ -40,20 +40,21 @@ void run_solver(SolverKind solver, ResultCache& cache,
 
     const long rounds =
         arch::deployment_cost(arch::refloat_config(bundle.format),
-                              bundle.nonzero_blocks)
+                              bundle.rf.nonzero_blocks())
             .rounds;
     if (row.feinberg == 0.0) ++feinberg_nc;
     if (row.feinberg_fc > 0.0) fc_speedups.push_back(row.feinberg_fc);
     if (row.refloat > 0.0) rf_speedups.push_back(row.refloat);
 
     table.add_row({std::to_string(spec.ss_id), spec.name,
-                   util::fmt_i(static_cast<long long>(bundle.nonzero_blocks)),
+                   util::fmt_i(
+                       static_cast<long long>(bundle.rf.nonzero_blocks())),
                    std::to_string(rounds), "1.00",
                    row.feinberg > 0.0 ? util::fmt_f(row.feinberg, 2) : "NC",
                    util::fmt_f(row.feinberg_fc, 2),
                    row.refloat > 0.0 ? util::fmt_f(row.refloat, 2) : "NC"});
     csv.row({solver_name(solver), spec.name,
-             std::to_string(bundle.nonzero_blocks),
+             std::to_string(bundle.rf.nonzero_blocks()),
              util::fmt_g(row.gpu_seconds, 6),
              util::fmt_g(row.feinberg, 6), util::fmt_g(row.feinberg_fc, 6),
              util::fmt_g(row.refloat, 6)});

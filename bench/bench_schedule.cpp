@@ -8,7 +8,6 @@
 
 #include "bench/harness.h"
 #include "src/arch/schedule.h"
-#include "src/sparse/blocked.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
 
@@ -28,18 +27,17 @@ int main() {
   for (const gen::SuiteSpec& spec : gen::suite()) {
     const MatrixBundle bundle = load_bundle(spec);
     const arch::AcceleratorConfig cfg = arch::refloat_config(bundle.format);
-    const sparse::BlockedMatrix blocked(bundle.a, bundle.format.b);
 
-    const arch::ScheduleStats ev = arch::simulate_spmv(cfg, blocked);
+    const arch::ScheduleStats ev = arch::simulate_spmv(cfg, bundle.rf);
     const arch::SpmvTiming model =
-        arch::spmv_time(cfg, blocked.nonzero_blocks());
+        arch::spmv_time(cfg, bundle.rf.nonzero_blocks());
     max_rel_gap = std::max(
         max_rel_gap, std::abs(ev.seconds - model.seconds) / model.seconds);
 
     arch::AcceleratorConfig serial = cfg;
     serial.overlap_write_compute = false;
     const arch::ScheduleStats ev_serial =
-        arch::simulate_spmv(serial, blocked);
+        arch::simulate_spmv(serial, bundle.rf);
 
     table.add_row(
         {spec.name, std::to_string(ev.rounds),

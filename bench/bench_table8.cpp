@@ -32,7 +32,7 @@ int main() {
   std::size_t idx = 0;
   for (const gen::SuiteSpec& spec : gen::suite()) {
     const MatrixBundle bundle = load_bundle(spec);
-    const core::RefloatMatrix rf(bundle.a, bundle.format);
+    const core::RefloatMatrix& rf = bundle.rf;
     const double ratio = rf.memory_overhead_vs_coo();
     const double vs_csr = static_cast<double>(rf.storage_bits()) /
                           static_cast<double>(rf.baseline_csr_bits());

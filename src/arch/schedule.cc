@@ -9,10 +9,10 @@
 namespace refloat::arch {
 
 ScheduleStats simulate_spmv(const AcceleratorConfig& config,
-                            const sparse::BlockedMatrix& blocked) {
+                            const core::RefloatMatrix& rf) {
   ScheduleStats stats;
   const long long capacity = clusters(config);
-  const std::size_t blocks = blocked.nonzero_blocks();
+  const std::size_t blocks = rf.nonzero_blocks();
   const double compute =
       static_cast<double>(cycles_per_block_mvm(config.format)) *
       config.op_latency_ns * 1e-9;
@@ -70,15 +70,17 @@ ScheduleStats simulate_spmv(const AcceleratorConfig& config,
   // Stream traffic per pass. Re-programmed (multi-round) matrices move their
   // encoded cells every pass; resident ones move only vector segments.
   const core::Format& fmt = config.format;
+  const long long side = 1LL << rf.format().b;
   if (rounds > 1) {
+    const long long grid_dim =
+        std::max(static_cast<long long>(rf.block_index().block_rows()),
+                 (rf.quantized().cols() + side - 1) / side);
     stats.matrix_stream_bits =
-        static_cast<long long>(blocked.nnz()) *
+        static_cast<long long>(rf.stats().values) *
             core::storage_bits_per_value(fmt) +
         static_cast<long long>(blocks) *
-            core::storage_bits_per_block(
-                fmt, std::max(blocked.block_rows(), blocked.block_cols()));
+            core::storage_bits_per_block(fmt, grid_dim);
   }
-  const long long side = blocked.block_side();
   stats.input_vector_bits = static_cast<long long>(blocks) * side *
                             (1LL + fmt.ev + fmt.fv);
   stats.output_vector_bits = static_cast<long long>(blocks) * side * 64LL;

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "src/arch/config.h"
+#include "src/core/refloat_matrix.h"
 #include "src/core/tiled_plan.h"
-#include "src/sparse/blocked.h"
 
 namespace refloat::arch {
 
@@ -36,8 +36,10 @@ struct ScheduleStats {
   std::vector<double> tile_utilization;  // per-tile occupied/available
 };
 
+// One pass over rf's indexed blocks; the grid and the entry count (every
+// converted nonzero, rf.stats().values) come from rf.
 ScheduleStats simulate_spmv(const AcceleratorConfig& config,
-                            const sparse::BlockedMatrix& blocked);
+                            const core::RefloatMatrix& rf);
 
 // Tiled counterpart over a partitioned matrix (`tiled` a partition of rf):
 // the shared-writer /

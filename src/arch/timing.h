@@ -86,12 +86,6 @@ TiledSpmvTiming tiled_spmm_time(const AcceleratorConfig& config,
                                 std::span<const std::size_t> blocks_per_tile,
                                 long long n, long batch_k);
 
-inline TiledSpmvTiming tiled_spmv_time(
-    const AcceleratorConfig& config,
-    std::span<const std::size_t> blocks_per_tile, long long n) {
-  return tiled_spmm_time(config, blocks_per_tile, n, 1);
-}
-
 // Operation counts of one solver iteration.
 struct SolverProfile {
   int spmvs_per_iteration = 1;

@@ -7,9 +7,9 @@
 // result depends only on the dequantized
 // block values and the digital accumulation after the ADC, and the 128x128
 // block grid is how the hardware maps the matrix, not part of that
-// arithmetic. The plan stores each block row-major and each block-row's
-// blocks in ascending column order, so every output row of the blocked
-// sweep received its addends in ascending column order — CSR order — and
+// arithmetic. A blocked sweep visits each block-row's blocks in ascending
+// column order and each block row-major, so every output row receives its
+// addends in ascending column order — CSR order — and
 // a row kernel with the running sum in a register reproduces it bit for
 // bit. Each row loop is one template instantiated per value code. Three
 // implementations of the same kernel table exist side by side:

@@ -315,9 +315,10 @@ void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
   xq.resize(x.size());
   rf.quantize_vector(x, xq);
   // Row by row over the resident packed operand: each row takes its
-  // addends in ascending column order, exactly as a blocked walk of the
-  // plan delivers them — bit-identical at any thread count, on every SIMD
-  // path, for every tile partition, and for scalar (b = 0) formats alike.
+  // addends in ascending column order, exactly as a walk of the blocks in
+  // block-column order delivers them — bit-identical at any thread count,
+  // on every SIMD path, for every tile partition, and for scalar (b = 0)
+  // formats alike.
   const SweepKernels& kernels = sweep_kernels();
   parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
     kernels.spmv_rows(rf.quantized(), r0, r1, xq.data(), y.data());
@@ -390,33 +391,10 @@ void sweep_noisy(const RefloatMatrix& rf, const TiledPlan* tiled,
   if (k > 1) sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
 
-// Owns-or-borrows the tile partition: every backend supports both the
-// "partition for me" (tiles count) and "share the resident partition"
-// (borrowed pointer, e.g. the serving layer's cache entry) constructions.
-struct TileRouting {
-  TiledPlan owned;
-  const TiledPlan* borrowed = nullptr;
-
-  TileRouting(const RefloatMatrix& rf, int tiles) {
-    if (tiles > 1 && rf.nonzero_blocks() > 0) {
-      owned = TiledPlan::partition(rf, {.tiles = tiles});
-    }
-  }
-  TileRouting(const RefloatMatrix& rf, const TiledPlan* tiled)
-      : borrowed(tiled) {
-    (void)rf;
-  }
-  [[nodiscard]] const TiledPlan* get() const {
-    if (borrowed != nullptr) return borrowed->empty() ? nullptr : borrowed;
-    return owned.empty() ? nullptr : &owned;
-  }
-};
-
 class ValueBackend final : public SweepBackend {
  public:
-  template <typename Tiling>
-  ValueBackend(const RefloatMatrix& rf, Tiling tiling)
-      : rf_(rf), tiles_(rf, tiling) {}
+  ValueBackend(const RefloatMatrix& rf, const TiledPlan* tiled)
+      : rf_(rf), tiled_(tiled) {}
 
   [[nodiscard]] std::size_t rows() const override {
     return static_cast<std::size_t>(rf_.quantized().rows());
@@ -432,9 +410,9 @@ class ValueBackend final : public SweepBackend {
   void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
              const SweepContext& ctx) override {
     if (k == 1) {
-      sweep_value_single(rf_, tiles_.get(), x, y, xq_);
+      sweep_value_single(rf_, tiled_, x, y, xq_);
     } else {
-      sweep_value_multi(rf_, tiles_.get(), x, k, y, scratch_);
+      sweep_value_multi(rf_, tiled_, x, k, y, scratch_);
     }
     finish_sweep(k == 1 ? std::span<const double>(xq_)
                         : std::span<const double>(scratch_.columns),
@@ -443,20 +421,16 @@ class ValueBackend final : public SweepBackend {
 
  private:
   const RefloatMatrix& rf_;
-  TileRouting tiles_;
+  const TiledPlan* tiled_;  // borrowed; nullptr or empty = untiled
   std::vector<double> xq_;
   BatchScratch scratch_;
 };
 
 class NoisyBackend final : public SweepBackend {
  public:
-  template <typename Tiling>
   NoisyBackend(const RefloatMatrix& rf, double sigma, std::uint64_t seed,
-               Tiling tiling)
-      : rf_(rf),
-        tiles_(rf, tiling),
-        sigma_(sigma),
-        seed_(seed) {}
+               const TiledPlan* tiled)
+      : rf_(rf), tiled_(tiled), sigma_(sigma), seed_(seed) {}
 
   [[nodiscard]] std::size_t rows() const override {
     return static_cast<std::size_t>(rf_.quantized().rows());
@@ -487,14 +461,13 @@ class NoisyBackend final : public SweepBackend {
       seeds = default_seeds_;
       sequences = default_sequences_;
     }
-    sweep_noisy(rf_, tiles_.get(), x, k, y, scratch_, sigma_, seeds,
-                sequences);
+    sweep_noisy(rf_, tiled_, x, k, y, scratch_, sigma_, seeds, sequences);
     finish_sweep(scratch_.columns, y, k, ctx.verdict);
   }
 
  private:
   const RefloatMatrix& rf_;
-  TileRouting tiles_;
+  const TiledPlan* tiled_;  // borrowed; nullptr or empty = untiled
   double sigma_;
   std::uint64_t seed_;
   std::uint64_t sequence_ = 0;  // distinct noise per default-context sweep
@@ -506,20 +479,8 @@ class NoisyBackend final : public SweepBackend {
 }  // namespace
 
 std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
-                                                 int tiles) {
-  return std::make_unique<ValueBackend>(rf, tiles);
-}
-
-std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
                                                  const TiledPlan* tiled) {
   return std::make_unique<ValueBackend>(rf, tiled);
-}
-
-std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
-                                                 double sigma,
-                                                 std::uint64_t seed,
-                                                 int tiles) {
-  return std::make_unique<NoisyBackend>(rf, sigma, seed, tiles);
 }
 
 std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,

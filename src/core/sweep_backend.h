@@ -22,9 +22,10 @@
 //
 // What each view keeps: the value and noisy backends sweep rf.quantized()
 // (the noisy one band by band, ranking its draws from rf.block_index())
-// and hold nothing beyond scratch; the bit-true backend builds a plan,
-// programs its crossbar image from it and frees it. resident_bytes()
-// reports what a view pins on top of the RefloatMatrix it borrows.
+// and hold nothing beyond scratch; the bit-true backend programs its
+// crossbar image from rf.quantized() and rf.block_index() and keeps only
+// that image. resident_bytes() reports what a view pins on top of the
+// RefloatMatrix it borrows.
 //
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
@@ -187,15 +188,12 @@ class SweepBackend {
 };
 
 // Value-faithful backend: sweeps rf's packed operand row by row (the
-// blocked accumulation order, bit for bit); it builds no plan. `tiles` > 1
-// partitions rf and shards the rows by tile (bit-identical to untiled); the
-// default follows $REFLOAT_TILES. The overloads taking a TiledPlan* borrow
-// an existing partition of rf (nullptr = untiled); the caller keeps it
-// alive.
+// blocked accumulation order, bit for bit); it builds no plan. A non-empty
+// `tiled` (a partition of rf, borrowed: the caller keeps it alive) shards
+// the rows by tile, bit-identical to untiled; nullptr or an empty plan runs
+// untiled.
 std::unique_ptr<SweepBackend> make_value_backend(
-    const RefloatMatrix& rf, int tiles = default_tile_count());
-std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
-                                                 const TiledPlan* tiled);
+    const RefloatMatrix& rf, const TiledPlan* tiled = nullptr);
 
 // Noisy backend (Fig. 10 RTN model): multiplicative Gaussian noise of
 // deviation `sigma` on every nonzero per-block row partial, drawn from one
@@ -207,15 +205,11 @@ std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
 // operand one grid band at a time and builds no plan: the entries of a row
 // that share a block column form that block's partial, and a prefix over
 // the band's per-block nonzero counts ranks each partial in the draw order.
-// `tiles` defaults as for the value backend.
+// `tiled` is borrowed as for the value backend.
 std::unique_ptr<SweepBackend> make_noisy_backend(
     const RefloatMatrix& rf, double sigma, std::uint64_t seed,
-    int tiles = default_tile_count());
-std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
-                                                 double sigma,
-                                                 std::uint64_t seed,
-                                                 const TiledPlan* tiled);
-// (The bit-true factory lives in src/hw/bit_true_backend.h — core/ stays
+    const TiledPlan* tiled = nullptr);
+// (The bit-true backend lives in src/hw/bit_true_backend.h — core/ stays
 // below hw/ in the layer diagram.)
 
 }  // namespace refloat::core

@@ -12,15 +12,10 @@
 // programming) and the per-tile block and entry counts the schedule model
 // prices.
 //
-// Partitioning is capacity-aware greedy (pack block-rows up to the smaller
-// of the per-tile crossbar budget and the balanced target, leaving one
-// block-row for every still-empty requested tile) followed by a
-// balance-aware refinement pass (shift shard boundaries by one block-row
-// while that strictly lowers the heavier neighbour's nnz). A capacity
-// budget smaller than the balanced share forces extra shards beyond the
-// requested tile count; a single block-row heavier than the budget becomes
-// a one-block-row shard that overflows it (the atom cannot be split —
-// stats().capacity_overflows counts these).
+// Partitioning is greedy (pack block-rows up to the balanced share of the
+// blocks still to place, leaving one block-row for every still-empty tile)
+// followed by a balance refinement pass (shift shard boundaries by one
+// block-row while that strictly lowers the heavier neighbour's nnz).
 #pragma once
 
 #include <cstddef>
@@ -46,42 +41,21 @@ struct TileShard {
   [[nodiscard]] std::size_t entries() const { return entry_end - entry_begin; }
 };
 
-struct TilePartitionOptions {
-  int tiles = 1;                    // requested tile count (>= 1)
-  std::size_t capacity_blocks = 0;  // per-tile crossbar budget; 0 = unbounded
-  bool refine = true;               // balance-aware boundary refinement
-};
-
-struct TilePartitionStats {
-  int tiles = 0;            // shards actually produced
-  int requested_tiles = 0;  // opts.tiles
-  std::size_t capacity_blocks = 0;
-  int capacity_overflows = 0;  // single-block-row shards above the budget
-  int refinement_moves = 0;    // boundary shifts the refinement pass took
-  std::size_t max_blocks = 0;
-  std::size_t min_blocks = 0;
-  std::size_t max_entries = 0;
-  std::size_t min_entries = 0;
-  double mean_blocks = 0.0;
-  double mean_entries = 0.0;
-  // max_entries / mean_entries over all shards (1.0 for an empty plan) —
-  // the load-balance figure bench_tiles reports.
-  double balance = 1.0;
-};
-
 // The shard index of one matrix. It borrows nothing, so it may be built,
 // copied or moved independently of the matrix it partitions.
 class TiledPlan {
  public:
   TiledPlan() = default;
 
-  // Partitions rf's grid block-rows into shards per `opts` (see file
-  // comment). A scalar format (b == 0) has no block-rows: every shard is
-  // empty.
+  // Partitions rf's grid block-rows into `tiles` shards (see file comment);
+  // a tile count above the block-row count pads with empty trailing shards.
+  // A matrix with no block-rows (a scalar format, b == 0) gets an empty()
+  // plan, which every consumer runs untiled.
   [[nodiscard]] static TiledPlan partition(const RefloatMatrix& rf,
-                                           const TilePartitionOptions& opts);
+                                           int tiles);
 
-  // True for a default-constructed (unpartitioned) TiledPlan.
+  // True for a default-constructed TiledPlan and for the partition of a
+  // matrix with no block-rows; either runs untiled.
   [[nodiscard]] bool empty() const { return shards_.empty(); }
   [[nodiscard]] int tile_count() const {
     return static_cast<int>(shards_.size());
@@ -90,7 +64,9 @@ class TiledPlan {
   [[nodiscard]] const TileShard& shard(int t) const {
     return shards_[static_cast<std::size_t>(t)];
   }
-  [[nodiscard]] const TilePartitionStats& stats() const { return stats_; }
+  // Load balance: the heaviest shard's entries over the mean shard's (1.0
+  // for an empty plan) — the figure bench_tiles reports.
+  [[nodiscard]] double balance() const;
 
   // Per-tile block counts, the arch/ timing model's input.
   [[nodiscard]] std::vector<std::size_t> blocks_per_tile() const;
@@ -108,12 +84,6 @@ class TiledPlan {
 
  private:
   std::vector<TileShard> shards_;
-  TilePartitionStats stats_;
 };
-
-// $REFLOAT_TILES when set to an integer in [1, 4096] (cached after first
-// read; invalid values warn and fall back), else 1. The default tile count
-// the solver operators partition with.
-int default_tile_count();
 
 }  // namespace refloat::core

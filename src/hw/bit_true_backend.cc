@@ -17,19 +17,8 @@ constexpr std::uint64_t kReprogramSalt = 0x4e409ULL;
 
 BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
                                const ClusterConfig& config,
-                               std::uint64_t seed)
-    : BitTrueBackend(rf, config, nullptr, seed) {}
-
-BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
-                               const ClusterConfig& config,
-                               const core::TiledPlan& tiled,
-                               std::uint64_t seed)
-    : BitTrueBackend(rf, config, &tiled, seed) {}
-
-BitTrueBackend::BitTrueBackend(const core::RefloatMatrix& rf,
-                               const ClusterConfig& config,
-                               const core::TiledPlan* tiled,
-                               std::uint64_t seed)
+                               std::uint64_t seed,
+                               const core::TiledPlan* tiled)
     : rf_(rf),
       config_(config),
       tiled_(tiled),
@@ -71,12 +60,6 @@ void BitTrueBackend::sweep(std::span<const double> x, std::size_t k,
   // the checksum tolerance for this view absorbs vector-format truncation
   // (make_abft_checksum callers pass a looser rel_tolerance for bit-true).
   finish_sweep(x, y, k, ctx.verdict);
-}
-
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    std::uint64_t seed) {
-  return std::make_unique<BitTrueBackend>(rf, config, seed);
 }
 
 }  // namespace refloat::hw

@@ -16,25 +16,27 @@
 // solo trajectory bit-for-bit.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 
 #include "src/core/sweep_backend.h"
 #include "src/hw/hw_spmv.h"
 
 namespace refloat::hw {
 
+// Seed of the default-context noise base stream when the caller names none.
+inline constexpr std::uint64_t kDefaultNoiseSeed = 0x817b17ULL;
+
 class BitTrueBackend final : public core::SweepBackend {
  public:
-  // Monolithic programming (one tile). `seed` feeds the default-context
-  // noise base stream; fault seeds come from config.faults.seed as always.
-  BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
-                 std::uint64_t seed = 0x817b17ULL);
-  // Tiled programming: per-tile fault populations and ECC budgets, exactly
-  // the tiled HwSpmv build. `rf` and `tiled` are borrowed for the backend's
+  // `seed` feeds the default-context noise base stream; fault seeds come
+  // from config.faults.seed as always. A non-empty `tiled` (a partition of
+  // rf) programs one tile per shard with its own fault population and ECC
+  // budget, exactly the tiled HwSpmv build; nullptr or an empty plan
+  // programs one tile. `rf` and `tiled` are borrowed for the backend's
   // lifetime (reprogram() rebuilds the image from them).
   BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
-                 const core::TiledPlan& tiled,
-                 std::uint64_t seed = 0x817b17ULL);
+                 std::uint64_t seed = kDefaultNoiseSeed,
+                 const core::TiledPlan* tiled = nullptr);
 
   [[nodiscard]] std::size_t rows() const override { return rows_; }
   [[nodiscard]] std::size_t cols() const override { return cols_; }
@@ -66,12 +68,9 @@ class BitTrueBackend final : public core::SweepBackend {
   [[nodiscard]] const HwSpmv& hw() const { return hw_; }
 
  private:
-  BitTrueBackend(const core::RefloatMatrix& rf, const ClusterConfig& config,
-                 const core::TiledPlan* tiled, std::uint64_t seed);
-
   const core::RefloatMatrix& rf_;
   ClusterConfig config_;                       // fault seed of the ORIGINAL image
-  const core::TiledPlan* tiled_ = nullptr;     // borrowed; null = monolithic
+  const core::TiledPlan* tiled_ = nullptr;     // borrowed; null = one tile
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   HwSpmv hw_;
@@ -79,9 +78,5 @@ class BitTrueBackend final : public core::SweepBackend {
   std::vector<std::uint64_t> bases_;
   long reprograms_ = 0;
 };
-
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    std::uint64_t seed = 0x817b17ULL);
 
 }  // namespace refloat::hw

@@ -65,7 +65,7 @@ HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
       noisy_(config.noise.sigma > 0.0),
       row_begin_(rf.block_index().block_ptr) {
   engines_.reserve(rf.nonzero_blocks());
-  if (tiled == nullptr) {
+  if (tiled == nullptr || tiled->empty()) {
     program_tile(rf, config, 0, rf.block_index().block_rows());
   } else {
     const std::uint64_t seed = config.faults.seed;
@@ -81,10 +81,6 @@ HwSpmv::HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
             util::stream_seed(seed, static_cast<std::uint64_t>(t), 0x713e5ULL);
       }
       program_tile(rf, tile_config, shard.brow_begin, shard.brow_end);
-    }
-    if (tiled->tile_count() == 0) {
-      tile_faulty_cells_.push_back(0);
-      tile_corrected_cells_.push_back(0);
     }
   }
 }

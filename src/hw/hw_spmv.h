@@ -24,8 +24,8 @@ namespace refloat::hw {
 class HwSpmv {
  public:
   // Programs one engine per block of rf.block_index(), in index order.
-  // With `tiled` == nullptr the matrix is one tile: one fault seed, one ECC
-  // budget (config.ecc.correct_cells). Otherwise each shard of `tiled` (a
+  // With `tiled` null or empty the matrix is one tile: one fault seed, one
+  // ECC budget (config.ecc.correct_cells). Otherwise each shard of `tiled` (a
   // partition of rf; borrowed for the constructor only) is programmed as
   // its own tile with its own stuck-at fault population — tile 0 keeps
   // config.faults.seed verbatim (so one tile reproduces the monolithic

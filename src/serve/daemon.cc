@@ -145,7 +145,6 @@ SolverDaemon::SolverDaemon(ServeConfig config)
       queue_(config.queue_capacity),
       batcher_(config.max_batch, window_duration(config.batch_window_ms)),
       cache_(config.cache_bytes) {
-  if (config_.tiles <= 0) config_.tiles = core::default_tile_count();
   if (!config_.manual_pump) {
     dispatcher_ = std::thread([this] { dispatch_loop(); });
   }
@@ -334,7 +333,7 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
           built->rf.mutable_quantized_codes());
     }
     if (tiles > 1 && built->rf.nonzero_blocks() > 0) {
-      built->tiled = core::TiledPlan::partition(built->rf, {.tiles = tiles});
+      built->tiled = core::TiledPlan::partition(built->rf, tiles);
     }
     // The backend borrows built->rf and built->tiled, whose addresses the
     // shared entry pins.
@@ -356,12 +355,8 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
         // conductance noise): bit-true serving is deterministic and
         // the programmed image is built once per residency — the
         // expensive step this cache exists to amortize.
-        built->backend =
-            tp != nullptr
-                ? std::make_unique<hw::BitTrueBackend>(
-                      built->rf, hw::ClusterConfig{}, *tp)
-                : std::make_unique<hw::BitTrueBackend>(
-                      built->rf, hw::ClusterConfig{});
+        built->backend = std::make_unique<hw::BitTrueBackend>(
+            built->rf, hw::ClusterConfig{}, hw::kDefaultNoiseSeed, tp);
         break;
     }
     if (abft_on) built->backend->set_abft(&built->abft);

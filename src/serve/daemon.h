@@ -47,7 +47,7 @@ struct ServeConfig {
   double batch_window_ms = 2.0;       // REFLOAT_SERVE_WINDOW_MS
   std::size_t cache_bytes = 256ull << 20;  // REFLOAT_SERVE_CACHE_MB
   long max_iterations = 10000;        // solver budget per request
-  int tiles = 0;                      // 0 -> core::default_tile_count()
+  int tiles = 1;                      // modeled ReRAM tiles per resident
   bool manual_pump = false;           // tests: drive via pump(now)
   // ABFT checked sweeps: every resident backend carries a checksum row and
   // every operator apply is verified (REFLOAT_SERVE_ABFT=0 disables; the

@@ -54,9 +54,9 @@ struct ResidentEntry {
   // ABFT checksum row over the dequantized operator (empty colsum when
   // checked sweeps are off). Taken while the operand is still clean, before
   // the fault injector's `plan` site can damage rf's packed operand (and,
-  // through it, any plan the backend builds), so silent corruption of that
-  // operand fails verification. The backend holds a pointer to this member
-  // — the entry's address is pinned by shared_ptr.
+  // through it, the crossbar image a bit-true backend programs), so silent
+  // corruption of that operand fails verification. The backend holds a
+  // pointer to this member — the entry's address is pinned by shared_ptr.
   core::AbftChecksum abft;
   std::size_t bytes = 0;       // what the cache budgets for this entry
   bool indefinite = false;     // probe_definiteness routing verdict

@@ -9,8 +9,9 @@
 //
 // Decoding is a widening conversion (float -> double is exact), so every
 // consumer that reads a value as double — the row kernels, the ABFT
-// checksum, the plan builder, the Lanczos probe — computes bit for bit what
-// it computed over a 16-byte-per-nonzero sparse::Csr of the same values.
+// checksum, bit-true programming, the Lanczos probe — computes bit for bit
+// what it computed over a 16-byte-per-nonzero sparse::Csr of the same
+// values.
 // Row loops are templated on the value type through PackedRows and
 // instantiated once per code (visit()).
 #pragma once

@@ -5,8 +5,8 @@
 // `s` keeps a monotone event counter, and event number e fires iff the
 // uniform draw from stream_seed(seed, e, s) lands below the configured
 // rate. The decision depends only on (seed, site, event number) — never on
-// which thread asked or how the plan is tiled — so a fault trace replays
-// bit-for-bit at any REFLOAT_THREADS / REFLOAT_TILES, and a test can arm
+// which thread asked or how the matrix is tiled — so a fault trace replays
+// bit-for-bit at any REFLOAT_THREADS and tile count, and a test can arm
 // exactly one fault with rate = 1, budget = 1.
 //
 // Sites (where the serving stack consults the injector):

@@ -142,8 +142,10 @@ TEST(Timing, BatchedSolveChargesProgrammingOncePerBatch) {
 TEST(Schedule, EventTimelineMatchesClosedForm) {
   // The closed form must be the timeline's exact fixed point, resident and
   // multi-round, with and without overlap.
-  const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(48, 48));
-  const sparse::BlockedMatrix blocked(a, 4);  // many 16x16 blocks
+  core::Format fmt = core::default_format();
+  fmt.b = 4;  // many 16x16 blocks
+  const core::RefloatMatrix rf(
+      gen::build_stencil(gen::laplace2d_5pt(48, 48)), fmt);
   AcceleratorConfig config = refloat_config(core::default_format());
   config.crossbar_bits = 4;
   for (const long long capacity : {100000LL, 200LL, 37LL}) {
@@ -151,8 +153,8 @@ TEST(Schedule, EventTimelineMatchesClosedForm) {
         capacity * crossbars_per_cluster(config.format);
     for (const bool overlap : {true, false}) {
       config.overlap_write_compute = overlap;
-      const ScheduleStats sim = simulate_spmv(config, blocked);
-      const SpmvTiming model = spmv_time(config, blocked.nonzero_blocks());
+      const ScheduleStats sim = simulate_spmv(config, rf);
+      const SpmvTiming model = spmv_time(config, rf.nonzero_blocks());
       EXPECT_EQ(sim.rounds, model.rounds);
       EXPECT_NEAR(sim.seconds, model.seconds, 1e-15);
     }
@@ -160,10 +162,12 @@ TEST(Schedule, EventTimelineMatchesClosedForm) {
 }
 
 TEST(Schedule, ResidentMatrixStreamsNoCells) {
-  const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(32, 32));
-  const sparse::BlockedMatrix blocked(a, 5);
+  core::Format fmt = core::default_format();
+  fmt.b = 5;
+  const core::RefloatMatrix rf(
+      gen::build_stencil(gen::laplace2d_5pt(32, 32)), fmt);
   const AcceleratorConfig config = refloat_config(core::default_format());
-  const ScheduleStats sim = simulate_spmv(config, blocked);
+  const ScheduleStats sim = simulate_spmv(config, rf);
   EXPECT_EQ(sim.rounds, 1);
   EXPECT_EQ(sim.matrix_stream_bits, 0);
   EXPECT_GT(sim.input_vector_bits, 0);

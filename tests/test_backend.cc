@@ -227,7 +227,8 @@ TEST(SweepBackend, ValueK1BitIdenticalToRowReference) {
   const std::vector<double> want = reference_value(rf, x);
 
   for (int tiles : {1, 4}) {
-    auto backend = core::make_value_backend(rf, tiles);
+    const core::TiledPlan tiled = core::TiledPlan::partition(rf, tiles);
+    auto backend = core::make_value_backend(rf, tiles > 1 ? &tiled : nullptr);
     EXPECT_EQ(backend->kind(), core::BackendKind::kValue);
     std::vector<double> got(n);
     backend->sweep(x, 1, got, {});
@@ -315,7 +316,9 @@ TEST(SweepBackend, NoisyMatchesSerialReference) {
       for (const int threads : {1, 2, 8}) {
         for (const int tiles : {1, 4}) {
           util::ThreadPool::set_global_threads(threads);
-          auto backend = core::make_noisy_backend(rf, sigma, 5, tiles);
+          const core::TiledPlan tiled = core::TiledPlan::partition(rf, tiles);
+          auto backend = core::make_noisy_backend(
+              rf, sigma, 5, tiles > 1 ? &tiled : nullptr);
           std::vector<double> got(n * k);
           backend->sweep(x, k, got, ctx);
           for (std::size_t i = 0; i < n * k; ++i) {
@@ -382,7 +385,7 @@ TEST(SweepBackend, BitTrueDefaultContextDrawsOneBasePerSweep) {
   util::Rng base_rng(seed);
   std::vector<double> want(n);
 
-  auto backend = hw::make_bit_true_backend(rf, config, seed);
+  auto backend = std::make_unique<hw::BitTrueBackend>(rf, config, seed);
   std::vector<double> got(n);
   for (int sweep = 0; sweep < 3; ++sweep) {
     const std::uint64_t base = base_rng.next();
@@ -420,7 +423,7 @@ TEST(SweepBackend, BatchedNoisySolveMatchesSoloAtAnyThreadsAndTiles) {
   for (std::size_t j = 0; j < k; ++j) {
     const std::uint64_t seed_j =
         j == 0 ? seed : util::stream_seed(seed, j, core::kColumnForkSalt);
-    auto solo_backend = core::make_noisy_backend(rf, sigma, seed_j, 1);
+    auto solo_backend = core::make_noisy_backend(rf, sigma, seed_j);
     solo.push_back(solve::reference::cg(
         solve::reference::default_sweep(*solo_backend),
         std::span<const double>(b).subspan(j * n, n), opts));
@@ -430,7 +433,9 @@ TEST(SweepBackend, BatchedNoisySolveMatchesSoloAtAnyThreadsAndTiles) {
   for (int threads : {1, 2, 8}) {
     for (int tiles : {1, 4}) {
       util::ThreadPool::set_global_threads(threads);
-      auto backend = core::make_noisy_backend(rf, sigma, seed, tiles);
+      const core::TiledPlan tiled = core::TiledPlan::partition(rf, tiles);
+      auto backend = core::make_noisy_backend(rf, sigma, seed,
+                                              tiles > 1 ? &tiled : nullptr);
       solve::BackendMultiOperator multi(*backend, k, seed);
       const solve::BatchedSolveResult batch =
           solve::cg_multi(multi, b, k, opts);
@@ -510,13 +515,13 @@ TEST(SweepBackend, BatchedBitTrueSolveMatchesSoloSolve) {
   hw::ClusterConfig config;  // ideal datapath: deterministic bit-true
   std::vector<solve::SolveResult> solo;
   for (std::size_t j = 0; j < k; ++j) {
-    auto backend = hw::make_bit_true_backend(rf, config);
+    auto backend = std::make_unique<hw::BitTrueBackend>(rf, config);
     solo.push_back(solve::reference::cg(
         solve::reference::default_sweep(*backend),
         std::span<const double>(b).subspan(j * n, n), opts));
   }
 
-  auto backend = hw::make_bit_true_backend(rf, config);
+  auto backend = std::make_unique<hw::BitTrueBackend>(rf, config);
   solve::BackendMultiOperator multi(*backend, k);
   const solve::BatchedSolveResult batch = solve::cg_multi(multi, b, k, opts);
   for (std::size_t j = 0; j < k; ++j) {

@@ -375,10 +375,9 @@ TEST(Abft, SilentPlanCorruptionIsCaughtByNoisySweeps) {
   EXPECT_FALSE(verdict.ok);
 }
 
-// The bit-true twin: the backend programs its crossbars from a plan it
-// builds from the packed operand and then frees, so damage to that operand
-// is in the image from the first sweep on — and survives a reprogram, which
-// rebuilds the plan from the same operand.
+// The bit-true twin: the backend programs its crossbars straight from the
+// packed operand, so damage to that operand is in the image from the first
+// sweep on — and survives a reprogram, which reads the same operand again.
 TEST(Abft, SilentPlanCorruptionOnBitTrueImageSurvivesReprogram) {
   GlobalInjectorGuard guard;
   const sparse::Csr a = test_csr();

@@ -400,12 +400,9 @@ std::vector<double> pin_vector(std::size_t n, std::uint64_t seed) {
 // Sweeps k = 1 and k = 3, reprograms once and sweeps k = 3 again.
 std::uint64_t image_digest(const core::RefloatMatrix& rf,
                            const ClusterConfig& config, int tiles) {
-  core::TiledPlan tiled;
-  if (tiles > 0) {
-    tiled = core::TiledPlan::partition(rf, {.tiles = tiles});
-  }
-  BitTrueBackend backend = tiles > 0 ? BitTrueBackend(rf, config, tiled)
-                                     : BitTrueBackend(rf, config);
+  const core::TiledPlan tiled =
+      tiles > 0 ? core::TiledPlan::partition(rf, tiles) : core::TiledPlan{};
+  BitTrueBackend backend(rf, config, kDefaultNoiseSeed, &tiled);
   const auto n = static_cast<std::size_t>(rf.quantized().rows());
   Fnv fnv;
   const std::vector<double> x1 = pin_vector(n, 91);

@@ -16,7 +16,7 @@ namespace refloat::serve {
 namespace {
 
 // A tiny real entry whose byte charge the test controls explicitly, so
-// capacity scenarios are exact instead of depending on plan layout.
+// capacity scenarios are exact instead of depending on resident layout.
 ResidencyCache::EntryPtr make_entry(std::size_t bytes) {
   core::Format fmt = core::default_format();
   fmt.b = 2;

@@ -931,19 +931,13 @@ std::size_t serve_and_measure(SolverDaemon& daemon, const char* name,
   return daemon.stats().cache.resident_bytes;
 }
 
-ServeConfig untiled_config() {
-  ServeConfig config = manual_config();
-  config.tiles = 1;  // no shard index, whatever $REFLOAT_TILES says
-  return config;
-}
-
 TEST(Residency, ValueResidentBudgetsCsrAndBlockIndexOnly) {
   const core::RefloatMatrix rf(test_csr(), test_format());
   ASSERT_GT(rf.block_index().bytes(), 0u);
   EXPECT_EQ(rf.resident_bytes(),
             rf.quantized().memory_bytes() + rf.block_index().bytes());
 
-  SolverDaemon daemon(untiled_config());
+  SolverDaemon daemon(manual_config());
   register_test_matrix(daemon);
   EXPECT_EQ(serve_and_measure(daemon, kName, core::BackendKind::kValue),
             rf.resident_bytes());
@@ -954,12 +948,12 @@ TEST(Residency, NoisyResidentBudgetsCsrBlockIndexAndTileIndexOnly) {
   // copy of it, so a noisy resident pins what a value resident pins: the
   // operand, the block index and, when tiled, the shard index.
   const core::RefloatMatrix rf(test_csr(), test_format());
-  EXPECT_EQ(core::make_noisy_backend(rf, 1e-3, 1, 1)->resident_bytes(), 0u);
+  EXPECT_EQ(core::make_noisy_backend(rf, 1e-3, 1)->resident_bytes(), 0u);
   const std::size_t tile_index_bytes =
-      core::TiledPlan::partition(rf, {.tiles = 4}).index_bytes();
+      core::TiledPlan::partition(rf, 4).index_bytes();
   ASSERT_GT(tile_index_bytes, 0u);
 
-  SolverDaemon untiled(untiled_config());
+  SolverDaemon untiled(manual_config());
   register_test_matrix(untiled);
   EXPECT_EQ(serve_and_measure(untiled, kName, core::BackendKind::kNoisy),
             rf.resident_bytes());
@@ -980,7 +974,7 @@ TEST(Residency, CacheHoldsTwoValueResidentsAtExactlyTheirBytes) {
   const core::RefloatMatrix rf1(a1, test_format());
   const core::RefloatMatrix rf2(a2, test_format());
   for (const std::size_t slack : {std::size_t{0}, std::size_t{1}}) {
-    ServeConfig config = untiled_config();
+    ServeConfig config = manual_config();
     config.cache_bytes = rf1.resident_bytes() + rf2.resident_bytes() - slack;
     SolverDaemon daemon(config);
     register_test_matrix(daemon);

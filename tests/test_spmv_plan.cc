@@ -366,7 +366,9 @@ TEST(BlockLayout, ValueSweepBitIdenticalToBlockedLoop) {
       for (const core::SimdIsa isa : runnable_isas()) {
         core::simd_set_isa(isa);
         for (const int tiles : {1, 4}) {
-          auto backend = core::make_value_backend(rf, tiles);
+          const core::TiledPlan tiled = core::TiledPlan::partition(rf, tiles);
+          auto backend =
+              core::make_value_backend(rf, tiles > 1 ? &tiled : nullptr);
           for (const int threads : {1, 2, 8}) {
             util::ThreadPool::set_global_threads(threads);
             std::vector<double> y(n * k, 42.0);
