@@ -64,15 +64,6 @@ SpmvTiming spmv_time(const AcceleratorConfig& config,
   return spmm_time(config, nonzero_blocks, 1);
 }
 
-double reprogram_seconds(const AcceleratorConfig& config,
-                         std::size_t nonzero_blocks) {
-  const DeploymentCost cost = deployment_cost(config, nonzero_blocks);
-  const double round_write = static_cast<double>(1L << config.crossbar_bits) *
-                             config.row_write_ns * 1e-9 *
-                             std::max(config.write_verify_passes, 1.0);
-  return static_cast<double>(cost.rounds) * round_write;
-}
-
 namespace {
 
 // Tree depth of the tile interconnect: 0 for one tile (no links crossed).

@@ -48,14 +48,6 @@ SpmvTiming spmm_time(const AcceleratorConfig& config,
 SpmvTiming bit_true_spmm_time(const AcceleratorConfig& config,
                               std::size_t nonzero_blocks, long batch_k);
 
-// Modeled cost of rewriting the full crossbar image from scratch — the
-// recovery ladder's "reprogram with a fresh fault seed" rung. Every
-// deployment round pays one write-verify programming pass (row_write_ns
-// scaled by write_verify_passes), with no compute overlapped: recovery
-// reprogramming is off the request path's pipeline.
-double reprogram_seconds(const AcceleratorConfig& config,
-                         std::size_t nonzero_blocks);
-
 // --- Tiled pass timing ----------------------------------------------------
 // One SpMV/SpMM pass over blocks_per_tile.size() tiles, each holding its
 // shard of the plan and owning `clusters(config)` of capacity. The single

@@ -25,7 +25,7 @@
 // Every implementation is BIT-IDENTICAL to the scalar reference: vector
 // lanes perform the same IEEE multiply and add per element in the same
 // per-output order, no FMA contraction anywhere (tests/test_simd.cc pins
-// this at 1/2/8 threads; tests/test_spmv_plan.cc pins the row sweeps
+// this at 1/2/8 threads; tests/test_block_layout.cc pins the row sweeps
 // against the blocked loop they replaced). Dispatch is by cpuid at
 // first use, overridable with REFLOAT_SIMD=avx2|neon|scalar (an
 // unsupported request logs a warning and clamps to the best supported

@@ -32,7 +32,6 @@ bool BitTrueBackend::reprogram(std::uint64_t salt) {
   fresh.faults.seed = util::stream_seed(config_.faults.seed, salt,
                                         kReprogramSalt);
   hw_ = HwSpmv(rf_, fresh, tiled_);
-  ++reprograms_;
   return true;
 }
 

@@ -54,10 +54,8 @@ class BitTrueBackend final : public core::SweepBackend {
   // is reprogrammed from rf (so damage to rf's packed operand survives a
   // reprogram); format and tile partition are unchanged; with zero
   // configured fault rate the rebuilt image sweeps bit-identically to the
-  // original. The arch layer prices this as one full write-verify
-  // programming pass (arch::reprogram_seconds). Always returns true.
+  // original. Always returns true.
   bool reprogram(std::uint64_t salt) override;
-  [[nodiscard]] long reprogram_count() const { return reprograms_; }
   [[nodiscard]] std::size_t resident_bytes() const override {
     return hw_.resident_bytes();
   }
@@ -76,7 +74,6 @@ class BitTrueBackend final : public core::SweepBackend {
   HwSpmv hw_;
   util::Rng default_rng_;
   std::vector<std::uint64_t> bases_;
-  long reprograms_ = 0;
 };
 
 }  // namespace refloat::hw

@@ -1,16 +1,12 @@
 #include "src/serve/daemon.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <variant>
 
-#include "src/arch/config.h"
-#include "src/arch/timing.h"
 #include "src/gen/suite.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/solvers/batched.h"
@@ -24,38 +20,6 @@
 namespace refloat::serve {
 
 namespace {
-
-// Positive-integer env override of at most `max`; invalid values — including
-// ones strtoll clamps with ERANGE and ones above `max` — warn and keep
-// `fallback`.
-std::size_t env_size(const char* name, std::size_t fallback,
-                     std::size_t max = SIZE_MAX) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || text[0] == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || parsed < 1 ||
-      static_cast<unsigned long long>(parsed) > max) {
-    RF_LOG_WARN("%s=\"%s\" is not a positive integer; using %zu", name, text,
-                fallback);
-    return fallback;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || text[0] == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(parsed >= 0.0)) {
-    RF_LOG_WARN("%s=\"%s\" is not a non-negative number; using %g", name,
-                text, fallback);
-    return fallback;
-  }
-  return parsed;
-}
 
 Duration window_duration(double ms) {
   return std::chrono::duration_cast<Duration>(
@@ -81,6 +45,32 @@ double abft_tolerance(core::BackendKind kind, double sigma) {
   return 1e-6;
 }
 
+// The one place a serving backend is constructed: the `kind` view over the
+// resident's operand and tile partition, which it borrows (the shared entry
+// pins their addresses).
+std::unique_ptr<core::SweepBackend> make_view(const ResidentEntry& entry,
+                                              core::BackendKind kind,
+                                              double sigma) {
+  const core::TiledPlan* tp = entry.tiled.empty() ? nullptr : &entry.tiled;
+  switch (kind) {
+    case core::BackendKind::kValue:
+      return core::make_value_backend(entry.rf, tp);
+    case core::BackendKind::kNoisy:
+      // The constructor seed is the empty-context fallback only; serving
+      // always passes each request's own noise_seed through the
+      // SweepContext, so 0 is never consumed.
+      return core::make_noisy_backend(entry.rf, sigma, /*seed=*/0, tp);
+    case core::BackendKind::kBitTrue:
+      // Default ClusterConfig = the ideal datapath (no faults, no
+      // conductance noise): bit-true serving is deterministic and the
+      // programmed image is built once per residency — the expensive step
+      // the residency cache exists to amortize.
+      return std::make_unique<hw::BitTrueBackend>(
+          entry.rf, hw::ClusterConfig{}, hw::kDefaultNoiseSeed, tp);
+  }
+  return nullptr;
+}
+
 // Bounds the latency reservoir: a long-lived daemon must not grow an
 // unbounded vector of every latency ever observed.
 constexpr std::size_t kMaxReservoir = 1u << 20;
@@ -99,36 +89,6 @@ const char* response_status_name(ResponseStatus status) {
   return "?";
 }
 
-ServeConfig ServeConfig::from_env() {
-  ServeConfig config;
-  config.queue_capacity = env_size("REFLOAT_SERVE_QUEUE",
-                                   config.queue_capacity);
-  config.max_batch = env_size("REFLOAT_SERVE_BATCH", config.max_batch);
-  config.batch_window_ms =
-      env_double("REFLOAT_SERVE_WINDOW_MS", config.batch_window_ms);
-  // Bounded so the shift to bytes cannot wrap.
-  config.cache_bytes = env_size("REFLOAT_SERVE_CACHE_MB",
-                                config.cache_bytes >> 20, SIZE_MAX >> 20)
-                       << 20;
-  if (const char* text = std::getenv("REFLOAT_SERVE_ABFT");
-      text != nullptr && text[0] != '\0') {
-    config.abft = !(text[0] == '0' && text[1] == '\0');
-  }
-  if (const char* text = std::getenv("REFLOAT_SERVE_RETRIES");
-      text != nullptr && text[0] != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || parsed < 0) {
-      RF_LOG_WARN("REFLOAT_SERVE_RETRIES=\"%s\" is not a non-negative "
-                  "integer; using %d",
-                  text, config.max_retries);
-    } else {
-      config.max_retries = static_cast<int>(parsed);
-    }
-  }
-  return config;
-}
-
 std::vector<double> seeded_rhs(std::size_t n, std::uint64_t seed) {
   std::vector<double> b(n, 0.0);
   util::Rng rng(util::stream_seed(0x5e7f10a7u, seed, n));
@@ -138,6 +98,59 @@ std::vector<double> seeded_rhs(std::size_t n, std::uint64_t seed) {
     for (double& v : b) v /= norm;
   }
   return b;
+}
+
+std::shared_ptr<ResidentEntry> build_resident(const sparse::Csr& a,
+                                              const core::Format& format,
+                                              core::BackendKind kind,
+                                              double sigma, int tiles,
+                                              bool abft) {
+  auto built = std::make_shared<ResidentEntry>(core::RefloatMatrix(a, format));
+  // The ABFT checksum and the definiteness probe read the clean quantized
+  // operand, before any injected corruption below.
+  if (abft) {
+    built->abft =
+        core::make_abft_checksum(built->rf, abft_tolerance(kind, sigma));
+  }
+  if (built->rf.quantized().rows() == built->rf.quantized().cols()) {
+    built->indefinite = built->rf.probe_definiteness().likely_indefinite();
+  }
+  // Injected plan corruption (the `plan:` fault site): silently damages the
+  // resident operand — one stored value code of the packed dequantized
+  // operand, which value and noisy backends sweep and from which a bit-true
+  // backend programs its crossbars below. Checked sweeps flag it on the
+  // first apply against the checksum taken above.
+  util::FaultInjector& inj = util::FaultInjector::global();
+  if (inj.armed(util::FaultSite::kPlanBuild)) {
+    std::visit(
+        [&inj](auto codes) {
+          inj.maybe_corrupt(util::FaultSite::kPlanBuild, codes);
+        },
+        built->rf.mutable_quantized_codes());
+  }
+  if (tiles > 1 && built->rf.nonzero_blocks() > 0) {
+    built->tiled = core::TiledPlan::partition(built->rf, tiles);
+  }
+  built->backend = make_view(*built, kind, sigma);
+  if (abft) built->backend->set_abft(&built->abft);
+  built->bytes = built->rf.resident_bytes() + built->tiled.index_bytes() +
+                 built->backend->resident_bytes();
+  return built;
+}
+
+Rung next_rung(core::BackendKind served, core::BackendKind view,
+               bool reprogrammed, bool rebuilt, int attempt,
+               solve::SolveStatus last_status) {
+  if (attempt <= 1) return Rung::kResolve;
+  const bool degraded = view != served;
+  if (served == core::BackendKind::kBitTrue && !reprogrammed && !degraded) {
+    return Rung::kReprogram;
+  }
+  if (last_status == solve::SolveStatus::kCorrupted && !rebuilt &&
+      !degraded) {
+    return Rung::kRebuild;
+  }
+  return view == core::BackendKind::kValue ? Rung::kStop : Rung::kDegrade;
 }
 
 SolverDaemon::SolverDaemon(ServeConfig config)
@@ -293,78 +306,19 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
   util::Timer build_timer;
   bool cache_hit = false;
   ResidencyCache::EntryPtr entry;
-  const int tiles = config_.tiles;
-  const bool abft_on = config_.abft;
   // Named (not inline) so the recovery ladder's rebuild rung can re-run the
   // identical builder after evicting a persistently-corrupted resident.
   const ResidencyCache::Builder builder =
-      [&reg, tiles, kind, sigma, abft_on]() -> ResidencyCache::EntryPtr {
-    util::Timer timer;
-    util::FaultInjector& inj = util::FaultInjector::global();
+      [this, &reg, kind, sigma]() -> ResidencyCache::EntryPtr {
     // Injected residency-build fault: surfaces through the builder's
     // exception path (single-flight marker cleared, batch answered as
     // failed) — the same path a gen:: loader error takes.
-    if (inj.should_fire(util::FaultSite::kCacheBuild)) {
+    if (util::FaultInjector::global().should_fire(
+            util::FaultSite::kCacheBuild)) {
       throw std::runtime_error("injected residency-build fault");
     }
-    sparse::Csr a = reg.build();
-    auto built =
-        std::make_shared<ResidentEntry>(core::RefloatMatrix(a, reg.format));
-    // The ABFT checksum and the definiteness probe read the clean
-    // quantized operand, before any injected corruption below.
-    if (abft_on) {
-      built->abft =
-          core::make_abft_checksum(built->rf, abft_tolerance(kind, sigma));
-    }
-    if (built->rf.quantized().rows() == built->rf.quantized().cols()) {
-      built->indefinite =
-          built->rf.probe_definiteness().likely_indefinite();
-    }
-    // Injected plan corruption (the `plan:` fault site): silently damages
-    // the resident operand — one stored value code of the packed
-    // dequantized operand, which value and noisy backends sweep and from
-    // which a bit-true backend programs its crossbars below. Checked sweeps
-    // flag it on the first apply against the checksum taken above.
-    if (inj.armed(util::FaultSite::kPlanBuild)) {
-      std::visit(
-          [&inj](auto codes) {
-            inj.maybe_corrupt(util::FaultSite::kPlanBuild, codes);
-          },
-          built->rf.mutable_quantized_codes());
-    }
-    if (tiles > 1 && built->rf.nonzero_blocks() > 0) {
-      built->tiled = core::TiledPlan::partition(built->rf, tiles);
-    }
-    // The backend borrows built->rf and built->tiled, whose addresses the
-    // shared entry pins.
-    const core::TiledPlan* tp =
-        built->tiled.empty() ? nullptr : &built->tiled;
-    switch (kind) {
-      case core::BackendKind::kValue:
-        built->backend = core::make_value_backend(built->rf, tp);
-        break;
-      case core::BackendKind::kNoisy:
-        // The constructor seed is the empty-context fallback only;
-        // serving always passes each request's own noise_seed
-        // through the SweepContext, so 0 is never consumed.
-        built->backend = core::make_noisy_backend(built->rf, sigma,
-                                                  /*seed=*/0, tp);
-        break;
-      case core::BackendKind::kBitTrue:
-        // Default ClusterConfig = the ideal datapath (no faults, no
-        // conductance noise): bit-true serving is deterministic and
-        // the programmed image is built once per residency — the
-        // expensive step this cache exists to amortize.
-        built->backend = std::make_unique<hw::BitTrueBackend>(
-            built->rf, hw::ClusterConfig{}, hw::kDefaultNoiseSeed, tp);
-        break;
-    }
-    if (abft_on) built->backend->set_abft(&built->abft);
-    built->bytes = built->rf.resident_bytes() +
-                   built->tiled.index_bytes() +
-                   built->backend->resident_bytes();
-    built->build_seconds = timer.seconds();
-    return built;
+    return build_resident(reg.build(), reg.format, kind, sigma,
+                          config_.tiles, config_.abft);
   };
   try {
     entry = cache_.get_or_build(batch.key, builder, &cache_hit);
@@ -427,141 +381,115 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
           : solve::cg_multi(op, b, k, options, tolerances);
   const double solve_seconds = solve_timer.seconds();
 
-  // Recovery ladder: walk every failed column down the retry/degrade rungs
-  // (k=1 solves — the failed column alone, not the whole batch again).
-  struct ColumnOutcome {
-    const char* backend_name = nullptr;
-    int retries = 0;
-    bool degraded = false;
-    bool shed = false;
-  };
-  std::vector<ColumnOutcome> outcome(k);
-  for (ColumnOutcome& o : outcome) {
-    o.backend_name = core::backend_kind_name(kind);
+  // One record per column: the batch answer, then the recovery ladder for
+  // every failed column (k=1 solves — the failed column alone, not the
+  // whole batch again).
+  std::vector<Recovery> records(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    records[c].column = std::move(result.columns[c]);
+    records[c].view = kind;
   }
-  std::uint64_t tally_abft = 0, tally_retries = 0, tally_recovered = 0;
-  std::uint64_t tally_degraded = 0, tally_reprograms = 0, tally_rebuilds = 0;
-  double tally_reprogram_seconds = 0.0;
-  if (config_.max_retries > 0 && !result.failures.empty()) {
-    const double per_column_estimate =
-        solve_seconds / static_cast<double>(k);
-    for (const solve::ColumnFailure& f : result.failures) {
-      if (f.status == solve::SolveStatus::kCorrupted) ++tally_abft;
-      // A column that ran out its iteration budget got exactly the service
-      // it paid for — a retry would burn the same budget again.
-      if (f.status == solve::SolveStatus::kMaxIterations) continue;
-      const std::size_t c = f.column;
-      Recovery rec = recover_column(
-          batch.key, entry, builder, kind, sigma,
-          std::span<const double>(b).subspan(c * n, n), tolerances[c],
-          noise_seeds[c], valid[c].request.deadline, options,
-          std::move(result.columns[c]), per_column_estimate);
-      RF_LOG_WARN(
-          "serve: column %zu of \"%s\" failed (%s at iter %ld, last-good "
-          "residual %.3e): %d retr%s, %s",
-          c, batch.key.c_str(), solve::status_name(f.status), f.iteration,
-          f.last_good_residual, rec.retries, rec.retries == 1 ? "y" : "ies",
-          rec.shed ? "shed"
-                   : solve::status_name(rec.column.status));
-      result.columns[c] = std::move(rec.column);
-      outcome[c].backend_name = core::backend_kind_name(rec.final_kind);
-      outcome[c].retries = rec.retries;
-      outcome[c].degraded = rec.degraded;
-      outcome[c].shed = rec.shed;
-      tally_retries += static_cast<std::uint64_t>(rec.retries);
-      tally_abft += static_cast<std::uint64_t>(rec.abft_failures);
-      tally_reprograms += static_cast<std::uint64_t>(rec.reprograms);
-      tally_rebuilds += static_cast<std::uint64_t>(rec.rebuilds);
-      tally_reprogram_seconds += rec.reprogram_seconds;
-      if (!rec.shed &&
-          result.columns[c].status == solve::SolveStatus::kConverged) {
-        ++tally_recovered;
-        if (rec.degraded) ++tally_degraded;
-      }
+  const double per_column_estimate = solve_seconds / static_cast<double>(k);
+  for (const solve::ColumnFailure& f : result.failures) {
+    const std::size_t c = f.column;
+    Recovery& rec = records[c];
+    if (f.status == solve::SolveStatus::kCorrupted) ++rec.abft_failures;
+    // A column that ran out its iteration budget got exactly the service
+    // it paid for — a retry would burn the same budget again.
+    if (config_.max_retries <= 0 ||
+        f.status == solve::SolveStatus::kMaxIterations) {
+      continue;
     }
-  } else {
-    for (const solve::ColumnFailure& f : result.failures) {
-      if (f.status == solve::SolveStatus::kCorrupted) ++tally_abft;
-    }
+    recover_column(rec, batch.key, entry, builder, kind, sigma,
+                   std::span<const double>(b).subspan(c * n, n),
+                   tolerances[c], noise_seeds[c], valid[c].request.deadline,
+                   options, per_column_estimate);
+    RF_LOG_WARN(
+        "serve: column %zu of \"%s\" failed (%s at iter %ld, last-good "
+        "residual %.3e): %d retr%s, %s",
+        c, batch.key.c_str(), solve::status_name(f.status), f.iteration,
+        f.last_good_residual, rec.retries, rec.retries == 1 ? "y" : "ies",
+        rec.shed ? "shed" : solve::status_name(rec.column.status));
   }
   const TimePoint done = Clock::now();
 
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.batches;
+    stats_.batched_requests += k;
+    stats_.max_batch_k = std::max<std::uint64_t>(stats_.max_batch_k, k);
+    for (std::size_t c = 0; c < k; ++c) {
+      const Recovery& rec = records[c];
+      stats_.abft_failures += static_cast<std::uint64_t>(rec.abft_failures);
+      stats_.retries += static_cast<std::uint64_t>(rec.retries);
+      stats_.reprograms += static_cast<std::uint64_t>(rec.reprograms);
+      stats_.rebuilds += static_cast<std::uint64_t>(rec.rebuilds);
+      if (rec.retries > 0 &&
+          rec.column.status == solve::SolveStatus::kConverged) {
+        ++stats_.recovered;
+        if (rec.view != kind) ++stats_.degraded;
+      }
+      if (rec.shed) continue;  // respond_shed counts it
+      ++stats_.completed;
+      if (total_ms_reservoir_.size() < kMaxReservoir) {
+        total_ms_reservoir_.push_back(
+            std::chrono::duration<double, std::milli>(done -
+                                                      valid[c].submit_time)
+                .count());
+      }
+    }
+  }
+
   for (std::size_t c = 0; c < k; ++c) {
     PendingRequest& p = valid[c];
-    if (outcome[c].shed) {
+    Recovery& rec = records[c];
+    if (rec.shed) {
       respond_shed(std::move(p), ResponseStatus::kShedDeadline);
       continue;
     }
     SolveResponse response;
     response.status = ResponseStatus::kOk;
-    response.solve_status = result.columns[c].status;
-    response.iterations = result.columns[c].iterations;
-    response.final_residual = result.columns[c].final_residual;
+    response.solve_status = rec.column.status;
+    response.iterations = rec.column.iterations;
+    response.final_residual = rec.column.final_residual;
     if (p.request.want_solution) {
-      response.solution = std::move(result.columns[c].solution);
+      response.solution = std::move(rec.column.solution);
     }
     response.batch_k = k;
     response.solver = solver_name_of(entry->indefinite);
-    response.backend = outcome[c].backend_name;
+    response.backend = core::backend_kind_name(rec.view);
     response.cache_hit = cache_hit;
-    response.retries = outcome[c].retries;
-    response.degraded = outcome[c].degraded;
+    response.retries = rec.retries;
+    response.degraded = rec.view != kind;
     response.latency.queue_seconds =
         std::chrono::duration<double>(p.dequeue_time - p.submit_time).count();
     response.latency.build_seconds = cache_hit ? 0.0 : build_seconds;
     response.latency.solve_seconds = solve_seconds;
     response.latency.total_seconds =
         std::chrono::duration<double>(done - p.submit_time).count();
-    record_completion(response);
     p.promise.set_value(std::move(response));
   }
-
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.batches;
-  stats_.batched_requests += k;
-  stats_.max_batch_k = std::max<std::uint64_t>(stats_.max_batch_k, k);
-  stats_.abft_failures += tally_abft;
-  stats_.retries += tally_retries;
-  stats_.recovered += tally_recovered;
-  stats_.degraded += tally_degraded;
-  stats_.reprograms += tally_reprograms;
-  stats_.rebuilds += tally_rebuilds;
-  stats_.reprogram_seconds_sum += tally_reprogram_seconds;
 }
 
 // --- Recovery ladder -------------------------------------------------------
-// One failed column walks down these rungs, one attempt each, bounded by
-// config.max_retries and the request's deadline:
-//   1. Re-solve on the same backend. An ABFT-corrupted solve re-runs from
-//      scratch — the flagged apply's output was discarded before touching
-//      x, so a clean retry reproduces the fault-free trajectory bit-for-bit
-//      (transient faults). Diverged/stalled/breakdown trajectories instead
-//      warm-start from the last-good iterate.
-//   2. Bit-true: reprogram the crossbar image under a fresh fault seed,
-//      priced at a full write-verify programming pass.
-//   3. Corruption that survived the re-solve (and, for bit-true, the
-//      reprogram, which re-images from the same resident operand) means
-//      the resident itself is damaged: evict the residency entry and
-//      rebuild it.
-//   4. Degrade one execution view per remaining attempt
-//      (bittrue -> noisy -> value) and re-solve; the response carries
-//      degraded=true and the view that actually answered. A degraded view
-//      is checked against the resident's own checksum (the snapshot of the
-//      clean operand), not a fresh one over a possibly damaged operand.
+// One failed column walks down next_rung()'s rungs, one attempt each,
+// bounded by config.max_retries and the request's deadline. An
+// ABFT-corrupted solve re-runs from scratch — the flagged apply's output was
+// discarded before touching x, so a clean retry reproduces the fault-free
+// trajectory bit-for-bit (transient faults). Diverged/stalled/breakdown
+// trajectories instead warm-start from the last-good iterate. A degraded
+// view is checked against the resident's own checksum (the snapshot of the
+// clean operand), not a fresh one over a possibly damaged operand, and the
+// response carries degraded=true and the view that actually answered.
 // Before every attempt the expected cost (the measured duration of the
 // previous attempt) is checked against the deadline; when another attempt
 // no longer fits, the request is shed instead of answered late.
-SolverDaemon::Recovery SolverDaemon::recover_column(
-    const std::string& key, ResidencyCache::EntryPtr& entry,
-    const ResidencyCache::Builder& rebuild, core::BackendKind kind,
+void SolverDaemon::recover_column(
+    Recovery& rec, const std::string& key, ResidencyCache::EntryPtr& entry,
+    const ResidencyCache::Builder& rebuild, core::BackendKind served,
     double sigma, std::span<const double> b_col, double tolerance,
     std::uint64_t noise_seed, TimePoint deadline,
-    const solve::SolveOptions& options, solve::SolveResult&& failed,
-    double attempt_estimate_seconds) {
-  Recovery rec;
-  rec.column = std::move(failed);
-  rec.final_kind = kind;
-
+    const solve::SolveOptions& options, double attempt_estimate_seconds) {
   // Degraded-view backends are built on demand over the resident matrix;
   // their ABFT checksum must outlive every solve that checks against it.
   std::unique_ptr<core::SweepBackend> degraded_backend;
@@ -572,28 +500,30 @@ SolverDaemon::Recovery SolverDaemon::recover_column(
   bool rebuilt = false;
 
   for (int attempt = 1; attempt <= config_.max_retries; ++attempt) {
-    if (rec.column.status == solve::SolveStatus::kConverged) break;
+    if (rec.column.status == solve::SolveStatus::kConverged) return;
     if (deadline != kNoDeadline &&
         Clock::now() + std::chrono::duration_cast<Duration>(
                            std::chrono::duration<double>(estimate)) >
             deadline) {
       rec.shed = true;
-      return rec;
+      return;
     }
 
     const bool corrupted =
         rec.column.status == solve::SolveStatus::kCorrupted;
-    if (attempt > 1) {
-      // Rung 2+: change something before solving again.
-      if (kind == core::BackendKind::kBitTrue && !reprogrammed &&
-          !rec.degraded) {
+    switch (next_rung(served, rec.view, reprogrammed, rebuilt, attempt,
+                      rec.column.status)) {
+      case Rung::kStop:
+        return;
+      case Rung::kResolve:
+        break;
+      case Rung::kReprogram:
         if (entry->backend->reprogram(static_cast<std::uint64_t>(attempt))) {
           reprogrammed = true;
           ++rec.reprograms;
-          rec.reprogram_seconds += arch::reprogram_seconds(
-              arch::AcceleratorConfig{}, entry->rf.nonzero_blocks());
         }
-      } else if (corrupted && !rebuilt && !rec.degraded) {
+        break;
+      case Rung::kRebuild:
         cache_.erase(key);
         try {
           ResidencyCache::EntryPtr fresh = cache_.get_or_build(key, rebuild);
@@ -606,30 +536,18 @@ SolverDaemon::Recovery SolverDaemon::recover_column(
           RF_LOG_WARN("serve: rebuilding \"%s\" for recovery failed: %s",
                       key.c_str(), e.what());
         }
-      } else {
-        // Degrade one view. Value is the floor — out of rungs there.
-        core::BackendKind next = rec.final_kind;
-        if (rec.final_kind == core::BackendKind::kBitTrue) {
-          next = core::BackendKind::kNoisy;
-        } else if (rec.final_kind == core::BackendKind::kNoisy) {
-          next = core::BackendKind::kValue;
-        } else {
-          break;
-        }
-        const core::TiledPlan* tp =
-            entry->tiled.empty() ? nullptr : &entry->tiled;
-        degraded_backend =
-            next == core::BackendKind::kNoisy
-                ? core::make_noisy_backend(entry->rf, sigma, /*seed=*/0, tp)
-                : core::make_value_backend(entry->rf, tp);
+        break;
+      case Rung::kDegrade:
+        rec.view = rec.view == core::BackendKind::kBitTrue
+                       ? core::BackendKind::kNoisy
+                       : core::BackendKind::kValue;
+        degraded_backend = make_view(*entry, rec.view, sigma);
         if (config_.abft) {
           degraded_abft = entry->abft;
-          degraded_abft.rel_tolerance = abft_tolerance(next, sigma);
+          degraded_abft.rel_tolerance = abft_tolerance(rec.view, sigma);
           degraded_backend->set_abft(&degraded_abft);
         }
-        rec.final_kind = next;
-        rec.degraded = true;
-      }
+        break;
     }
 
     // Corrupted attempts restart clean (bit-identity with the fault-free
@@ -638,7 +556,7 @@ SolverDaemon::Recovery SolverDaemon::recover_column(
         corrupted ? std::span<const double>()
                   : std::span<const double>(rec.column.solution);
     core::SweepBackend& backend =
-        rec.degraded ? *degraded_backend : *entry->backend;
+        rec.view != served ? *degraded_backend : *entry->backend;
 
     solve::SolveOptions opts = options;
     opts.tolerance = tolerance;
@@ -655,19 +573,6 @@ SolverDaemon::Recovery SolverDaemon::recover_column(
       ++rec.abft_failures;
     }
     rec.column = std::move(attempt_result.columns[0]);
-  }
-  return rec;
-}
-
-void SolverDaemon::record_completion(const SolveResponse& response) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.completed;
-  stats_.queue_seconds_sum += response.latency.queue_seconds;
-  stats_.build_seconds_sum += response.latency.build_seconds;
-  stats_.solve_seconds_sum += response.latency.solve_seconds;
-  stats_.total_seconds_sum += response.latency.total_seconds;
-  if (total_ms_reservoir_.size() < kMaxReservoir) {
-    total_ms_reservoir_.push_back(response.latency.total_seconds * 1e3);
   }
 }
 

@@ -3,10 +3,10 @@
 //
 // Dataflow:  submit() -> bounded MPMC queue (admission control, shed on
 // full) -> dispatch loop -> Batcher (deadline-bounded k-RHS batches per
-// batch_key = matrix x backend x noise config) -> ResidencyCache (build
-// RefloatMatrix + plans + the execution backend once per resident key;
-// bit-true residents own their programmed crossbar image) ->
-// solve::cg_multi / bicgstab_multi over a BackendMultiOperator
+// batch_key = matrix x backend x noise config) -> ResidencyCache
+// (build_resident once per resident key: RefloatMatrix + tile partition +
+// the execution backend; bit-true residents own their programmed crossbar
+// image) -> solve::cg_multi / bicgstab_multi over a BackendMultiOperator
 // (probe-routed, per-column tolerances and noise streams) -> per-request
 // SolveResponse with a latency breakdown.
 //
@@ -42,26 +42,20 @@
 namespace refloat::serve {
 
 struct ServeConfig {
-  std::size_t queue_capacity = 256;   // REFLOAT_SERVE_QUEUE
-  std::size_t max_batch = 8;          // REFLOAT_SERVE_BATCH
-  double batch_window_ms = 2.0;       // REFLOAT_SERVE_WINDOW_MS
-  std::size_t cache_bytes = 256ull << 20;  // REFLOAT_SERVE_CACHE_MB
+  std::size_t queue_capacity = 256;   // admission queue; full queue sheds
+  std::size_t max_batch = 8;          // requests per lockstep batch
+  double batch_window_ms = 2.0;       // deadlines can dispatch earlier
+  std::size_t cache_bytes = 256ull << 20;  // residency-cache byte budget
   long max_iterations = 10000;        // solver budget per request
   int tiles = 1;                      // modeled ReRAM tiles per resident
   bool manual_pump = false;           // tests: drive via pump(now)
   // ABFT checked sweeps: every resident backend carries a checksum row and
-  // every operator apply is verified (REFLOAT_SERVE_ABFT=0 disables; the
-  // recovery ladder then only sees divergence/stall/breakdown failures).
-  bool abft = true;                   // REFLOAT_SERVE_ABFT
+  // every operator apply is verified (false: the recovery ladder then only
+  // sees divergence/stall/breakdown failures).
+  bool abft = true;
   // Recovery-ladder attempt budget per failed column; 0 disables retries
-  // entirely (failures are answered as-is). Rungs: re-solve, then
-  // reprogram (bit-true) or rebuild (persistent corruption), then degrade
-  // one execution view per attempt (bittrue -> noisy -> value).
-  int max_retries = 4;                // REFLOAT_SERVE_RETRIES
-
-  // Reads the REFLOAT_SERVE_* overrides onto the defaults above (invalid
-  // values warn and keep the default).
-  static ServeConfig from_env();
+  // entirely (failures are answered as-is). Rungs: see next_rung().
+  int max_retries = 4;
 };
 
 // Aggregated serving counters plus the latency distribution, exported
@@ -82,11 +76,6 @@ struct ServeStats {
   std::uint64_t degraded = 0;        // answers from a degraded view
   std::uint64_t reprograms = 0;      // bit-true crossbar reprogram rungs
   std::uint64_t rebuilds = 0;        // residency rebuild rungs
-  double reprogram_seconds_sum = 0.0;  // modeled write-verify reprogram cost
-  double queue_seconds_sum = 0.0;
-  double build_seconds_sum = 0.0;
-  double solve_seconds_sum = 0.0;
-  double total_seconds_sum = 0.0;
   double p50_total_ms = 0.0;  // over completed requests
   double p99_total_ms = 0.0;
   ResidencyCache::CacheStats cache;
@@ -149,30 +138,26 @@ class SolverDaemon {
   void step(TimePoint now, bool force);
   void dispatch_batch(Batcher::ReadyBatch&& batch);
   void respond_shed(PendingRequest&& pending, ResponseStatus status);
-  void record_completion(const SolveResponse& response);
 
-  // One failed column's walk down the recovery ladder (daemon.cc "Recovery
-  // ladder" comment block for the rung order).
+  // One column's outcome: the batch answer, or a failed column's walk down
+  // the recovery ladder (recover_column; rung order in next_rung()).
   struct Recovery {
-    solve::SolveResult column;  // the answer to report (possibly original)
+    solve::SolveResult column;  // the answer to report
+    core::BackendKind view = core::BackendKind::kValue;  // view that answered
     int retries = 0;            // ladder attempts consumed
-    bool degraded = false;      // answered from a lower execution view
-    core::BackendKind final_kind = core::BackendKind::kValue;
     bool shed = false;          // deadline could not fit another attempt
     int reprograms = 0;         // crossbar reprogram rungs taken
     int rebuilds = 0;           // residency rebuild rungs taken
-    int abft_failures = 0;      // retry attempts that ended kCorrupted
-    double reprogram_seconds = 0.0;  // modeled write-verify reprogram cost
+    int abft_failures = 0;      // solve attempts that ended kCorrupted
   };
-  Recovery recover_column(const std::string& key,
-                          ResidencyCache::EntryPtr& entry,
-                          const ResidencyCache::Builder& rebuild,
-                          core::BackendKind kind, double sigma,
-                          std::span<const double> b_col, double tolerance,
-                          std::uint64_t noise_seed, TimePoint deadline,
-                          const solve::SolveOptions& options,
-                          solve::SolveResult&& failed,
-                          double attempt_estimate_seconds);
+  void recover_column(Recovery& rec, const std::string& key,
+                      ResidencyCache::EntryPtr& entry,
+                      const ResidencyCache::Builder& rebuild,
+                      core::BackendKind served, double sigma,
+                      std::span<const double> b_col, double tolerance,
+                      std::uint64_t noise_seed, TimePoint deadline,
+                      const solve::SolveOptions& options,
+                      double attempt_estimate_seconds);
 
   ServeConfig config_;
   util::BoundedQueue<PendingRequest> queue_;
@@ -195,5 +180,38 @@ class SolverDaemon {
 // (dimension, seed) — the same (matrix, seed) request always solves the
 // same system, so repeated TCP requests hit bit-identical trajectories.
 std::vector<double> seeded_rhs(std::size_t n, std::uint64_t seed);
+
+// Builds one resident from the exact CSR: the ReFloat conversion, the ABFT
+// checksum of the clean operand (when `abft`), the definiteness probe, the
+// `plan:` fault site, the tile partition (`tiles` > 1), the `kind` backend
+// (noise `sigma`) and the byte accounting the cache budgets.
+std::shared_ptr<ResidentEntry> build_resident(const sparse::Csr& a,
+                                              const core::Format& format,
+                                              core::BackendKind kind,
+                                              double sigma, int tiles,
+                                              bool abft);
+
+// The recovery ladder's rungs. Each attempt after the first changes one
+// thing before the column is solved again.
+enum class Rung {
+  kResolve,    // solve again on the same backend
+  kReprogram,  // bit-true: re-image the crossbars under a fresh fault seed
+  kRebuild,    // evict the resident and build it again
+  kDegrade,    // answer from the next lower view (bittrue -> noisy -> value)
+  kStop,       // no rung left: answer as-is
+};
+
+// The rung for ladder attempt `attempt` (1-based) of a column served on
+// `served`, now on `view`, whose last attempt ended `last_status`:
+//   1. attempt 1 re-solves;
+//   2. bit-true, not yet reprogrammed and not degraded: reprogram;
+//   3. corrupted, not yet rebuilt and not degraded: rebuild — corruption
+//      that survived the re-solve (and a reprogram, which re-images from
+//      the same resident operand) means the resident itself is damaged;
+//   4. degrade one view, until value, where the ladder stops.
+// Pure: the caller performs the rung and tracks the state.
+Rung next_rung(core::BackendKind served, core::BackendKind view,
+               bool reprogrammed, bool rebuilt, int attempt,
+               solve::SolveStatus last_status);
 
 }  // namespace refloat::serve

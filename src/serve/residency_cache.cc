@@ -60,7 +60,6 @@ ResidencyCache::EntryPtr ResidencyCache::get_or_build(const std::string& key,
   lru_.push_back(key);
   slot.lru_it = std::prev(lru_.end());
   stats_.resident_bytes += built->bytes;
-  stats_.resident_count = slots_.size();
   evict_to_fit();
   built_cv_.notify_all();
   return built;
@@ -76,7 +75,6 @@ void ResidencyCache::evict_to_fit() {
     slots_.erase(it);
     ++stats_.evictions;
   }
-  stats_.resident_count = slots_.size();
 }
 
 ResidencyCache::CacheStats ResidencyCache::stats() const {
@@ -104,22 +102,7 @@ bool ResidencyCache::erase(const std::string& key) {
   stats_.resident_bytes -= it->second.entry->bytes;
   lru_.erase(it->second.lru_it);
   slots_.erase(it);
-  stats_.resident_count = slots_.size();
   return true;
-}
-
-void ResidencyCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    if (it->second.entry != nullptr) {
-      stats_.resident_bytes -= it->second.entry->bytes;
-      it = slots_.erase(it);
-    } else {
-      ++it;  // in-flight build; its thread will re-insert when done
-    }
-  }
-  lru_.clear();
-  stats_.resident_count = slots_.size();
 }
 
 }  // namespace refloat::serve

@@ -60,7 +60,6 @@ struct ResidentEntry {
   core::AbftChecksum abft;
   std::size_t bytes = 0;       // what the cache budgets for this entry
   bool indefinite = false;     // probe_definiteness routing verdict
-  double build_seconds = 0.0;  // one-time cost the residency amortizes
 };
 
 class ResidencyCache {
@@ -94,9 +93,6 @@ class ResidencyCache {
   // Resident keys in eviction order (least recently used first) — the
   // observable the LRU tests pin.
   [[nodiscard]] std::vector<std::string> keys_lru_to_mru() const;
-
-  // Drops every resident entry (in-flight builds are unaffected).
-  void clear();
 
   // Drops one resident entry — the recovery ladder's "rebuild" rung evicts
   // a key whose resident image keeps failing verification so the next

@@ -108,18 +108,6 @@ TEST(ResidencyCache, RebuildsAfterEviction) {
   EXPECT_EQ(stats.builds, 3u);
 }
 
-TEST(ResidencyCache, ClearDropsResidents) {
-  ResidencyCache cache(4000);
-  cache.get_or_build("A", builder_of(1000));
-  cache.get_or_build("B", builder_of(1000));
-  cache.clear();
-  EXPECT_EQ(cache.stats().resident_count, 0u);
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
-  bool hit = true;
-  cache.get_or_build("A", builder_of(1000), &hit);
-  EXPECT_FALSE(hit);
-}
-
 TEST(ResidencyCache, ColdMatrixBuildsExactlyOnceUnderContention) {
   ResidencyCache cache(1 << 20);
   std::atomic<int> builds{0};

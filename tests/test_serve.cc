@@ -990,44 +990,49 @@ TEST(Residency, CacheHoldsTwoValueResidentsAtExactlyTheirBytes) {
   }
 }
 
-// --- Environment knobs -----------------------------------------------------
+// --- Recovery ladder policy ------------------------------------------------
 
-TEST(ServeConfigEnv, CacheMegabytesThatWrapInBytesKeepTheDefault) {
-  const std::size_t fallback = ServeConfig{}.cache_bytes;
-  {
-    // 2^44 MiB is 2^64 bytes: the shift to bytes used to wrap to 0.
-    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "17592186044416");
-    EXPECT_EQ(ServeConfig::from_env().cache_bytes, fallback);
+// The rungs next_rung() picks for a column served on `served` whose every
+// attempt ends `status`, applying each rung's state change as the daemon
+// does, until kStop.
+std::vector<Rung> ladder(core::BackendKind served, solve::SolveStatus status) {
+  std::vector<Rung> rungs;
+  core::BackendKind view = served;
+  bool reprogrammed = false;
+  bool rebuilt = false;
+  for (int attempt = 1; rungs.size() < 16; ++attempt) {
+    const Rung rung =
+        next_rung(served, view, reprogrammed, rebuilt, attempt, status);
+    rungs.push_back(rung);
+    if (rung == Rung::kStop) break;
+    if (rung == Rung::kReprogram) reprogrammed = true;
+    if (rung == Rung::kRebuild) rebuilt = true;
+    if (rung == Rung::kDegrade) {
+      view = view == core::BackendKind::kBitTrue ? core::BackendKind::kNoisy
+                                                 : core::BackendKind::kValue;
+    }
   }
-  {
-    // ... and 2^44 + 1 MiB to 1 MiB.
-    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "17592186044417");
-    EXPECT_EQ(ServeConfig::from_env().cache_bytes, fallback);
-  }
-  {
-    // strtoll clamps to LLONG_MAX with ERANGE.
-    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "99999999999999999999999");
-    EXPECT_EQ(ServeConfig::from_env().cache_bytes, fallback);
-  }
-  {
-    // The largest value that does not wrap is taken as given.
-    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "17592186044415");
-    EXPECT_EQ(ServeConfig::from_env().cache_bytes,
-              std::size_t{17592186044415} << 20);
-  }
-  {
-    ScopedEnv env("REFLOAT_SERVE_CACHE_MB", "64");
-    EXPECT_EQ(ServeConfig::from_env().cache_bytes, std::size_t{64} << 20);
-  }
+  return rungs;
 }
 
-TEST(ServeConfigEnv, OutOfRangeQueueAndBatchKeepTheDefaults) {
-  const ServeConfig defaults;
-  ScopedEnv queue("REFLOAT_SERVE_QUEUE", "99999999999999999999999");
-  ScopedEnv batch("REFLOAT_SERVE_BATCH", "-99999999999999999999999");
-  const ServeConfig config = ServeConfig::from_env();
-  EXPECT_EQ(config.queue_capacity, defaults.queue_capacity);
-  EXPECT_EQ(config.max_batch, defaults.max_batch);
+TEST(Recovery, RungOrderPerBackendAndFailure) {
+  using B = core::BackendKind;
+  using S = solve::SolveStatus;
+  using R = std::vector<Rung>;
+  constexpr Rung kResolve = Rung::kResolve;
+  constexpr Rung kReprogram = Rung::kReprogram;
+  constexpr Rung kRebuild = Rung::kRebuild;
+  constexpr Rung kDegrade = Rung::kDegrade;
+  constexpr Rung kStop = Rung::kStop;
+  EXPECT_EQ(ladder(B::kValue, S::kCorrupted), (R{kResolve, kRebuild, kStop}));
+  EXPECT_EQ(ladder(B::kValue, S::kDiverged), (R{kResolve, kStop}));
+  EXPECT_EQ(ladder(B::kNoisy, S::kCorrupted),
+            (R{kResolve, kRebuild, kDegrade, kStop}));
+  EXPECT_EQ(ladder(B::kNoisy, S::kStalled), (R{kResolve, kDegrade, kStop}));
+  EXPECT_EQ(ladder(B::kBitTrue, S::kCorrupted),
+            (R{kResolve, kReprogram, kRebuild, kDegrade, kDegrade, kStop}));
+  EXPECT_EQ(ladder(B::kBitTrue, S::kBreakdown),
+            (R{kResolve, kReprogram, kDegrade, kDegrade, kStop}));
 }
 
 // --- TCP hardening ---------------------------------------------------------
