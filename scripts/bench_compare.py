@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Compare google-benchmark JSON runs against a checked-in baseline.
 
-The perf-smoke CI job runs bench_micro three times, each with
+The perf-smoke CI job runs bench_micro five times, each with
 --benchmark_out=run-<i>.json, and gates on:
 
     python3 scripts/bench_compare.py bench/micro/baseline.json \
-        run-1.json run-2.json run-3.json
+        run-1.json run-2.json run-3.json run-4.json run-5.json
 
 Statistic: within one run a row's time is the median of its repetitions
 (or its single time); across the runs given, a row is gated on the MINIMUM

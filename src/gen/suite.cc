@@ -1,11 +1,16 @@
 #include "src/gen/suite.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <thread>
 
 #include "src/core/format.h"
 #include "src/gen/grid.h"
@@ -246,7 +251,14 @@ void save_csr(const std::string& path, const sparse::Csr& a) {
     std::error_code ec;
     std::filesystem::create_directories(p.parent_path(), ec);
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // Written under a name private to this thread, then renamed over `path`:
+  // a reader (another process, or a daemon worker building another backend
+  // of the same matrix) sees the old file or the whole new one, never a
+  // file another writer is truncating.
+  const std::string tmp =
+      path + ".tmp" + std::to_string(::getpid()) + "-" +
+      std::to_string(std::hash<std::thread::id>{}(std::this_thread::get_id()));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   out.write(kMagic, sizeof(kMagic));
   const std::int64_t rows = a.rows();
   const std::int64_t cols = a.cols();
@@ -260,6 +272,10 @@ void save_csr(const std::string& path, const sparse::Csr& a) {
             static_cast<std::streamsize>(a.col_idx().size() * sizeof(Index)));
   out.write(reinterpret_cast<const char*>(a.values().data()),
             static_cast<std::streamsize>(a.values().size() * sizeof(double)));
+  out.close();
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) std::filesystem::remove(tmp, ec);
 }
 
 sparse::Csr load_or_build(const SuiteSpec& spec, const std::string& dir) {

@@ -12,21 +12,32 @@
 //
 // Two drive modes:
 //   * threaded (default): a dispatcher thread owns the batcher and sleeps
-//     on the queue until the next window/deadline event;
+//     on the queue until the next window/deadline event. It hands each
+//     ready batch to solve_worker_count() solve workers — or, when that is
+//     1, solves it itself. A batch whose key is already solving waits until
+//     that key frees, so each resident's backend (its sweep scratch, the
+//     reprogram and rebuild rungs) has one owner at a time; batches of
+//     distinct keys solve concurrently, as the crossbars of two programmed
+//     matrices would;
 //   * manual pump (config.manual_pump): no thread — tests call
 //     pump(now) and control the clock, making window-expiry, deadline
-//     shedding, and batching fully deterministic.
+//     shedding, and batching fully deterministic. Batches solve inline on
+//     the pumping thread.
 //
-// Solves run on the dispatcher (or pumping) thread; parallelism lives
-// inside the SpMV block-row shards as everywhere else in the repo, so a
-// batch is bit-identical to its solo solves at any REFLOAT_THREADS.
+// Within a batch, parallelism lives inside the SpMV block-row shards as
+// everywhere else in the repo, and every column is bit-identical to its
+// solo solve, so an answer does not depend on REFLOAT_THREADS, on the
+// worker that ran it, or on what else was solving.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -78,6 +89,8 @@ struct ServeStats {
   std::uint64_t rebuilds = 0;        // residency rebuild rungs
   double p50_total_ms = 0.0;  // over completed requests
   double p99_total_ms = 0.0;
+  // Threads that solve batches; 1 = the dispatcher (or pump) solves them.
+  std::size_t solve_workers = 1;
   ResidencyCache::CacheStats cache;
 
   [[nodiscard]] double mean_batch_k() const {
@@ -136,6 +149,10 @@ class SolverDaemon {
   // One pump step: drain queue (stamping dequeue times), shed/dispatch
   // ready batches at `now`.
   void step(TimePoint now, bool force);
+  // Threaded mode with solve workers: queues `batch` to run, or parks it
+  // behind the batch of its key that is solving.
+  void hand_off(Batcher::ReadyBatch&& batch);
+  void solve_loop();
   void dispatch_batch(Batcher::ReadyBatch&& batch);
   void respond_shed(PendingRequest&& pending, ResponseStatus status);
 
@@ -172,8 +189,26 @@ class SolverDaemon {
   std::vector<double> total_ms_reservoir_;  // completed-request latencies
 
   bool stopped_ = false;  // guarded by stats_mutex_ (rarely touched)
+
+  // Batches handed to the solve workers. solving_ holds every key with a
+  // batch queued in runnable_ or on a worker, mapped to the batches of that
+  // key parked behind it, oldest first.
+  std::mutex work_mutex_;
+  std::condition_variable work_cv_;
+  std::deque<Batcher::ReadyBatch> runnable_;
+  std::map<std::string, std::deque<Batcher::ReadyBatch>> solving_;
+  bool draining_ = false;  // dispatcher joined: idle workers exit
+
   std::thread dispatcher_;
+  std::vector<std::thread> workers_;  // empty: the dispatcher solves inline
 };
+
+// Solve workers for a threaded daemon: one per ThreadPool-sized share of
+// the machine's cores, hardware_concurrency / pool_threads, at least one.
+// A pool that already spans the machine leaves one worker, so batches
+// solve on the dispatcher as its shards fan out over the pool; a one-thread
+// pool gives every core a batch of its own.
+int solve_worker_count(unsigned hardware_concurrency, int pool_threads);
 
 // The deterministic server-side right-hand side for requests that carry a
 // seed instead of a vector: Gaussian, scaled to ||b|| = 1, keyed by

@@ -42,9 +42,10 @@ namespace refloat::serve {
 // sweep rf itself, the bit-true one owns its programmed crossbar image,
 // which is exactly the cost the residency amortizes). The backend borrows
 // `rf` and `tiled`, so it MUST be built only after the entry reached its
-// final address. The backend's per-sweep scratch is per-instance, and
-// batches dispatch serially on the daemon's one dispatcher (or pumping)
-// thread, so the shared-const entry handing out a mutable sweep is safe.
+// final address. The backend's per-sweep scratch is per-instance, and the
+// daemon solves at most one batch per resident key at a time (batches of
+// distinct keys run concurrently on its solve workers), so the shared-const
+// entry handing out a mutable sweep is safe.
 struct ResidentEntry {
   explicit ResidentEntry(core::RefloatMatrix matrix) : rf(std::move(matrix)) {}
 

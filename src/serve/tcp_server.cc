@@ -195,7 +195,8 @@ std::string TcpServer::handle_line(SolverDaemon& daemon,
         << " abft_failures=" << s.abft_failures << " retries=" << s.retries
         << " recovered=" << s.recovered << " degraded=" << s.degraded
         << " reprograms=" << s.reprograms << " rebuilds=" << s.rebuilds
-        << " p50_ms=" << s.p50_total_ms << " p99_ms=" << s.p99_total_ms;
+        << " p50_ms=" << s.p50_total_ms << " p99_ms=" << s.p99_total_ms
+        << " workers=" << s.solve_workers;
     return out.str();
   }
   if (verb == "FAULT") {

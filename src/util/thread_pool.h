@@ -2,7 +2,11 @@
 //
 // Design constraints (docs/ARCHITECTURE.md "Parallelism"):
 //   * one process-wide pool, sized by $REFLOAT_THREADS (default: hardware
-//     concurrency) — callers never spawn ad-hoc threads;
+//     concurrency) — callers never spawn ad-hoc threads. The one exception
+//     is serve::SolverDaemon's solve workers: a fork-join pool splits one
+//     sweep, but the daemon needs whole batches of distinct matrices to
+//     run side by side, and it sizes them to the cores the pool leaves
+//     idle (serve::solve_worker_count);
 //   * parallel_for(n, fn) runs fn(0..n-1) across the workers plus the
 //     calling thread and blocks until every index completed. Indices are
 //     claimed dynamically (atomic counter), so shards must be independent:

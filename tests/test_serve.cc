@@ -24,6 +24,7 @@
 #include "src/serve/tcp_server.h"
 #include "src/solvers/batched.h"
 #include "src/util/fault_injector.h"
+#include "src/util/thread_pool.h"
 #include "tests/reference_solvers.h"
 
 namespace refloat::serve {
@@ -499,6 +500,171 @@ TEST(Serve, ThreadedConcurrentSubmitters) {
   // The cold matrix was built exactly once despite concurrent batches.
   EXPECT_EQ(stats.cache.builds, 1u);
   EXPECT_EQ(stats.cache.misses, 1u);
+}
+
+// --- Solve workers ----------------------------------------------------------
+
+TEST(SolveWorkers, CountIsCoresOverPoolThreadsAtLeastOne) {
+  EXPECT_EQ(solve_worker_count(4, 1), 4);
+  EXPECT_EQ(solve_worker_count(4, 2), 2);
+  EXPECT_EQ(solve_worker_count(4, 4), 1);  // the default: pool spans cores
+  EXPECT_EQ(solve_worker_count(8, 3), 2);  // rounds down
+  EXPECT_EQ(solve_worker_count(0, 1), 1);  // hardware_concurrency unknown
+  EXPECT_EQ(solve_worker_count(0, 4), 1);
+  EXPECT_EQ(solve_worker_count(4, 8), 1);  // pool larger than the machine
+  EXPECT_EQ(solve_worker_count(2, 512), 1);
+}
+
+// A one-thread pool, so a threaded daemon gets one solve worker per core;
+// the default pool comes back on exit. Declare it before the daemon: the
+// pool must not be replaced while the daemon's workers sweep.
+struct OnePoolThread {
+  OnePoolThread() { util::ThreadPool::set_global_threads(1); }
+  ~OnePoolThread() {
+    util::ThreadPool::set_global_threads(util::ThreadPool::default_threads());
+  }
+};
+
+std::size_t expected_workers() {
+  return static_cast<std::size_t>(
+      solve_worker_count(std::thread::hardware_concurrency(), 1));
+}
+
+SolveRequest keyed_request(core::BackendKind backend, std::uint64_t seed) {
+  SolveRequest request;
+  request.matrix = kName;
+  request.rhs_seed = seed;
+  request.noise_seed = 1000 + seed;
+  request.backend = backend;
+  request.noise_sigma = 1e-3;
+  request.tolerance =
+      backend == core::BackendKind::kBitTrue ? 1e-6 : 1e-8;
+  return request;
+}
+
+void expect_same_answer(const SolveResponse& got, const SolveResponse& want,
+                        std::size_t i) {
+  EXPECT_EQ(got.status, want.status) << "request " << i;
+  EXPECT_EQ(got.solve_status, want.solve_status) << "request " << i;
+  EXPECT_STREQ(got.backend, want.backend) << "request " << i;
+  EXPECT_EQ(got.iterations, want.iterations) << "request " << i;
+  EXPECT_EQ(got.final_residual, want.final_residual) << "request " << i;
+  ASSERT_EQ(got.solution.size(), want.solution.size()) << "request " << i;
+  for (std::size_t r = 0; r < want.solution.size(); ++r) {
+    ASSERT_EQ(got.solution[r], want.solution[r])
+        << "request " << i << " row " << r;
+  }
+}
+
+TEST(SolveWorkers, InterleavedKeysMatchManualPump) {
+  // Value, noisy and bit-true jobs interleaved: on the solve workers their
+  // batches run side by side, and every answer is the manual pump's.
+  const OnePoolThread pool;
+  const core::BackendKind kinds[] = {core::BackendKind::kValue,
+                                     core::BackendKind::kNoisy,
+                                     core::BackendKind::kBitTrue};
+  constexpr std::uint64_t kRequests = 12;
+
+  std::vector<SolveResponse> want;
+  {
+    SolverDaemon manual(manual_config());
+    register_test_matrix(manual);
+    std::vector<std::future<SolveResponse>> futures;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      futures.push_back(manual.submit(keyed_request(kinds[i % 3], i)));
+    }
+    manual.shutdown();  // flushes every group
+    for (auto& f : futures) want.push_back(f.get());
+  }
+
+  ServeConfig config;
+  config.max_batch = 2;
+  config.batch_window_ms = 1.0;
+  SolverDaemon daemon(config);
+  register_test_matrix(daemon);
+  EXPECT_EQ(daemon.stats().solve_workers, expected_workers());
+  std::vector<std::future<SolveResponse>> futures;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    futures.push_back(daemon.submit(keyed_request(kinds[i % 3], i)));
+  }
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const SolveResponse got = futures[i].get();
+    EXPECT_EQ(got.status, ResponseStatus::kOk) << "request " << i;
+    expect_same_answer(got, want[i], i);
+  }
+
+  bool quit = false;
+  const std::string reply = TcpServer::handle_line(daemon, "STATS", &quit);
+  EXPECT_NE(reply.find(" workers=" + std::to_string(expected_workers())),
+            std::string::npos)
+      << reply;
+}
+
+TEST(SolveWorkers, OneKeyBatchesRunBackToBackAndMatchSolo) {
+  // Eight requests on one key with max_batch 2: four full batches queue at
+  // once, three of them parked behind the one solving.
+  const OnePoolThread pool;
+  ServeConfig config;
+  config.max_batch = 2;
+  config.batch_window_ms = 60'000.0;  // only full batches dispatch
+  SolverDaemon daemon(config);
+  register_test_matrix(daemon);
+  const sparse::Csr a = test_csr();
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  constexpr std::size_t k = 8;
+  const std::vector<double> b = solve::make_rhs_batch(a, k);
+
+  std::vector<std::future<SolveResponse>> futures;
+  for (std::size_t c = 0; c < k; ++c) {
+    futures.push_back(submit_rhs(daemon, batch_column(b, n, c)));
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    const SolveResponse got = futures[c].get();
+    const solve::SolveResult want = solo_cg(batch_column(b, n, c), 1e-8);
+    EXPECT_EQ(got.status, ResponseStatus::kOk) << "column " << c;
+    EXPECT_EQ(got.batch_k, 2u) << "column " << c;
+    EXPECT_EQ(got.solve_status, want.status) << "column " << c;
+    EXPECT_EQ(got.iterations, want.iterations) << "column " << c;
+    EXPECT_EQ(got.final_residual, want.final_residual) << "column " << c;
+    ASSERT_EQ(got.solution, want.solution) << "column " << c;
+  }
+  const ServeStats stats = daemon.stats();
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.max_batch_k, 2u);
+  EXPECT_EQ(stats.cache.builds, 1u);
+}
+
+TEST(SolveWorkers, ShutdownAnswersBatchesParkedBehindABusyKey) {
+  // Shutdown right after the burst: full batches are solving or parked on
+  // their busy key, and the odd request still waits out its window. Every
+  // admitted future is answered before shutdown() returns.
+  const OnePoolThread pool;
+  ServeConfig config;
+  config.max_batch = 2;
+  config.batch_window_ms = 60'000.0;
+  SolverDaemon daemon(config);
+  register_test_matrix(daemon);
+  daemon.register_matrix("laplace48x48", test_format(), [] {
+    return gen::build_stencil(gen::laplace2d_5pt(48, 48)).shifted(0.01);
+  });
+
+  std::vector<std::future<SolveResponse>> futures;
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    SolveRequest request;
+    request.matrix = i % 3 == 2 ? kName : "laplace48x48";
+    request.rhs_seed = i;
+    request.tolerance = 1e-8;
+    request.want_solution = false;
+    futures.push_back(daemon.submit(std::move(request)));
+  }
+  daemon.shutdown();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_TRUE(ready(futures[i])) << "request " << i;
+    EXPECT_EQ(futures[i].get().status, ResponseStatus::kOk) << "request " << i;
+  }
+  const ServeStats stats = daemon.stats();
+  EXPECT_EQ(stats.completed, 9u);
+  EXPECT_EQ(stats.batches, 5u);  // four full, one flushed at close
 }
 
 // --- Fault tolerance: the retry/degrade ladder and the hardened wire ------
