@@ -40,7 +40,8 @@ TimePoint Batcher::ready_time(const Group& group) const {
 }
 
 std::optional<Batcher::ReadyBatch> Batcher::pop_ready(
-    TimePoint now, std::vector<PendingRequest>* shed, bool force) {
+    TimePoint now, std::vector<PendingRequest>* shed, bool force,
+    const std::set<std::string>* busy) {
   // Shed expired members first — a request whose deadline passed must not
   // consume solver time, and must not hold its group's earliest-deadline
   // clock at a stale value.
@@ -59,6 +60,10 @@ std::optional<Batcher::ReadyBatch> Batcher::pop_ready(
     Group& group = it->second;
     if (group.requests.empty()) {
       it = groups_.erase(it);
+      continue;
+    }
+    if (busy != nullptr && busy->count(it->first) != 0) {
+      ++it;
       continue;
     }
     const bool full = group.requests.size() >= max_batch_;
@@ -88,10 +93,12 @@ std::optional<Batcher::ReadyBatch> Batcher::pop_ready(
   return std::nullopt;
 }
 
-std::optional<TimePoint> Batcher::next_event() const {
+std::optional<TimePoint> Batcher::next_event(
+    const std::set<std::string>* busy) const {
   std::optional<TimePoint> next;
   for (const auto& [key, group] : groups_) {
     if (group.requests.empty()) continue;
+    if (busy != nullptr && busy->count(key) != 0) continue;
     const TimePoint t = ready_time(group);
     if (!next || t < *next) next = t;
   }

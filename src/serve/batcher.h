@@ -13,16 +13,19 @@
 // Members whose deadline has already passed are shed at pop time, before
 // any solve work is spent on them.
 //
-// The batcher is single-consumer state owned by the daemon's dispatch
-// thread (or the manual pump): it does no locking of its own and takes
-// `now` explicitly, which is what makes the window/deadline tests
-// deterministic.
+// The batcher does no locking of its own (the daemon guards it; the manual
+// pump owns it outright) and takes `now` explicitly, which is what makes
+// the window/deadline tests deterministic. A caller that solves several
+// batches at once passes the keys it is solving as `busy`: their groups
+// stay put — still filling toward max_batch and still shedding expired
+// members — until the key frees.
 #pragma once
 
 #include <cstddef>
 #include <future>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -63,15 +66,17 @@ class Batcher {
   // Sheds expired members into *shed (their deadline passed while they
   // waited), then returns the next dispatchable batch, if any. Call in a
   // loop until nullopt. `force` dispatches every non-empty group
-  // regardless of window/deadline — the shutdown flush.
-  std::optional<ReadyBatch> pop_ready(TimePoint now,
-                                      std::vector<PendingRequest>* shed,
-                                      bool force = false);
+  // regardless of window/deadline — the shutdown flush. Groups whose key
+  // is in *busy are never returned.
+  std::optional<ReadyBatch> pop_ready(
+      TimePoint now, std::vector<PendingRequest>* shed, bool force = false,
+      const std::set<std::string>* busy = nullptr);
 
   // Earliest instant at which pop_ready could produce new work (window
-  // expiry or deadline of some pending group); nullopt when empty. The
-  // dispatch loop sleeps until this.
-  [[nodiscard]] std::optional<TimePoint> next_event() const;
+  // expiry or deadline of some pending group whose key is not in *busy);
+  // nullopt when there is none. The caller sleeps until this.
+  [[nodiscard]] std::optional<TimePoint> next_event(
+      const std::set<std::string>* busy = nullptr) const;
 
   [[nodiscard]] bool empty() const { return pending_ == 0; }
   [[nodiscard]] std::size_t pending() const { return pending_; }

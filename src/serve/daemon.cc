@@ -166,26 +166,25 @@ int solve_worker_count(unsigned hardware_concurrency, int pool_threads) {
 SolverDaemon::SolverDaemon(ServeConfig config)
     : config_(config),
       queue_(config.queue_capacity),
-      batcher_(config.max_batch, window_duration(config.batch_window_ms)),
-      cache_(config.cache_bytes) {
+      cache_(config.cache_bytes),
+      batcher_(config.max_batch, window_duration(config.batch_window_ms)) {
   if (config_.manual_pump) return;
   const int workers = solve_worker_count(std::thread::hardware_concurrency(),
                                          util::ThreadPool::global().size());
-  if (workers > 1) {
 #ifdef __GLIBC__
-    // glibc gives each thread that allocates its own malloc arena, and each
-    // arena keeps its high-water mark of k x n solver vectors (and the
-    // noisy sweep's per-thread band scratch): with four workers on a
-    // 4-vCPU host, bench_e2e's peak RSS grew 38-97% over the daemon that
-    // solved on its dispatcher. One shared arena kept it at or below that.
-    // Set before the workers allocate anything.
-    mallopt(M_ARENA_MAX, 1);
+  // glibc gives each thread that allocates its own malloc arena, and each
+  // arena keeps its high-water mark of k x n solver vectors (and the noisy
+  // sweep's per-thread band scratch). On a 4-vCPU host bench_e2e's peak
+  // RSS grew 38-97% with four workers, and 12% with the one worker and the
+  // dispatcher of the default pool, over a daemon that solved on its
+  // dispatcher; one shared arena kept it at or below that. Set before the
+  // threads allocate anything; it holds for the whole process.
+  mallopt(M_ARENA_MAX, 1);
 #endif
-    stats_.solve_workers = static_cast<std::size_t>(workers);
-    workers_.reserve(stats_.solve_workers);
-    for (int w = 0; w < workers; ++w) {
-      workers_.emplace_back([this] { solve_loop(); });
-    }
+  stats_.solve_workers = static_cast<std::size_t>(workers);
+  workers_.reserve(stats_.solve_workers);
+  for (int w = 0; w < workers; ++w) {
+    workers_.emplace_back([this] { solve_loop(); });
   }
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -242,38 +241,12 @@ std::future<SolveResponse> SolverDaemon::submit(SolveRequest request) {
 }
 
 void SolverDaemon::pump(TimePoint now) {
-  // Manual mode only; the threaded dispatcher owns the batcher otherwise.
+  // Manual mode only; the threaded dispatcher owns the queue otherwise.
   while (auto item = queue_.try_pop()) {
     item->dequeue_time = Clock::now();
     batcher_.add(std::move(*item), now);
   }
-  step(now, queue_.closed());
-}
-
-void SolverDaemon::dispatch_loop() {
-  for (;;) {
-    std::optional<TimePoint> event = batcher_.next_event();
-    const TimePoint wake =
-        event.value_or(Clock::now() + std::chrono::milliseconds(100));
-    std::optional<PendingRequest> item = queue_.pop_until(wake);
-    const TimePoint now = Clock::now();
-    if (item) {
-      item->dequeue_time = now;
-      batcher_.add(std::move(*item), now);
-      // Opportunistically drain whatever arrived in the same burst so one
-      // wakeup forms one batch instead of k.
-      while (auto more = queue_.try_pop()) {
-        more->dequeue_time = now;
-        batcher_.add(std::move(*more), now);
-      }
-    }
-    const bool closing = queue_.closed() && queue_.size() == 0;
-    step(now, closing);
-    if (closing && batcher_.empty()) return;
-  }
-}
-
-void SolverDaemon::step(TimePoint now, bool force) {
+  const bool force = queue_.closed();
   std::vector<PendingRequest> shed;
   for (;;) {
     std::optional<Batcher::ReadyBatch> ready =
@@ -283,48 +256,77 @@ void SolverDaemon::step(TimePoint now, bool force) {
     }
     shed.clear();
     if (!ready) break;
-    if (workers_.empty()) {
-      dispatch_batch(std::move(*ready));
-    } else {
-      hand_off(std::move(*ready));
-    }
+    dispatch_batch(std::move(*ready));
   }
 }
 
-void SolverDaemon::hand_off(Batcher::ReadyBatch&& batch) {
-  {
-    std::lock_guard<std::mutex> lock(work_mutex_);
-    auto [it, key_free] = solving_.try_emplace(batch.key);
-    if (!key_free) {
-      it->second.push_back(std::move(batch));
-      return;
+void SolverDaemon::dispatch_loop() {
+  // The batcher takes at most a queue's worth of requests (and always a
+  // full batch); beyond that requests wait in the queue until the workers
+  // catch up, and a full queue sheds at submit().
+  const std::size_t room = std::max(queue_.capacity(), config_.max_batch);
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(work_mutex_);
+      work_cv_.wait(lock, [&] { return batcher_.pending() < room; });
     }
-    runnable_.push_back(std::move(batch));
+    std::optional<PendingRequest> item = queue_.pop();
+    const TimePoint now = Clock::now();
+    {
+      std::lock_guard<std::mutex> lock(work_mutex_);
+      if (item) {
+        item->dequeue_time = now;
+        batcher_.add(std::move(*item), now);
+        // Take whatever arrived in the same burst under one lock, so the
+        // workers see it whole.
+        while (batcher_.pending() < room) {
+          std::optional<PendingRequest> more = queue_.try_pop();
+          if (!more) break;
+          more->dequeue_time = now;
+          batcher_.add(std::move(*more), now);
+        }
+      } else {
+        closing_ = true;  // closed and drained: nothing more will arrive
+      }
+    }
+    work_cv_.notify_all();
+    if (!item) return;
   }
-  work_cv_.notify_one();
 }
 
 void SolverDaemon::solve_loop() {
+  std::vector<PendingRequest> shed;
   std::unique_lock<std::mutex> lock(work_mutex_);
   for (;;) {
-    // A parked batch is queued by the worker that frees its key, so once
-    // draining a worker with nothing runnable has nothing left to wait for.
-    work_cv_.wait(lock, [this] { return !runnable_.empty() || draining_; });
-    if (runnable_.empty()) return;
-    Batcher::ReadyBatch batch = std::move(runnable_.front());
-    runnable_.pop_front();
-    const std::string key = batch.key;
+    // Expired members shed here, busy keys' groups included, so a request
+    // whose deadline passed while its key was solving never runs.
+    std::optional<Batcher::ReadyBatch> ready = batcher_.pop_ready(
+        Clock::now(), &shed, queue_.closed(), &solving_);
+    if (!ready && shed.empty()) {
+      if (closing_ && batcher_.empty()) return;
+      if (std::optional<TimePoint> next = batcher_.next_event(&solving_)) {
+        work_cv_.wait_until(lock, *next);
+      } else {
+        work_cv_.wait(lock);
+      }
+      continue;
+    }
+    std::string key;
+    if (ready) {
+      key = ready->key;
+      solving_.insert(key);
+    }
     lock.unlock();
-    dispatch_batch(std::move(batch));
+    work_cv_.notify_all();  // the batcher has room for the dispatcher
+    for (PendingRequest& p : shed) {
+      respond_shed(std::move(p), ResponseStatus::kShedDeadline);
+    }
+    shed.clear();
+    if (ready) dispatch_batch(std::move(*ready));
     lock.lock();
-    auto it = solving_.find(key);
-    if (it->second.empty()) {
-      solving_.erase(it);
-    } else {
-      // The key is free again: its oldest parked batch runs next, on
-      // whichever worker takes it.
-      runnable_.push_back(std::move(it->second.front()));
-      it->second.pop_front();
+    if (ready) {
+      solving_.erase(key);
+      work_cv_.notify_all();  // the key's group may be ready
     }
   }
 }
@@ -651,16 +653,19 @@ void SolverDaemon::shutdown() {
     if (stopped_) return;
     stopped_ = true;
   }
-  queue_.close();
+  {
+    // Closed under work_mutex_, so no worker misses it between finding
+    // nothing ready and going to sleep: from here on the workers flush
+    // every group without waiting out its window, which also makes room
+    // in the batcher for what is still queued.
+    std::lock_guard<std::mutex> lock(work_mutex_);
+    queue_.close();
+  }
+  work_cv_.notify_all();
   if (dispatcher_.joinable()) {
-    // The dispatcher returns once it handed off every batch; the workers
-    // then finish those, parked ones included, and exit.
+    // The dispatcher returns once the queue is drained into the batcher;
+    // the workers then flush every group and exit.
     dispatcher_.join();
-    {
-      std::lock_guard<std::mutex> lock(work_mutex_);
-      draining_ = true;
-    }
-    work_cv_.notify_all();
     for (std::thread& worker : workers_) worker.join();
   } else {
     // Manual mode: flush whatever is still queued or batched.

@@ -11,14 +11,16 @@
 // SolveResponse with a latency breakdown.
 //
 // Two drive modes:
-//   * threaded (default): a dispatcher thread owns the batcher and sleeps
-//     on the queue until the next window/deadline event. It hands each
-//     ready batch to solve_worker_count() solve workers — or, when that is
-//     1, solves it itself. A batch whose key is already solving waits until
-//     that key frees, so each resident's backend (its sweep scratch, the
-//     reprogram and rebuild rungs) has one owner at a time; batches of
-//     distinct keys solve concurrently, as the crossbars of two programmed
-//     matrices would;
+//   * threaded (default): a dispatcher thread moves admitted requests from
+//     the queue into the batcher, and solve_worker_count() solve workers
+//     take the ready batches from it. A worker never takes a batch whose
+//     key is already solving: that group stays in the batcher, filling
+//     toward max_batch and shedding expired members, until the key frees.
+//     So each resident's backend (its sweep scratch, the reprogram and
+//     rebuild rungs) has one owner at a time, while batches of distinct
+//     keys solve concurrently, as the crossbars of two programmed matrices
+//     would. With one worker (the default pool) batches run one after
+//     another;
 //   * manual pump (config.manual_pump): no thread — tests call
 //     pump(now) and control the clock, making window-expiry, deadline
 //     shedding, and batching fully deterministic. Batches solve inline on
@@ -28,16 +30,24 @@
 // everywhere else in the repo, and every column is bit-identical to its
 // solo solve, so an answer does not depend on REFLOAT_THREADS, on the
 // worker that ran it, or on what else was solving.
+//
+// Process-wide side effect: a threaded daemon calls glibc's
+// mallopt(M_ARENA_MAX, 1) before its threads start. That caps the whole
+// process — every thread, for its whole life — at one malloc arena; it is
+// not undone when the daemon is destroyed. Per-thread arenas each kept a
+// high-water mark of k x n solver vectors and grew the daemon's peak RSS
+// by 12-97% (docs/ARCHITECTURE.md "Solve workers"). A manual-pump daemon
+// starts no thread and leaves the allocator alone.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -89,7 +99,7 @@ struct ServeStats {
   std::uint64_t rebuilds = 0;        // residency rebuild rungs
   double p50_total_ms = 0.0;  // over completed requests
   double p99_total_ms = 0.0;
-  // Threads that solve batches; 1 = the dispatcher (or pump) solves them.
+  // Threads that solve batches (manual pump: the pumping thread).
   std::size_t solve_workers = 1;
   ResidencyCache::CacheStats cache;
 
@@ -145,13 +155,9 @@ class SolverDaemon {
     std::function<sparse::Csr()> build;
   };
 
+  // Threaded mode: the dispatcher feeds the batcher; each solve worker
+  // takes ready batches of keys not already solving.
   void dispatch_loop();
-  // One pump step: drain queue (stamping dequeue times), shed/dispatch
-  // ready batches at `now`.
-  void step(TimePoint now, bool force);
-  // Threaded mode with solve workers: queues `batch` to run, or parks it
-  // behind the batch of its key that is solving.
-  void hand_off(Batcher::ReadyBatch&& batch);
   void solve_loop();
   void dispatch_batch(Batcher::ReadyBatch&& batch);
   void respond_shed(PendingRequest&& pending, ResponseStatus status);
@@ -178,7 +184,6 @@ class SolverDaemon {
 
   ServeConfig config_;
   util::BoundedQueue<PendingRequest> queue_;
-  Batcher batcher_;  // dispatcher/pump thread only
   ResidencyCache cache_;
 
   mutable std::mutex registry_mutex_;
@@ -190,23 +195,23 @@ class SolverDaemon {
 
   bool stopped_ = false;  // guarded by stats_mutex_ (rarely touched)
 
-  // Batches handed to the solve workers. solving_ holds every key with a
-  // batch queued in runnable_ or on a worker, mapped to the batches of that
-  // key parked behind it, oldest first.
+  // The batcher and the keys on a solve worker. Threaded mode guards them
+  // with work_mutex_ and signals every change on work_cv_; manual mode's
+  // pumping thread owns the batcher outright.
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
-  std::deque<Batcher::ReadyBatch> runnable_;
-  std::map<std::string, std::deque<Batcher::ReadyBatch>> solving_;
-  bool draining_ = false;  // dispatcher joined: idle workers exit
+  Batcher batcher_;
+  std::set<std::string> solving_;
+  bool closing_ = false;  // the dispatcher drained the closed queue
 
   std::thread dispatcher_;
-  std::vector<std::thread> workers_;  // empty: the dispatcher solves inline
+  std::vector<std::thread> workers_;
 };
 
 // Solve workers for a threaded daemon: one per ThreadPool-sized share of
 // the machine's cores, hardware_concurrency / pool_threads, at least one.
-// A pool that already spans the machine leaves one worker, so batches
-// solve on the dispatcher as its shards fan out over the pool; a one-thread
+// A pool that already spans the machine leaves one worker, which solves
+// one batch at a time as its shards fan out over the pool; a one-thread
 // pool gives every core a batch of its own.
 int solve_worker_count(unsigned hardware_concurrency, int pool_threads);
 

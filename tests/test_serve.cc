@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -601,8 +602,8 @@ TEST(SolveWorkers, InterleavedKeysMatchManualPump) {
 }
 
 TEST(SolveWorkers, OneKeyBatchesRunBackToBackAndMatchSolo) {
-  // Eight requests on one key with max_batch 2: four full batches queue at
-  // once, three of them parked behind the one solving.
+  // Eight requests on one key with max_batch 2: four full batches, each
+  // waiting in the batcher until the one before it finished.
   const OnePoolThread pool;
   ServeConfig config;
   config.max_batch = 2;
@@ -634,10 +635,10 @@ TEST(SolveWorkers, OneKeyBatchesRunBackToBackAndMatchSolo) {
   EXPECT_EQ(stats.cache.builds, 1u);
 }
 
-TEST(SolveWorkers, ShutdownAnswersBatchesParkedBehindABusyKey) {
-  // Shutdown right after the burst: full batches are solving or parked on
-  // their busy key, and the odd request still waits out its window. Every
-  // admitted future is answered before shutdown() returns.
+TEST(SolveWorkers, ShutdownAnswersGroupsWaitingOnABusyKey) {
+  // Shutdown right after the burst: full batches are solving or waiting
+  // for their busy key, and the odd request still waits out its window.
+  // Every admitted future is answered before shutdown() returns.
   const OnePoolThread pool;
   ServeConfig config;
   config.max_batch = 2;
@@ -665,6 +666,162 @@ TEST(SolveWorkers, ShutdownAnswersBatchesParkedBehindABusyKey) {
   const ServeStats stats = daemon.stats();
   EXPECT_EQ(stats.completed, 9u);
   EXPECT_EQ(stats.batches, 5u);  // four full, one flushed at close
+}
+
+TEST(SolveWorkers, ShutdownFlushesAFullBatcherWithoutWaitingOutWindows) {
+  // The batcher holds its share (four requests over two keys, no group
+  // full) and one more request waits in the queue. shutdown() flushes
+  // them all at once instead of waiting out the minute-long window.
+  const OnePoolThread pool;
+  ServeConfig config;
+  config.queue_capacity = 4;
+  config.max_batch = 4;
+  config.batch_window_ms = 60'000.0;
+  SolverDaemon daemon(config);
+  register_test_matrix(daemon);
+  daemon.register_matrix("laplace48x48", test_format(), [] {
+    return gen::build_stencil(gen::laplace2d_5pt(48, 48)).shifted(0.01);
+  });
+
+  std::vector<std::future<SolveResponse>> futures;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    SolveRequest request;
+    request.matrix = i < 3 ? kName : "laplace48x48";
+    request.rhs_seed = i;
+    request.tolerance = 1e-8;
+    request.want_solution = false;
+    futures.push_back(daemon.submit(std::move(request)));
+    if (i == 3) std::this_thread::sleep_for(milliseconds(100));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  daemon.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_TRUE(ready(futures[i])) << "request " << i;
+    EXPECT_EQ(futures[i].get().status, ResponseStatus::kOk) << "request " << i;
+  }
+}
+
+// A matrix whose build blocks until the test opens the gate, so its first
+// batch holds the key busy for as long as the test needs.
+struct BuildGate {
+  std::shared_ptr<std::promise<void>> entered =
+      std::make_shared<std::promise<void>>();
+  std::promise<void> release;
+
+  void register_on(SolverDaemon& daemon) {
+    auto on_entry = entered;
+    std::shared_future<void> opened = release.get_future().share();
+    daemon.register_matrix("gated", test_format(), [on_entry, opened] {
+      on_entry->set_value();
+      opened.wait();
+      return test_csr();
+    });
+  }
+  void wait_entered() { entered->get_future().wait(); }
+  void open() { release.set_value(); }
+};
+
+SolveRequest gated_request(std::uint64_t seed) {
+  SolveRequest request;
+  request.matrix = "gated";
+  request.rhs_seed = seed;
+  request.tolerance = 1e-8;
+  request.want_solution = false;
+  return request;
+}
+
+TEST(SolveWorkers, DeadlinePassedBehindABusyKeyIsShedNotSolved) {
+  // The second request's batch is full at once but its key is busy; its
+  // deadline passes before the key frees, so it is shed, not answered late.
+  const OnePoolThread pool;
+  ServeConfig config;
+  config.max_batch = 1;
+  config.batch_window_ms = 60'000.0;
+  SolverDaemon daemon(config);
+  BuildGate gate;
+  gate.register_on(daemon);
+
+  auto first = daemon.submit(gated_request(0));
+  gate.wait_entered();
+  SolveRequest late = gated_request(1);
+  const TimePoint deadline = Clock::now() + milliseconds(20);
+  late.deadline = deadline;
+  auto second = daemon.submit(std::move(late));
+  std::this_thread::sleep_until(deadline + milliseconds(5));
+  gate.open();
+
+  EXPECT_EQ(first.get().status, ResponseStatus::kOk);
+  EXPECT_EQ(second.get().status, ResponseStatus::kShedDeadline);
+  daemon.shutdown();
+  const ServeStats stats = daemon.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.shed_deadline, 1u);
+}
+
+TEST(SolveWorkers, BusyKeyGroupKeepsFillingTowardMaxBatch) {
+  // Four requests arrive one window apart while their key is busy: they
+  // stay one group and solve as one batch of four once the key frees.
+  const OnePoolThread pool;
+  ServeConfig config;
+  config.max_batch = 4;
+  config.batch_window_ms = 1.0;
+  SolverDaemon daemon(config);
+  BuildGate gate;
+  gate.register_on(daemon);
+
+  auto first = daemon.submit(gated_request(0));
+  gate.wait_entered();
+  std::vector<std::future<SolveResponse>> rest;
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    rest.push_back(daemon.submit(gated_request(i)));
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  // Time for the dispatcher to move the last one into the batcher.
+  std::this_thread::sleep_for(milliseconds(100));
+  gate.open();
+
+  EXPECT_EQ(first.get().batch_k, 1u);
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    const SolveResponse got = rest[i].get();
+    EXPECT_EQ(got.status, ResponseStatus::kOk) << "request " << i;
+    EXPECT_EQ(got.batch_k, 4u) << "request " << i;
+  }
+  EXPECT_EQ(daemon.stats().batches, 2u);
+}
+
+TEST(SolveWorkers, AdmissionShedsOnceBatcherAndQueueHoldTheirShare) {
+  // While the workers are busy the batcher takes a queue's worth of
+  // requests and the queue another; the next request is shed at submit,
+  // not buffered without bound.
+  const OnePoolThread pool;
+  ServeConfig config;
+  config.queue_capacity = 2;
+  config.max_batch = 1;
+  config.batch_window_ms = 60'000.0;
+  SolverDaemon daemon(config);
+  BuildGate gate;
+  gate.register_on(daemon);
+
+  std::vector<std::future<SolveResponse>> admitted;
+  admitted.push_back(daemon.submit(gated_request(0)));
+  gate.wait_entered();
+  // Two at a time, each pair given time to leave the queue if it may: the
+  // first pair fills the batcher, the second stays queued.
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    admitted.push_back(daemon.submit(gated_request(i)));
+    if (i % 2 == 0) std::this_thread::sleep_for(milliseconds(100));
+  }
+  auto overflow = daemon.submit(gated_request(5));
+  ASSERT_TRUE(ready(overflow));
+  EXPECT_EQ(overflow.get().status, ResponseStatus::kShedQueueFull);
+  gate.open();
+
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    EXPECT_EQ(admitted[i].get().status, ResponseStatus::kOk) << "request " << i;
+  }
+  EXPECT_EQ(daemon.stats().shed_queue_full, 1u);
 }
 
 // --- Fault tolerance: the retry/degrade ladder and the hardened wire ------
