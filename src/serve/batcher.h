@@ -13,12 +13,12 @@
 // Members whose deadline has already passed are shed at pop time, before
 // any solve work is spent on them.
 //
-// The batcher does no locking of its own (the daemon guards it; the manual
-// pump owns it outright) and takes `now` explicitly, which is what makes
-// the window/deadline tests deterministic. A caller that solves several
-// batches at once passes the keys it is solving as `busy`: their groups
-// stay put — still filling toward max_batch and still shedding expired
-// members — until the key frees.
+// The batcher does no locking of its own (the daemon guards it with the
+// mutex its submitters and solve workers share) and takes `now`
+// explicitly, which is what makes the window/deadline tests deterministic.
+// A caller that solves several batches at once passes the keys it is
+// solving as `busy`: their groups stay put — still filling toward
+// max_batch and still shedding expired members — until the key frees.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +38,8 @@ namespace refloat::serve {
 struct PendingRequest {
   SolveRequest request;
   std::promise<SolveResponse> promise;
-  TimePoint submit_time{};   // admission (queue push)
-  TimePoint dequeue_time{};  // picked up by the dispatcher
+  TimePoint submit_time{};  // submit() called
+  TimePoint admit_time{};   // added to the batcher
 };
 
 // The batching/residency identity of a request: the matrix name for

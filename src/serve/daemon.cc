@@ -165,7 +165,6 @@ int solve_worker_count(unsigned hardware_concurrency, int pool_threads) {
 
 SolverDaemon::SolverDaemon(ServeConfig config)
     : config_(config),
-      queue_(config.queue_capacity),
       cache_(config.cache_bytes),
       batcher_(config.max_batch, window_duration(config.batch_window_ms)) {
   if (config_.manual_pump) return;
@@ -175,10 +174,9 @@ SolverDaemon::SolverDaemon(ServeConfig config)
   // glibc gives each thread that allocates its own malloc arena, and each
   // arena keeps its high-water mark of k x n solver vectors (and the noisy
   // sweep's per-thread band scratch). On a 4-vCPU host bench_e2e's peak
-  // RSS grew 38-97% with four workers, and 12% with the one worker and the
-  // dispatcher of the default pool, over a daemon that solved on its
-  // dispatcher; one shared arena kept it at or below that. Set before the
-  // threads allocate anything; it holds for the whole process.
+  // RSS grew 38-97% with four workers over a daemon that solved on one
+  // thread; one shared arena kept it flat. Set before the threads allocate
+  // anything; it holds for the whole process.
   mallopt(M_ARENA_MAX, 1);
 #endif
   stats_.solve_workers = static_cast<std::size_t>(workers);
@@ -186,7 +184,6 @@ SolverDaemon::SolverDaemon(ServeConfig config)
   for (int w = 0; w < workers; ++w) {
     workers_.emplace_back([this] { solve_loop(); });
   }
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
 SolverDaemon::~SolverDaemon() { shutdown(); }
@@ -211,86 +208,65 @@ void SolverDaemon::register_suite() {
 }
 
 std::future<SolveResponse> SolverDaemon::submit(SolveRequest request) {
+  const TimePoint now = Clock::now();
   PendingRequest pending;
   pending.request = std::move(request);
-  pending.submit_time = Clock::now();
+  pending.submit_time = now;
+  pending.admit_time = now;
   std::future<SolveResponse> future = pending.promise.get_future();
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.submitted;
   }
   // Injected admission fault: the request is shed exactly as if the
-  // bounded queue were full, exercising the client-visible overload path
-  // without actually filling the queue.
+  // daemon were full, exercising the client-visible overload path without
+  // actually filling it.
   if (util::FaultInjector::global().should_fire(
           util::FaultSite::kAdmission)) {
-    pending.dequeue_time = pending.submit_time;
     respond_shed(std::move(pending), ResponseStatus::kShedQueueFull);
     return future;
   }
-  if (!queue_.try_push(std::move(pending))) {
-    // try_push consumes `pending` only on success; a rejected request is
-    // still ours to answer. Closed queue = shutting down, full queue =
-    // admission-control shed.
-    pending.dequeue_time = pending.submit_time;
-    respond_shed(std::move(pending), queue_.closed()
-                                         ? ResponseStatus::kShutdown
-                                         : ResponseStatus::kShedQueueFull);
+  ResponseStatus refused = ResponseStatus::kOk;
+  {
+    std::lock_guard<std::mutex> lock(work_mutex_);
+    if (closed_) {
+      refused = ResponseStatus::kShutdown;
+    } else if (inbox_.size() + batcher_.pending() >= config_.queue_capacity) {
+      refused = ResponseStatus::kShedQueueFull;
+    } else if (config_.manual_pump) {
+      inbox_.push_back(std::move(pending));
+    } else {
+      batcher_.add(std::move(pending), now);
+    }
+  }
+  if (refused != ResponseStatus::kOk) {
+    respond_shed(std::move(pending), refused);
+  } else if (!config_.manual_pump) {
+    work_cv_.notify_all();
   }
   return future;
 }
 
 void SolverDaemon::pump(TimePoint now) {
-  // Manual mode only; the threaded dispatcher owns the queue otherwise.
-  while (auto item = queue_.try_pop()) {
-    item->dequeue_time = Clock::now();
-    batcher_.add(std::move(*item), now);
-  }
-  const bool force = queue_.closed();
+  // Manual mode only: the pumping thread solves every ready batch inline.
   std::vector<PendingRequest> shed;
+  std::unique_lock<std::mutex> lock(work_mutex_);
+  for (PendingRequest& p : inbox_) {
+    p.admit_time = Clock::now();
+    batcher_.add(std::move(p), now);
+  }
+  inbox_.clear();
   for (;;) {
     std::optional<Batcher::ReadyBatch> ready =
-        batcher_.pop_ready(now, &shed, force);
+        batcher_.pop_ready(now, &shed, closed_);
+    lock.unlock();
     for (PendingRequest& p : shed) {
       respond_shed(std::move(p), ResponseStatus::kShedDeadline);
     }
     shed.clear();
-    if (!ready) break;
+    if (!ready) return;
     dispatch_batch(std::move(*ready));
-  }
-}
-
-void SolverDaemon::dispatch_loop() {
-  // The batcher takes at most a queue's worth of requests (and always a
-  // full batch); beyond that requests wait in the queue until the workers
-  // catch up, and a full queue sheds at submit().
-  const std::size_t room = std::max(queue_.capacity(), config_.max_batch);
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(work_mutex_);
-      work_cv_.wait(lock, [&] { return batcher_.pending() < room; });
-    }
-    std::optional<PendingRequest> item = queue_.pop();
-    const TimePoint now = Clock::now();
-    {
-      std::lock_guard<std::mutex> lock(work_mutex_);
-      if (item) {
-        item->dequeue_time = now;
-        batcher_.add(std::move(*item), now);
-        // Take whatever arrived in the same burst under one lock, so the
-        // workers see it whole.
-        while (batcher_.pending() < room) {
-          std::optional<PendingRequest> more = queue_.try_pop();
-          if (!more) break;
-          more->dequeue_time = now;
-          batcher_.add(std::move(*more), now);
-        }
-      } else {
-        closing_ = true;  // closed and drained: nothing more will arrive
-      }
-    }
-    work_cv_.notify_all();
-    if (!item) return;
+    lock.lock();
   }
 }
 
@@ -300,10 +276,10 @@ void SolverDaemon::solve_loop() {
   for (;;) {
     // Expired members shed here, busy keys' groups included, so a request
     // whose deadline passed while its key was solving never runs.
-    std::optional<Batcher::ReadyBatch> ready = batcher_.pop_ready(
-        Clock::now(), &shed, queue_.closed(), &solving_);
+    std::optional<Batcher::ReadyBatch> ready =
+        batcher_.pop_ready(Clock::now(), &shed, closed_, &solving_);
     if (!ready && shed.empty()) {
-      if (closing_ && batcher_.empty()) return;
+      if (closed_ && batcher_.empty()) return;
       if (std::optional<TimePoint> next = batcher_.next_event(&solving_)) {
         work_cv_.wait_until(lock, *next);
       } else {
@@ -317,7 +293,6 @@ void SolverDaemon::solve_loop() {
       solving_.insert(key);
     }
     lock.unlock();
-    work_cv_.notify_all();  // the batcher has room for the dispatcher
     for (PendingRequest& p : shed) {
       respond_shed(std::move(p), ResponseStatus::kShedDeadline);
     }
@@ -336,8 +311,7 @@ void SolverDaemon::respond_shed(PendingRequest&& pending,
   SolveResponse response;
   response.status = status;
   response.latency.queue_seconds =
-      std::chrono::duration<double>(pending.dequeue_time -
-                                    pending.submit_time)
+      std::chrono::duration<double>(pending.admit_time - pending.submit_time)
           .count();
   response.latency.total_seconds =
       std::chrono::duration<double>(Clock::now() - pending.submit_time)
@@ -533,7 +507,7 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
     response.retries = rec.retries;
     response.degraded = rec.view != kind;
     response.latency.queue_seconds =
-        std::chrono::duration<double>(p.dequeue_time - p.submit_time).count();
+        std::chrono::duration<double>(p.admit_time - p.submit_time).count();
     response.latency.build_seconds = cache_hit ? 0.0 : build_seconds;
     response.latency.solve_seconds = solve_seconds;
     response.latency.total_seconds =
@@ -649,28 +623,19 @@ void SolverDaemon::recover_column(
 
 void SolverDaemon::shutdown() {
   {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  {
     // Closed under work_mutex_, so no worker misses it between finding
-    // nothing ready and going to sleep: from here on the workers flush
-    // every group without waiting out its window, which also makes room
-    // in the batcher for what is still queued.
+    // nothing ready and going to sleep: from here on every group flushes
+    // without waiting out its window.
     std::lock_guard<std::mutex> lock(work_mutex_);
-    queue_.close();
+    if (closed_) return;
+    closed_ = true;
+  }
+  if (config_.manual_pump) {
+    pump(Clock::now());
+    return;
   }
   work_cv_.notify_all();
-  if (dispatcher_.joinable()) {
-    // The dispatcher returns once the queue is drained into the batcher;
-    // the workers then flush every group and exit.
-    dispatcher_.join();
-    for (std::thread& worker : workers_) worker.join();
-  } else {
-    // Manual mode: flush whatever is still queued or batched.
-    pump(Clock::now());
-  }
+  for (std::thread& worker : workers_) worker.join();
 }
 
 ServeStats SolverDaemon::stats() const {

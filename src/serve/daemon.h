@@ -1,9 +1,9 @@
 // SolverDaemon: the request-driven serving front of the solver stack
 // (ROADMAP item 1 — "the millions-of-users story end to end").
 //
-// Dataflow:  submit() -> bounded MPMC queue (admission control, shed on
-// full) -> dispatch loop -> Batcher (deadline-bounded k-RHS batches per
-// batch_key = matrix x backend x noise config) -> ResidencyCache
+// Dataflow:  submit() -> Batcher (admission control: shed once
+// queue_capacity requests wait to solve; deadline-bounded k-RHS batches
+// per batch_key = matrix x backend x noise config) -> ResidencyCache
 // (build_resident once per resident key: RefloatMatrix + tile partition +
 // the execution backend; bit-true residents own their programmed crossbar
 // image) -> solve::cg_multi / bicgstab_multi over a BackendMultiOperator
@@ -11,20 +11,19 @@
 // SolveResponse with a latency breakdown.
 //
 // Two drive modes:
-//   * threaded (default): a dispatcher thread moves admitted requests from
-//     the queue into the batcher, and solve_worker_count() solve workers
-//     take the ready batches from it. A worker never takes a batch whose
-//     key is already solving: that group stays in the batcher, filling
-//     toward max_batch and shedding expired members, until the key frees.
-//     So each resident's backend (its sweep scratch, the reprogram and
-//     rebuild rungs) has one owner at a time, while batches of distinct
-//     keys solve concurrently, as the crossbars of two programmed matrices
-//     would. With one worker (the default pool) batches run one after
-//     another;
-//   * manual pump (config.manual_pump): no thread — tests call
-//     pump(now) and control the clock, making window-expiry, deadline
-//     shedding, and batching fully deterministic. Batches solve inline on
-//     the pumping thread.
+//   * threaded (default): submit() admits each request straight into the
+//     batcher, and solve_worker_count() solve workers take the ready
+//     batches from it. A worker never takes a batch whose key is already
+//     solving: that group stays in the batcher, filling toward max_batch
+//     and shedding expired members, until the key frees. So each
+//     resident's backend (its sweep scratch, the reprogram and rebuild
+//     rungs) has one owner at a time, while batches of distinct keys solve
+//     concurrently, as the crossbars of two programmed matrices would. With
+//     one worker (the default pool) batches run one after another;
+//   * manual pump (config.manual_pump): no thread — submit() holds requests
+//     in an inbox, and tests call pump(now) and control the clock, making
+//     window-expiry, deadline shedding, and batching fully deterministic.
+//     Batches solve inline on the pumping thread.
 //
 // Within a batch, parallelism lives inside the SpMV block-row shards as
 // everywhere else in the repo, and every column is bit-identical to its
@@ -36,8 +35,8 @@
 // process — every thread, for its whole life — at one malloc arena; it is
 // not undone when the daemon is destroyed. Per-thread arenas each kept a
 // high-water mark of k x n solver vectors and grew the daemon's peak RSS
-// by 12-97% (docs/ARCHITECTURE.md "Solve workers"). A manual-pump daemon
-// starts no thread and leaves the allocator alone.
+// by 38-97% with four workers (docs/ARCHITECTURE.md "Solve workers"). A
+// manual-pump daemon starts no thread and leaves the allocator alone.
 #pragma once
 
 #include <condition_variable>
@@ -58,12 +57,12 @@
 #include "src/serve/request.h"
 #include "src/serve/residency_cache.h"
 #include "src/sparse/csr.h"
-#include "src/util/mpmc_queue.h"
 
 namespace refloat::serve {
 
 struct ServeConfig {
-  std::size_t queue_capacity = 256;   // admission queue; full queue sheds
+  std::size_t queue_capacity = 256;   // requests admitted, not yet solving;
+                                      // past it submit() sheds
   std::size_t max_batch = 8;          // requests per lockstep batch
   double batch_window_ms = 2.0;       // deadlines can dispatch earlier
   std::size_t cache_bytes = 256ull << 20;  // residency-cache byte budget
@@ -130,19 +129,20 @@ class SolverDaemon {
   void register_suite();
 
   // Admission: returns a future that is ALWAYS eventually fulfilled —
-  // immediately with kShedQueueFull when the queue is full or kShutdown
-  // after shutdown began; otherwise when the request's batch resolves.
+  // immediately with kShedQueueFull when queue_capacity requests wait to
+  // solve or kShutdown after shutdown began; otherwise when the request's
+  // batch resolves.
   std::future<SolveResponse> submit(SolveRequest request);
 
-  // Manual drive (config.manual_pump only): drains the queue into the
+  // Manual drive (config.manual_pump only): drains the inbox into the
   // batcher and dispatches everything ready at `now`. Policy decisions
   // (window expiry, deadlines) use `now`; latency accounting uses the real
   // clock.
   void pump(TimePoint now);
 
-  // Stops admission, flushes every pending request (queued requests still
-  // solve; expired ones shed), and joins the dispatcher. Idempotent;
-  // the destructor calls it.
+  // Stops admission, flushes every pending request (admitted requests
+  // still solve; expired ones shed), and joins the solve workers.
+  // Idempotent; the destructor calls it.
   void shutdown();
 
   [[nodiscard]] ServeStats stats() const;
@@ -155,9 +155,8 @@ class SolverDaemon {
     std::function<sparse::Csr()> build;
   };
 
-  // Threaded mode: the dispatcher feeds the batcher; each solve worker
-  // takes ready batches of keys not already solving.
-  void dispatch_loop();
+  // Threaded mode: each solve worker takes ready batches of keys not
+  // already solving.
   void solve_loop();
   void dispatch_batch(Batcher::ReadyBatch&& batch);
   void respond_shed(PendingRequest&& pending, ResponseStatus status);
@@ -183,7 +182,6 @@ class SolverDaemon {
                       double attempt_estimate_seconds);
 
   ServeConfig config_;
-  util::BoundedQueue<PendingRequest> queue_;
   ResidencyCache cache_;
 
   mutable std::mutex registry_mutex_;
@@ -193,18 +191,16 @@ class SolverDaemon {
   ServeStats stats_;
   std::vector<double> total_ms_reservoir_;  // completed-request latencies
 
-  bool stopped_ = false;  // guarded by stats_mutex_ (rarely touched)
-
-  // The batcher and the keys on a solve worker. Threaded mode guards them
-  // with work_mutex_ and signals every change on work_cv_; manual mode's
-  // pumping thread owns the batcher outright.
+  // Admission state, guarded by work_mutex_; every change is signalled on
+  // work_cv_. Manual mode holds requests in inbox_ until pump(now) adds
+  // them to the batcher at `now`; threaded mode adds them at submit().
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
+  std::vector<PendingRequest> inbox_;
   Batcher batcher_;
-  std::set<std::string> solving_;
-  bool closing_ = false;  // the dispatcher drained the closed queue
+  std::set<std::string> solving_;  // keys on a solve worker
+  bool closed_ = false;            // shutdown() began
 
-  std::thread dispatcher_;
   std::vector<std::thread> workers_;
 };
 

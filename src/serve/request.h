@@ -50,7 +50,8 @@ struct SolveRequest {
 
 enum class ResponseStatus {
   kOk,             // solved (solve_status says how the solver terminated)
-  kShedQueueFull,  // admission control: bounded queue was full
+  kShedQueueFull,  // admission control: queue_capacity requests were
+                   // already admitted and not yet solving
   kShedDeadline,   // deadline passed before the batch dispatched
   kUnknownMatrix,  // no registered builder under request.matrix
   kBadRequest,     // rhs size does not match the matrix dimension
@@ -65,7 +66,7 @@ const char* response_status_name(ResponseStatus status);
 // amortizes; every request in the batch that triggered the build reports
 // the same build_seconds, and cache hits report ~0.
 struct LatencyBreakdown {
-  double queue_seconds = 0.0;  // submit -> dequeued by the dispatcher
+  double queue_seconds = 0.0;  // submit -> admitted into the batcher
   double build_seconds = 0.0;  // residency-cache get_or_build
   double solve_seconds = 0.0;  // the batched solver call
   double total_seconds = 0.0;  // submit -> response

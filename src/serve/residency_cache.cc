@@ -8,38 +8,23 @@ ResidencyCache::EntryPtr ResidencyCache::get_or_build(const std::string& key,
                                                       const Builder& build,
                                                       bool* cache_hit) {
   if (cache_hit != nullptr) *cache_hit = false;
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     auto it = slots_.find(key);
-    if (it == slots_.end()) break;  // cold: this thread builds
-    if (it->second.entry != nullptr) {
+    if (it != slots_.end()) {
       ++stats_.hits;
       if (cache_hit != nullptr) *cache_hit = true;
       // Touch: move to the MRU end.
       lru_.splice(lru_.end(), lru_, it->second.lru_it);
       return it->second.entry;
     }
-    // A builder for this key is in flight on another thread; wait for it
-    // rather than building the same matrix twice.
-    built_cv_.wait(lock);
+    ++stats_.misses;
   }
 
-  // Claim the build (slot with a null entry = in-flight marker).
-  slots_.emplace(key, Slot{nullptr, lru_.end()});
-  ++stats_.misses;
-  lock.unlock();
+  // Built unlocked: other keys stay servable meanwhile.
+  EntryPtr built = build();
 
-  EntryPtr built;
-  try {
-    built = build();
-  } catch (...) {
-    lock.lock();
-    slots_.erase(key);
-    built_cv_.notify_all();
-    throw;
-  }
-
-  lock.lock();
+  std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.builds;
   if (built == nullptr || built->bytes > capacity_bytes_) {
     // Never cacheable: hand it to the caller (their shared_ptr keeps it
@@ -50,29 +35,23 @@ ResidencyCache::EntryPtr ResidencyCache::get_or_build(const std::string& key,
                   "capacity; serving uncached",
                   key.c_str(), built->bytes, capacity_bytes_);
     }
-    slots_.erase(key);
-    built_cv_.notify_all();
     return built;
   }
-
-  Slot& slot = slots_[key];
-  slot.entry = built;
-  lru_.push_back(key);
-  slot.lru_it = std::prev(lru_.end());
+  auto [it, inserted] = slots_.try_emplace(key);
+  if (!inserted) return it->second.entry;  // a racing caller's build won
+  it->second.entry = built;
+  it->second.lru_it = lru_.insert(lru_.end(), key);
   stats_.resident_bytes += built->bytes;
   evict_to_fit();
-  built_cv_.notify_all();
   return built;
 }
 
 void ResidencyCache::evict_to_fit() {
   while (stats_.resident_bytes > capacity_bytes_ && !lru_.empty()) {
-    const std::string victim = lru_.front();
-    auto it = slots_.find(victim);
-    lru_.pop_front();
-    if (it == slots_.end() || it->second.entry == nullptr) continue;
+    auto it = slots_.find(lru_.front());
     stats_.resident_bytes -= it->second.entry->bytes;
     slots_.erase(it);
+    lru_.pop_front();
     ++stats_.evictions;
   }
 }
@@ -81,12 +60,7 @@ ResidencyCache::CacheStats ResidencyCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   CacheStats out = stats_;
   out.capacity_bytes = capacity_bytes_;
-  // In-flight builds hold slots too; report only completed residents.
-  std::size_t resident = 0;
-  for (const auto& [key, slot] : slots_) {
-    if (slot.entry != nullptr) ++resident;
-  }
-  out.resident_count = resident;
+  out.resident_count = slots_.size();
   return out;
 }
 
@@ -98,7 +72,7 @@ std::vector<std::string> ResidencyCache::keys_lru_to_mru() const {
 bool ResidencyCache::erase(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = slots_.find(key);
-  if (it == slots_.end() || it->second.entry == nullptr) return false;
+  if (it == slots_.end()) return false;
   stats_.resident_bytes -= it->second.entry->bytes;
   lru_.erase(it->second.lru_it);
   slots_.erase(it);

@@ -9,10 +9,12 @@
 // dequantized operand plus its block index — + the tiled shard index + the
 // backend's SweepBackend::resident_bytes, which is 0 for value and noisy
 // residents), not entry-counted, so one huge matrix and many small ones
-// budget against the same limit. Lookups are single-flight: when two
-// threads request the same cold matrix, exactly one runs the builder while
-// the other waits on it — never two concurrent builds of the same key
-// (tests/test_lru_cache.cc pins this under TSan).
+// budget against the same limit. A miss builds outside the lock, so other
+// keys stay servable meanwhile. The daemon never builds one key on two
+// threads at once (a key is its batch key, solved by one worker at a time);
+// should two callers race on a cold key anyway, both build, the first
+// insert wins and both get its entry (tests/test_lru_cache.cc pins this
+// under TSan).
 //
 // Entries are handed out as shared_ptr<const ...>: eviction removes a
 // matrix from the byte budget immediately, but in-flight solves keep their
@@ -20,7 +22,6 @@
 // mid-solve.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <list>
@@ -72,10 +73,9 @@ class ResidencyCache {
       : capacity_bytes_(capacity_bytes) {}
 
   // Returns the resident entry for `key`, building it via `build` on a
-  // miss (single-flight; see file comment). An entry whose bytes exceed
+  // miss (see file comment for a racing miss). An entry whose bytes exceed
   // the whole capacity is returned but never cached (counted as oversize).
-  // If the builder throws, the in-flight marker is cleared and the
-  // exception propagates to the thread that ran the builder; waiters retry.
+  // If the builder throws, the exception propagates and nothing is cached.
   EntryPtr get_or_build(const std::string& key, const Builder& build,
                         bool* cache_hit = nullptr);
 
@@ -98,13 +98,13 @@ class ResidencyCache {
   // Drops one resident entry — the recovery ladder's "rebuild" rung evicts
   // a key whose resident image keeps failing verification so the next
   // get_or_build re-runs the builder. Returns false when the key is not
-  // resident (unknown, or build still in flight). In-flight solves holding
+  // resident. In-flight solves holding
   // the old entry keep it alive until they finish.
   bool erase(const std::string& key);
 
  private:
   struct Slot {
-    EntryPtr entry;  // null while the builder is in flight
+    EntryPtr entry;
     std::list<std::string>::iterator lru_it;
   };
 
@@ -114,7 +114,6 @@ class ResidencyCache {
 
   const std::size_t capacity_bytes_;
   mutable std::mutex mutex_;
-  std::condition_variable built_cv_;
   std::unordered_map<std::string, Slot> slots_;
   std::list<std::string> lru_;  // front = least recently used
   CacheStats stats_;

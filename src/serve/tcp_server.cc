@@ -11,6 +11,8 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/serve/daemon.h"
 #include "src/util/fault_injector.h"
@@ -91,17 +93,19 @@ void TcpServer::stop() {
   if (stopping_.exchange(true)) return;
   // shutdown() unblocks accept()/recv() so every thread exits promptly.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    std::lock_guard<std::mutex> lock(workers_mutex_);
-    for (int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
+  std::vector<std::thread> threads;
   {
+    // A connection still in workers_ has not closed its fd yet.
     std::lock_guard<std::mutex> lock(workers_mutex_);
-    workers.swap(workers_);
+    for (auto& [fd, thread] : workers_) {
+      ::shutdown(fd, SHUT_RDWR);
+      threads.push_back(std::move(thread));
+    }
+    workers_.clear();
+    threads.push_back(std::move(finished_));
   }
-  for (std::thread& t : workers) {
+  for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
   if (listen_fd_ >= 0) {
@@ -124,8 +128,7 @@ void TcpServer::accept_loop() {
       return;
     }
     std::lock_guard<std::mutex> lock(workers_mutex_);
-    open_fds_.push_back(fd);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
+    workers_.emplace(fd, std::thread([this, fd] { serve_connection(fd); }));
   }
 }
 
@@ -168,7 +171,20 @@ void TcpServer::serve_connection(int fd) {
       }
     }
   }
+  // Reap: park this thread for the next connection that ends (or stop())
+  // to join, and join the one parked before it. Once stop() has taken the
+  // entry, stop() joins this thread itself.
+  std::thread previous;
+  {
+    std::lock_guard<std::mutex> lock(workers_mutex_);
+    auto it = workers_.find(fd);
+    if (it != workers_.end()) {
+      previous = std::exchange(finished_, std::move(it->second));
+      workers_.erase(it);
+    }
+  }
   ::close(fd);
+  if (previous.joinable()) previous.join();
 }
 
 std::string TcpServer::handle_line(SolverDaemon& daemon,

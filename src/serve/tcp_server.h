@@ -6,6 +6,7 @@
 //   SOLVE <matrix> [tol=<double>] [deadline_ms=<double>] [rhs=seed:<u64>]
 //     -> OK status=ok iters=... residual=... k=... solver=... hit=0|1
 //           queue_ms=... build_ms=... solve_ms=... total_ms=...
+//        (queue_ms: submit to batcher admission)
 //     -> SHED reason=queue_full|deadline|shutdown
 //     -> ERR <message>
 //   STATS  -> one line of counters
@@ -29,9 +30,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace refloat::serve {
 
@@ -75,9 +77,13 @@ class TcpServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
+  // Live connections by fd. An ending connection removes its own entry
+  // before it closes the fd (so stop() never shuts down a reused fd
+  // number), parks its thread in finished_ and joins the thread parked
+  // there before it: at most one ended connection is ever left unjoined.
   std::mutex workers_mutex_;
-  std::vector<std::thread> workers_;
-  std::vector<int> open_fds_;
+  std::map<int, std::thread> workers_;
+  std::thread finished_;
 };
 
 }  // namespace refloat::serve

@@ -1,11 +1,12 @@
 // ResidencyCache contract: least-recently-used eviction in byte-accounted
 // capacity, oversize entries served but never cached, rebuilds after
-// eviction, and single-flight builds — two threads requesting the same
-// cold matrix run the builder exactly once (pinned under TSan in CI).
+// eviction, and racing cold misses of one key — both build, one resident
+// is kept and budgeted once, both callers get it (run under TSan in CI).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -108,37 +109,50 @@ TEST(ResidencyCache, RebuildsAfterEviction) {
   EXPECT_EQ(stats.builds, 3u);
 }
 
-TEST(ResidencyCache, ColdMatrixBuildsExactlyOnceUnderContention) {
+TEST(ResidencyCache, RacingColdMissesLeaveOneResidentBudgetedOnce) {
   ResidencyCache cache(1 << 20);
-  std::atomic<int> builds{0};
-  const ResidencyCache::Builder slow_builder =
-      [&builds]() -> ResidencyCache::EntryPtr {
-    ++builds;
-    // Keep the build in flight long enough that the second thread arrives
-    // while the first still owns the in-flight marker.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Each build waits (bounded) for the other to start, so both callers
+  // are past the lookup and both miss.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int building = 0;
+  const ResidencyCache::Builder racing_builder =
+      [&]() -> ResidencyCache::EntryPtr {
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++building;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return building == 2; });
+    }
     return make_entry(1000);
   };
 
   ResidencyCache::EntryPtr first;
   ResidencyCache::EntryPtr second;
-  bool hit_first = false;
-  bool hit_second = false;
-  std::thread t1([&] { first = cache.get_or_build("M", slow_builder,
+  bool hit_first = true;
+  bool hit_second = true;
+  std::thread t1([&] { first = cache.get_or_build("M", racing_builder,
                                                   &hit_first); });
-  std::thread t2([&] { second = cache.get_or_build("M", slow_builder,
+  std::thread t2([&] { second = cache.get_or_build("M", racing_builder,
                                                    &hit_second); });
   t1.join();
   t2.join();
 
-  EXPECT_EQ(builds.load(), 1);  // single-flight: one build, one waiter
+  EXPECT_EQ(building, 2);
   ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first, second);  // both threads share the same resident entry
-  EXPECT_NE(hit_first, hit_second);  // exactly one of the two was the miss
+  EXPECT_EQ(first, second);  // the loser gets the winner's entry
+  EXPECT_FALSE(hit_first);
+  EXPECT_FALSE(hit_second);
   const ResidencyCache::CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.builds, 2u);
+  EXPECT_EQ(stats.resident_count, 1u);
+  EXPECT_EQ(stats.resident_bytes, 1000u);  // budgeted once
+  EXPECT_EQ(cache.keys_lru_to_mru(), (std::vector<std::string>{"M"}));
+
+  bool hit = false;
+  EXPECT_EQ(cache.get_or_build("M", racing_builder, &hit), first);
+  EXPECT_TRUE(hit);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -557,6 +558,31 @@ void expect_same_answer(const SolveResponse& got, const SolveResponse& want,
   }
 }
 
+// One numeric field of /proc/self/status ("Threads", "VmSize" in KiB, ...),
+// or -1 where that file is missing.
+long proc_status(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stol(line.substr(field.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(SolveWorkers, ThreadedDaemonStartsOnlyItsSolveWorkers) {
+  const OnePoolThread pool;
+  const long before = proc_status("Threads");
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  {
+    SolverDaemon daemon{ServeConfig{}};
+    EXPECT_EQ(proc_status("Threads") - before,
+              static_cast<long>(daemon.stats().solve_workers));
+  }
+  EXPECT_EQ(proc_status("Threads"), before);  // shutdown joined them all
+}
+
 TEST(SolveWorkers, InterleavedKeysMatchManualPump) {
   // Value, noisy and bit-true jobs interleaved: on the solve workers their
   // batches run side by side, and every answer is the manual pump's.
@@ -669,9 +695,9 @@ TEST(SolveWorkers, ShutdownAnswersGroupsWaitingOnABusyKey) {
 }
 
 TEST(SolveWorkers, ShutdownFlushesAFullBatcherWithoutWaitingOutWindows) {
-  // The batcher holds its share (four requests over two keys, no group
-  // full) and one more request waits in the queue. shutdown() flushes
-  // them all at once instead of waiting out the minute-long window.
+  // The batcher holds queue_capacity requests (four over two keys, no
+  // group full). shutdown() flushes them all at once instead of waiting
+  // out the minute-long window.
   const OnePoolThread pool;
   ServeConfig config;
   config.queue_capacity = 4;
@@ -684,14 +710,13 @@ TEST(SolveWorkers, ShutdownFlushesAFullBatcherWithoutWaitingOutWindows) {
   });
 
   std::vector<std::future<SolveResponse>> futures;
-  for (std::uint64_t i = 0; i < 5; ++i) {
+  for (std::uint64_t i = 0; i < 4; ++i) {
     SolveRequest request;
     request.matrix = i < 3 ? kName : "laplace48x48";
     request.rhs_seed = i;
     request.tolerance = 1e-8;
     request.want_solution = false;
     futures.push_back(daemon.submit(std::move(request)));
-    if (i == 3) std::this_thread::sleep_for(milliseconds(100));
   }
   const auto start = std::chrono::steady_clock::now();
   daemon.shutdown();
@@ -778,8 +803,6 @@ TEST(SolveWorkers, BusyKeyGroupKeepsFillingTowardMaxBatch) {
     rest.push_back(daemon.submit(gated_request(i)));
     std::this_thread::sleep_for(milliseconds(5));
   }
-  // Time for the dispatcher to move the last one into the batcher.
-  std::this_thread::sleep_for(milliseconds(100));
   gate.open();
 
   EXPECT_EQ(first.get().batch_k, 1u);
@@ -791,10 +814,9 @@ TEST(SolveWorkers, BusyKeyGroupKeepsFillingTowardMaxBatch) {
   EXPECT_EQ(daemon.stats().batches, 2u);
 }
 
-TEST(SolveWorkers, AdmissionShedsOnceBatcherAndQueueHoldTheirShare) {
-  // While the workers are busy the batcher takes a queue's worth of
-  // requests and the queue another; the next request is shed at submit,
-  // not buffered without bound.
+TEST(SolveWorkers, AdmissionShedsOnceTheBatcherHoldsQueueCapacity) {
+  // While the first request solves, the batcher takes queue_capacity more;
+  // the next request is shed at submit, not buffered without bound.
   const OnePoolThread pool;
   ServeConfig config;
   config.queue_capacity = 2;
@@ -806,14 +828,10 @@ TEST(SolveWorkers, AdmissionShedsOnceBatcherAndQueueHoldTheirShare) {
 
   std::vector<std::future<SolveResponse>> admitted;
   admitted.push_back(daemon.submit(gated_request(0)));
-  gate.wait_entered();
-  // Two at a time, each pair given time to leave the queue if it may: the
-  // first pair fills the batcher, the second stays queued.
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    admitted.push_back(daemon.submit(gated_request(i)));
-    if (i % 2 == 0) std::this_thread::sleep_for(milliseconds(100));
-  }
-  auto overflow = daemon.submit(gated_request(5));
+  gate.wait_entered();  // request 0 left the batcher for a worker
+  admitted.push_back(daemon.submit(gated_request(1)));
+  admitted.push_back(daemon.submit(gated_request(2)));
+  auto overflow = daemon.submit(gated_request(3));
   ASSERT_TRUE(ready(overflow));
   EXPECT_EQ(overflow.get().status, ResponseStatus::kShedQueueFull);
   gate.open();
@@ -1424,6 +1442,35 @@ TEST(TcpHardening, IdleConnectionIsDropped) {
   char c = 0;
   EXPECT_LE(::recv(fd, &c, 1, 0), 0);
   ::close(fd);
+}
+
+// One PING / QUIT connection, read to the server's close.
+void ping_quit(std::uint16_t port) {
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_GT(::send(fd, "PING\nQUIT\n", 10, MSG_NOSIGNAL), 0);
+  EXPECT_EQ(recv_line(fd), "PONG");
+  EXPECT_EQ(recv_line(fd), "BYE");
+  char c = 0;
+  EXPECT_LE(::recv(fd, &c, 1, 0), 0);
+  ::close(fd);
+}
+
+TEST(TcpHardening, SequentialConnectionsDoNotGrowVirtualMemory) {
+  // A finished connection's thread must be joined, not kept: an unjoined
+  // thread keeps its whole stack mapped (8 MiB at the usual ulimit), so a
+  // long-lived server would grow without bound.
+  if (proc_status("VmSize") < 0) GTEST_SKIP() << "no /proc/self/status";
+  SolverDaemon daemon(manual_config());
+  TcpServer server(daemon);
+  for (int i = 0; i < 4; ++i) ping_quit(server.port());  // warm the allocator
+  const long before = proc_status("VmSize");
+  constexpr int kConnections = 100;
+  for (int i = 0; i < kConnections; ++i) ping_quit(server.port());
+  const long grown_kib = proc_status("VmSize") - before;
+  EXPECT_LT(grown_kib, 64L * 1024)
+      << kConnections << " connections grew VmSize by " << grown_kib
+      << " KiB";
 }
 
 }  // namespace
