@@ -62,6 +62,8 @@ void measured_backend_sweeps() {
       {"bittrue+noise+faults",
        std::make_unique<hw::BitTrueBackend>(rf, degraded)});
 
+  // A random batch: read as k interleaved vectors (slot i*k + j), the
+  // layout sweep() takes, at either k.
   std::vector<double> x(kWide * n);
   util::Rng rng(11);
   for (double& v : x) v = rng.gaussian();

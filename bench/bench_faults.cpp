@@ -143,6 +143,7 @@ double measure_checked_overhead_pct() {
   const core::AbftChecksum abft = core::make_abft_checksum(rf);
   const std::size_t n = static_cast<std::size_t>(a.rows());
   constexpr std::size_t kRhs = 8;
+  // A random batch of kRhs interleaved vectors (slot i*kRhs + j).
   util::Rng rng(29);
   std::vector<double> x(n * kRhs);
   for (double& v : x) v = rng.gaussian();

@@ -50,6 +50,12 @@
 //                         cg_multi / bicgstab_multi over the value backend,
 //                         k = 1 and 8 right-hand sides, on the grid-32
 //                         stencil at a fixed 40 iterations (tolerance 0)
+//   solve/cg/value/crystm03/k<k>
+//                         cg_multi over the checked value backend (ABFT
+//                         on, as the daemon runs it), k = 1 and 8
+//                         right-hand sides, on the crystm03 stand-in at a
+//                         fixed 20 iterations: a served solve's layer mix
+//                         (quantize, sweep, ABFT epilogue, vector ops)
 //   csr_spmv              sparse::Csr::spmv, the exact FP64 baseline, at
 //                         grid 64/128/256 (ISA-independent)
 //   hw/cluster_mvm        one bit-sliced 128x128 crossbar-cluster MVM
@@ -82,6 +88,7 @@
 #include "src/core/simd.h"
 #include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
+#include "src/gen/suite.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/engine.h"
 #include "src/solvers/batched.h"
@@ -347,6 +354,7 @@ void backend_sweep(benchmark::State& state, const Workload& w,
     backend->set_abft(&abft);
     ctx.verdict = &verdict;
   }
+  // A random batch of k interleaved vectors (slot i*k + j).
   util::Rng rng(29);
   std::vector<double> x(n * k);
   for (double& v : x) v = rng.gaussian();
@@ -377,6 +385,33 @@ void solve_fixed(benchmark::State& state, bool bicgstab, std::size_t k) {
     const solve::BatchedSolveResult result =
         bicgstab ? solve::bicgstab_multi(op, b, k, opts)
                  : solve::cg_multi(op, b, k, opts);
+    benchmark::DoNotOptimize(result.columns.data());
+    for (const solve::SolveResult& column : result.columns) {
+      if (column.iterations != kIterations) state.SkipWithError("stopped");
+    }
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(k) * kIterations);
+}
+
+// --- solve on a stand-in: a served solve's layer mix ----------------------
+
+void solve_standin(benchmark::State& state, std::size_t k) {
+  constexpr long kIterations = 20;
+  core::simd_set_isa(core::simd_best_supported());
+  util::ThreadPool::set_global_threads(1);
+  static const sparse::Csr a = gen::build(*gen::find_spec(355));  // crystm03
+  static const core::RefloatMatrix rf(a, core::default_format());
+  static const core::AbftChecksum abft = core::make_abft_checksum(rf);
+  const auto backend = core::make_value_backend(rf);
+  backend->set_abft(&abft);
+  const std::vector<double> b = solve::make_rhs_batch(a, k);
+  const solve::SolveOptions opts{.tolerance = 0.0,  // never met
+                                 .max_iterations = kIterations,
+                                 .record_trace = false};
+  for (auto _ : state) {
+    solve::BackendMultiOperator op(*backend, k);
+    const solve::BatchedSolveResult result = solve::cg_multi(op, b, k, opts);
     benchmark::DoNotOptimize(result.columns.data());
     for (const solve::SolveResult& column : result.columns) {
       if (column.iterations != kIterations) state.SkipWithError("stopped");
@@ -568,6 +603,11 @@ void register_all() {
         solve_fixed(s, bicgstab, k);
       });
     }
+  }
+  for (const std::size_t k : {1, 8}) {
+    benchmark::RegisterBenchmark(
+        ("solve/cg/value/crystm03/k" + std::to_string(k)).c_str(),
+        [=](benchmark::State& s) { solve_standin(s, k); });
   }
   benchmark::RegisterBenchmark("csr_spmv", csr_spmv)
       ->Arg(64)->Arg(128)->Arg(256);

@@ -193,35 +193,51 @@ double quantize_value(double v, int base, int e_bits, int f_bits,
   return q;
 }
 
-void quantize_span(std::span<const double> x, int base, int e_bits,
-                   int f_bits, const QuantPolicy& policy,
-                   std::span<double> out) {
+bool quantize_span_args(int base, int e_bits, int f_bits,
+                        const QuantPolicy& policy, QuantSpanArgs* args) {
   int lo = 0;
   int hi = 0;
   window_bounds(base, e_bits, policy.window, &lo, &hi);
+  args->base = base;
+  args->e_bits = e_bits;
+  args->f_bits = f_bits;
+  args->lo = lo;
+  args->hi = hi;
+  args->gradual = policy.underflow == UnderflowMode::kDenormalize;
+  args->ceiling = std::ldexp(2.0, hi);
+  args->policy = &policy;
   // The fast path needs every 2^(grid +- f) in the normal range and the
   // scaled mantissa below 2^52 (where the magic-constant rounding is
-  // exact). Outside that — extreme bases, f = 52 formats — take the exact
-  // scalar path for the whole span.
-  if (lo - f_bits < -1022 || hi - f_bits > 1022 || f_bits > 51) {
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      out[i] = quantize_value(x[i], base, e_bits, f_bits, policy, nullptr);
-    }
+  // exact). Outside that — extreme bases, f = 52 formats — only the exact
+  // scalar path is bit-true.
+  return lo - f_bits >= -1022 && hi - f_bits <= 1022 && f_bits <= 51;
+}
+
+void quantize_segment(const double* x, std::size_t n, int base,
+                      const QuantTileArgs& args, QuantSpanFastFn span_fast,
+                      double* out) {
+  QuantSpanArgs span;
+  if (quantize_span_args(base, args.e_bits, args.f_bits, *args.policy,
+                         &span)) {
+    span_fast(x, n, span, out);
     return;
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = quantize_value(x[i], base, args.e_bits, args.f_bits,
+                            *args.policy, nullptr);
+  }
+}
+
+void quantize_span(std::span<const double> x, int base, int e_bits,
+                   int f_bits, const QuantPolicy& policy,
+                   std::span<double> out) {
   // The per-element loop lives in the SIMD kernel table (kernels_*.cc) —
   // scalar reference, AVX2, or NEON per the active dispatch — all
   // bit-identical to calling quantize_value element-wise.
-  QuantSpanArgs args;
-  args.base = base;
-  args.e_bits = e_bits;
-  args.f_bits = f_bits;
-  args.lo = lo;
-  args.hi = hi;
-  args.gradual = policy.underflow == UnderflowMode::kDenormalize;
-  args.ceiling = std::ldexp(2.0, hi);
-  args.policy = &policy;
-  sweep_kernels().quantize_span_fast(x.data(), x.size(), args, out.data());
+  const QuantTileArgs args{.e_bits = e_bits, .f_bits = f_bits,
+                           .policy = &policy};
+  quantize_segment(x.data(), x.size(), base, args,
+                   sweep_kernels().quantize_span_fast, out.data());
 }
 
 double quantize_scalar(double v, int e_bits, int f_bits, QuantTally* tally) {

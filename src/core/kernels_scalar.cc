@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/core/format.h"
 #include "src/core/kernels_internal.h"
@@ -144,28 +145,29 @@ void quantize_span_fast_scalar(const double* x, std::size_t n,
   }
 }
 
+namespace {
+
 // The ABFT reduction's pinned semantics: eight independent accumulator
 // lanes (element index mod 8), serial tail into lane 0, then the fixed
 // detail::abft_lane_combine pairing. The vector ISAs hold the same lanes
 // in registers and perform the same IEEE ops per element, so their sums
-// are bit-identical to this loop.
-namespace {
-
-void abft_reduce_scalar(const double* __restrict__ w,
+// are bit-identical to this loop. Column c of interleaved operands (stride
+// k); k = 1 is the plain single-column reduction.
+void abft_reduce_column(const double* __restrict__ w,
                         const double* __restrict__ x, std::size_t nx,
                         const double* __restrict__ y, std::size_t ny,
-                        double* out) {
+                        std::size_t k, std::size_t c, double* out) {
   double chk[8] = {}, chk_abs[8] = {};
   std::size_t i = 0;
   for (; i + 8 <= nx; i += 8) {
     for (std::size_t l = 0; l < 8; ++l) {
-      const double t = w[i + l] * x[i + l];
+      const double t = w[i + l] * x[(i + l) * k + c];
       chk[l] += t;
       chk_abs[l] += std::abs(t);
     }
   }
   for (; i < nx; ++i) {
-    const double t = w[i] * x[i];
+    const double t = w[i] * x[i * k + c];
     chk[0] += t;
     chk_abs[0] += std::abs(t);
   }
@@ -173,18 +175,83 @@ void abft_reduce_scalar(const double* __restrict__ w,
   std::size_t r = 0;
   for (; r + 8 <= ny; r += 8) {
     for (std::size_t l = 0; l < 8; ++l) {
-      sum[l] += y[r + l];
-      sum_abs[l] += std::abs(y[r + l]);
+      const double v = y[(r + l) * k + c];
+      sum[l] += v;
+      sum_abs[l] += std::abs(v);
     }
   }
   for (; r < ny; ++r) {
-    sum[0] += y[r];
-    sum_abs[0] += std::abs(y[r]);
+    const double v = y[r * k + c];
+    sum[0] += v;
+    sum_abs[0] += std::abs(v);
   }
   out[0] = detail::abft_lane_combine(chk);
   out[1] = detail::abft_lane_combine(chk_abs);
   out[2] = detail::abft_lane_combine(sum);
   out[3] = detail::abft_lane_combine(sum_abs);
+}
+
+}  // namespace
+
+int tile_column_base(double max_abs, const double* x, std::size_t rows,
+                     std::size_t k, const QuantTileArgs& args) {
+  // The largest finite magnitude carries the largest finite exponent field,
+  // which is select_block_base's max anchor whenever it is a normal number.
+  const int field = detail::exponent_field(max_abs);
+  if (field > 0) return field - 1023;
+  thread_local std::vector<double> column;
+  column.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) column[r] = x[r * k];
+  return select_block_base(column, args.e_bits, *args.policy);
+}
+
+void quantize_tile_by_column(const double* x, std::size_t rows,
+                             std::size_t k, std::size_t c_begin,
+                             const QuantTileArgs& args,
+                             QuantSegmentFn segment, double* out) {
+  if (c_begin >= k) return;
+  if (k == 1) {
+    segment(x, rows, args, out);
+    return;
+  }
+  thread_local std::vector<double> in;
+  thread_local std::vector<double> q;
+  in.resize(rows);
+  q.resize(rows);
+  for (std::size_t c = c_begin; c < k; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) in[r] = x[r * k + c];
+    segment(in.data(), rows, args, q.data());
+    for (std::size_t r = 0; r < rows; ++r) out[r * k + c] = q[r];
+  }
+}
+
+namespace {
+
+void abft_reduce_scalar(const double* w, const double* x, std::size_t nx,
+                        const double* y, std::size_t ny, double* out) {
+  abft_reduce_column(w, x, nx, y, ny, 1, 0, out);
+}
+
+void abft_reduce_lanes_scalar(const double* w, const double* x,
+                              std::size_t nx, const double* y, std::size_t ny,
+                              std::size_t k, double* out) {
+  for (std::size_t c = 0; c < k; ++c) {
+    abft_reduce_column(w, x, nx, y, ny, k, c, out + 4 * c);
+  }
+}
+
+// The reference segment: select_block_base's own scan, then the scalar
+// span loop — RefloatMatrix::quantize_vector's per-segment path verbatim.
+void quantize_segment_scalar(const double* x, std::size_t n,
+                             const QuantTileArgs& args, double* out) {
+  const int base =
+      select_block_base({x, n}, args.e_bits, *args.policy);
+  quantize_segment(x, n, base, args, &quantize_span_fast_scalar, out);
+}
+
+void quantize_tile_scalar(const double* x, std::size_t rows, std::size_t k,
+                          const QuantTileArgs& args, double* out) {
+  quantize_tile_by_column(x, rows, k, 0, args, &quantize_segment_scalar, out);
 }
 
 }  // namespace
@@ -195,6 +262,8 @@ const SweepKernels* scalar_sweep_kernels() {
       &spmm_rows_scalar,
       &quantize_span_fast_scalar,
       &abft_reduce_scalar,
+      &quantize_tile_scalar,
+      &abft_reduce_lanes_scalar,
   };
   return &kTable;
 }

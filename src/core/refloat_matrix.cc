@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/core/band_scatter.h"
+#include "src/core/simd.h"
 #include "src/sparse/lanczos.h"
 
 namespace refloat::core {
@@ -177,6 +178,51 @@ void RefloatMatrix::quantize_vector(std::span<const double> x,
     const int base = select_block_base(segment, format_.ev, policy_);
     quantize_span(segment, base, format_.ev, format_.fv, policy_,
                   out.subspan(begin, end - begin));
+  }
+}
+
+void RefloatMatrix::quantize_vectors(std::span<const double> x,
+                                     std::size_t k,
+                                     std::span<double> out) const {
+  if (k == 0) return;
+  const bool max_anchor = policy_.base == BaseMode::kMaxAnchor;
+  // Element-wise (b = 0) or one contiguous column off the tile kernel's
+  // policy: the layout does not matter.
+  if (format_.b == 0 || (k == 1 && !max_anchor)) {
+    quantize_vector(x, out);
+    return;
+  }
+  const std::size_t n = x.size() / k;
+  const std::size_t side = std::size_t{1} << format_.b;
+  if (!max_anchor) {
+    // Gather each column's segment and take quantize_vector's path.
+    std::vector<double> segment(2 * side);
+    const std::span<double> in(segment.data(), side);
+    const std::span<double> quantized(segment.data() + side, side);
+    for (std::size_t begin = 0; begin < n; begin += side) {
+      const std::size_t rows = std::min(side, n - begin);
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t i = 0; i < rows; ++i) {
+          in[i] = x[(begin + i) * k + j];
+        }
+        const int base =
+            select_block_base(in.first(rows), format_.ev, policy_);
+        quantize_span(in.first(rows), base, format_.ev, format_.fv, policy_,
+                      quantized.first(rows));
+        for (std::size_t i = 0; i < rows; ++i) {
+          out[(begin + i) * k + j] = quantized[i];
+        }
+      }
+    }
+    return;
+  }
+  const QuantTileArgs args{.e_bits = format_.ev, .f_bits = format_.fv,
+                           .policy = &policy_};
+  const SweepKernels& kernels = sweep_kernels();
+  for (std::size_t begin = 0; begin < n; begin += side) {
+    const std::size_t rows = std::min(side, n - begin);
+    kernels.quantize_tile(x.data() + begin * k, rows, k, args,
+                          out.data() + begin * k);
   }
 }
 

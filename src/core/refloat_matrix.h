@@ -150,6 +150,14 @@ class RefloatMatrix {
   // shared base (ev-bit window) and fv-bit fractions.
   void quantize_vector(std::span<const double> x,
                        std::span<double> out) const;
+  // The same for k row-major interleaved vectors (slot i*k + j, the sweep
+  // batch layout; x.size() == out.size(), a multiple of k): out column j is
+  // exactly quantize_vector of x column j. The max-anchor policy runs the
+  // SIMD tile quantizer one 2^b-row segment of all k columns at a time; any
+  // other base mode gathers each column's segment and takes
+  // quantize_vector's path. out must not overlap x.
+  void quantize_vectors(std::span<const double> x, std::size_t k,
+                        std::span<double> out) const;
 
  private:
   Format format_;

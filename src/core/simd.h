@@ -1,5 +1,7 @@
 // Runtime-dispatched SIMD kernels for the value-faithful sweeps, the vector
-// quantization fast path and the ABFT epilogue reduction.
+// quantization fast path (one span, or one tile of k interleaved columns)
+// and the ABFT epilogue reduction (one column, or every column of an
+// interleaved batch).
 //
 // The value sweeps walk the packed dequantized operand
 // (RefloatMatrix::quantized(), a sparse::PackedCsr) row by row, decoding
@@ -25,8 +27,12 @@
 // Every implementation is BIT-IDENTICAL to the scalar reference: vector
 // lanes perform the same IEEE multiply and add per element in the same
 // per-output order, no FMA contraction anywhere (tests/test_simd.cc pins
-// this at 1/2/8 threads; tests/test_block_layout.cc pins the row sweeps
-// against the blocked loop they replaced). Dispatch is by cpuid at
+// this at 1/2/8 threads, and the tile quantizer and lane reduction against
+// per-column quantize_vector and abft_reduce; tests/test_block_layout.cc
+// pins the row sweeps against the blocked loop they replaced). The k-column
+// entries hold a group of columns in the lanes of one register — four per
+// __m256d, two per float64x2_t — so per column they run the single-column
+// arithmetic unchanged. Dispatch is by cpuid at
 // first use, overridable with REFLOAT_SIMD=avx2|neon|scalar (an
 // unsupported request logs a warning and clamps to the best supported
 // ISA).
@@ -84,8 +90,19 @@ struct QuantSpanArgs {
   const QuantPolicy* policy = nullptr;
 };
 
+// Per-call arguments of the tile quantizer: the vector format's widths and
+// the policy (its base mode must be BaseMode::kMaxAnchor). Each column's
+// window follows from that column's own block base.
+struct QuantTileArgs {
+  int e_bits = 0;
+  int f_bits = 0;
+  const QuantPolicy* policy = nullptr;
+};
+
 // One ISA's kernel set. Rows own their outputs, so any split of the row
-// range across threads or tiles is a pure scheduling change.
+// range across threads or tiles is a pure scheduling change. Every k-column
+// operand is row-major interleaved: slot i*k + j holds element i of column
+// j, the one batch layout from the lockstep solvers down to these kernels.
 struct SweepKernels {
   // y[r] = sum_e a[r, col(e)] * x[col(e)] for every row r in
   // [r_begin, r_end): the running sum starts at +0.0 and takes one multiply
@@ -117,6 +134,22 @@ struct SweepKernels {
   // bit-identical across scalar/avx2/neon and any thread/tile count.
   void (*abft_reduce)(const double* w, const double* x, std::size_t nx,
                       const double* y, std::size_t ny, double* out);
+  // One vector segment (2^b rows) of k interleaved columns: out column j is
+  // exactly select_block_base + quantize_span on x column j (what
+  // RefloatMatrix::quantize_vector does per segment). The vector ISAs scan
+  // the block maxima of a group of columns in lanes — the largest finite
+  // magnitude's exponent field is the max-anchor base — then round with
+  // per-lane window bounds; columns past the last whole group, and k = 1,
+  // run the contiguous span path column by column. out must not overlap x.
+  void (*quantize_tile)(const double* x, std::size_t rows, std::size_t k,
+                        const QuantTileArgs& args, double* out);
+  // abft_reduce of every column of interleaved x (nx rows) and y (ny rows):
+  // out[4j .. 4j+3] is exactly abft_reduce on column j extracted — the same
+  // eight-lane split per column, the vector ISAs holding a group of
+  // columns' lane-l accumulators in one register.
+  void (*abft_reduce_lanes)(const double* w, const double* x, std::size_t nx,
+                            const double* y, std::size_t ny, std::size_t k,
+                            double* out);
 };
 
 // Kernel table for the active ISA (one relaxed atomic load).

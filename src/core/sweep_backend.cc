@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "src/core/simd.h"
-#include "src/sparse/vector_ops.h"
 #include "src/util/fault_injector.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -55,7 +54,7 @@ bool parse_backend_kind(std::string_view name, BackendKind* out) {
 
 void SweepBackend::finish_sweep(std::span<const double> x_check,
                                 std::span<double> y, std::size_t k,
-                                SweepVerdict* verdict) const {
+                                SweepVerdict* verdict) {
   const std::size_t n_cols = cols();
   const std::size_t n_rows = rows();
   // Injection first, verification second: the checked mode must see (and
@@ -64,8 +63,7 @@ void SweepBackend::finish_sweep(std::span<const double> x_check,
   util::FaultInjector& injector = util::FaultInjector::global();
   if (injector.armed(util::FaultSite::kSweep)) {
     for (std::size_t j = 0; j < k; ++j) {
-      injector.maybe_corrupt(util::FaultSite::kSweep,
-                             y.subspan(j * n_rows, n_rows));
+      injector.maybe_corrupt(util::FaultSite::kSweep, y, k, j);
     }
   }
   if (verdict == nullptr) return;
@@ -74,18 +72,19 @@ void SweepBackend::finish_sweep(std::span<const double> x_check,
   verdict->checked = true;
   verdict->tolerance = abft_->rel_tolerance;
   assert(abft_->colsum.size() == n_cols && x_check.size() >= n_cols * k);
+  // Contract the checksum row against each operand column and sum each
+  // output column in one pass over the interleaved batch; `scale` tracks
+  // the magnitude actually summed so the tolerance bounds a relative
+  // discrepancy (cancellation does not false-positive). The dispatched
+  // lane reduction keeps the pinned eight-lane split per column (see
+  // simd.h), so the sums are bit-identical across ISAs and thread/tile
+  // counts, and to a solo sweep of the column.
+  abft_sums_.resize(4 * k);
+  sweep_kernels().abft_reduce_lanes(abft_->colsum.data(), x_check.data(),
+                                    n_cols, y.data(), n_rows, k,
+                                    abft_sums_.data());
   for (std::size_t j = 0; j < k; ++j) {
-    const double* xj = x_check.data() + j * n_cols;
-    const double* yj = y.data() + j * n_rows;
-    // Contract the checksum row against the operand and sum the output;
-    // `scale` tracks the magnitude actually summed so the tolerance bounds
-    // a relative discrepancy (cancellation does not false-positive). The
-    // reduction runs through the dispatched SIMD kernel table; its pinned
-    // eight-lane semantics (see simd.h) keeps the sums bit-identical
-    // across ISAs and thread/tile counts.
-    double sums[4];
-    sweep_kernels().abft_reduce(abft_->colsum.data(), xj, n_cols, yj, n_rows,
-                                sums);
+    const double* sums = abft_sums_.data() + 4 * j;
     const double chk = sums[0];
     const double chk_scale = sums[1];
     const double sum_y = sums[2];
@@ -113,7 +112,9 @@ constexpr std::size_t kScalarFormatRowGrain = 128;
 // block-row's rows (untiled) or per tile shard's contiguous block-row range
 // (tiled), so every range is made of whole grid bands. Every row owns its
 // output (and every band its noise streams), so any shard schedule is
-// bit-identical.
+// bit-identical. Shards are claimed last band first: the batch quantizer
+// just walked the operand upwards, so a serial sweep starts on the rows it
+// left in cache, and ends on the rows the ABFT epilogue starts on.
 template <typename Fn>
 void parallel_row_ranges(const RefloatMatrix& rf, const TiledPlan* tiled,
                          Fn&& fn) {
@@ -125,40 +126,17 @@ void parallel_row_ranges(const RefloatMatrix& rf, const TiledPlan* tiled,
     fn(std::min(br_begin * side, rows), std::min(br_end * side, rows));
   };
   if (tiled == nullptr || tiled->empty()) {
-    util::ThreadPool::global().parallel_for(
-        (rows + side - 1) / side, [&](std::size_t s) { run(s, s + 1); });
+    const std::size_t bands = (rows + side - 1) / side;
+    util::ThreadPool::global().parallel_for(bands, [&](std::size_t s) {
+      run(bands - 1 - s, bands - s);
+    });
     return;
   }
   const std::span<const TileShard> shards = tiled->shards();
   util::ThreadPool::global().parallel_for(shards.size(), [&](std::size_t t) {
-    run(shards[t].brow_begin, shards[t].brow_end);
+    const TileShard& shard = shards[shards.size() - 1 - t];
+    run(shard.brow_begin, shard.brow_end);
   });
-}
-
-// Reusable buffers of the k-RHS sweeps: the quantized column-major batch
-// (the ABFT epilogue's operand) and the row-major interleaved (n x k)
-// operand/result images. One instance per backend.
-struct BatchScratch {
-  std::vector<double> columns;
-  std::vector<double> x_interleaved;
-  std::vector<double> y_interleaved;
-};
-
-// Quantizes the k column-major operand vectors per column (identical to the
-// single-RHS path) into scratch.columns, which the ABFT epilogue contracts
-// against, then transposes them into the row-major n x k interleaved image
-// so one matrix entry touches k adjacent operand slots.
-void quantize_interleaved(const RefloatMatrix& rf, std::span<const double> x,
-                          std::size_t k, BatchScratch& scratch) {
-  const auto n_cols = static_cast<std::size_t>(rf.quantized().cols());
-  scratch.columns.resize(n_cols * k);
-  scratch.x_interleaved.resize(n_cols * k);
-  for (std::size_t j = 0; j < k; ++j) {
-    rf.quantize_vector(
-        x.subspan(j * n_cols, n_cols),
-        std::span<double>(scratch.columns).subspan(j * n_cols, n_cols));
-  }
-  sparse::interleave(scratch.columns, n_cols, k, scratch.x_interleaved);
 }
 
 // Per-thread buffers of the noisy band walk, reused across bands and sweeps.
@@ -309,86 +287,64 @@ void noisy_rows(const RefloatMatrix& rf, std::size_t r_begin,
   });
 }
 
-void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
-                        std::span<const double> x, std::span<double> y,
-                        std::vector<double>& xq) {
-  xq.resize(x.size());
-  rf.quantize_vector(x, xq);
-  // Row by row over the resident packed operand: each row takes its
-  // addends in ascending column order, exactly as a walk of the blocks in
-  // block-column order delivers them — bit-identical at any thread count,
-  // on every SIMD path, for every tile partition, and for scalar (b = 0)
-  // formats alike.
-  const SweepKernels& kernels = sweep_kernels();
-  parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
-    kernels.spmv_rows(rf.quantized(), r0, r1, xq.data(), y.data());
-  });
-}
-
-void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
-                       std::span<const double> x, std::size_t k,
-                       std::span<double> y, BatchScratch& scratch) {
+// Value sweep of k interleaved vectors: the quantized batch (the ABFT
+// epilogue's operand) is left in xq. Each matrix entry is read once and
+// applied to all k columns; per column the accumulation order is exactly
+// the single-RHS order, so every column is bit-identical to a solo sweep of
+// that column alone — at any thread count, on every SIMD path, for every
+// tile partition, and for scalar (b = 0) formats alike.
+void sweep_value(const RefloatMatrix& rf, const TiledPlan* tiled,
+                 std::span<const double> x, std::size_t k,
+                 std::span<double> y, std::vector<double>& xq) {
   if (k == 0) return;
-  const auto n_rows = static_cast<std::size_t>(rf.quantized().rows());
-  quantize_interleaved(rf, x, k, scratch);
-  scratch.y_interleaved.resize(n_rows * k);
-  // Each matrix entry is read once and applied to all k columns; per column
-  // the accumulation order is exactly the single-RHS order, so every column
-  // is bit-identical to a solo sweep of that column alone.
+  xq.resize(x.size());
+  rf.quantize_vectors(x, k, xq);
   const SweepKernels& kernels = sweep_kernels();
   parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
-    kernels.spmm_rows(rf.quantized(), r0, r1, k, scratch.x_interleaved.data(),
-                      scratch.y_interleaved.data());
+    if (k == 1) {
+      kernels.spmv_rows(rf.quantized(), r0, r1, xq.data(), y.data());
+    } else {
+      kernels.spmm_rows(rf.quantized(), r0, r1, k, xq.data(), y.data());
+    }
   });
-  sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
 
-// Noisy sweep of k column-major vectors: column j draws from the streams of
+// Noisy sweep of k interleaved vectors: column j draws from the streams of
 // (seeds[j], sequences[j], grid block-row), so it is bit-identical to a
 // solo sweep of x_j under that identity at any thread count and tile split.
-// Both spans need >= k entries. The quantized columns (the ABFT epilogue's
-// operand) are left in scratch.columns; k = 1 skips the interleave.
+// Both spans need >= k entries. The quantized batch (the ABFT epilogue's
+// operand) is left in xq.
 void sweep_noisy(const RefloatMatrix& rf, const TiledPlan* tiled,
                  std::span<const double> x, std::size_t k,
-                 std::span<double> y, BatchScratch& scratch, double sigma,
+                 std::span<double> y, std::vector<double>& xq, double sigma,
                  std::span<const std::uint64_t> seeds,
                  std::span<const std::uint64_t> sequences) {
   if (k == 0) return;
   assert(seeds.size() >= k && sequences.size() >= k);
-  const auto n_cols = static_cast<std::size_t>(rf.quantized().cols());
-  const auto n_rows = static_cast<std::size_t>(rf.quantized().rows());
+  xq.resize(x.size());
+  rf.quantize_vectors(x, k, xq);
   if (rf.format().b == 0) {
     // No block grid: the exact product, then one stream per column scaling
     // every row.
-    scratch.columns.resize(n_cols * k);
+    const auto n_rows = static_cast<std::size_t>(rf.quantized().rows());
+    if (k == 1) {
+      sweep_kernels().spmv_rows(rf.quantized(), 0, n_rows, xq.data(),
+                                y.data());
+    } else {
+      sweep_kernels().spmm_rows(rf.quantized(), 0, n_rows, k, xq.data(),
+                                y.data());
+    }
     for (std::size_t j = 0; j < k; ++j) {
-      const std::span<double> xqj =
-          std::span<double>(scratch.columns).subspan(j * n_cols, n_cols);
-      rf.quantize_vector(x.subspan(j * n_cols, n_cols), xqj);
-      const std::span<double> yj = y.subspan(j * n_rows, n_rows);
-      sweep_kernels().spmv_rows(rf.quantized(), 0, n_rows, xqj.data(),
-                                yj.data());
       util::Rng rng(util::stream_seed(seeds[j], sequences[j], 0));
-      for (auto& v : yj) v *= 1.0 + sigma * rng.gaussian();
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        y[r * k + j] *= 1.0 + sigma * rng.gaussian();
+      }
     }
     return;
   }
-  const double* xs = nullptr;
-  double* ys = y.data();
-  if (k == 1) {
-    scratch.columns.resize(n_cols);
-    rf.quantize_vector(x, scratch.columns);
-    xs = scratch.columns.data();
-  } else {
-    quantize_interleaved(rf, x, k, scratch);
-    scratch.y_interleaved.resize(n_rows * k);
-    xs = scratch.x_interleaved.data();
-    ys = scratch.y_interleaved.data();
-  }
   parallel_row_ranges(rf, tiled, [&](std::size_t r0, std::size_t r1) {
-    noisy_rows(rf, r0, r1, k, xs, ys, sigma, seeds, sequences);
+    noisy_rows(rf, r0, r1, k, xq.data(), y.data(), sigma, seeds, sequences);
   });
-  if (k > 1) sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
 
 class ValueBackend final : public SweepBackend {
@@ -409,21 +365,14 @@ class ValueBackend final : public SweepBackend {
 
   void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
              const SweepContext& ctx) override {
-    if (k == 1) {
-      sweep_value_single(rf_, tiled_, x, y, xq_);
-    } else {
-      sweep_value_multi(rf_, tiled_, x, k, y, scratch_);
-    }
-    finish_sweep(k == 1 ? std::span<const double>(xq_)
-                        : std::span<const double>(scratch_.columns),
-                 y, k, ctx.verdict);
+    sweep_value(rf_, tiled_, x, k, y, xq_);
+    finish_sweep(xq_, y, k, ctx.verdict);
   }
 
  private:
   const RefloatMatrix& rf_;
   const TiledPlan* tiled_;  // borrowed; nullptr or empty = untiled
-  std::vector<double> xq_;
-  BatchScratch scratch_;
+  std::vector<double> xq_;  // the quantized batch
 };
 
 class NoisyBackend final : public SweepBackend {
@@ -461,8 +410,8 @@ class NoisyBackend final : public SweepBackend {
       seeds = default_seeds_;
       sequences = default_sequences_;
     }
-    sweep_noisy(rf_, tiled_, x, k, y, scratch_, sigma_, seeds, sequences);
-    finish_sweep(scratch_.columns, y, k, ctx.verdict);
+    sweep_noisy(rf_, tiled_, x, k, y, xq_, sigma_, seeds, sequences);
+    finish_sweep(xq_, y, k, ctx.verdict);
   }
 
  private:
@@ -473,7 +422,7 @@ class NoisyBackend final : public SweepBackend {
   std::uint64_t sequence_ = 0;  // distinct noise per default-context sweep
   std::vector<std::uint64_t> default_seeds_;
   std::vector<std::uint64_t> default_sequences_;
-  BatchScratch scratch_;
+  std::vector<double> xq_;  // the quantized batch
 };
 
 }  // namespace

@@ -5,7 +5,12 @@
 // way to sweep a RefloatMatrix. Every view exposes the same k-RHS entry
 // point
 //
-//     sweep(X, k, Y, ctx)   // X: k column-major vectors, Y likewise
+//     sweep(X, k, Y, ctx)   // X: k row-major interleaved vectors, Y likewise
+//
+// — the batch layout of the whole stack: slot i*k + j holds element i of
+// column j, from the lockstep solvers' state through these sweeps down to
+// the kernels, so no sweep transposes anything. At k = 1 it is a plain
+// vector.
 //
 // with the shared guarantees the solvers and the serving layer build on:
 //
@@ -29,9 +34,9 @@
 //
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
-// quantize -> interleave -> sharded row/block-row sweep -> deinterleave
-// scaffolding lives once in sweep_backend.cc, with sparse::interleave /
-// sparse::deinterleave as the single layout-transpose definition.
+// quantize (RefloatMatrix::quantize_vectors, one tile of all k columns per
+// vector segment) -> sharded row/band sweep -> ABFT epilogue scaffolding
+// lives once in sweep_backend.cc.
 //
 // This TU is compiled with -ffp-contract=off like the kernel TUs: the noisy
 // partial accumulation is scalar code, and pinning its rounding makes solo
@@ -140,9 +145,10 @@ class SweepBackend {
   // "hw+bittrue").
   [[nodiscard]] virtual const char* label() const = 0;
 
-  // Y = op(X) for k column-major vectors: x.size() == k * cols(),
-  // y.size() == k * rows(). One instance must not sweep concurrently from
-  // two threads (scratch is per-instance); parallelism lives inside.
+  // Y = op(X) for k row-major interleaved vectors: x.size() == k * cols(),
+  // y.size() == k * rows(), x[i*k + j] is element i of column j (and y
+  // likewise). One instance must not sweep concurrently from two threads
+  // (scratch is per-instance); parallelism lives inside.
   virtual void sweep(std::span<const double> x, std::size_t k,
                      std::span<double> y, const SweepContext& ctx) = 0;
 
@@ -175,16 +181,17 @@ class SweepBackend {
   // util::FaultInjector's `sweep` site (per-column corruption of Y —
   // applied serially after the parallel sweep, so a fault trace is
   // identical at any thread/tile count) followed by the ABFT verification
-  // when a checksum is attached. `x_check` holds the k column-major operand
-  // vectors the checksum contracts against — the quantized columns for the
+  // when a checksum is attached. `x_check` holds the k interleaved operand
+  // vectors the checksum contracts against — the quantized batch for the
   // exact views, the raw operand for bit-true (whose engines quantize
   // internally; the checksum tolerance absorbs that). Runs checked or not,
   // so injection reaches unchecked backends too.
   void finish_sweep(std::span<const double> x_check, std::span<double> y,
-                    std::size_t k, SweepVerdict* verdict) const;
+                    std::size_t k, SweepVerdict* verdict);
 
  private:
   const AbftChecksum* abft_ = nullptr;
+  std::vector<double> abft_sums_;  // four lane-reduced sums per column
 };
 
 // Value-faithful backend: sweeps rf's packed operand row by row (the

@@ -1,6 +1,7 @@
 #include "src/hw/hw_spmv.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/core/band_scatter.h"
 #include "src/util/thread_pool.h"
@@ -92,10 +93,10 @@ void HwSpmv::apply_multi(std::span<const double> x, std::size_t k,
   std::fill(y.begin(), y.end(), 0.0);
   const std::size_t n_block_rows =
       row_begin_.empty() ? 0 : row_begin_.size() - 1;
-  const std::size_t n_cols = static_cast<std::size_t>(cols_);
-  const std::size_t n_rows = static_cast<std::size_t>(rows_);
-  std::vector<EngineStats> row_stats(n_block_rows);
-  util::ThreadPool::global().parallel_for(n_block_rows, [&](std::size_t br) {
+  // Per block-row stats, reset every apply; the buffer lives with the
+  // image so a warm apply allocates nothing.
+  row_stats_.assign(n_block_rows, EngineStats{});
+  const auto block_row = [&](std::size_t br) {
     // Per worker thread, not per shard: every buffer is fully overwritten
     // before use, so reuse across shards/applies is safe and keeps the hot
     // loop allocation-free. Only the Rngs must be per-shard (determinism).
@@ -125,25 +126,26 @@ void HwSpmv::apply_multi(std::span<const double> x, std::size_t k,
       // while all k columns stream through — the software mirror of one
       // programmed crossbar serving the whole batch.
       for (std::size_t j = 0; j < k; ++j) {
-        const double* xj = x.data() + j * n_cols;
-        double* yj = y.data() + j * n_rows;
-        // Gather the (possibly edge-truncated) input segment, zero-padded
-        // to the crossbar side.
+        // Gather column j's (possibly edge-truncated) input segment out of
+        // the interleaved batch, zero-padded to the crossbar side.
         std::fill(x_seg.begin(), x_seg.end(), 0.0);
         for (sparse::Index c = be.col0; c < col_end; ++c) {
           x_seg[static_cast<std::size_t>(c - be.col0)] =
-              xj[static_cast<std::size_t>(c)];
+              x[static_cast<std::size_t>(c) * k + j];
         }
         std::fill(y_seg.begin(), y_seg.end(), 0.0);
-        be.engine.apply(x_seg, y_seg, &row_stats[br], rngs[j], scratch);
+        be.engine.apply(x_seg, y_seg, &row_stats_[br], rngs[j], scratch);
         for (sparse::Index r = be.row0; r < row_end; ++r) {
-          yj[static_cast<std::size_t>(r)] +=
+          y[static_cast<std::size_t>(r) * k + j] +=
               y_seg[static_cast<std::size_t>(r - be.row0)];
         }
       }
     }
-  });
-  for (const EngineStats& s : row_stats) stats_ += s;
+  };
+  // By reference: a std::function holding the lambda itself would allocate
+  // on every apply.
+  util::ThreadPool::global().parallel_for(n_block_rows, std::ref(block_row));
+  for (const EngineStats& s : row_stats_) stats_ += s;
 }
 
 std::size_t HwSpmv::resident_bytes() const {

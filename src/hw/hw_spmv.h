@@ -37,8 +37,9 @@ class HwSpmv {
   HwSpmv(const core::RefloatMatrix& rf, ClusterConfig config,
          const core::TiledPlan* tiled = nullptr);
 
-  // Y = A X for k column-major vectors (x.size() == k * cols) through the
-  // crossbar engines. The programming pass — fault populations, ECC
+  // Y = A X for k row-major interleaved vectors (x.size() == k * cols, slot
+  // i*k + j) through the crossbar engines; each engine gathers its column
+  // segment out of the batch and scatters its partial rows back. The programming pass — fault populations, ECC
   // scoreboards, plane bit-slicing — happened once at construction and is
   // shared by every column, and each engine is visited once per batch and
   // applied to all k columns (its plane bits stay hot). Column j draws its
@@ -93,6 +94,7 @@ class HwSpmv {
   std::vector<long long> tile_faulty_cells_;
   std::vector<long long> tile_corrected_cells_;
   EngineStats stats_;
+  std::vector<EngineStats> row_stats_;  // apply_multi's per block-row stats
 };
 
 }  // namespace refloat::hw

@@ -1,6 +1,7 @@
 #include "src/solvers/batched.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -50,7 +51,7 @@ void BackendMultiOperator::apply(std::span<const double> x, std::size_t k,
 namespace {
 
 // Per-column bookkeeping. The column's numeric state lives in the big
-// column-major arrays; this tracks its scalars and lifecycle.
+// interleaved arrays; this tracks its scalars and lifecycle.
 struct ColumnState {
   detail::Monitor monitor;
   SolveResult result;
@@ -61,12 +62,21 @@ struct ColumnState {
 };
 
 // What both lockstep drivers share: the argument checks, the per-column
-// options and bookkeeping, the active set, the iterate x and residual r
-// (k column-major vectors each), the batched applies and the final report.
+// options and bookkeeping, the active set, the iterate x and residual r,
+// the batched applies and the final report.
+//
+// Every k-column array is row-major interleaved — slot i*k + c holds
+// element i of column c — the layout MultiOperator::apply takes, so an
+// apply of every column hands the arrays over as they are. The vector ops
+// walk the live columns row by row (for_lanes): each column's reduction
+// still adds its terms in ascending i, exactly as the serial dot, while
+// the k columns' running sums are independent and sit side by side.
 struct Lockstep {
   MultiOperator& op;
   const std::size_t n;
+  const std::size_t k;
   const SolveOptions& options;
+  const std::span<const double> b;  // column-major, as given
   std::vector<SolveOptions> col_opts;  // the monitors' options, never resized
   std::vector<ColumnState> cols;
   std::vector<std::size_t> active;  // live columns, ascending
@@ -78,13 +88,15 @@ struct Lockstep {
 
   // x = 0 and r = b, or — with a warm start — x = x0 and r = b - A x0 (one
   // extra batched apply).
-  Lockstep(MultiOperator& op_in, std::span<const double> b, std::size_t k,
+  Lockstep(MultiOperator& op_in, std::span<const double> b_in, std::size_t k_in,
            const SolveOptions& options_in, std::span<const double> tolerances,
            std::span<const double> x0)
       : op(op_in),
         n(static_cast<std::size_t>(op_in.dim())),
+        k(k_in),
         options(options_in),
-        col_opts(k, options_in) {
+        b(b_in),
+        col_opts(k_in, options_in) {
     if (b.size() != k * n || (!tolerances.empty() && tolerances.size() != k) ||
         (!x0.empty() && x0.size() != k * n)) {
       throw std::invalid_argument(
@@ -98,24 +110,119 @@ struct Lockstep {
       cols.emplace_back(col_opts[c]);
       active.push_back(c);
     }
-    x.assign(k * n, 0.0);
-    r.assign(b.begin(), b.end());
-    if (!x0.empty()) {
-      std::copy(x0.begin(), x0.end(), x.begin());
+    load(b, r);
+    if (x0.empty()) {
+      x.assign(k * n, 0.0);
+    } else {
+      load(x0, x);
       std::vector<double> ax(k * n, 0.0);
       apply(active, x, ax, 0);
-      for (const std::size_t c : active) {
-        sparse::sub(b.subspan(c * n, n), col(ax, c), col(r, c));
+      for_lanes(active, [&](std::size_t q, std::size_t c) {
+        r[q] = rhs(q / k, c) - ax[q];
+      });
+    }
+  }
+
+  // Copies k column-major vectors into an interleaved array.
+  void load(std::span<const double> src, std::vector<double>& dst) const {
+    if (k == 1) {
+      dst.assign(src.begin(), src.end());
+      return;
+    }
+    dst.resize(k * n);
+    for (std::size_t c = 0; c < k; ++c) {
+      for (std::size_t i = 0; i < n; ++i) dst[i * k + c] = src[c * n + i];
+    }
+  }
+
+  // Element i of right-hand side c.
+  double rhs(std::size_t i, std::size_t c) const { return b[c * n + i]; }
+
+  // Row-major walks over the live columns (ascending) of the interleaved
+  // state: body(q, c) handles slot q = i*k + c of column c. reduce_lanes
+  // visits rows in ascending i and adds what body returns
+  // (std::array<double, R>) into column c's R running sums, each starting
+  // at +0.0 — so every sum takes its terms in ascending i, the serial dot's
+  // order — and stores them to sums[r][c]. When every column is live and k
+  // is 1, 2, 4, 8 or 16, the column loop has a compile-time trip count and
+  // the running sums are a local array, which the compiler keeps out of
+  // memory and vectorizes across columns. An empty column list returns at
+  // once (BiCGSTAB's restart and early-exit passes, most iterations).
+  //
+  // for_lanes is the walk without sums, for the update passes, whose slots
+  // are independent: it visits rows in DESCENDING i, so a pass that
+  // follows an ascending reduction starts on the rows that pass left in
+  // cache (a k-column array outgrows L2 at solver sizes).
+  template <typename Body>
+  void for_lanes(const std::vector<std::size_t>& live, Body&& body) const {
+    if (live.empty()) return;
+    if (live.size() == k) {
+      switch (k) {
+        case 1: return update_fixed<1>(body);
+        case 2: return update_fixed<2>(body);
+        case 4: return update_fixed<4>(body);
+        case 8: return update_fixed<8>(body);
+        case 16: return update_fixed<16>(body);
+        default: break;
+      }
+    }
+    for (std::size_t i = n; i-- > 0;) {
+      for (const std::size_t c : live) body(i * k + c, c);
+    }
+  }
+
+  template <std::size_t K, typename Body>
+  void update_fixed(Body& body) const {
+    for (std::size_t i = n; i-- > 0;) {
+      for (std::size_t c = 0; c < K; ++c) body(i * K + c, c);
+    }
+  }
+
+  template <std::size_t R, typename Body>
+  void reduce_lanes(const std::vector<std::size_t>& live,
+                    std::array<double*, R> sums, Body&& body) const {
+    if (live.empty()) return;
+    if (live.size() == k) {
+      switch (k) {
+        case 1: return reduce_fixed<1>(sums, body);
+        case 2: return reduce_fixed<2>(sums, body);
+        case 4: return reduce_fixed<4>(sums, body);
+        case 8: return reduce_fixed<8>(sums, body);
+        case 16: return reduce_fixed<16>(sums, body);
+        default: break;
+      }
+    }
+    for (const std::size_t c : live) {
+      for (std::size_t j = 0; j < R; ++j) sums[j][c] = 0.0;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const std::size_t c : live) {
+        const std::array<double, R> terms = body(i * k + c, c);
+        for (std::size_t j = 0; j < R; ++j) sums[j][c] += terms[j];
       }
     }
   }
 
-  std::span<double> col(std::vector<double>& v, std::size_t c) const {
-    return {v.data() + c * n, n};
+  template <std::size_t K, std::size_t R, typename Body>
+  void reduce_fixed(std::array<double*, R> sums, Body& body) const {
+    double acc[R][K] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < K; ++c) {
+        const std::array<double, R> terms = body(i * K + c, c);
+        for (std::size_t j = 0; j < R; ++j) acc[j][c] += terms[j];
+      }
+    }
+    for (std::size_t j = 0; j < R; ++j) {
+      for (std::size_t c = 0; c < K; ++c) sums[j][c] = acc[j][c];
+    }
   }
-  std::span<const double> col(const std::vector<double>& v,
-                              std::size_t c) const {
-    return {v.data() + c * n, n};
+
+  // out[c] = a_c · b_c for every column c of `live` — sparse::dot's sum.
+  void dots(const std::vector<std::size_t>& live, const std::vector<double>& a,
+            const std::vector<double>& b2, std::vector<double>& out) const {
+    reduce_lanes<1>(live, {out.data()}, [&](std::size_t q, std::size_t) {
+      return std::array<double, 1>{a[q] * b2[q]};
+    });
   }
 
   void trace(std::size_t c) {
@@ -149,33 +256,34 @@ struct Lockstep {
   }
 
   // dst = A src over the `subset` columns (ascending) in ONE operator
-  // apply. The packing copies move bits, not arithmetic, so column results
-  // match single applies; `subset` travels along as the column ids, so
-  // stochastic operators keep per-column stream identity through dropout.
-  // Columns the ABFT verdict flags are finalized as kCorrupted and dropped
-  // from the active set before anyone consumes their output — x still
-  // holds their last-good iterate.
+  // apply. When the subset is every column the arrays already ARE the
+  // batch; otherwise its columns are packed row by row into a ka-column
+  // interleaved batch and the result unpacked — copies that move bits, not
+  // arithmetic, so column results match single applies. `subset` travels
+  // along as the column ids, so stochastic operators keep per-column stream
+  // identity through dropout. Columns the ABFT verdict flags are finalized
+  // as kCorrupted and dropped from the active set before anyone consumes
+  // their output — x still holds their last-good iterate.
   void apply(const std::vector<std::size_t>& subset,
              const std::vector<double>& src, std::vector<double>& dst,
              long it) {
     const std::size_t ka = subset.size();
     if (ka == 0) return;
-    // When the subset is every column the column-major arrays already ARE
-    // the batch — skip the 2*k*n pack/scatter copies of the common case.
-    const bool whole = ka * n == src.size();
-    if (!whole) {
+    if (ka == k) {
+      op.apply(src, k, dst, subset);
+    } else {
       in_buf.resize(ka * n);
       out_buf.resize(ka * n);
-      for (std::size_t idx = 0; idx < ka; ++idx) {
-        const auto from = col(src, subset[idx]);
-        std::copy(from.begin(), from.end(), in_buf.begin() + idx * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t idx = 0; idx < ka; ++idx) {
+          in_buf[i * ka + idx] = src[i * k + subset[idx]];
+        }
       }
-    }
-    op.apply(whole ? src : in_buf, ka, whole ? dst : out_buf, subset);
-    if (!whole) {
-      for (std::size_t idx = 0; idx < ka; ++idx) {
-        std::copy(out_buf.begin() + idx * n, out_buf.begin() + (idx + 1) * n,
-                  col(dst, subset[idx]).begin());
+      op.apply(in_buf, ka, out_buf, subset);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t idx = 0; idx < ka; ++idx) {
+          dst[i * k + subset[idx]] = out_buf[i * ka + idx];
+        }
       }
     }
     batch.batched_applies += 1;
@@ -206,8 +314,8 @@ struct Lockstep {
             .last_good_residual = last_good,
         });
       }
-      const auto xc = col(x, c);
-      result.solution.assign(xc.begin(), xc.end());
+      result.solution.resize(n);
+      for (std::size_t i = 0; i < n; ++i) result.solution[i] = x[i * k + c];
       batch.columns.push_back(std::move(result));
     }
     return std::move(batch);
@@ -226,8 +334,14 @@ BatchedSolveResult cg_multi(MultiOperator& op, std::span<const double> b,
   std::vector<double> p(r);
   std::vector<double> ap(k * ls.n, 0.0);
   std::vector<double> rho(k, 0.0);
+  std::vector<double> p_ap(k, 0.0);
+  std::vector<double> alpha(k, 0.0);
+  std::vector<double> neg_alpha(k, 0.0);
+  std::vector<double> rho_next(k, 0.0);
+  std::vector<double> beta(k, 0.0);
+  std::vector<std::size_t> live;
+  ls.dots(ls.active, r, r, rho);
   for (const std::size_t c : ls.active) {
-    rho[c] = sparse::dot(ls.col(r, c), ls.col(r, c));
     ls.cols[c].rnorm = std::sqrt(rho[c]);
     ls.trace(c);
   }
@@ -237,23 +351,33 @@ BatchedSolveResult cg_multi(MultiOperator& op, std::span<const double> b,
     ++it;
     // ONE SpMM for every column still iterating (the batched hot path).
     ls.apply(ls.active, p, ap, it);
+    ls.dots(ls.active, p, ap, p_ap);
+    live.clear();
     for (const std::size_t c : ls.active) {
-      const auto pc = ls.col(p, c);
-      const auto apc = ls.col(ap, c);
-      const double p_ap = sparse::dot(pc, apc);
-      if (!std::isfinite(p_ap) || p_ap == 0.0) {
+      if (!std::isfinite(p_ap[c]) || p_ap[c] == 0.0) {
         ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
-      const double alpha = rho[c] / p_ap;
-      sparse::axpy(alpha, pc, ls.col(x, c));
-      sparse::axpy(-alpha, apc, ls.col(r, c));
-      const double rho_next = sparse::dot(ls.col(r, c), ls.col(r, c));
-      ls.cols[c].rnorm = std::sqrt(rho_next);
-      ls.trace(c);
-      sparse::xpby(ls.col(r, c), rho_next / rho[c], pc);
-      rho[c] = rho_next;
+      alpha[c] = rho[c] / p_ap[c];
+      neg_alpha[c] = -alpha[c];
+      live.push_back(c);
     }
+    // One pass: x += alpha p, r -= alpha Ap and r·r.
+    ls.reduce_lanes<1>(live, {rho_next.data()},
+                       [&](std::size_t q, std::size_t c) {
+                         x[q] += alpha[c] * p[q];
+                         r[q] += neg_alpha[c] * ap[q];
+                         return std::array<double, 1>{r[q] * r[q]};
+                       });
+    for (const std::size_t c : live) {
+      ls.cols[c].rnorm = std::sqrt(rho_next[c]);
+      ls.trace(c);
+      beta[c] = rho_next[c] / rho[c];
+      rho[c] = rho_next[c];
+    }
+    ls.for_lanes(live, [&](std::size_t q, std::size_t c) {
+      p[q] = r[q] + beta[c] * p[q];
+    });
     ls.drop_done();
   }
   return ls.finish();
@@ -277,15 +401,20 @@ BatchedSolveResult bicgstab_multi(MultiOperator& op,
   std::vector<double> alpha(k, 1.0);
   std::vector<double> omega(k, 1.0);
   std::vector<double> rho_next(k, 0.0);
+  std::vector<double> beta(k, 0.0);
+  std::vector<double> dot_a(k, 0.0);
+  std::vector<double> dot_b(k, 0.0);
   std::vector<double> best_since_restart(k, 0.0);
   std::vector<int> restarts(k, 0);
   constexpr int kMaxRestarts = 40;
   constexpr double kRestartGrowth = 100.0;
   std::vector<std::size_t> subset;
+  std::vector<std::size_t> live;
 
   std::vector<double> r_shadow(r);
+  ls.dots(ls.active, r, r, dot_a);
   for (const std::size_t c : ls.active) {
-    cols[c].rnorm = sparse::norm2(ls.col(r, c));
+    cols[c].rnorm = std::sqrt(dot_a[c]);
     best_since_restart[c] = cols[c].rnorm;
     ls.trace(c);
   }
@@ -304,84 +433,107 @@ BatchedSolveResult bicgstab_multi(MultiOperator& op,
       }
     }
     ls.apply(subset, x, t, it);
+    live.clear();
     for (const std::size_t c : subset) {
       if (cols[c].done) continue;  // restart apply flagged this column
       ++restarts[c];
-      sparse::sub(b.subspan(c * n, n), ls.col(t, c), ls.col(r, c));
-      const auto rc = ls.col(r, c);
-      std::copy(rc.begin(), rc.end(), ls.col(r_shadow, c).begin());
-      sparse::fill(ls.col(p, c), 0.0);
-      sparse::fill(ls.col(v, c), 0.0);
       rho[c] = alpha[c] = omega[c] = 1.0;
-      cols[c].rnorm = sparse::norm2(rc);
+      live.push_back(c);
+    }
+    ls.reduce_lanes<1>(live, {dot_a.data()},
+                       [&](std::size_t q, std::size_t c) {
+                         r[q] = ls.rhs(q / k, c) - t[q];
+                         r_shadow[q] = r[q];
+                         p[q] = 0.0;
+                         v[q] = 0.0;
+                         return std::array<double, 1>{r[q] * r[q]};
+                       });
+    for (const std::size_t c : live) {
+      cols[c].rnorm = std::sqrt(dot_a[c]);
       best_since_restart[c] = cols[c].rnorm;
     }
 
+    ls.dots(ls.active, r_shadow, r, rho_next);
+    live.clear();
     for (const std::size_t c : ls.active) {
-      rho_next[c] = sparse::dot(ls.col(r_shadow, c), ls.col(r, c));
       if (!std::isfinite(rho_next[c]) || rho_next[c] == 0.0) {
         ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
-      const double beta = (rho_next[c] / rho[c]) * (alpha[c] / omega[c]);
-      const auto rc = ls.col(r, c);
-      const auto pc = ls.col(p, c);
-      const auto vc = ls.col(v, c);
-      for (std::size_t i = 0; i < n; ++i) {
-        pc[i] = rc[i] + beta * (pc[i] - omega[c] * vc[i]);
-      }
+      beta[c] = (rho_next[c] / rho[c]) * (alpha[c] / omega[c]);
+      live.push_back(c);
     }
+    ls.for_lanes(live, [&](std::size_t q, std::size_t c) {
+      p[q] = r[q] + beta[c] * (p[q] - omega[c] * v[q]);
+    });
     ls.drop_done();
 
     // First SpMM of the iteration proper: v = A p for all live columns.
     ls.apply(ls.active, p, v, it);
+    ls.dots(ls.active, r_shadow, v, dot_a);
+    live.clear();
     for (const std::size_t c : ls.active) {
-      const double rhat_v = sparse::dot(ls.col(r_shadow, c), ls.col(v, c));
-      if (!std::isfinite(rhat_v) || rhat_v == 0.0) {
+      if (!std::isfinite(dot_a[c]) || dot_a[c] == 0.0) {
         ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
-      alpha[c] = rho_next[c] / rhat_v;
-      const auto rc = ls.col(r, c);
-      const auto vc = ls.col(v, c);
-      const auto sc = ls.col(s, c);
-      for (std::size_t i = 0; i < n; ++i) sc[i] = rc[i] - alpha[c] * vc[i];
-      const double snorm = sparse::norm2(sc);
+      alpha[c] = rho_next[c] / dot_a[c];
+      live.push_back(c);
+    }
+    // One pass: s = r - alpha v and s·s.
+    ls.reduce_lanes<1>(live, {dot_b.data()},
+                       [&](std::size_t q, std::size_t c) {
+                         s[q] = r[q] - alpha[c] * v[q];
+                         return std::array<double, 1>{s[q] * s[q]};
+                       });
+    subset.clear();  // the columns that exit early on ||s||
+    for (const std::size_t c : live) {
+      const double snorm = std::sqrt(dot_b[c]);
       if (snorm <= ls.col_opts[c].tolerance) {
-        sparse::axpy(alpha[c], ls.col(p, c), ls.col(x, c));
         cols[c].rnorm = snorm;
-        ls.trace(c);
-        ls.finalize(c, SolveStatus::kConverged, it);
+        subset.push_back(c);
       }
+    }
+    ls.for_lanes(subset, [&](std::size_t q, std::size_t c) {
+      x[q] += alpha[c] * p[q];
+    });
+    for (const std::size_t c : subset) {
+      ls.trace(c);
+      ls.finalize(c, SolveStatus::kConverged, it);
     }
     ls.drop_done();
 
     // Second SpMM: t = A s for the columns that did not exit early.
     ls.apply(ls.active, s, t, it);
+    ls.reduce_lanes<2>(ls.active, {dot_a.data(), dot_b.data()},
+                       [&](std::size_t q, std::size_t) {
+                         return std::array<double, 2>{t[q] * t[q],
+                                                      t[q] * s[q]};
+                       });
+    live.clear();
     for (const std::size_t c : ls.active) {
-      const auto sc = ls.col(s, c);
-      const auto tc = ls.col(t, c);
-      const double t_t = sparse::dot(tc, tc);
+      const double t_t = dot_a[c];
       if (!std::isfinite(t_t) || t_t == 0.0) {
         ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
-      omega[c] = sparse::dot(tc, sc) / t_t;
+      omega[c] = dot_b[c] / t_t;
       if (!std::isfinite(omega[c]) || omega[c] == 0.0) {
         ls.finalize(c, SolveStatus::kBreakdown, it);
         continue;
       }
-      const auto xc = ls.col(x, c);
-      const auto pc = ls.col(p, c);
-      const auto rc = ls.col(r, c);
-      const double a = alpha[c];
-      const double w = omega[c];
-      for (std::size_t i = 0; i < n; ++i) {
-        xc[i] += a * pc[i] + w * sc[i];
-        rc[i] = sc[i] - w * tc[i];
-      }
+      live.push_back(c);
+    }
+    // One pass: x += alpha p + omega s, r = s - omega t and r·r.
+    ls.reduce_lanes<1>(live, {dot_a.data()},
+                       [&](std::size_t q, std::size_t c) {
+                         x[q] += alpha[c] * p[q] + omega[c] * s[q];
+                         r[q] = s[q] - omega[c] * t[q];
+                         return std::array<double, 1>{r[q] * r[q]};
+                       });
+    for (const std::size_t c : live) {
       rho[c] = rho_next[c];
-      cols[c].rnorm = sparse::norm2(rc);
+      cols[c].rnorm = std::sqrt(dot_a[c]);
       if (cols[c].rnorm < best_since_restart[c]) {
         best_since_restart[c] = cols[c].rnorm;
       }

@@ -103,9 +103,11 @@ struct BatchedSolveResult {
   }
 };
 
-// Lockstep CG on k right-hand sides. `b` holds exactly k column-major
-// vectors of op.dim() entries each. Column j's result is bit-identical to
-// serial CG on column j alone.
+// Lockstep CG on k right-hand sides. `b` holds exactly k vectors of
+// op.dim() entries each, column-major; the solve keeps its state
+// interleaved (slot i*k + j) and returns each column's
+// solution as its own vector. Column j's result is bit-identical to serial
+// CG on column j alone.
 //
 // `tolerances` (empty, or exactly k entries) overrides options.tolerance
 // per column — the serving layer batches same-matrix requests that arrive
@@ -113,7 +115,7 @@ struct BatchedSolveResult {
 // as its solo solve would. Column j with tolerances[j] = t is bit-identical
 // to the serial solve with options.tolerance = t.
 //
-// `x0` (empty, or k column-major vectors) warm-starts the solve: x = x0 and
+// `x0` (empty, or k vectors laid out like b) warm-starts the solve: x = x0 and
 // r = b - A x0 (one extra batched apply), the recovery ladder's "re-solve
 // from the last-good iterate" rung. Empty keeps the classic x = 0 start —
 // and only that start carries the bit-identity contract above.

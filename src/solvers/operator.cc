@@ -42,6 +42,23 @@ sparse::Csr truncate_matrix(const sparse::Csr& a, int e_bits, int f_bits) {
 
 }  // namespace
 
+void CsrOperator::apply(std::span<const double> x, std::size_t k,
+                        std::span<double> y,
+                        std::span<const std::size_t> /*columns*/) {
+  if (k == 1) {
+    a_.spmv(x, y);
+    return;
+  }
+  const auto n = static_cast<std::size_t>(a_.rows());
+  x_col_.resize(n);
+  y_col_.resize(n);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < n; ++i) x_col_[i] = x[i * k + j];
+    a_.spmv(x_col_, y_col_);
+    for (std::size_t i = 0; i < n; ++i) y[i * k + j] = y_col_[i];
+  }
+}
+
 FeinbergOperator::FeinbergOperator(const sparse::Csr& a) {
   // Global base = the matrix's largest exponent; the 2^kExponentBits window
   // hangs below it, 52 fraction bits inside the window, flush outside.
@@ -76,7 +93,7 @@ void TruncatedOperator::apply(std::span<const double> x, std::size_t k,
   for (std::size_t i = 0; i < x.size(); ++i) {
     scratch_[i] = truncate_fp(x[i], spec_.exp_bits, spec_.frac_bits);
   }
-  CsrOperator(quantized_).apply(scratch_, k, y, columns);
+  exact_.apply(scratch_, k, y, columns);
 }
 
 }  // namespace refloat::solve

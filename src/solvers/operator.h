@@ -2,8 +2,9 @@
 // backend: exact double, the Feinberg [32] fixed-point baseline, and global
 // FP truncation (Table I). The ReFloat platform in all three execution
 // views is solve::BackendMultiOperator (src/solvers/batched.h). Each
-// runs its single-vector SpMV on the k columns one by one, in column
-// order, so a column's result never depends on the batch it rides in.
+// runs its single-vector SpMV on the k columns one by one, in column order
+// (each gathered out of the interleaved batch and scattered back), so a
+// column's result never depends on the batch it rides in.
 //
 // Threading contract: parallelism lives *inside* the SpMV (block-row shards
 // on util::ThreadPool::global()), so apply() is called from one solver
@@ -25,16 +26,13 @@ class CsrOperator final : public MultiOperator {
  public:
   explicit CsrOperator(const sparse::Csr& a) : a_(a) {}
   void apply(std::span<const double> x, std::size_t k, std::span<double> y,
-             std::span<const std::size_t> /*columns*/) override {
-    const auto n = static_cast<std::size_t>(a_.rows());
-    for (std::size_t j = 0; j < k; ++j) {
-      a_.spmv(x.subspan(j * n, n), y.subspan(j * n, n));
-    }
-  }
+             std::span<const std::size_t> columns) override;
   [[nodiscard]] sparse::Index dim() const override { return a_.rows(); }
 
  private:
   const sparse::Csr& a_;
+  std::vector<double> x_col_;
+  std::vector<double> y_col_;
 };
 
 // Feinberg et al. [32]: matrix-global shared exponent, 52-bit fixed-point
@@ -45,9 +43,11 @@ class CsrOperator final : public MultiOperator {
 class FeinbergOperator final : public MultiOperator {
  public:
   explicit FeinbergOperator(const sparse::Csr& a);
+  FeinbergOperator(const FeinbergOperator&) = delete;  // exact_ points in
+  FeinbergOperator& operator=(const FeinbergOperator&) = delete;
   void apply(std::span<const double> x, std::size_t k, std::span<double> y,
              std::span<const std::size_t> columns) override {
-    CsrOperator(quantized_).apply(x, k, y, columns);
+    exact_.apply(x, k, y, columns);
   }
   [[nodiscard]] sparse::Index dim() const override {
     return quantized_.rows();
@@ -59,6 +59,7 @@ class FeinbergOperator final : public MultiOperator {
 
  private:
   sparse::Csr quantized_;
+  CsrOperator exact_{quantized_};
   std::size_t flushed_ = 0;
 };
 
@@ -73,6 +74,8 @@ struct TruncateSpec {
 class TruncatedOperator final : public MultiOperator {
  public:
   TruncatedOperator(const sparse::Csr& a, TruncateSpec spec);
+  TruncatedOperator(const TruncatedOperator&) = delete;  // exact_ points in
+  TruncatedOperator& operator=(const TruncatedOperator&) = delete;
   void apply(std::span<const double> x, std::size_t k, std::span<double> y,
              std::span<const std::size_t> columns) override;
   [[nodiscard]] sparse::Index dim() const override {
@@ -82,6 +85,7 @@ class TruncatedOperator final : public MultiOperator {
  private:
   TruncateSpec spec_;
   sparse::Csr quantized_;
+  CsrOperator exact_{quantized_};
   std::vector<double> scratch_;
 };
 

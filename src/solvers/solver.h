@@ -18,9 +18,11 @@ struct SweepVerdict;
 
 namespace refloat::solve {
 
-// A Y = A X oracle over k column-major vectors (x.size() == k * dim()), the
-// one operator interface of the lockstep CG/BiCGSTAB drivers. Column j of
-// an apply must be bit-identical to applying that column alone.
+// A Y = A X oracle over k row-major interleaved vectors (x.size() ==
+// k * dim(); x[i*k + j] is element i of column j, and y likewise) — the
+// lockstep solvers' state layout, which core::SweepBackend::sweep takes
+// as is. The one operator interface of the lockstep CG/BiCGSTAB drivers.
+// Column j of an apply must be bit-identical to applying that column alone.
 class MultiOperator {
  public:
   virtual ~MultiOperator() = default;

@@ -39,35 +39,4 @@ double max_abs(std::span<const double> a) {
   return m;
 }
 
-namespace {
-
-// Rows per transpose tile: 256 rows x 16 columns of doubles = 32 KiB, the
-// typical L1 size, so the strided side's cache lines stay resident across
-// the whole tile instead of being evicted k times.
-constexpr std::size_t kTransposeTile = 256;
-
-}  // namespace
-
-void interleave(std::span<const double> cols, std::size_t n, std::size_t k,
-                std::span<double> out) {
-  for (std::size_t i0 = 0; i0 < n; i0 += kTransposeTile) {
-    const std::size_t i1 = std::min(i0 + kTransposeTile, n);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* src = cols.data() + j * n;
-      for (std::size_t i = i0; i < i1; ++i) out[i * k + j] = src[i];
-    }
-  }
-}
-
-void deinterleave(std::span<const double> in, std::size_t n, std::size_t k,
-                  std::span<double> cols) {
-  for (std::size_t i0 = 0; i0 < n; i0 += kTransposeTile) {
-    const std::size_t i1 = std::min(i0 + kTransposeTile, n);
-    for (std::size_t j = 0; j < k; ++j) {
-      double* dst = cols.data() + j * n;
-      for (std::size_t i = i0; i < i1; ++i) dst[i] = in[i * k + j];
-    }
-  }
-}
-
 }  // namespace refloat::sparse

@@ -20,17 +20,4 @@ void scale(double alpha, std::span<double> x);
 void fill(std::span<double> x, double value);
 double max_abs(std::span<const double> a);
 
-// Multi-vector layout kernels for the batched SpMM path: a batch of k
-// column vectors is stored row-major interleaved (slot i*k + j holds
-// element i of column j) so one matrix entry touches k adjacent slots.
-// Both directions transpose in row tiles sized to keep the strided side
-// L1-resident — a straight column-at-a-time sweep touches a fresh cache
-// line per element and dominates the whole SpMM at solver sizes.
-// out[i * k + j] = cols[j * n + i] for i < n, j < k.
-void interleave(std::span<const double> cols, std::size_t n, std::size_t k,
-                std::span<double> out);
-// cols[j * n + i] = in[i * k + j] (the inverse).
-void deinterleave(std::span<const double> in, std::size_t n, std::size_t k,
-                  std::span<double> cols);
-
 }  // namespace refloat::sparse

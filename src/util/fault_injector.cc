@@ -187,18 +187,20 @@ bool FaultInjector::fire(FaultSite which, std::uint64_t* event_out) {
 }
 
 template <typename T>
-bool FaultInjector::corrupt_one(FaultSite which, std::span<T> y) {
+bool FaultInjector::corrupt_one(FaultSite which, T* y, std::size_t n,
+                                std::size_t stride) {
   // The IEEE bit pattern of T and its top exponent bit (just below the
   // sign): bit 62 of a double, bit 30 of a float.
   using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t,
                                   std::uint32_t>;
   constexpr Bits kTopExponentBit = Bits{1} << (sizeof(T) * 8 - 2);
   std::uint64_t event = 0;
-  if (y.empty() || !fire(which, &event)) return false;
+  if (n == 0 || !fire(which, &event)) return false;
   Site& site = sites_[index(which)];
   Rng rng(stream_seed(site.seed.load(std::memory_order_relaxed), event,
                       kCorruptionSalt));
-  const std::size_t idx = static_cast<std::size_t>(rng.below(y.size()));
+  const std::size_t idx =
+      static_cast<std::size_t>(rng.below(n)) * stride;
   if (rng.below(4) == 3) {
     y[idx] = std::numeric_limits<T>::quiet_NaN();
   } else {
@@ -210,12 +212,13 @@ bool FaultInjector::corrupt_one(FaultSite which, std::span<T> y) {
   return true;
 }
 
-bool FaultInjector::maybe_corrupt(FaultSite which, std::span<double> y) {
-  return corrupt_one(which, y);
+bool FaultInjector::maybe_corrupt(FaultSite which, std::span<double> y,
+                                  std::size_t k, std::size_t column) {
+  return corrupt_one(which, y.data() + column, y.size() / k, k);
 }
 
 bool FaultInjector::maybe_corrupt(FaultSite which, std::span<float> y) {
-  return corrupt_one(which, y);
+  return corrupt_one(which, y.data(), y.size(), 1);
 }
 
 FaultInjector::SiteStats FaultInjector::site_stats(FaultSite which) const {

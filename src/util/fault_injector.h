@@ -93,7 +93,11 @@ class FaultInjector {
   // firing) NaN. Returns true when a corruption landed. The float overload
   // corrupts a resident operand stored in the fp32 code (bit 30 instead of
   // bit 62); both pick the same element and outcome for the same event.
-  bool maybe_corrupt(FaultSite site, std::span<double> y);
+  // With k > 1, y holds k row-major interleaved vectors (element i of
+  // column `column` at y[i*k + column]) and the corruption lands in that
+  // column: the element and outcome it would get extracted.
+  bool maybe_corrupt(FaultSite site, std::span<double> y, std::size_t k = 1,
+                     std::size_t column = 0);
   bool maybe_corrupt(FaultSite site, std::span<float> y);
 
   struct SiteStats {
@@ -112,7 +116,7 @@ class FaultInjector {
   // stream so a firing replays identically).
   bool fire(FaultSite site, std::uint64_t* event_out);
   template <typename T>
-  bool corrupt_one(FaultSite site, std::span<T> y);
+  bool corrupt_one(FaultSite site, T* y, std::size_t n, std::size_t stride);
 
   struct Site {
     std::atomic<bool> armed{false};

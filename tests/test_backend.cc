@@ -24,6 +24,7 @@
 #include "src/solvers/batched.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
+#include "tests/batch_layout.h"
 #include "tests/reference_solvers.h"
 
 namespace refloat {
@@ -320,7 +321,8 @@ TEST(SweepBackend, NoisyMatchesSerialReference) {
           auto backend = core::make_noisy_backend(
               rf, sigma, 5, tiles > 1 ? &tiled : nullptr);
           std::vector<double> got(n * k);
-          backend->sweep(x, k, got, ctx);
+          backend->sweep(testing::interleaved(x, k), k, got, ctx);
+          got = testing::columns(got, k);
           for (std::size_t i = 0; i < n * k; ++i) {
             ASSERT_EQ(got[i], want[i])
                 << c.name << ", k " << k << ", " << threads << " threads, "
@@ -350,7 +352,8 @@ TEST(SweepBackend, NoisyDefaultContextStreams) {
                               std::size_t{1}, std::size_t{2}}) {
     const std::vector<double> x = test_vector(n * k, 8 + sequence);
     std::vector<double> got(n * k);
-    backend->sweep(x, k, got, {});
+    backend->sweep(testing::interleaved(x, k), k, got, {});
+    got = testing::columns(got, k);
     for (std::size_t j = 0; j < k; ++j) {
       const std::uint64_t seed_j =
           j == 0 ? seed : util::stream_seed(seed, j, core::kColumnForkSalt);
@@ -491,7 +494,8 @@ TEST(HwSpmvBatched, ApplyMultiBitIdenticalToSequentialSameFaultSeed) {
     std::copy(yj.begin(), yj.end(), want.begin() + static_cast<long>(j * n));
   }
 
-  batched.apply_multi(x, k, got, bases);
+  batched.apply_multi(testing::interleaved(x, k), k, got, bases);
+  got = testing::columns(got, k);
   for (std::size_t i = 0; i < k * n; ++i) {
     ASSERT_EQ(got[i], want[i]) << "slot " << i;
   }

@@ -23,6 +23,7 @@
 #include "src/gen/grid.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
+#include "tests/batch_layout.h"
 
 namespace refloat {
 namespace {
@@ -172,7 +173,8 @@ TEST(BlockLayout, SpmmBitIdenticalToSequentialSpmvsAcrossThreadCounts) {
     for (const int threads : {1, 2, 8}) {
       util::ThreadPool::set_global_threads(threads);
       std::vector<double> y(n * k);
-      backend->sweep(x, k, y, {});
+      backend->sweep(testing::interleaved(x, k), k, y, {});
+      y = testing::columns(y, k);
       for (std::size_t i = 0; i < y.size(); ++i) {
         ASSERT_EQ(y[i], reference[i]) << "slot " << i << " at " << threads
                                       << " threads, k=" << k;
@@ -221,7 +223,8 @@ TEST(BlockLayout, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
     const std::size_t k = 3;
     const std::vector<double> xs = random_vector(64 * k, 501);
     std::vector<double> ys(64 * k);
-    backend->sweep(xs, k, ys, {});
+    backend->sweep(testing::interleaved(xs, k), k, ys, {});
+    ys = testing::columns(ys, k);
     std::vector<double> ycol(64);
     for (std::size_t j = 0; j < k; ++j) {
       backend->sweep(std::span<const double>(xs).subspan(j * 64, 64), 1, ycol,
@@ -245,7 +248,8 @@ TEST(BlockLayout, ScalarFormatHasNoBlocksButSpmmStillWorks) {
   const std::vector<double> x = random_vector(n * k, 600);
   std::vector<double> y(n * k);
   const auto backend = core::make_value_backend(rf);
-  backend->sweep(x, k, y, {});
+  backend->sweep(testing::interleaved(x, k), k, y, {});
+  y = testing::columns(y, k);
   std::vector<double> ycol(n);
   for (std::size_t j = 0; j < k; ++j) {
     backend->sweep(std::span<const double>(x).subspan(j * n, n), 1, ycol, {});
@@ -355,6 +359,7 @@ TEST(BlockLayout, ValueSweepBitIdenticalToBlockedLoop) {
     const auto n = static_cast<std::size_t>(c.a.rows());
     for (const std::size_t k : ks) {
       const std::vector<double> x = wide_operand(n * k, 1000 + k);
+      const std::vector<double> batch = testing::interleaved(x, k);
       // Reference: the blocked loop per column on the quantized operand.
       std::vector<double> reference(n * k);
       std::vector<double> xq(n);
@@ -372,7 +377,8 @@ TEST(BlockLayout, ValueSweepBitIdenticalToBlockedLoop) {
           for (const int threads : {1, 2, 8}) {
             util::ThreadPool::set_global_threads(threads);
             std::vector<double> y(n * k, 42.0);
-            backend->sweep(x, k, y, {});
+            backend->sweep(batch, k, y, {});
+            y = testing::columns(y, k);
             for (std::size_t i = 0; i < y.size(); ++i) {
               ASSERT_EQ(std::bit_cast<std::uint64_t>(y[i]),
                         std::bit_cast<std::uint64_t>(reference[i]))

@@ -17,6 +17,7 @@
 #include "src/hw/bit_true_backend.h"
 #include "src/solvers/batched.h"
 #include "src/util/fault_injector.h"
+#include "tests/batch_layout.h"
 
 namespace refloat {
 namespace {
@@ -231,7 +232,8 @@ TEST(Abft, CleanSweepsVerifyOnAllBackends) {
   const core::RefloatMatrix rf(a, test_format());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::size_t k = 3;
-  const std::vector<double> x = solve::make_rhs_batch(a, k);
+  const std::vector<double> x =
+      testing::interleaved(solve::make_rhs_batch(a, k), k);
   std::vector<double> y(k * n, 0.0);
 
   const core::AbftChecksum value_abft = core::make_abft_checksum(rf, 1e-6);
@@ -269,7 +271,8 @@ TEST(Abft, CheckedSweepIsBitIdenticalToUnchecked) {
   const core::RefloatMatrix rf(a, test_format());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::size_t k = 2;
-  const std::vector<double> x = solve::make_rhs_batch(a, k);
+  const std::vector<double> x =
+      testing::interleaved(solve::make_rhs_batch(a, k), k);
   const core::AbftChecksum abft = core::make_abft_checksum(rf);
 
   std::vector<double> y_plain(k * n, 0.0);
@@ -295,7 +298,8 @@ TEST(Abft, InjectedSweepCorruptionIsFlaggedPerColumn) {
   const core::RefloatMatrix rf(a, test_format());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::size_t k = 3;
-  const std::vector<double> x = solve::make_rhs_batch(a, k);
+  const std::vector<double> x =
+      testing::interleaved(solve::make_rhs_batch(a, k), k);
   std::vector<double> y(k * n, 0.0);
   const core::AbftChecksum abft = core::make_abft_checksum(rf);
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -16,6 +19,25 @@
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/engine.h"
 #include "src/util/random.h"
+#include "src/util/thread_pool.h"
+#include "tests/batch_layout.h"
+
+// Counts every global operator new in this binary, so a test can assert
+// that a warm path allocates nothing. Out of line: inlined into a
+// new/delete pair, GCC would flag malloc/free as mismatched.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace refloat::hw {
 namespace {
@@ -406,17 +428,18 @@ std::uint64_t image_digest(const core::RefloatMatrix& rf,
   const auto n = static_cast<std::size_t>(rf.quantized().rows());
   Fnv fnv;
   const std::vector<double> x1 = pin_vector(n, 91);
-  const std::vector<double> x3 = pin_vector(3 * n, 92);
+  const std::vector<double> x3 =
+      testing::interleaved(pin_vector(3 * n, 92), 3);
   std::vector<double> y1(n);
   std::vector<double> y3(3 * n);
   backend.sweep(x1, 1, y1, {});
   fnv.add(y1);
   backend.sweep(x3, 3, y3, {});
-  fnv.add(y3);
+  fnv.add(testing::columns(y3, 3));
   add_image(fnv, backend);
   backend.reprogram(5);
   backend.sweep(x3, 3, y3, {});
-  fnv.add(y3);
+  fnv.add(testing::columns(y3, 3));
   add_image(fnv, backend);
   return fnv.h;
 }
@@ -554,6 +577,38 @@ TEST(HwSpmv, ImagePinnedToParent) {
     }
   }
   EXPECT_EQ(i, std::size(pinned));
+}
+
+TEST(HwSpmv, WarmBatchedSweepAllocatesNothing) {
+  // Every per-sweep buffer of the bit-true path — the per block-row stats,
+  // the per-thread engine scratch and segments, the noise bases, the ABFT
+  // sums — is sized by the first sweep and reused: a second sweep of the
+  // same batch width allocates nothing.
+  util::ThreadPool::set_global_threads(1);
+  const sparse::Csr a =
+      gen::build_stencil(gen::laplace2d_5pt(24, 24)).shifted(0.2);
+  const core::RefloatMatrix rf(a, core::Format{.b = 4, .e = 3, .f = 3,
+                                               .ev = 3, .fv = 8});
+  ClusterConfig config;
+  config.faults.stuck_at_zero_rate = 1e-2;
+  config.noise.sigma = 1e-3;
+  BitTrueBackend backend(rf, config);
+  const core::AbftChecksum abft = core::make_abft_checksum(rf, 1.0);
+  backend.set_abft(&abft);
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  const std::size_t k = 4;
+  const std::vector<double> x = pin_vector(k * n, 7);
+  std::vector<double> y(k * n);
+  const std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
+  const std::vector<std::uint64_t> sequences = {0, 0, 0, 0};
+  core::SweepVerdict verdict;
+  const core::SweepContext ctx{seeds, sequences, &verdict};
+  backend.sweep(x, k, y, ctx);
+  const long before = g_allocations.load();
+  backend.sweep(x, k, y, ctx);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_TRUE(verdict.checked);
+  EXPECT_TRUE(verdict.ok);
 }
 
 }  // namespace

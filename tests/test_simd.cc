@@ -6,10 +6,12 @@
 // the generic-K SpMM default path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
@@ -199,10 +201,13 @@ TEST_F(SimdSweep, SpmmBitIdenticalForFixedAndGenericK) {
       gen::build_stencil(gen::laplace2d_5pt(20, 10)).shifted(0.2);
   const core::RefloatMatrix rf(a, fmt);
   const std::size_t n = static_cast<std::size_t>(a.rows());
-  // 2/4/8/16 hit the fixed-width kernels; 3 and 5 the generic default path.
+  // 2/4/8/16 hit the fixed-width kernels; 3, 5, 7, 12 and 15 the masked
+  // vector kernels (one to four running sums) or a generic loop, and 17
+  // the generic loop on every ISA.
   for (const std::size_t k : {std::size_t{2}, std::size_t{3}, std::size_t{4},
-                              std::size_t{5}, std::size_t{8},
-                              std::size_t{16}}) {
+                              std::size_t{5}, std::size_t{7}, std::size_t{8},
+                              std::size_t{12}, std::size_t{15},
+                              std::size_t{16}, std::size_t{17}}) {
     const std::vector<double> x = random_vector(n * k, 910 + k);
     core::simd_set_isa(SimdIsa::kScalar);
     util::ThreadPool::set_global_threads(1);
@@ -283,6 +288,157 @@ TEST_F(SimdSweep, AbftReduceBitIdenticalAcrossIsasAndLengths) {
                   std::bit_cast<std::uint64_t>(got[s]))
             << "isa=" << core::simd_isa_name(isa) << " n=" << n
             << " sum=" << s;
+      }
+    }
+  }
+}
+
+TEST_F(SimdSweep, AbftReduceLanesMatchesExtractedColumns) {
+  // The interleaved lane reduction must give every column exactly the sums
+  // abft_reduce gives that column extracted — on every ISA, for vector
+  // groups and leftover columns alike, with tails not a multiple of eight.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{4}, std::size_t{5}, std::size_t{8},
+                              std::size_t{16}}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                std::size_t{8}, std::size_t{13},
+                                std::size_t{127}, std::size_t{1000}}) {
+      const std::size_t ny = n + n / 3;
+      const std::vector<double> w = random_vector(n, 0x1a0e + n);
+      const std::vector<double> x = random_vector(n * k, 0x2a0e + n + k);
+      const std::vector<double> y = random_vector(ny * k, 0x3a0e + n + k);
+      std::vector<double> want(4 * k);
+      std::vector<double> xj(n);
+      std::vector<double> yj(ny);
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t i = 0; i < n; ++i) xj[i] = x[i * k + j];
+        for (std::size_t i = 0; i < ny; ++i) yj[i] = y[i * k + j];
+        core::sweep_kernels_for(SimdIsa::kScalar)
+            .abft_reduce(w.data(), xj.data(), n, yj.data(), ny,
+                         want.data() + 4 * j);
+      }
+      for (const SimdIsa isa : runnable_isas()) {
+        std::vector<double> got(4 * k);
+        core::sweep_kernels_for(isa).abft_reduce_lanes(
+            w.data(), x.data(), n, y.data(), ny, k, got.data());
+        for (std::size_t s = 0; s < 4 * k; ++s) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[s]),
+                    std::bit_cast<std::uint64_t>(want[s]))
+              << core::simd_isa_name(isa) << " k=" << k << " n=" << n
+              << " column " << s / 4 << " sum " << s % 4;
+        }
+      }
+    }
+  }
+}
+
+// k column-major vectors of n entries mixing every lane class of the tile
+// quantizer: normal values over a wide exponent range (so many fall below
+// their segment's window and round gradually), signed zeros, denormals,
+// inf and nan — plus, per column, one special segment: column 1's first
+// segment all zero, column 2's only denormals, column 3's maximum a value
+// whose mantissa carries past the window ceiling when rounded, and
+// column 4 scaled to 2^-1000, where the window leaves the fast path's
+// normal range and only quantize_value is exact.
+std::vector<double> tile_operand(std::size_t n, std::size_t k,
+                                 std::uint64_t seed) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -3.5e-310,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  util::Rng rng(seed);
+  std::vector<double> x(n * k);
+  for (std::size_t j = 0; j < k; ++j) {
+    double* col = x.data() + j * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      col[i] = rng.gaussian() *
+               std::ldexp(1.0, static_cast<int>(rng.below(40)) - 20);
+      if (rng.below(12) == 0) col[i] = specials[rng.below(std::size(specials))];
+    }
+    const std::size_t seg = std::min<std::size_t>(n, 128);
+    if (j == 1) std::fill(col, col + seg, 0.0);
+    if (j == 2) {
+      for (std::size_t i = 0; i < seg; ++i) {
+        col[i] = (i % 2 == 0 ? 1.0 : -1.0) * 1e-310 * static_cast<double>(i);
+      }
+    }
+    if (j == 3) {
+      for (std::size_t i = 0; i < seg; ++i) col[i] = std::ldexp(col[i], -30);
+      col[seg / 2] = -0x1.ffffp+4;
+    }
+    if (j == 4) {
+      for (std::size_t i = 0; i < n; ++i) col[i] = std::ldexp(col[i], -1000);
+    }
+  }
+  return x;
+}
+
+TEST_F(SimdQuantize, TileQuantizerMatchesPerColumnQuantizeVector) {
+  // RefloatMatrix::quantize_vectors (the tile kernel per segment for the
+  // max-anchor policies, the gathered per-column path for kMeanEq5) must
+  // give every column exactly what the scalar quantize_vector gives it
+  // alone, on every ISA, for every width the vector groups split into.
+  const sparse::Csr a =
+      gen::build_stencil(gen::laplace2d_5pt(4, 4)).shifted(0.2);
+  core::QuantPolicy flush;
+  flush.underflow = core::UnderflowMode::kFlushToZero;
+  core::QuantPolicy clamp;
+  clamp.underflow = core::UnderflowMode::kClampOffsetKeepFraction;
+  clamp.overflow = core::OverflowMode::kClampOffsetKeepFraction;
+  core::QuantPolicy symmetric;
+  symmetric.window = core::WindowMode::kSymmetric;
+  const struct {
+    const char* name;
+    core::QuantPolicy policy;
+  } policies[] = {{"default", {}},
+                  {"flush", flush},
+                  {"clamp", clamp},
+                  {"symmetric", symmetric},
+                  {"kMeanEq5", core::paper_literal_policy()}};
+  const core::Format formats[] = {
+      core::default_format(),
+      {.b = 7, .e = 2, .f = 3, .ev = 2, .fv = 3},
+      {.b = 4, .e = 3, .f = 3, .ev = 3, .fv = 52},
+  };
+  for (const auto& p : policies) {
+    for (const core::Format& fmt : formats) {
+      const core::RefloatMatrix rf(a, fmt, p.policy);
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+            std::size_t{5}, std::size_t{8}, std::size_t{16}}) {
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{7}, std::size_t{127},
+              std::size_t{128}, std::size_t{129}, std::size_t{1000}}) {
+          const std::vector<double> x = tile_operand(n, k, 31 * n + k);
+          core::simd_set_isa(SimdIsa::kScalar);
+          std::vector<double> want(n * k);
+          std::vector<double> col(n);
+          for (std::size_t j = 0; j < k; ++j) {
+            rf.quantize_vector(std::span<const double>(x).subspan(j * n, n),
+                               col);
+            for (std::size_t i = 0; i < n; ++i) want[i * k + j] = col[i];
+          }
+          std::vector<double> batch(n * k);
+          for (std::size_t j = 0; j < k; ++j) {
+            for (std::size_t i = 0; i < n; ++i) batch[i * k + j] = x[j * n + i];
+          }
+          for (const SimdIsa isa : runnable_isas()) {
+            core::simd_set_isa(isa);
+            std::vector<double> got(n * k, 42.0);
+            rf.quantize_vectors(batch, k, got);
+            for (std::size_t s = 0; s < n * k; ++s) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(got[s]),
+                        std::bit_cast<std::uint64_t>(want[s]))
+                  << p.name << " fv=" << fmt.fv << " "
+                  << core::simd_isa_name(isa) << " k=" << k << " n=" << n
+                  << " row " << s / k << " column " << s % k << " x="
+                  << batch[s];
+            }
+          }
+        }
       }
     }
   }
